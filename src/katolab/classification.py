@@ -388,7 +388,6 @@ def lq_unif_norm(f, q: float, dim: int,
         raise DomainError("q must be >= 1")
     mu_q = _as_power_measure(f, q, dim)
     pts = _resolve_centers(mu_q, centers)
-    hint = getattr(f, "singularity", 0.0) * q
     est, _ = sup_over_centers(
         pts, lambda x: integrate_over_ball(
             mu_q, x, 1.0, RadialProfile(lambda s: np.ones_like(np.asarray(s, float))),

@@ -2,7 +2,8 @@
 
 CSV values are written in full-precision scientific notation so a re-parse
 reproduces the in-memory reports bit-exactly.  Exit codes: 0 success,
-2 when every verdict is undecided, 1 on error.
+2 when classify leaves at least one Kato or Dynkin verdict undecided, 1 on
+error.
 """
 from __future__ import annotations
 
@@ -86,8 +87,8 @@ def cmd_classify(run: RunConfig, out_dir: Path) -> int:
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
 
-    verdicts = {rep.verdict_K for rep in reports}
-    return 2 if verdicts == {"undecided"} else 0
+    verdicts = {v for rep in reports for v in (rep.verdict_K, rep.verdict_D)}
+    return 2 if "undecided" in verdicts else 0
 
 
 def cmd_sweep_p(run: RunConfig, out_dir: Path) -> int:

@@ -7,8 +7,6 @@ grid-density heuristics.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +21,7 @@ from .measures import (
 )
 from .profiles import RadialProfile
 from .quadrature import INF
-
-LOG_CAP = 1.0 / math.e
+from .space import LOG_CAP
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:
 
 
 # ---------------------------------------------------------------------------
-# center strategy and parallel sup
+# center strategy and the sup over centers
 
 
 @dataclass
@@ -122,13 +119,6 @@ class CenterStrategy:
         return out
 
 
-def _n_threads() -> int:
-    env = os.environ.get("KATOLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def sup_over_centers(centers: list, objective) -> tuple[FunctionalEstimate, object]:
     """Max of objective(center) over the finite set, reduced in index order.
 
@@ -137,12 +127,7 @@ def sup_over_centers(centers: list, objective) -> tuple[FunctionalEstimate, obje
     """
     if not centers:
         raise ConfigError("empty center set")
-    n = _n_threads()
-    if n > 1 and len(centers) > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            results = list(ex.map(objective, centers))
-    else:
-        results = [objective(c) for c in centers]
+    results = [objective(c) for c in centers]
 
     best, best_x = None, None
     for x, est in zip(centers, results):
@@ -186,24 +171,8 @@ def semigroup_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
     _require_kernel_support(mu)
     if not 0.0 < t < model.t0:
         raise DomainError("t must lie in ]0, t0[")
-    qt = model.qt_radial(t)
-    nu, beta = model.space.nu, model.space.beta
-    # steepest admissible local slope: the jump branch of an estimate
-    # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime
-    hint = p * (nu + beta)
-
-    def g(s):
-        return np.asarray(qt(s)) ** p
-
-    pts = _resolve_centers(mu, centers)
-    if localized_radius is not None:
-        objective = lambda x: integrate_over_ball(mu, x, localized_radius, g,
-                                                  hint=hint, n_levels=n_levels)
-    else:
-        objective = lambda x: integrate_global(mu, x, g, majorant=g, hint=hint,
-                                               n_levels=n_levels)
-    est, _ = sup_over_centers(pts, objective)
-    return est
+    return _radial_kernel_functional(mu, model, model.qt_radial(t), p, centers,
+                                     localized_radius, n_levels)
 
 
 def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
@@ -216,14 +185,22 @@ def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
     _require_kernel_support(mu)
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    ra = model.resolvent_radial(alpha)
+    return _radial_kernel_functional(mu, model, model.resolvent_radial(alpha), p,
+                                     centers, localized_radius, n_levels)
+
+
+def _radial_kernel_functional(mu: MeasureRep, model: HeatKernelModel, kernel,
+                              p: float, centers, localized_radius: float | None,
+                              n_levels: int) -> FunctionalEstimate:
+    """sup_x of int kernel(d(x,y))^p mu(dy), over the ball of radius
+    localized_radius around x when given, else over the whole space."""
     nu, beta = model.space.nu, model.space.beta
     # steepest admissible local slope: the jump branch of an estimate
     # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime
     hint = p * (nu + beta)
 
     def g(s):
-        return np.asarray(ra(s)) ** p
+        return np.asarray(kernel(s)) ** p
 
     pts = _resolve_centers(mu, centers)
     if localized_radius is not None:

@@ -23,7 +23,7 @@ from .quadrature import (
     integrate_outward,
     integrate_to_zero,
 )
-from .space import SpaceModel, sphere_surface_area
+from .space import LOG_CAP, SpaceModel, sphere_surface_area
 
 # ---------------------------------------------------------------------------
 # relativistic special functions
@@ -65,14 +65,6 @@ def relativistic_psi(d: int, alpha: float, r: float) -> float:
     jump density; Psi(0) = 1 and Psi(r) ~ e^{-r}(1 + r^{(d+alpha-1)/2})."""
     k = (d + alpha) / 2.0
     return _bessel_type_integral(k, r) / _bessel_type_integral(k, 0.0)
-
-
-def eval_relativistic_jump_density(d: int, alpha: float, m: float, r: float) -> float:
-    """Jump density J_m(r) = A(d,-alpha) Psi(m^{1/alpha} r) / r^{d+alpha}."""
-    if r <= 0:
-        raise DomainError("jump density is singular at r = 0")
-    psi = relativistic_psi(d, alpha, m ** (1.0 / alpha) * r) if m > 0 else 1.0
-    return stable_jump_constant(d, alpha) * psi / r ** (d + alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +236,7 @@ class HeatKernelModel:
                 d = (frac * t) ** (1.0 / beta)
                 if nu == beta:
                     d = min(d, (0.9 * t) ** (2.0 / beta))
-                    if d >= 1.0 / math.e:
+                    if d >= LOG_CAP:
                         continue
                 q = float(self.qt_radial(t)(np.array([d]))[0])
                 shape = _bound_shape(nu, beta, t, d)
@@ -616,7 +608,7 @@ def time_integrated_bounds(model: HeatKernelModel, t: float, x, y) -> KernelBoun
     if nu == beta:
         if max(d**beta, t) >= 0.5:
             raise DomainError("regime guard violated: d^beta v t < 1/2 (nu = beta)")
-        if d >= 1.0 / math.e:
+        if d >= LOG_CAP:
             raise DomainError("regime guard violated: d < 1/e (log kernel domain)")
     elif d**beta >= t:
         raise DomainError("regime guard violated: d(x,y)^beta < t")

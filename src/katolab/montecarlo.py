@@ -45,7 +45,7 @@ class PathConfig:
             raise DomainError("stable alpha must lie in ]0, 2]")
 
 
-def _increments(cfg: PathConfig, rng, n_steps: int, chunk: int):
+def _increments(cfg: PathConfig, rng, chunk: int):
     """One step of increments, shape (chunk, dim)."""
     if cfg.process == "brownian":
         return rng.normal(scale=math.sqrt(cfg.dt), size=(chunk, cfg.dim))
@@ -67,8 +67,7 @@ def simulate_paths(cfg: PathConfig) -> np.ndarray:
     out = np.empty((cfg.n_paths, n_steps + 1, cfg.dim))
     out[:, 0, :] = cfg.x0
     for k in range(n_steps):
-        out[:, k + 1, :] = out[:, k, :] + _increments(cfg, rng, n_steps,
-                                                      cfg.n_paths)
+        out[:, k + 1, :] = out[:, k, :] + _increments(cfg, rng, cfg.n_paths)
     return out
 
 
@@ -96,7 +95,7 @@ def _functional_once(cfg: PathConfig, V, dt: float, rng) -> tuple:
         big = v > CLIP_BOUND
         clipped += int(big.sum())
         acc += dt * np.minimum(v, CLIP_BOUND)
-        x = x + _increments(sub, rng, n_steps, cfg.n_paths)
+        x = x + _increments(sub, rng, cfg.n_paths)
     return acc, clipped
 
 

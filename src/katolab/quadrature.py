@@ -44,29 +44,41 @@ def gauss_panel(h: Callable, a: float, b: float) -> float:
     return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * y))
 
 
-def _analyze_panels(panels: list[float], forward: bool) -> IntegralResult:
-    """Classify a sequence of panel contributions as convergent or not.
-
-    ``panels`` are ordered from the coarse end toward the limit under
-    scrutiny (s -> 0 for inward passes, s -> inf for outward ones).
-    """
+def _tail_window(panels: list[float]) -> tuple[str, list[float]]:
+    """Verdict on the last five panels, ordered from the coarse end toward
+    the limit under scrutiny (s -> 0 for inward passes, s -> inf for
+    outward ones): "nonfinite", "negligible" (nothing left near the limit),
+    "geometric" (every ratio in the window decays) or "growing".  Also
+    returns the window's panel-to-panel ratios."""
     total = sum(panels)
     if not math.isfinite(total):
-        return IntegralResult(INF, 0.0, True, INF)
+        return "nonfinite", []
     tail = panels[-5:]
     if total <= 0.0 or max(tail) <= 1e-300 * max(total, 1.0):
-        # nothing left near the limit: converged, tail negligible
-        return IntegralResult(total, 1e-16 * abs(total), False)
+        return "negligible", []
     ratios = [
         tail[i + 1] / tail[i] if tail[i] > 0 else 0.0
         for i in range(len(tail) - 1)
     ]
     if all(r <= GEOMETRIC_RATIO_MAX for r in ratios):
+        return "geometric", ratios
+    return "growing", ratios
+
+
+def _analyze_panels(panels: list[float]) -> IntegralResult:
+    """Classify a sequence of panel contributions as convergent or not."""
+    state, ratios = _tail_window(panels)
+    if state == "nonfinite":
+        return IntegralResult(INF, 0.0, True, INF)
+    total = sum(panels)
+    if state == "negligible":
+        return IntegralResult(total, 1e-16 * abs(total), False)
+    if state == "geometric":
         # the most recent ratio is the best estimate of the asymptotic rate
         rho = ratios[-1] if ratios else 0.0
-        geo_tail = tail[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
+        geo_tail = panels[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
         return IntegralResult(total + geo_tail, 0.5 * geo_tail + 1e-14 * total, False)
-    slope = float(np.mean(tail[-4:])) / math.log(2.0)
+    slope = float(np.mean(panels[-4:])) / math.log(2.0)
     return IntegralResult(INF, 0.0, True, slope)
 
 
@@ -99,14 +111,10 @@ def integrate_to_zero(h: Callable, r: float, n_levels: int = 16,
             break
         if j < n_levels:
             continue
-        if not math.isfinite(sum(panels)):
+        state, _ = _tail_window(panels)
+        if state in ("nonfinite", "negligible"):
             break
-        tail = panels[-5:]
-        if max(tail) <= 1e-300 * max(sum(panels), 1.0):
-            break
-        ratios = [tail[i + 1] / tail[i] if tail[i] > 0 else 0.0
-                  for i in range(len(tail) - 1)]
-        if all(q <= GEOMETRIC_RATIO_MAX for q in ratios):
+        if state == "geometric":
             # decay rate found; deepen a little more so the extrapolated
             # remainder is a small share of the total
             settle = 8
@@ -115,7 +123,7 @@ def integrate_to_zero(h: Callable, r: float, n_levels: int = 16,
         # transient crossover layer, so keep deepening to the depth cap
         if j >= n_levels + max_extra:
             break
-    return _analyze_panels(panels, forward=True)
+    return _analyze_panels(panels)
 
 
 def integrate_outward(
@@ -133,7 +141,7 @@ def integrate_outward(
         acc += p
         if len(panels) >= 3 and p <= rel_tol * max(acc, 1e-300) and panels[-2] <= rel_tol * max(acc, 1e-300):
             return IntegralResult(acc, p, False)
-    return _analyze_panels(panels, forward=False)
+    return _analyze_panels(panels)
 
 
 def integrate_interval(h: Callable, a: float, b: float, n_panels: int = 8) -> float:

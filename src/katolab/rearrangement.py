@@ -12,9 +12,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import INF, integrate_outward, integrate_to_zero
-from .space import unit_ball_volume
-
-LOG_CAP = 1.0 / math.e
+from .space import LOG_CAP, unit_ball_volume
 
 
 def check_decreasing(f: Callable, lo: float = 1e-6, hi: float = 1e3,

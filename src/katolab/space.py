@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: upper end of the log-kernel domain ]0, 1/e], where log(1/r) >= 1
+LOG_CAP = 1.0 / math.e
+
 
 def euclidean(x, y) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))

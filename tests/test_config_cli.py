@@ -156,3 +156,12 @@ def test_cli_kernel_check(tmp_path: Path):
     assert proc.returncode == 0, proc.stderr
     text = (out / "kernel_check.csv").read_text()
     assert "phi1 <= phi2" in text
+
+
+def test_cli_classify_exits_2_when_any_verdict_undecided(tmp_path: Path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "ahlfors-eta2.cfg"
+    proc = _run_cli("classify", "--config", str(cfg),
+                    "--out", str(tmp_path / "out"), "--p", "1.5,1.955")
+    assert "p = 1.5: Kato in, Dynkin in" in proc.stdout
+    assert "p = 1.955: Kato undecided" in proc.stdout
+    assert proc.returncode == 2, proc.stderr

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -210,7 +211,15 @@ def test_sup_over_centers_tracks_argmax():
     assert est.argmax_center == "b"
 
 
-def test_thread_cap_env(monkeypatch):
-    from katolab.functionals import _n_threads
-    monkeypatch.setenv("KATOLAB_THREADS", "1")
-    assert _n_threads() == 1
+def test_sup_over_centers_runs_on_calling_thread_in_center_order():
+    calls = []
+
+    def objective(c):
+        calls.append((c, threading.get_ident()))
+        return FunctionalEstimate(value=float(c), error=0.0, diverged=False,
+                                  log_slope=0.0, method="test")
+
+    est, arg = sup_over_centers([3, 1, 2], objective)
+    me = threading.get_ident()
+    assert calls == [(3, me), (1, me), (2, me)]
+    assert arg == 3 and est.value == 3.0
