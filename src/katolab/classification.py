@@ -31,7 +31,6 @@ from .measures import (
     MeasureRep,
     RadialDensity,
     integrate_over_ball,
-    lebesgue,
 )
 from .profiles import RadialProfile, power_profile
 from .quadrature import INF

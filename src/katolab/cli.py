@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classification import (
-    ClassifyConfig,
-    classify_measure,
-    fit_order_delta,
-    threshold_p_star,
-)
+from .classification import classify_measure, fit_order_delta
 from .config import RunConfig
 from .errors import KatolabError
 from .kernels import kernel_invariant_suite
@@ -30,7 +25,6 @@ from .montecarlo import (
     quadrature_additive_functional,
 )
 from .profiles import RadialProfile
-from .quadrature import INF
 
 
 def _fmt(v: float) -> str:

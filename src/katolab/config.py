@@ -11,7 +11,6 @@ ignored.  Example:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -20,7 +20,6 @@ from .measures import (
     integrate_over_ball,
 )
 from .profiles import RadialProfile
-from .quadrature import INF
 from .space import LOG_CAP
 
 
@@ -123,14 +122,15 @@ def sup_over_centers(centers: list, objective) -> tuple[FunctionalEstimate, obje
     """Max of objective(center) over the finite set, reduced in index order.
 
     objective returns a FunctionalEstimate; divergence at any center wins
-    (it certifies divergence of the supremum).
+    (it certifies divergence of the supremum).  The centers are evaluated in
+    order and the first divergent one is returned at once: objectives after
+    it are not evaluated, so their exceptions do not surface.
     """
     if not centers:
         raise ConfigError("empty center set")
-    results = [objective(c) for c in centers]
-
     best, best_x = None, None
-    for x, est in zip(centers, results):
+    for x in centers:
+        est = objective(x)
         if est.diverged:
             est.n_centers = len(centers)
             est.argmax_center = x

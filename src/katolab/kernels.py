@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .quadrature import (
-    INF,
-    IntegralResult,
-    integrate_outward,
-    integrate_to_zero,
-)
-from .space import LOG_CAP, SpaceModel, sphere_surface_area
+from .quadrature import INF, integrate_outward
+from .space import LOG_CAP, SpaceModel
+
+_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # ---------------------------------------------------------------------------
 # relativistic special functions
@@ -128,6 +124,8 @@ class HeatKernelModel:
 
     family = "custom"
     estimate_only = False
+    #: p_t(r) = t^{-nu/beta} profile(r / t^{1/beta}) holds exactly
+    exact_scaling = False
 
     def __init__(self, space: SpaceModel, t0: float = INF,
                  phi_lower: Callable | None = None,
@@ -137,6 +135,8 @@ class HeatKernelModel:
         self.phi1 = phi_lower
         self.phi2 = phi_upper
         self._bound_constants: tuple[float, float] | None = None
+        # exact scaling: one table of r_1; otherwise one table per alpha
+        self._unit_resolvent: Callable | None = None
         self._resolvent_cache: dict[float, Callable] = {}
         self._check_profile_order()
         self._check_h_phi2()
@@ -180,18 +180,38 @@ class HeatKernelModel:
             raise ValidationError("Phi2 fails the integrability condition H(Phi2)")
 
     def resolvent_radial(self, alpha: float) -> Callable:
-        """Cached vectorized r -> r_alpha(r) built from scalar quadratures."""
-        key = float(alpha)
-        if key not in self._resolvent_cache:
-            self._resolvent_cache[key] = self._build_resolvent_interp(alpha)
-        return self._resolvent_cache[key]
+        """Vectorized r -> r_alpha(r), served from cached tables.
 
-    def _build_resolvent_interp(self, alpha: float, n: int = 800) -> Callable:
+        For a kernel of exact scaling form p_t(r) = t^{-nu/beta}
+        Phi(r / t^{1/beta}), the substitution s = u/alpha in
+        r_alpha = int_0^inf e^{-alpha s} p_s ds gives the exact identity
+        r_alpha(r) = alpha^{nu/beta - 1} r_1(alpha^{1/beta} r), so one
+        lazily built table of r_1 serves every alpha.  The relativistic
+        family (StableEstimateModel with m > 0) is not exactly scaling and
+        builds one table per alpha from scalar quadratures.
+        """
+        if not self.exact_scaling:
+            key = float(alpha)
+            if key not in self._resolvent_cache:
+                self._resolvent_cache[key] = self._build_resolvent_interp(alpha)
+            return self._resolvent_cache[key]
+        if self._unit_resolvent is None:
+            self._unit_resolvent = self._build_resolvent_interp(1.0)
+        r1 = self._unit_resolvent
+        nu, beta = self.space.nu, self.space.beta
+        scale, factor = alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0)
+        return lambda r: factor * r1(scale * np.asarray(r, dtype=float))
+
+    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(r, r_alpha(r)) on 800 log-spaced radii, one scalar quadrature each."""
         r_lo, r_hi = 1e-6, 1e-5
         while r_hi < 1e6 and self.resolvent_scalar(alpha, r_hi) > 1e-280:
             r_hi *= 2.0
-        rs = np.geomspace(r_lo, r_hi, n)
-        vals = np.array([self.resolvent_scalar(alpha, float(r)) for r in rs])
+        rs = np.geomspace(r_lo, r_hi, 800)
+        return rs, np.array([self.resolvent_scalar(alpha, float(r)) for r in rs])
+
+    def _build_resolvent_interp(self, alpha: float) -> Callable:
+        rs, vals = self._resolvent_samples(alpha)
         pos = vals > 0.0
         rs, vals = rs[pos], vals[pos]
         log_r, log_v = np.log(rs), np.log(vals)
@@ -199,7 +219,6 @@ class HeatKernelModel:
 
         spline = PchipInterpolator(log_r, log_v, extrapolate=False)
         at_zero = self.resolvent_scalar(alpha, 0.0)
-        nu, beta = self.space.nu, self.space.beta
 
         def interp(r):
             r = np.asarray(r, dtype=float)
@@ -267,6 +286,9 @@ class ScalingKernelModel(HeatKernelModel):
     """Kernel of exact scaling form p_t(r) = t^{-nu/beta} profile(r/t^{1/beta})."""
 
     family = "custom"
+    exact_scaling = True
+    #: radii where the profile has a kink; the r_1 quadrature breaks there
+    profile_kinks: tuple = ()
 
     def __init__(self, space: SpaceModel, profile: Callable, t0: float = INF,
                  phi_lower: Callable | None = None,
@@ -307,6 +329,61 @@ class ScalingKernelModel(HeatKernelModel):
             return out
 
         return qt
+
+    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """r_1 on 4000 log-spaced radii from 1e-12 to where it drops below
+        1e-280 (at most 1e12), in one vectorized quadrature, rescaled to
+        r_alpha.
+
+        In x = log u, r_1(r) = beta r^{beta-nu} int exp(-(r e^{-x})^beta)
+        w(x) dx with w(x) = e^{(nu-beta)x} profile(e^x), which does not
+        depend on r: w is evaluated once on composite 16-point Gauss-Legendre
+        panels, narrowed where log w curves, and the table is a matrix of
+        exp(-(r e^{-x})^beta) times the weight vector.
+        """
+        if not self.exact_scaling:
+            return super()._resolvent_samples(alpha)
+        nu, beta = self.space.nu, self.space.beta
+        r_lo, r_cap = 1e-12, 1e12
+
+        def log_w(x):
+            with np.errstate(divide="ignore"):
+                return (nu - beta) * x + np.log(np.asarray(self.profile(np.exp(x)),
+                                                           dtype=float))
+
+        # below the first probe exp(-(r e^{-x})^beta) < e^-800 for every r >=
+        # r_lo; above, stop where w underflows or past the power-tail reach
+        probe = np.arange(math.log(r_lo) - math.log(800.0) / beta,
+                          math.log(r_cap) + 40.0 / beta, 0.01)
+        lw = log_w(probe)
+        last = np.nonzero(lw >= -690.0)[0][-1] + 2
+        probe, lw = probe[:last], lw[:last]
+        # panels of width min(1/2, curvature^{-1/2}) in x
+        curv = np.abs(np.gradient(np.gradient(lw, probe), probe))
+        density = np.maximum(2.0, np.sqrt(np.nan_to_num(curv, nan=0.0, posinf=0.0)))
+        xi = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
+                                              * np.diff(probe))])
+        edges = np.interp(np.arange(0.0, xi[-1], 1.0), xi, probe)
+        kinks = [math.log(u) for u in self.profile_kinks]
+        edges = np.union1d(np.append(edges, probe[-1]),
+                           [k for k in kinks if probe[0] < k < probe[-1]])
+        a, b = edges[:-1, None], edges[1:, None]
+        x = (0.5 * (b - a) * _GL16_NODES + 0.5 * (a + b)).ravel()
+        w = (0.5 * (b - a) * _GL16_WEIGHTS).ravel() * np.exp(log_w(x))
+
+        def r1(rs):
+            lr = np.log(rs)
+            out = np.empty(len(rs))
+            for i in range(0, len(rs), 32):  # row blocks of about 1 MB
+                # exp(-e^7) already underflows to 0
+                arg = np.minimum(beta * (lr[i:i + 32, None] - x), 7.0)
+                out[i:i + 32] = np.exp(-np.exp(arg)) @ w
+            return beta * rs ** (beta - nu) * out
+
+        coarse = np.geomspace(r_lo, r_cap, 241)
+        dead = np.nonzero(r1(coarse) <= 1e-280)[0]
+        rs = np.geomspace(r_lo, coarse[dead[0]] if len(dead) else r_cap, 4000)
+        return rs / alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0) * r1(rs)
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
         nu, beta = self.space.nu, self.space.beta
@@ -402,6 +479,9 @@ class StableEstimateModel(ScalingKernelModel):
         self.m = m
         A = stable_jump_constant(dim, alpha)
         self.A = A
+        # the mass correction breaks exact scaling
+        self.exact_scaling = m == 0.0
+        self.profile_kinks = (A ** (1.0 / (dim + alpha)),)
         space = SpaceModel(ambient_dim=dim, nu=float(dim), beta=alpha)
         t0 = INF if m == 0.0 else 1.0 / m
         if m == 0.0:

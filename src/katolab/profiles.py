@@ -2,8 +2,7 @@
 radial densities and Green-type weights."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -211,6 +211,25 @@ def test_sup_over_centers_tracks_argmax():
     assert est.argmax_center == "b"
 
 
+def test_sup_over_centers_stops_at_first_divergence():
+    calls = []
+
+    def objective(c):
+        calls.append(c)
+        div = c in (0, 2)
+        return FunctionalEstimate(value=INF if div else 1.0, error=0.0,
+                                  diverged=div, log_slope=0.0, method="test")
+
+    est, arg = sup_over_centers([0, 1, 2, 3], objective)
+    assert calls == [0]
+    assert est.diverged and arg == 0
+    assert est.n_centers == 4 and est.argmax_center == 0
+    calls.clear()
+    est, arg = sup_over_centers([1, 2, 3, 0], objective)
+    assert calls == [1, 2]
+    assert est.diverged and arg == 2 and est.n_centers == 4
+
+
 def test_sup_over_centers_runs_on_calling_thread_in_center_order():
     calls = []
 

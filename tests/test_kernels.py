@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from katolab.classification import ClassifyConfig
 from katolab.errors import DomainError, ValidationError
 from katolab.kernels import (
     GaussianKernelModel,
@@ -20,6 +21,7 @@ from katolab.kernels import (
     synthetic_scaling_model,
     time_integrated_bounds,
 )
+from katolab.profiles import parse_profile
 from katolab.space import SpaceModel
 
 
@@ -83,6 +85,59 @@ def test_resolvent_interpolant_matches_scalar():
     got = np.asarray(g(rs))
     ref = np.exp(-2.0 * rs) / (2.0 * math.pi * rs)
     assert np.allclose(got, ref, rtol=1e-6)
+
+
+def test_resolvent_table_small_r_closed_form():
+    # large alphas reach far below the old 1e-6 table floor in r
+    rs = np.geomspace(1e-9, 1.0, 400)
+    m3, m1 = GaussianKernelModel(dim=3), GaussianKernelModel(dim=1)
+    for a in [1.0, 16.0, 4096.0, 65536.0]:
+        k = math.sqrt(2.0 * a)
+        got3 = np.asarray(m3.resolvent_radial(a)(rs))
+        assert np.allclose(got3, np.exp(-k * rs) / (2.0 * math.pi * rs),
+                           rtol=1e-5, atol=0.0)
+        r1 = np.concatenate([[0.0], rs])
+        got1 = np.asarray(m1.resolvent_radial(a)(r1))
+        assert np.allclose(got1, np.exp(-k * r1) / k, rtol=1e-5, atol=0.0)
+
+
+def test_one_resolvent_table_serves_every_classify_alpha(monkeypatch):
+    cfg = ClassifyConfig()
+    alphas = sorted(set(cfg.localized_alphas) | set(cfg.alpha_grid))
+    assert len(alphas) == 9
+    m = GaussianKernelModel(dim=3)
+    built = []
+    build = m._build_resolvent_interp
+    monkeypatch.setattr(m, "_build_resolvent_interp",
+                        lambda a: built.append(a) or build(a))
+    for a in alphas:
+        m.resolvent_radial(a)
+    assert built == [1.0]
+
+
+@pytest.mark.parametrize("model", [
+    StableEstimateModel(dim=2, alpha=1.2),
+    make_kernel_model("custom", dim=3, nu=3.0, beta=2.0,
+                      profile=parse_profile("exp:2")),
+], ids=["stable", "custom-exp"])
+def test_rescaled_resolvent_table_matches_scalar(model):
+    for a in [0.5, 1.0, 7.9, 30.0]:
+        g = model.resolvent_radial(a)
+        for r in [0.003, 0.02, 0.3, 1.0, 1.9, 5.0]:
+            got = float(np.asarray(g(np.array([r])))[0])
+            assert got == pytest.approx(model.resolvent_scalar(a, r), rel=1e-6)
+
+
+def test_relativistic_model_builds_one_table_per_alpha(monkeypatch):
+    m = StableEstimateModel(dim=2, alpha=1.2, m=1.0)
+    assert not m.exact_scaling
+    built = []
+    # stub the builder: the scalar relativistic build is slow
+    monkeypatch.setattr(m, "_build_resolvent_interp",
+                        lambda a: built.append(a) or (lambda r: r))
+    for a in [1.0, 16.0, 16.0, 64.0]:
+        m.resolvent_radial(a)
+    assert built == [1.0, 16.0, 64.0]
 
 
 # --------------------------------------------------------------------------
