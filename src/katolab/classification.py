@@ -137,7 +137,6 @@ class ClassifyConfig:
     slope_cutoff: float = SLOPE_CUTOFF
     ratio_guard: float = RATIO_GUARD
     threshold_band: float = THRESHOLD_BAND
-    n_levels: int = 16
     localized_alphas: tuple = (1.0, 16.0)
     localized_times: tuple = (0.5, 0.125)
     fit_delta: bool = False
@@ -226,8 +225,8 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     if spec.regime == "trivial":
         sweep = [(r, _ball_mass_sup(mu, centers, float(r))) for r in r_grid]
     else:
-        sweep = [(r, kato_functional(mu, spec, p, float(r), centers=centers,
-                                     n_levels=cfg.n_levels)) for r in r_grid]
+        sweep = [(r, kato_functional(mu, spec, p, float(r), centers=centers))
+                 for r in r_grid]
     record("green", sweep)
 
     kernel_ok = mu.supports_kernel_criteria
@@ -235,8 +234,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         a1, a2 = cfg.localized_alphas
         for key, a in (("res_loc_a1", a1), ("res_loc_a*", a2)):
             sweep = [(r, resolvent_functional(mu, model, p, a, centers=centers,
-                                              localized_radius=float(r),
-                                              n_levels=cfg.n_levels))
+                                              localized_radius=float(r)))
                      for r in r_grid]
             record(key, sweep)
         t1, t2 = cfg.localized_times
@@ -244,8 +242,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         t2 = min(t2, 0.125 * model.t0)
         for key, t in (("sg_loc_t1", t1), ("sg_loc_t*", t2)):
             sweep = [(r, semigroup_functional(mu, model, p, t, centers=centers,
-                                              localized_radius=float(r),
-                                              n_levels=cfg.n_levels))
+                                              localized_radius=float(r)))
                      for r in r_grid]
             record(key, sweep)
 
@@ -256,15 +253,13 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         # the same way on every criterion
         sweep = [(t ** (1.0 / beta),
                   semigroup_functional(mu, model, p, float(t),
-                                       centers=centers,
-                                       n_levels=cfg.n_levels))
+                                       centers=centers))
                  for t in t_grid]
         record("sg_global", sweep)
 
         sweep = [(a ** (-1.0 / beta),
                   resolvent_functional(mu, model, p, float(a),
-                                       centers=centers,
-                                       n_levels=cfg.n_levels))
+                                       centers=centers))
                  for a in np.asarray(cfg.alpha_grid, dtype=float)]
         record("res_global", sweep)
     else:
@@ -338,11 +333,14 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
 
 
 def _ball_mass_sup(mu: MeasureRep, centers: list, r: float) -> FunctionalEstimate:
-    vals = [mu.ball_mass(x, r) for x in centers]
-    i = int(np.argmax(vals))
-    return FunctionalEstimate(vals[i], 0.0, n_centers=len(centers),
-                              argmax_center=centers[i],
-                              diverged=not math.isfinite(vals[i]))
+    """sup over the centers of mu(B_r(x)); an infinite mass diverges."""
+
+    def mass(x):
+        m = mu.ball_mass(x, r)
+        return FunctionalEstimate(m, 0.0, diverged=not math.isfinite(m))
+
+    est, _ = sup_over_centers(centers, mass)
+    return est
 
 
 def fit_order_delta(mu: MeasureRep, model: HeatKernelModel, p: float,
@@ -355,8 +353,7 @@ def fit_order_delta(mu: MeasureRep, model: HeatKernelModel, p: float,
     t_grid = t_grid[t_grid < model.t0]
     sweep = []
     for t in t_grid:
-        est = semigroup_functional(mu, model, p, float(t), centers=pts,
-                                   n_levels=cfg.n_levels)
+        est = semigroup_functional(mu, model, p, float(t), centers=pts)
         if est.diverged:
             raise InsufficientDataError("semigroup functional diverges; no "
                                         "decay order to fit")
@@ -379,38 +376,36 @@ def _as_power_measure(f, q: float, dim: int) -> MeasureRep:
     return Density(lambda y: abs(float(f(y))) ** q, dim=dim)
 
 
-def lq_unif_norm(f, q: float, dim: int,
-                 centers: CenterStrategy | list | None = None,
-                 n_levels: int = 16) -> FunctionalEstimate:
-    """sup_x int_{B_1(x)} |f|^q dm, the uniform-local L^q norm (to power q)."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
+def _unit_ball_sup(f, q: float, dim: int, centers, weight: RadialProfile
+                   ) -> FunctionalEstimate:
+    """sup_x int_{B_1(x)} weight(d(x,y)) |f(y)|^q dm."""
     mu_q = _as_power_measure(f, q, dim)
     pts = _resolve_centers(mu_q, centers)
     est, _ = sup_over_centers(
-        pts, lambda x: integrate_over_ball(
-            mu_q, x, 1.0, RadialProfile(lambda s: np.ones_like(np.asarray(s, float))),
-            hint=None, n_levels=n_levels))
+        pts, lambda x: integrate_over_ball(mu_q, x, 1.0, weight))
     return est
+
+
+def lq_unif_norm(f, q: float, dim: int,
+                 centers: CenterStrategy | list | None = None
+                 ) -> FunctionalEstimate:
+    """sup_x int_{B_1(x)} |f|^q dm, the uniform-local L^q norm (to power q)."""
+    if q < 1:
+        raise DomainError("q must be >= 1")
+    return _unit_ball_sup(f, q, dim, centers, RadialProfile(
+        lambda s: np.ones_like(np.asarray(s, float))))
 
 
 def schechter_norm(f, alpha_exponent: float, q: float, dim: int,
                    centers: CenterStrategy | list | None = None,
-                   nu: float | None = None,
-                   n_levels: int = 16) -> FunctionalEstimate:
+                   nu: float | None = None) -> FunctionalEstimate:
     """sup_x int_{B_1(x)} |f(y)|^q d(x,y)^{-(nu - alpha)} dm."""
     nu = float(nu if nu is not None else dim)
     if q < 1:
         raise DomainError("q must be >= 1")
     if nu < alpha_exponent and q <= alpha_exponent / nu:
         raise DomainError("when nu < alpha the norm needs q > alpha/nu")
-    mu_q = _as_power_measure(f, q, dim)
-    weight = power_profile(alpha_exponent - nu)
-    pts = _resolve_centers(mu_q, centers)
-    est, _ = sup_over_centers(
-        pts, lambda x: integrate_over_ball(mu_q, x, 1.0, weight,
-                                           hint=None, n_levels=n_levels))
-    return est
+    return _unit_ball_sup(f, q, dim, centers, power_profile(alpha_exponent - nu))
 
 
 def lq_sufficient(q: float, p: float, nu: float, beta: float) -> bool:

@@ -85,7 +85,7 @@ def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:
 @dataclass
 class CenterStrategy:
     """Finite center set: user-supplied points, measure-adapted support
-    points, and quasi-random points in a cube window around the origin."""
+    points, and uniform random points in a cube window around the origin."""
 
     explicit: list = field(default_factory=list)
     n_support: int = 8
@@ -99,13 +99,8 @@ class CenterStrategy:
         if self.n_support > 0:
             pts += [np.atleast_1d(p) for p in mu.support_points(self.n_support, rng)]
         if self.n_random > 0:
-            from scipy.stats import qmc
-
-            sob = qmc.Sobol(d=mu.dim, scramble=True, seed=self.seed)
-            # Sobol sequences balance on powers of two; draw the next one up
-            m = max(int(math.ceil(math.log2(self.n_random))), 0)
-            cube = sob.random_base2(m)[: self.n_random]
-            pts += list(self.window * (2.0 * cube - 1.0))
+            pts += list(rng.uniform(-self.window, self.window,
+                                    size=(self.n_random, mu.dim)))
         if not pts:
             raise ConfigError("center strategy produced an empty center set")
         # dedupe while keeping first-seen order (deterministic argmax tie-break)
@@ -147,8 +142,8 @@ def sup_over_centers(centers: list, objective) -> tuple[FunctionalEstimate, obje
 
 
 def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r: float,
-                    centers: CenterStrategy | list | None = None,
-                    n_levels: int = 16) -> FunctionalEstimate:
+                    centers: CenterStrategy | list | None = None
+                    ) -> FunctionalEstimate:
     """sup_x int_{d(x,y) < r} G(d(x,y))^p mu(dy)."""
     if p < 1:
         raise DomainError("p must be >= 1")
@@ -157,41 +152,40 @@ def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r: float,
     g = green_power_profile(spec, p)
     pts = _resolve_centers(mu, centers)
     est, _ = sup_over_centers(
-        pts, lambda x: integrate_over_ball(mu, x, r, g, hint=g.singularity,
-                                           n_levels=n_levels))
+        pts, lambda x: integrate_over_ball(mu, x, r, g, hint=g.singularity))
     return est
 
 
 def semigroup_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
                          t: float, centers: CenterStrategy | list | None = None,
-                         localized_radius: float | None = None,
-                         n_levels: int = 16) -> FunctionalEstimate:
+                         localized_radius: float | None = None
+                         ) -> FunctionalEstimate:
     """sup_x of the (localized) p-th power semigroup integral
     int (int_0^t p_s(x,y) ds)^p mu(dy)."""
     _require_kernel_support(mu)
     if not 0.0 < t < model.t0:
         raise DomainError("t must lie in ]0, t0[")
     return _radial_kernel_functional(mu, model, model.qt_radial(t), p, centers,
-                                     localized_radius, n_levels)
+                                     localized_radius)
 
 
 def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
                          alpha: float,
                          centers: CenterStrategy | list | None = None,
-                         localized_radius: float | None = None,
-                         n_levels: int = 16) -> FunctionalEstimate:
+                         localized_radius: float | None = None
+                         ) -> FunctionalEstimate:
     """sup_x of the (localized) p-th power resolvent integral
     int r_alpha(x,y)^p mu(dy)."""
     _require_kernel_support(mu)
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     return _radial_kernel_functional(mu, model, model.resolvent_radial(alpha), p,
-                                     centers, localized_radius, n_levels)
+                                     centers, localized_radius)
 
 
 def _radial_kernel_functional(mu: MeasureRep, model: HeatKernelModel, kernel,
-                              p: float, centers, localized_radius: float | None,
-                              n_levels: int) -> FunctionalEstimate:
+                              p: float, centers, localized_radius: float | None
+                              ) -> FunctionalEstimate:
     """sup_x of int kernel(d(x,y))^p mu(dy), over the ball of radius
     localized_radius around x when given, else over the whole space."""
     nu, beta = model.space.nu, model.space.beta
@@ -205,10 +199,9 @@ def _radial_kernel_functional(mu: MeasureRep, model: HeatKernelModel, kernel,
     pts = _resolve_centers(mu, centers)
     if localized_radius is not None:
         objective = lambda x: integrate_over_ball(mu, x, localized_radius, g,
-                                                  hint=hint, n_levels=n_levels)
+                                                  hint=hint)
     else:
-        objective = lambda x: integrate_global(mu, x, g, majorant=g, hint=hint,
-                                               n_levels=n_levels)
+        objective = lambda x: integrate_global(mu, x, g, hint=hint)
     est, _ = sup_over_centers(pts, objective)
     return est
 

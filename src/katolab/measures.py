@@ -2,10 +2,11 @@
 possibly singular radial functions against them over balls and globally.
 
 All integrands used by the classification pipeline are radial about the
-integration center, so the core primitive per representation is the radial
-mass density m_x(s) = d/ds mu(B_s(x)); ball and global integrals are then
-one-dimensional quadratures with an inner dyadic cutoff sweep and a
-geometric-decay divergence test.
+integration center, so each representation states its mass about x as
+atoms at exact distances from x plus a radial mass density
+m_x(s) = d/ds mu_diffuse(B_s(x)); ball and global integrals are then an exact
+atom sum plus one-dimensional quadratures with an inner dyadic cutoff sweep
+and a geometric-decay divergence test.
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
 from .quadrature import INF, integrate_outward, integrate_to_zero
 from .space import sphere_surface_area, unit_ball_volume
+
+# Gauss-Legendre rule in u = cos(theta) for angular averages
+_ANGULAR_NODES, _ANGULAR_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass
@@ -59,21 +63,40 @@ def _check_hint(g_radial: Callable, r: float, hint: float | None) -> None:
 
 
 class MeasureRep:
-    """Base class; subclasses are the five computable representations."""
+    """Base class; subclasses are the five computable representations.
+
+    A measure states its mass about a point x as atoms at exact distances
+    from x (radial_atoms) plus a diffuse part (radial_mass_density); ball
+    masses and all ball and global integrals derive from these two.
+    """
 
     dim: int
     supports_kernel_criteria = True
 
     def radial_mass_density(self, x) -> Callable | None:
-        """Vectorized s -> d/ds mu(B_s(x)), or None if unavailable."""
+        """Vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or None
+        if mu has no diffuse mass about x."""
         return None
+
+    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(distances, weights) of the mass sitting at exact distances from x."""
+        return np.zeros(0), np.zeros(0)
 
     def atom_at(self, x) -> float:
         """Mass of the atom located exactly at x (0 for diffuse measures)."""
-        return 0.0
+        ds, ws = self.radial_atoms(x)
+        return float(ws[ds == 0.0].sum())
 
     def ball_mass(self, x, r: float) -> float:
-        raise NotImplementedError
+        """mu of the closed ball of radius r about x."""
+        ds, ws = self.radial_atoms(x)
+        mass = float(ws[ds <= r].sum())
+        m = self.radial_mass_density(x)
+        if m is None:
+            return mass
+        val, _ = integrate.quad(lambda s: float(np.atleast_1d(m(s))[0]), 0.0, r,
+                                limit=200, points=[r * 0.5])
+        return val + mass
 
     def support_points(self, n: int, rng) -> list:
         """Representative centers on or near the support, for sup sweeps."""
@@ -86,17 +109,22 @@ class MeasureRep:
 
 class Density(MeasureRep):
     """mu = f(y) dy on R^dim; f a pointwise density, optionally compactly
-    supported in a ball of radius support_radius about the origin."""
+    supported in a ball of radius support_radius about the origin.
+
+    The radial mass density averages f over fixed directions: the two unit
+    vectors +-1 in dim 1, else 512 random ones (seeded, so reproducible)."""
 
     def __init__(self, f: Callable, dim: int, support_radius: float = INF,
-                 constant: float | None = None, n_directions: int = 512,
-                 seed: int = 2026):
+                 constant: float | None = None):
         self.f = f
         self.dim = dim
         self.support_radius = support_radius
         self.constant = constant
-        dirs = np.random.default_rng(seed).normal(size=(n_directions, dim))
-        self._dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        if dim == 1:
+            self._dirs = np.array([[-1.0], [1.0]])
+        else:
+            dirs = np.random.default_rng(2026).normal(size=(512, dim))
+            self._dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
     def radial_mass_density(self, x) -> Callable:
         d = self.dim
@@ -122,10 +150,7 @@ class Density(MeasureRep):
     def ball_mass(self, x, r: float) -> float:
         if self.constant is not None and math.isinf(self.support_radius):
             return self.constant * unit_ball_volume(self.dim) * r**self.dim
-        m = self.radial_mass_density(x)
-        val, _ = integrate.quad(lambda s: float(m(np.array([s]))[0]), 0.0, r,
-                                limit=200)
-        return val
+        return super().ball_mass(x, r)
 
     def support_points(self, n: int, rng) -> list:
         origin = np.zeros(self.dim)
@@ -159,11 +184,10 @@ class RadialDensity(MeasureRep):
         if d == 1:
             us, ws = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
         else:
-            nodes, gw = np.polynomial.legendre.leggauss(64)
-            dens = (1.0 - nodes**2) ** ((d - 3) / 2.0)
-            ws = gw * dens
+            dens = (1.0 - _ANGULAR_NODES**2) ** ((d - 3) / 2.0)
+            ws = _ANGULAR_WEIGHTS * dens
             ws = ws / ws.sum()
-            us = nodes
+            us = _ANGULAR_NODES
 
         f = self.profile
 
@@ -198,12 +222,6 @@ class RadialDensity(MeasureRep):
         avg = self._angular_average(rho_x)
         return lambda s: avg(s) * area * np.asarray(s, dtype=float) ** (d - 1)
 
-    def ball_mass(self, x, r: float) -> float:
-        m = self.radial_mass_density(x)
-        val, _ = integrate.quad(lambda s: float(np.atleast_1d(m(s))[0]), 0.0, r,
-                                limit=200, points=[r * 0.5])
-        return val
-
     def support_points(self, n: int, rng) -> list:
         pts = [self.origin.copy()]
         for rad in np.geomspace(1e-2, 1.0, max(n - 1, 1)):
@@ -227,18 +245,10 @@ class PointMasses(MeasureRep):
         if pts and self.points.shape[1] != self.dim:
             raise ValidationError("atom coordinates do not match dim")
 
-    def atom_at(self, x) -> float:
-        if self.points.shape[0] == 0:
-            return 0.0
-        d = np.linalg.norm(self.points - np.atleast_1d(np.asarray(x, float)), axis=1)
-        return float(self.weights[d == 0.0].sum())
-
-    def distances_from(self, x):
-        return np.linalg.norm(self.points - np.atleast_1d(np.asarray(x, float)),
-                              axis=1)
-
-    def ball_mass(self, x, r: float) -> float:
-        return float(self.weights[self.distances_from(x) <= r].sum())
+    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
+        ds = np.linalg.norm(self.points - np.atleast_1d(np.asarray(x, float)),
+                            axis=1)
+        return ds, self.weights
 
     def support_points(self, n: int, rng) -> list:
         return [p for p in self.points[:n]]
@@ -265,7 +275,7 @@ class SphereSurface(MeasureRep):
         rho = float(np.linalg.norm(np.asarray(x, float) - self.center))
         R, mass = self.R, self.mass
         if rho == 0.0:
-            return None  # degenerate: all mass at distance exactly R
+            return None  # all mass at distance exactly R: see radial_atoms
         lo, hi = abs(rho - R), rho + R
         c = mass / (2.0 * R * rho)
 
@@ -274,6 +284,11 @@ class SphereSurface(MeasureRep):
             return np.where((s >= lo) & (s <= hi), c * s, 0.0)
 
         return m
+
+    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
+        if np.linalg.norm(np.asarray(x, float) - self.center) == 0.0:
+            return np.array([self.R]), np.array([self.mass])
+        return super().radial_atoms(x)
 
     def ball_mass(self, x, r: float) -> float:
         rho = float(np.linalg.norm(np.asarray(x, float) - self.center))
@@ -349,10 +364,27 @@ class AhlforsAbstract(MeasureRep):
 # integration operations
 
 
+def _atom_sum(g_radial: Callable, ds: np.ndarray, ws: np.ndarray) -> float:
+    """sum_i w_i g(d_i), exact; +inf when an atom at distance 0 meets a
+    kernel that is infinite at 0."""
+    total = 0.0
+    at_center = ds == 0.0
+    if np.any(at_center):
+        g0 = float(np.asarray(g_radial(np.array([0.0])))[0])
+        if not math.isfinite(g0):
+            return INF
+        total += float(ws[at_center].sum()) * g0
+    if np.any(~at_center):
+        total += float(np.dot(ws[~at_center],
+                              np.asarray(g_radial(ds[~at_center]))))
+    return total
+
+
 def integrate_over_ball(mu: MeasureRep, x, r: float, g_radial: Callable,
-                        hint: float | None = None,
-                        n_levels: int = 16) -> FunctionalEstimate:
-    """int_{B_r(x)} g(d(x,y)) mu(dy) with inner dyadic cutoff sweep.
+                        hint: float | None = None) -> FunctionalEstimate:
+    """int_{B_r(x)} g(d(x,y)) mu(dy) over the closed ball: an exact sum over
+    the atoms of mu at distance <= r, plus the diffuse part by an inner
+    dyadic cutoff sweep.
 
     g_radial is vectorized in the distance s; hint, if given, is the expected
     blow-up exponent of g at 0 (g ~ s^-hint) and is cross-checked against the
@@ -364,95 +396,53 @@ def integrate_over_ball(mu: MeasureRep, x, r: float, g_radial: Callable,
         hint = g_radial.singularity
     _check_hint(g_radial, r, hint)
 
-    if isinstance(mu, PointMasses):
-        ds = mu.distances_from(x)
-        inside = ds <= r
-        ds, ws = ds[inside], mu.weights[inside]
-        at_center = ds == 0.0
-        total, diverged = 0.0, False
-        if np.any(at_center):
-            g0 = float(np.asarray(g_radial(np.array([0.0])))[0])
-            if not math.isfinite(g0):
-                diverged = True
-            else:
-                total += float(ws[at_center].sum()) * g0
-        if np.any(~at_center):
-            total += float(np.dot(ws[~at_center],
-                                  np.asarray(g_radial(ds[~at_center]))))
-        return FunctionalEstimate(INF if diverged else total, 0.0,
-                                  diverged=diverged, method="atom-sum")
-
+    ds, ws = mu.radial_atoms(x)
+    inside = ds <= r
+    atoms = _atom_sum(g_radial, ds[inside], ws[inside])
     m = mu.radial_mass_density(x)
-    if m is None:  # sphere seen from its center
-        assert isinstance(mu, SphereSurface)
-        if r <= mu.R:
-            return FunctionalEstimate(0.0, 0.0, method="exact")
-        val = mu.mass * float(np.asarray(g_radial(np.array([mu.R])))[0])
-        return FunctionalEstimate(val, 0.0, diverged=not math.isfinite(val),
-                                  method="exact")
+    if m is None:
+        return FunctionalEstimate(atoms, 0.0, diverged=math.isinf(atoms),
+                                  method="atom-sum")
 
     h = lambda s: np.asarray(g_radial(s)) * np.asarray(m(s))
-    res = integrate_to_zero(h, r, n_levels=n_levels)
-    atom = mu.atom_at(x)
-    value, diverged = res.value, res.diverged
-    if atom > 0.0:
-        g0 = float(np.asarray(g_radial(np.array([0.0])))[0])
-        if math.isfinite(g0):
-            value += atom * g0
-        else:
-            diverged = True
-    return FunctionalEstimate(INF if diverged else value, res.quad_error,
-                              diverged=diverged, log_slope=res.log_slope,
+    res = integrate_to_zero(h, r)
+    diverged = res.diverged or math.isinf(atoms)
+    return FunctionalEstimate(INF if diverged else res.value + atoms,
+                              res.quad_error, diverged=diverged,
+                              log_slope=res.log_slope,
                               method="dyadic-quadrature")
 
 
 def integrate_global(mu: MeasureRep, x, g_radial: Callable,
-                     majorant: Callable | None = None,
-                     r_split: float = 1.0, hint: float | None = None,
-                     n_levels: int = 16) -> FunctionalEstimate:
+                     r_split: float = 1.0,
+                     hint: float | None = None) -> FunctionalEstimate:
     """Whole-space integral of g(d(x,y)) against mu.
 
-    The ball B(x, r_split) is handled by integrate_over_ball; the exterior by
-    outward quadrature of the radial reduction when one exists, otherwise by
-    dyadic shells bounded with the supplied decreasing radial majorant.
+    The closed ball B(x, r_split) is handled by integrate_over_ball; outside
+    it, the atoms at distance > r_split are summed exactly and the diffuse
+    part is integrated outward.
     """
-    head = integrate_over_ball(mu, x, r_split, g_radial, hint=hint,
-                               n_levels=n_levels)
+    head = integrate_over_ball(mu, x, r_split, g_radial, hint=hint)
     if head.diverged:
         return head
 
-    if isinstance(mu, PointMasses):
-        ds = mu.distances_from(x)
-        outside = ds > r_split
-        tail = float(np.dot(mu.weights[outside],
-                            np.asarray(g_radial(ds[outside]))))
+    ds, ws = mu.radial_atoms(x)
+    outside = ds > r_split
+    tail = _atom_sum(g_radial, ds[outside], ws[outside])
+    m = mu.radial_mass_density(x)
+    if m is None:
         return FunctionalEstimate(head.value + tail, head.error,
                                   method="atom-sum")
 
-    m = mu.radial_mass_density(x)
-    if m is not None:
-        res = integrate_outward(lambda s: np.asarray(g_radial(s)) * np.asarray(m(s)),
-                                r_split)
-        if res.diverged:
-            return FunctionalEstimate(INF, 0.0, diverged=True,
-                                      log_slope=res.log_slope,
-                                      method="dyadic-quadrature")
-        return FunctionalEstimate(head.value + res.value,
-                                  head.error + res.quad_error,
+    res = integrate_outward(lambda s: np.asarray(g_radial(s)) * np.asarray(m(s)),
+                            r_split)
+    if res.diverged:
+        return FunctionalEstimate(INF, 0.0, diverged=True,
+                                  log_slope=res.log_slope,
                                   method="dyadic-quadrature")
-
-    if majorant is None:
-        raise DomainError("no radial reduction available; supply a majorant")
-    total, rad = 0.0, r_split
-    for _ in range(80):
-        shell_mass = mu.ball_mass(x, 2.0 * rad) - mu.ball_mass(x, rad)
-        inc = shell_mass * float(np.asarray(majorant(np.array([rad])))[0])
-        total += inc
-        rad *= 2.0
-        if inc <= 1e-14 * max(total, 1e-300):
-            return FunctionalEstimate(head.value + total, head.error,
-                                      method="shell-majorant")
-    return FunctionalEstimate(INF, 0.0, diverged=True, method="shell-majorant")
+    return FunctionalEstimate(head.value + tail + res.value,
+                              head.error + res.quad_error,
+                              method="dyadic-quadrature")
 
 
 def make_measure(kind: str, **kw) -> MeasureRep:

@@ -20,6 +20,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 #: panel-to-panel ratio above which decay is no longer considered geometric
 GEOMETRIC_RATIO_MAX = 0.97
 
+#: integrate_to_zero's levels before the first tail-window check, and the
+#: further levels it may add before it stops at the depth cap
+MIN_LEVELS = 16
+MAX_EXTRA_LEVELS = 32
+
 INF = float("inf")
 
 
@@ -82,8 +87,7 @@ def _analyze_panels(panels: list[float]) -> IntegralResult:
     return IntegralResult(INF, 0.0, True, slope)
 
 
-def integrate_to_zero(h: Callable, r: float, n_levels: int = 16,
-                      max_extra: int = 32) -> IntegralResult:
+def integrate_to_zero(h: Callable, r: float) -> IntegralResult:
     """Integrate h over (0, r], resolving a possible singularity at 0.
 
     Panels are [r 2^{-j-1}, r 2^{-j}] for j = 0, 1, ...; the panel sequence
@@ -92,7 +96,7 @@ def integrate_to_zero(h: Callable, r: float, n_levels: int = 16,
 
     Integrands with an interior boundary layer (kernel time/resolvent
     scales) first rise and then settle into their asymptotic decay; the
-    sweep keeps deepening past n_levels until the last-window verdict is
+    sweep keeps deepening past MIN_LEVELS until the last-window verdict is
     unambiguous: either every recent ratio is geometric (converged) or none
     is (nothing decays toward 0: divergent).
     """
@@ -109,7 +113,7 @@ def integrate_to_zero(h: Callable, r: float, n_levels: int = 16,
             continue
         if settle == 0:
             break
-        if j < n_levels:
+        if j < MIN_LEVELS:
             continue
         state, _ = _tail_window(panels)
         if state in ("nonfinite", "negligible"):
@@ -121,7 +125,7 @@ def integrate_to_zero(h: Callable, r: float, n_levels: int = 16,
             continue
         # no early divergence break: a window of growing panels can be a
         # transient crossover layer, so keep deepening to the depth cap
-        if j >= n_levels + max_extra:
+        if j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
             break
     return _analyze_panels(panels)
 
@@ -143,10 +147,3 @@ def integrate_outward(
             return IntegralResult(acc, p, False)
     return _analyze_panels(panels)
 
-
-def integrate_interval(h: Callable, a: float, b: float, n_panels: int = 8) -> float:
-    """Plain composite Gauss-Legendre on [a, b] for smooth integrands."""
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, n_panels + 1)
-    return sum(gauss_panel(h, edges[i], edges[i + 1]) for i in range(n_panels))

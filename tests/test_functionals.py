@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -17,7 +19,12 @@ from katolab.functionals import (
     sup_over_centers,
 )
 from katolab.kernels import GaussianKernelModel
-from katolab.measures import FunctionalEstimate, PointMasses, lebesgue
+from katolab.measures import (
+    FunctionalEstimate,
+    PointMasses,
+    SphereSurface,
+    lebesgue,
+)
 from katolab.quadrature import INF
 from katolab.space import SpaceModel
 
@@ -121,6 +128,21 @@ def test_point_mass_resolvent_closed_form():
         assert est.value == pytest.approx(1.0 / math.sqrt(2 * a), rel=1e-6)
 
 
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_sphere_resolvent_from_center_closed_form(R):
+    # the sphere seen from its center: mass * r_alpha(R), and for d = 3
+    # Brownian motion r_alpha(R) = exp(-sqrt(2 alpha) R) / (2 pi R)
+    mass = 4.0 * math.pi
+    mu = SphereSurface(np.zeros(3), R, mass)
+    model = GaussianKernelModel(dim=3)
+    for a in [1.0, 4.0]:
+        est = resolvent_functional(mu, model, 1.0, a, centers=[np.zeros(3)])
+        table = mass * float(model.resolvent_radial(a)(np.array([R]))[0])
+        assert est.value == pytest.approx(table, rel=1e-14)
+        exact = mass * math.exp(-math.sqrt(2.0 * a) * R) / (2.0 * math.pi * R)
+        assert est.value == pytest.approx(exact, rel=1e-6)
+
+
 def test_localized_functional_vanishes_far_from_support():
     mu = PointMasses([(np.array([10.0]), 1.0)])
     model = GaussianKernelModel(dim=1)
@@ -191,6 +213,24 @@ def test_center_strategy_deterministic_in_seed():
     a = CenterStrategy(n_random=5, seed=11).build(mu)
     b = CenterStrategy(n_random=5, seed=11).build(mu)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_center_strategy_does_not_import_scipy_stats():
+    # the random window points come from numpy's generator: scipy.stats
+    # costs about half a second of import on every classify run
+    code = ("import sys; import numpy as np; "
+            "from katolab.functionals import CenterStrategy; "
+            "from katolab.measures import lebesgue; "
+            "pts = CenterStrategy(n_random=8, seed=3).build(lebesgue(2)); "
+            "assert len(pts) == 9; "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sup_over_centers_divergence_wins():

@@ -149,6 +149,50 @@ def test_global_integral_gaussian_weight():
     assert est.value == pytest.approx(math.pi, rel=1e-8)
 
 
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_sphere_from_center_integrals_are_mass_times_kernel(R):
+    # seen from its center, all of the sphere's mass sits at distance R, on
+    # the closed ball of radius R and so inside the head ball when R = r_split
+    mass = 4.0 * math.pi
+    mu = SphereSurface(center=np.zeros(3), radius=R, total_mass=mass)
+    g = RadialProfile(lambda s: np.exp(-np.asarray(s, float)))
+    exact = mass * math.exp(-R)
+    assert integrate_over_ball(mu, np.zeros(3), R, g).value == pytest.approx(
+        exact, rel=1e-14)
+    assert integrate_over_ball(mu, np.zeros(3), 0.99 * R, g).value == 0.0
+    est = integrate_global(mu, np.zeros(3), g)
+    assert not est.diverged
+    assert est.value == pytest.approx(exact, rel=1e-14)
+
+
+def test_radial_atoms_state_the_mass_about_a_point():
+    sphere = SphereSurface(center=np.zeros(3), radius=2.0, total_mass=3.0)
+    ds, ws = sphere.radial_atoms(np.zeros(3))
+    assert list(ds) == [2.0] and list(ws) == [3.0]
+    assert len(sphere.radial_atoms(np.array([0.5, 0.0, 0.0]))[0]) == 0
+    atoms = PointMasses([(np.array([0.3]), 1.0), (np.array([-2.0]), 2.0)])
+    ds, ws = atoms.radial_atoms(np.zeros(1))
+    assert list(ds) == pytest.approx([0.3, 2.0]) and list(ws) == [1.0, 2.0]
+    assert atoms.radial_mass_density(np.zeros(1)) is None
+    assert len(lebesgue(2).radial_atoms(np.zeros(2))[0]) == 0
+
+
+def test_point_mass_global_integral_sums_every_atom():
+    mu = PointMasses([(np.array([0.5]), 1.0), (np.array([1.0]), 2.0),
+                      (np.array([-3.0]), 4.0)])
+    g = RadialProfile(lambda s: np.exp(-np.asarray(s, float)))
+    est = integrate_global(mu, np.zeros(1), g)
+    assert est.value == pytest.approx(
+        math.exp(-0.5) + 2.0 * math.exp(-1.0) + 4.0 * math.exp(-3.0), rel=1e-14)
+
+
+def test_density_dim1_averages_both_directions():
+    # e^y dy on R: mass of [-1, 1] is 2 sinh 1
+    mu = Density(lambda y: math.exp(y[0]), dim=1)
+    assert mu.ball_mass(np.zeros(1), 1.0) == pytest.approx(
+        2.0 * math.sinh(1.0), rel=1e-10)
+
+
 def test_hint_mismatch_raises_diagnostics_error():
     mu = lebesgue(1)
     bad = RadialProfile(lambda s: np.asarray(s, float) ** -1.9,

@@ -9,7 +9,6 @@ from katolab.quadrature import (
     GEOMETRIC_RATIO_MAX,
     INF,
     gauss_panel,
-    integrate_interval,
     integrate_outward,
     integrate_to_zero,
 )
@@ -77,12 +76,6 @@ def test_outward_gaussian_tail():
 def test_outward_divergence():
     res = integrate_outward(lambda s: 1.0 / np.asarray(s), 1.0)
     assert res.diverged
-
-
-def test_interval_matches_endpoint_difference():
-    f = lambda s: np.cos(np.asarray(s))
-    assert integrate_interval(f, 0.3, 2.2) == pytest.approx(
-        math.sin(2.2) - math.sin(0.3), rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
