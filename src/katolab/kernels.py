@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .quadrature import INF, integrate_outward
+from .quadrature import INF, integrate_outward, pchip
 from .space import LOG_CAP, SpaceModel
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -43,6 +42,7 @@ def _bessel_type_integral(k: float, r: float) -> float:
         raise DomainError("r must be nonnegative")
     if r == 0.0:
         return 4.0**k * math.gamma(k)
+    from scipy import integrate
 
     def f(s):
         return s ** (k - 1.0) * math.exp(-s / 4.0 - r * r / s)
@@ -215,15 +215,13 @@ class HeatKernelModel:
         pos = vals > 0.0
         rs, vals = rs[pos], vals[pos]
         log_r, log_v = np.log(rs), np.log(vals)
-        from scipy.interpolate import PchipInterpolator
-
-        spline = PchipInterpolator(log_r, log_v, extrapolate=False)
+        spline = pchip(log_r, log_v)
         at_zero = self.resolvent_scalar(alpha, 0.0)
 
         def interp(r):
             r = np.asarray(r, dtype=float)
             lr = np.log(np.maximum(r, 1e-300))
-            out = np.exp(np.nan_to_num(spline(lr), nan=-INF))
+            out = np.exp(spline(lr))
             out = np.where(lr > log_r[-1], 0.0, out)
             if math.isinf(at_zero):
                 # continue the power/log divergence below the grid
@@ -411,6 +409,7 @@ class ScalingKernelModel(HeatKernelModel):
         g = lambda v: f(math.exp(v)) * math.exp(v)
         import warnings
 
+        from scipy import integrate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             val, err = integrate.quad(
@@ -434,6 +433,7 @@ class GaussianKernelModel(ScalingKernelModel):
         self.dim = dim
 
     def qt_radial(self, t: float) -> Callable:
+        from scipy import special
         d = self.dim
 
         def qt(r):
@@ -555,11 +555,11 @@ class StableEstimateModel(ScalingKernelModel):
         if r == 0.0:
             if d >= a:
                 return INF
-            f0 = lambda s: math.exp(-alpha * s) * s ** (-d / a)
-            val, _ = integrate.quad(f0, 0.0, np.inf, epsrel=1e-10, limit=400)
-            return val
+            # int_0^inf e^{-alpha s} s^{-d/a} ds in closed form
+            return math.gamma(1.0 - d / a) * alpha ** (d / a - 1.0)
         if m == 0.0:
             return super().resolvent_scalar(alpha, r)
+        from scipy import integrate
         J = float(self.jump_density(np.array([r]))[0])
         s_star = J ** (-a / (d + a))
         splits = sorted({s_star, 1.0 / m})
@@ -577,6 +577,7 @@ class StableEstimateModel(ScalingKernelModel):
 
 def _late_branch_integral(model: StableEstimateModel, t1: float, t2: float, r):
     """int_{t1}^{t2} p_s(r) ds over the large-time branch, vectorized in r."""
+    from scipy import integrate
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
     for i, ri in enumerate(r):

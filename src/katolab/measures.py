@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
@@ -94,6 +93,7 @@ class MeasureRep:
         m = self.radial_mass_density(x)
         if m is None:
             return mass
+        from scipy import integrate
         val, _ = integrate.quad(lambda s: float(np.atleast_1d(m(s))[0]), 0.0, r,
                                 limit=200, points=[r * 0.5])
         return val + mass
@@ -365,8 +365,9 @@ class AhlforsAbstract(MeasureRep):
 
 
 def _atom_sum(g_radial: Callable, ds: np.ndarray, ws: np.ndarray) -> float:
-    """sum_i w_i g(d_i), exact; +inf when an atom at distance 0 meets a
-    kernel that is infinite at 0."""
+    """sum_i w_i g(d_i), exact; +inf when an atom of positive weight at
+    distance 0 meets a kernel that is infinite at 0."""
+    ds, ws = ds[ws != 0.0], ws[ws != 0.0]
     total = 0.0
     at_center = ds == 0.0
     if np.any(at_center):

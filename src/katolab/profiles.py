@@ -8,6 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .quadrature import pchip
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,6 @@ def constant_profile(value: float) -> RadialProfile:
 def tabulated_profile(radii, values) -> RadialProfile:
     """Monotone (PCHIP) interpolation of tabulated radial data; constant
     extrapolation on the left, zero on the right."""
-    from scipy.interpolate import PchipInterpolator
-
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
@@ -76,14 +75,9 @@ def tabulated_profile(radii, values) -> RadialProfile:
         raise ConfigError("tabulated profile needs one value per radius")
     if np.any(values < 0):
         raise ConfigError("tabulated profile values must be nonnegative")
-    interp = PchipInterpolator(radii, values, extrapolate=False)
-
-    def f(s):
-        out = interp(s)
-        out = np.where(s <= radii[0], values[0], out)
-        return np.nan_to_num(np.where(s >= radii[-1], 0.0, out), nan=0.0)
-
-    return RadialProfile(f, singularity=0.0, label="tabulated")
+    interp = pchip(radii, values)
+    return RadialProfile(lambda s: np.where(s >= radii[-1], 0.0, interp(s)),
+                         singularity=0.0, label="tabulated")
 
 
 def parse_profile(text: str) -> RadialProfile:

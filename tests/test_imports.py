@@ -1,5 +1,9 @@
-"""Every name a katolab module imports is used in that module."""
+"""Every name a katolab module imports is used in that module, and the
+cold paths load only the scipy modules they need."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,28 @@ def test_unused_import_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _loaded_scipy_modules(code: str) -> set[str]:
+    """scipy modules in sys.modules after running code in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_import_katolab_loads_no_scipy():
+    assert _loaded_scipy_modules("import katolab") == set()
+
+
+def test_point_mass_classify_loads_no_quad_or_interpolation(tmp_path):
+    cfg = SRC.parents[1] / "configs" / "delta0-d1.cfg"
+    loaded = _loaded_scipy_modules(
+        "import katolab.cli\n"
+        f"assert katolab.cli.main(['classify', '--config', {str(cfg)!r}, "
+        f"'--seed', '7', '--out', {str(tmp_path)!r}]) == 0")
+    assert (tmp_path / "classify.csv").exists()
+    assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}

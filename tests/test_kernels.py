@@ -170,6 +170,15 @@ def test_stable_resolvent_matches_laplace_transform():
         assert got == pytest.approx(ref, rel=1e-5)
 
 
+def test_stable_resolvent_at_zero_closed_form():
+    # d < alpha: r_a(0) = int_0^inf e^{-a s} p_s(0) ds with p_s(0) = s^{-d/alpha}
+    m = StableEstimateModel(dim=1, alpha=1.5)
+    for a in [0.3, 1.0, 7.9]:
+        ref, _ = integrate.quad(lambda s: math.exp(-a * s) * s ** (-1.0 / 1.5),
+                                0.0, np.inf, epsrel=1e-12, limit=400)
+        assert m.resolvent_scalar(a, 0.0) == pytest.approx(ref, rel=1e-9)
+
+
 def test_stable_resolvent_power_tail():
     # heavy jump tails Laplace-transform to heavy tails: r_alpha ~ J(r)/alpha^2
     m = StableEstimateModel(dim=2, alpha=1.2)

@@ -133,6 +133,14 @@ def test_atom_at_center_sentinel():
     assert est2.value == pytest.approx(0.5**-0.5, rel=1e-12)
 
 
+def test_zero_weight_atom_at_center_is_not_a_blowup():
+    # 0 * g(0) contributes nothing even where g(0) is infinite
+    mu = PointMasses([((0.0,), 0.0), ((0.5,), 1.0)])
+    est = integrate_over_ball(mu, [0.0], 1.0, power_profile(-0.5))
+    assert not est.diverged
+    assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
 def test_point_mass_sum_is_exact():
     mu = PointMasses([(np.array([0.3]), 1.0), (np.array([-0.2]), 2.0),
                       (np.array([5.0]), 4.0)])

@@ -74,3 +74,12 @@ def test_parse_power_matches_constructor(a, c):
     s = np.array([0.3, 1.0, 2.7])
     assert np.allclose(np.asarray(parsed(s)), np.asarray(direct(s)),
                        rtol=1e-12)
+
+
+def test_tabulated_profile_is_constant_left_and_zero_right():
+    radii, vals = np.array([0.5, 1.0, 2.0, 4.0]), np.array([3.0, 2.0, 2.0, 0.5])
+    f = tabulated_profile(radii, vals)
+    assert np.array_equal(f(np.array([0.0, 0.1, 0.5])), [3.0, 3.0, 3.0])
+    assert np.array_equal(f(np.array([4.0, 4.5, 1e6])), [0.0, 0.0, 0.0])
+    # the flat run between 1 and 2 stays flat
+    assert np.array_equal(f(np.array([1.0, 1.3, 1.7, 2.0])), [2.0] * 4)
