@@ -517,7 +517,7 @@ class StableEstimateModel(ScalingKernelModel):
             # large-time branch of the global relativistic estimate
             expo = np.minimum(m ** (1.0 / a) * r, m ** (2.0 / a - 1.0) * r**2 / t)
             return m ** (d / a - d / 2.0) * t ** (-d / 2.0) * np.exp(-expo)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             jump = np.where(r > 0.0, t * self.jump_density(np.maximum(r, 1e-300)), INF)
         return np.minimum(t ** (-d / a), jump)
 
@@ -552,17 +552,17 @@ class StableEstimateModel(ScalingKernelModel):
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
         d, a, m = self.dim, self.alpha, self.m
-        if r == 0.0:
-            if d >= a:
-                return INF
-            # int_0^inf e^{-alpha s} s^{-d/a} ds in closed form
-            return math.gamma(1.0 - d / a) * alpha ** (d / a - 1.0)
+        if r == 0.0 and d >= a:
+            return INF
         if m == 0.0:
+            if r == 0.0:  # int_0^inf e^{-alpha s} s^{-d/a} ds in closed form
+                return math.gamma(1.0 - d / a) * alpha ** (d / a - 1.0)
             return super().resolvent_scalar(alpha, r)
         from scipy import integrate
-        J = float(self.jump_density(np.array([r]))[0])
-        s_star = J ** (-a / (d + a))
-        splits = sorted({s_star, 1.0 / m})
+        with np.errstate(divide="ignore"):  # J = inf at r = 0, so s* = 0
+            J = float(self.jump_density(np.array([r]))[0])
+        # once J underflows to 0, s* = inf: only the split at 1/m remains
+        splits = sorted({J ** (-a / (d + a)), 1.0 / m} if J > 0.0 else {1.0 / m})
         f = lambda s: math.exp(-alpha * s) * float(self.pt_radial(s, np.array([r]))[0])
         T = max(1.0, splits[-1] * 2.0, 40.0 / alpha)
         total = 0.0

@@ -10,6 +10,7 @@ and a geometric-decay divergence test.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,8 +22,38 @@ from .profiles import RadialProfile
 from .quadrature import INF, integrate_outward, integrate_to_zero
 from .space import sphere_surface_area, unit_ball_volume
 
-# Gauss-Legendre rule in u = cos(theta) for angular averages
-_ANGULAR_NODES, _ANGULAR_WEIGHTS = np.polynomial.legendre.leggauss(64)
+#: Density serves angular order n once orders n and 2n agree to ANGULAR_TOL
+ANGULAR_TOL = 1e-10
+MAX_ANGULAR_POINTS = 512  # the most points of any angular rule it evaluates
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule for u = cos(theta) on S^{dim-1}, weight (1-u^2)^{(dim-3)/2}
+    (Chebyshev in dim 2, Legendre in 3, Golub-Welsch above); weights sum to 1."""
+    if dim == 1:
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    if dim == 2:
+        return np.cos(np.pi * (np.arange(n) + 0.5) / n), np.full(n, 1.0 / n)
+    if dim == 3:
+        u, w = np.polynomial.legendre.leggauss(n)
+        return u, w / w.sum()
+    k, lam = np.arange(1.0, n), (dim - 2) / 2.0
+    off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return u, vecs[0] ** 2
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule of order n on S^{dim-1}: 2 n^{dim-1} points (u, sqrt(1 - u^2)
+    eta), u from _cos_rule, eta from the rule on S^{dim-2}; weights sum to 1."""
+    u, wu = _cos_rule(dim, n)
+    if dim == 1:
+        return u[:, None], wu
+    eta, w = sphere_rule(dim - 1, n)
+    ring = (np.sqrt(1.0 - u**2)[:, None, None] * eta).reshape(-1, dim - 1)
+    return np.hstack([np.repeat(u, len(w))[:, None], ring]), np.outer(wu, w).ravel()
 
 
 @dataclass
@@ -81,6 +112,10 @@ class MeasureRep:
         """(distances, weights) of the mass sitting at exact distances from x."""
         return np.zeros(0), np.zeros(0)
 
+    def density_gap(self, x) -> float:
+        """Relative error of what the latest radial_mass_density(x) returned."""
+        return 0.0
+
     def atom_at(self, x) -> float:
         """Mass of the atom located exactly at x (0 for diffuse measures)."""
         ds, ws = self.radial_atoms(x)
@@ -111,8 +146,10 @@ class Density(MeasureRep):
     """mu = f(y) dy on R^dim; f a pointwise density, optionally compactly
     supported in a ball of radius support_radius about the origin.
 
-    The radial mass density averages f over fixed directions: the two unit
-    vectors +-1 in dim 1, else 512 random ones (seeded, so reproducible)."""
+    The radial mass density about x averages f by a sphere_rule.  On its
+    first batch of radii, and on any batch reaching past those, the order
+    doubles from 2 until orders n and 2n agree to ANGULAR_TOL (n serves) or
+    MAX_ANGULAR_POINTS stops it (2n serves); the largest gap is density_gap(x)."""
 
     def __init__(self, f: Callable, dim: int, support_radius: float = INF,
                  constant: float | None = None):
@@ -120,11 +157,10 @@ class Density(MeasureRep):
         self.dim = dim
         self.support_radius = support_radius
         self.constant = constant
-        if dim == 1:
-            self._dirs = np.array([[-1.0], [1.0]])
-        else:
-            dirs = np.random.default_rng(2026).normal(size=(512, dim))
-            self._dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        self._gaps: dict = {}
+
+    def density_gap(self, x) -> float:
+        return self._gaps.get(np.asarray(x, dtype=float).tobytes(), 0.0)
 
     def radial_mass_density(self, x) -> Callable:
         d = self.dim
@@ -134,16 +170,34 @@ class Density(MeasureRep):
             return lambda s: c * area * np.asarray(s, dtype=float) ** (d - 1)
 
         x = np.asarray(x, dtype=float)
-        dirs = self._dirs
+        key, f, sup = x.tobytes(), self.f, self.support_radius
+        self._gaps[key] = 0.0
+        n, serve, sized_to = 2, 2, 0.0
+
+        def mean(s, order):  # of f over the spheres of radii s about x
+            omega, w = sphere_rule(d, order)
+            pts = (x + s[:, None, None] * omega).reshape(-1, d)
+            vals = np.fromiter(map(f, pts), float, len(pts))
+            if math.isfinite(sup):
+                vals = vals * (np.linalg.norm(pts, axis=1) <= sup)
+            return vals.reshape(len(s), -1) @ w
 
         def m(s):
+            nonlocal n, serve, sized_to
             s = np.atleast_1d(np.asarray(s, dtype=float))
-            # angular average of f over the sphere of radius s about x
-            pts = x[None, None, :] + s[:, None, None] * dirs[None, :, :]
-            vals = np.apply_along_axis(self.f, 2, pts)
-            if math.isfinite(self.support_radius):
-                vals = vals * (np.linalg.norm(pts, axis=2) <= self.support_radius)
-            return vals.mean(axis=1) * area * s ** (d - 1)
+            if s.max() <= sized_to:
+                return mean(s, serve) * area * s ** (d - 1)
+            sized_to, q = s.max(), mean(s, n)
+            while True:
+                q2 = mean(s, 2 * n)
+                gap = float(np.abs(q2 - q).max() / max(np.abs(q2).max(), 1e-300))
+                # stop once resolved (or not finite), or before passing the cap
+                if not gap > ANGULAR_TOL or 2 * (4 * n) ** (d - 1) > MAX_ANGULAR_POINTS:
+                    break
+                n, q = 2 * n, q2
+            serve, q = (2 * n, q2) if gap > ANGULAR_TOL else (n, q)
+            self._gaps[key] = max(self._gaps[key], gap)
+            return q * area * s ** (d - 1)
 
         return m
 
@@ -176,51 +230,24 @@ class RadialDensity(MeasureRep):
         self.origin = np.zeros(dim) if origin is None else np.asarray(origin, float)
         self.support_radius = support_radius
 
-    def _angular_average(self, rho_x: float):
-        """s -> average of f(|o + s*omega - ... |) over directions omega, i.e.
-        mean of f(sqrt(rho_x^2 + s^2 + 2 rho_x s u)) with u distributed as
-        cos(theta) on the sphere S^{dim-1}."""
-        d = self.dim
-        if d == 1:
-            us, ws = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        else:
-            dens = (1.0 - _ANGULAR_NODES**2) ** ((d - 3) / 2.0)
-            ws = _ANGULAR_WEIGHTS * dens
-            ws = ws / ws.sum()
-            us = _ANGULAR_NODES
-
-        f = self.profile
-
-        def avg(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            rad = np.sqrt(np.maximum(
-                rho_x**2 + s[:, None] ** 2 + 2.0 * rho_x * s[:, None] * us[None, :],
-                0.0))
-            vals = f(rad)
-            if math.isfinite(self.support_radius):
-                vals = vals * (rad <= self.support_radius)
-            return vals @ ws
-
-        return avg
-
     def radial_mass_density(self, x) -> Callable:
-        d = self.dim
+        # mean of f(sqrt(rho^2 + s^2 + 2 rho s u)) over u = cos(theta) on
+        # S^{dim-1}, rho = |x - o|; seen from o, that is f(s) itself
+        d, f, sup = self.dim, self.profile, self.support_radius
         area = sphere_surface_area(d)
-        rho_x = float(np.linalg.norm(np.asarray(x, float) - self.origin))
-        if rho_x == 0.0:
-            f = self.profile
-            sup = self.support_radius
+        rho = float(np.linalg.norm(np.asarray(x, float) - self.origin))
+        us, ws = _cos_rule(d, 64) if rho > 0.0 else (None, np.ones(1))
 
-            def m0(s):
-                s = np.asarray(s, dtype=float)
-                vals = f(s)
-                if math.isfinite(sup):
-                    vals = vals * (s <= sup)
-                return vals * area * s ** (d - 1)
+        def m(s):
+            s = np.atleast_1d(np.asarray(s, dtype=float))
+            rad = s[:, None] if rho == 0.0 else np.sqrt(np.maximum(
+                rho**2 + s[:, None] ** 2 + 2.0 * rho * s[:, None] * us[None, :], 0.0))
+            vals = f(rad)
+            if math.isfinite(sup):
+                vals = vals * (rad <= sup)
+            return vals @ ws * area * s ** (d - 1)
 
-            return m0
-        avg = self._angular_average(rho_x)
-        return lambda s: avg(s) * area * np.asarray(s, dtype=float) ** (d - 1)
+        return m
 
     def support_points(self, n: int, rng) -> list:
         pts = [self.origin.copy()]
@@ -408,8 +435,9 @@ def integrate_over_ball(mu: MeasureRep, x, r: float, g_radial: Callable,
     h = lambda s: np.asarray(g_radial(s)) * np.asarray(m(s))
     res = integrate_to_zero(h, r)
     diverged = res.diverged or math.isinf(atoms)
+    angular = 0.0 if diverged else mu.density_gap(x) * abs(res.value)
     return FunctionalEstimate(INF if diverged else res.value + atoms,
-                              res.quad_error, diverged=diverged,
+                              res.quad_error + angular, diverged=diverged,
                               log_slope=res.log_slope,
                               method="dyadic-quadrature")
 
@@ -442,7 +470,8 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable,
                                   log_slope=res.log_slope,
                                   method="dyadic-quadrature")
     return FunctionalEstimate(head.value + tail + res.value,
-                              head.error + res.quad_error,
+                              head.error + res.quad_error
+                              + mu.density_gap(x) * abs(res.value),
                               method="dyadic-quadrature")
 
 

@@ -179,6 +179,29 @@ def test_stable_resolvent_at_zero_closed_form():
         assert m.resolvent_scalar(a, 0.0) == pytest.approx(ref, rel=1e-9)
 
 
+def test_relativistic_resolvent_at_zero_has_late_branch():
+    # d < alpha, m > 0: p_s(0) = s^{-d/alpha} up to s = 1/m, then
+    # m^{d/alpha - d/2} s^{-d/2}
+    m = StableEstimateModel(dim=1, alpha=1.5, m=0.5)
+    a = 0.3
+    p0 = lambda s: (s ** (-1.0 / 1.5) if s <= 2.0
+                    else 0.5 ** (1.0 / 1.5 - 0.5) * s ** -0.5)
+    ref = sum(integrate.quad(lambda s: math.exp(-a * s) * p0(s), lo, hi,
+                             epsrel=1e-12, limit=400)[0]
+              for lo, hi in [(0.0, 2.0), (2.0, np.inf)])
+    assert ref == pytest.approx(4.0858, abs=1e-4)
+    assert m.resolvent_scalar(a, 0.0) == pytest.approx(ref, rel=1e-8)
+
+
+def test_relativistic_resolvent_past_jump_density_underflow():
+    # the jump density underflows to 0 near r = 1342 here
+    m = StableEstimateModel(dim=1, alpha=1.5, m=0.5)
+    for r in [1342.0, 2000.0, 1e5]:
+        assert float(m.jump_density(np.array([r]))[0]) == 0.0
+        v = m.resolvent_scalar(1.0, r)
+        assert math.isfinite(v) and v >= 0.0
+
+
 def test_stable_resolvent_power_tail():
     # heavy jump tails Laplace-transform to heavy tails: r_alpha ~ J(r)/alpha^2
     m = StableEstimateModel(dim=2, alpha=1.2)

@@ -121,6 +121,7 @@ def test_ball_integral_divergence_certified():
     est = integrate_over_ball(mu, np.zeros(3), 1.0, power_profile(-3.0))
     assert est.diverged
     assert float(est) == INF
+    assert est.error == 0.0
 
 
 def test_atom_at_center_sentinel():
@@ -199,6 +200,95 @@ def test_density_dim1_averages_both_directions():
     mu = Density(lambda y: math.exp(y[0]), dim=1)
     assert mu.ball_mass(np.zeros(1), 1.0) == pytest.approx(
         2.0 * math.sinh(1.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sphere_rule_moments_are_exact(d):
+    from katolab.measures import sphere_rule
+
+    pts, w = sphere_rule(d, 4)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
+    for i in range(d):
+        assert w @ pts[:, i] ** 2 == pytest.approx(1.0 / d, abs=1e-14)
+        assert w @ pts[:, i] ** 4 == pytest.approx(3.0 / (d * (d + 2)), abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_radial_density_off_center_mean_is_exact(d):
+    # mean of e^{-|x + s w|^2} over the unit sphere, |x| = rho: e^{-rho^2 - s^2}
+    # times I0(2 rho s) in d = 2 and 2 I1(a) / a, a = 2 rho s, in d = 4
+    from scipy import special
+
+    mu = RadialDensity(RadialProfile(
+        lambda s: np.exp(-np.asarray(s, dtype=float) ** 2)), dim=d)
+    x = np.zeros(d)
+    x[0] = 0.8
+    s = np.array([0.1, 0.5, 1.0, 2.0])
+    a = 1.6 * s
+    mean = special.i0(a) if d == 2 else 2.0 * special.i1(a) / a
+    area = 2.0 * math.pi if d == 2 else 2.0 * math.pi**2
+    exact = area * s ** (d - 1) * np.exp(-0.64 - s**2) * mean
+    assert np.allclose(mu.radial_mass_density(x)(s), exact, rtol=1e-13, atol=0)
+
+
+# Gaussian bump about X0, seen from a center at distance 0.8 (the
+# density-offcenter benchmark geometry)
+X0 = np.array([0.8, 0.0, 0.0])
+BUMP_CENTER = X0 + 0.8 * np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+
+
+def _bump(y):
+    d = np.asarray(y, dtype=float) - X0
+    return math.exp(-float(d @ d))
+
+
+def test_density_matches_its_radial_twin_off_center():
+    from katolab.functionals import GreenKernelSpec, kato_functional
+
+    spec = GreenKernelSpec(nu=3.0, beta=2.0)
+    twin = RadialDensity(RadialProfile(
+        lambda s: np.exp(-np.asarray(s, dtype=float) ** 2)), dim=3, origin=X0)
+    got = kato_functional(Density(_bump, dim=3), spec, 1.5, 0.5,
+                          centers=[BUMP_CENTER])
+    ref = kato_functional(twin, spec, 1.5, 0.5, centers=[BUMP_CENTER]).value
+    assert abs(got.value - ref) <= 1e-9
+    assert abs(got.value - ref) <= got.error
+
+
+def test_density_error_bar_covers_a_support_edge():
+    # e^{-|y|^2} cut at |y| = 1, seen from |x| = 0.8: the sphere of radius s
+    # about x meets the support edge for s > 0.2, where f jumps
+    from scipy import integrate
+
+    mu = Density(lambda y: math.exp(-float(np.dot(y, y))), dim=3,
+                 support_radius=1.0)
+    rho, r = 0.8, 0.5
+
+    def exact_m(s):  # 4 pi s^2 times the mean of f over the sphere
+        lo, hi = abs(rho - s), min(rho + s, 1.0)
+        return math.pi * s / rho * (math.exp(-lo * lo) - math.exp(-hi * hi))
+
+    ref, _ = integrate.quad(lambda s: exact_m(s) / s, 0.0, r, points=[0.2],
+                            epsrel=1e-12)
+    est = integrate_over_ball(mu, np.array([0.0, rho, 0.0]), r,
+                              power_profile(-1.0))
+    assert abs(est.value - ref) <= est.error
+
+
+def test_density_evaluates_f_a_third_as_often():
+    # 512 directions at each of 25 panels x 32 nodes made 409,600 calls
+    from katolab.functionals import GreenKernelSpec, kato_functional
+
+    calls = []
+
+    def bump(y):
+        calls.append(1)
+        return _bump(y)
+
+    kato_functional(Density(bump, dim=3), GreenKernelSpec(nu=3.0, beta=2.0),
+                    1.5, 0.5, centers=[BUMP_CENTER])
+    assert len(calls) <= 409_600 // 3
 
 
 def test_hint_mismatch_raises_diagnostics_error():
