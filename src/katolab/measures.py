@@ -22,9 +22,8 @@ from .profiles import RadialProfile
 from .quadrature import INF, integrate_outward, integrate_to_zero
 from .space import sphere_surface_area, unit_ball_volume
 
-#: Density serves angular order n once orders n and 2n agree to ANGULAR_TOL
-ANGULAR_TOL = 1e-10
-MAX_ANGULAR_POINTS = 512  # the most points of any angular rule it evaluates
+ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
+MAX_ANGULAR_POINTS = 512  # the most f calls one radius takes, all orders tried
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,6 +53,21 @@ def sphere_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     eta, w = sphere_rule(dim - 1, n)
     ring = (np.sqrt(1.0 - u**2)[:, None, None] * eta).reshape(-1, dim - 1)
     return np.hstack([np.repeat(u, len(w))[:, None], ring]), np.outer(wu, w).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(dim: int) -> tuple[int, ...]:
+    """sphere_rule orders Density tries at a radius, with MAX_ANGULAR_POINTS
+    points in all: 2, 4, 8, ..., then the largest that fits (else order 1)."""
+    if dim == 1:  # every order is the same exact pair of points
+        return (2, 4)
+    size = lambda n: 2 * n ** (dim - 1)
+    out, left, n = [], MAX_ANGULAR_POINTS, 2
+    while size(n) <= left:
+        out.append(n)
+        left, n = left - size(n), 2 * n
+    fits = [k for k in range(max(out, default=0) + 1, n) if size(k) <= left]
+    return tuple(out + fits[-1:])
 
 
 @dataclass
@@ -102,6 +116,7 @@ class MeasureRep:
 
     dim: int
     supports_kernel_criteria = True
+    density_gap = 0.0  # relative error of the latest radial_mass_density
 
     def radial_mass_density(self, x) -> Callable | None:
         """Vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or None
@@ -111,10 +126,6 @@ class MeasureRep:
     def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(distances, weights) of the mass sitting at exact distances from x."""
         return np.zeros(0), np.zeros(0)
-
-    def density_gap(self, x) -> float:
-        """Relative error of what the latest radial_mass_density(x) returned."""
-        return 0.0
 
     def atom_at(self, x) -> float:
         """Mass of the atom located exactly at x (0 for diffuse measures)."""
@@ -146,10 +157,10 @@ class Density(MeasureRep):
     """mu = f(y) dy on R^dim; f a pointwise density, optionally compactly
     supported in a ball of radius support_radius about the origin.
 
-    The radial mass density about x averages f by a sphere_rule.  On its
-    first batch of radii, and on any batch reaching past those, the order
-    doubles from 2 until orders n and 2n agree to ANGULAR_TOL (n serves) or
-    MAX_ANGULAR_POINTS stops it (2n serves); the largest gap is density_gap(x)."""
+    The radial mass density about x averages f over spheres by sphere_rules
+    of _orders(dim), lowest first, until two in a row agree to ANGULAR_TOL;
+    the finer serves.  density_gap is the largest last-pair gap over the
+    latest callable's batches of radii (1 if only one order fits)."""
 
     def __init__(self, f: Callable, dim: int, support_radius: float = INF,
                  constant: float | None = None):
@@ -157,10 +168,6 @@ class Density(MeasureRep):
         self.dim = dim
         self.support_radius = support_radius
         self.constant = constant
-        self._gaps: dict = {}
-
-    def density_gap(self, x) -> float:
-        return self._gaps.get(np.asarray(x, dtype=float).tobytes(), 0.0)
 
     def radial_mass_density(self, x) -> Callable:
         d = self.dim
@@ -170,9 +177,8 @@ class Density(MeasureRep):
             return lambda s: c * area * np.asarray(s, dtype=float) ** (d - 1)
 
         x = np.asarray(x, dtype=float)
-        key, f, sup = x.tobytes(), self.f, self.support_radius
-        self._gaps[key] = 0.0
-        n, serve, sized_to = 2, 2, 0.0
+        f, sup, orders = self.f, self.support_radius, _orders(d)
+        self.density_gap = 0.0
 
         def mean(s, order):  # of f over the spheres of radii s about x
             omega, w = sphere_rule(d, order)
@@ -183,20 +189,15 @@ class Density(MeasureRep):
             return vals.reshape(len(s), -1) @ w
 
         def m(s):
-            nonlocal n, serve, sized_to
             s = np.atleast_1d(np.asarray(s, dtype=float))
-            if s.max() <= sized_to:
-                return mean(s, serve) * area * s ** (d - 1)
-            sized_to, q = s.max(), mean(s, n)
-            while True:
-                q2 = mean(s, 2 * n)
-                gap = float(np.abs(q2 - q).max() / max(np.abs(q2).max(), 1e-300))
-                # stop once resolved (or not finite), or before passing the cap
-                if not gap > ANGULAR_TOL or 2 * (4 * n) ** (d - 1) > MAX_ANGULAR_POINTS:
+            q, gap = mean(s, orders[0]), 1.0
+            for n in orders[1:]:
+                q2 = mean(s, n)
+                scale = max(np.abs(q).max(), np.abs(q2).max(), 1e-300)
+                gap, q = float(np.abs(q2 - q).max() / scale), q2
+                if not gap > ANGULAR_TOL:  # resolved (or not finite)
                     break
-                n, q = 2 * n, q2
-            serve, q = (2 * n, q2) if gap > ANGULAR_TOL else (n, q)
-            self._gaps[key] = max(self._gaps[key], gap)
+            self.density_gap = max(self.density_gap, gap)
             return q * area * s ** (d - 1)
 
         return m
@@ -435,7 +436,7 @@ def integrate_over_ball(mu: MeasureRep, x, r: float, g_radial: Callable,
     h = lambda s: np.asarray(g_radial(s)) * np.asarray(m(s))
     res = integrate_to_zero(h, r)
     diverged = res.diverged or math.isinf(atoms)
-    angular = 0.0 if diverged else mu.density_gap(x) * abs(res.value)
+    angular = 0.0 if diverged else mu.density_gap * abs(res.value)
     return FunctionalEstimate(INF if diverged else res.value + atoms,
                               res.quad_error + angular, diverged=diverged,
                               log_slope=res.log_slope,
@@ -471,7 +472,7 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable,
                                   method="dyadic-quadrature")
     return FunctionalEstimate(head.value + tail + res.value,
                               head.error + res.quad_error
-                              + mu.density_gap(x) * abs(res.value),
+                              + mu.density_gap * abs(res.value),
                               method="dyadic-quadrature")
 
 

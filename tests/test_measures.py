@@ -276,6 +276,33 @@ def test_density_error_bar_covers_a_support_edge():
     assert abs(est.value - ref) <= est.error
 
 
+def test_density_error_bar_covers_a_support_only_inner_spheres_meet():
+    # spheres about x = (0.2, 0, 0) of radius s >= 0.5 miss the support
+    # |y| <= 0.3, so the outer panel [0.75, 1.5] of the ball is all zero
+    mu = Density(lambda y: 1.0, dim=3, support_radius=0.3)
+    est = integrate_over_ball(mu, np.array([0.2, 0.0, 0.0]), 1.5, _ones)
+    exact = 4.0 / 3.0 * math.pi * 0.3**3
+    assert abs(est.value - exact) <= est.error
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 9, 10])
+def test_density_takes_at_most_512_f_calls_per_radius(d):
+    # a jump in f on every sphere: no two orders agree, all of them are tried
+    calls = []
+
+    def step(y):
+        calls.append(1)
+        return 1.0 if y[-1] > 0.1 else 0.0
+
+    mu = Density(step, dim=d)
+    s = np.array([0.5, 1.0])
+    m = mu.radial_mass_density(np.zeros(d))(s)
+    assert np.all(m > 0)
+    assert len(calls) <= 512 * len(s)
+    if d >= 6:  # a second order would pass 512 calls: no gap to report
+        assert mu.density_gap == 1.0
+
+
 def test_density_evaluates_f_a_third_as_often():
     # 512 directions at each of 25 panels x 32 nodes made 409,600 calls
     from katolab.functionals import GreenKernelSpec, kato_functional
