@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,6 +20,8 @@ from .quadrature import INF, integrate_outward, pchip
 from .space import LOG_CAP, SpaceModel
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: radius range of a scaling model's r_1 table
+_R1_LO, _R1_CAP = 1e-12, 1e12
 
 # ---------------------------------------------------------------------------
 # relativistic special functions
@@ -61,57 +64,6 @@ def relativistic_psi(d: int, alpha: float, r: float) -> float:
     jump density; Psi(0) = 1 and Psi(r) ~ e^{-r}(1 + r^{(d+alpha-1)/2})."""
     k = (d + alpha) / 2.0
     return _bessel_type_integral(k, r) / _bessel_type_integral(k, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# scaling profiles and their tail moments
-
-
-class TailMomentTable:
-    """Cached W(x) = int_x^inf u^a profile(u) du, vectorized in x.
-
-    Below the tabulated range the profile is continued by its value at 0,
-    which is exact to first order and keeps q_t accurate as r -> 0.
-    """
-
-    def __init__(self, profile: Callable, a: float, x_min: float = 1e-8):
-        self.profile = profile
-        self.a = a
-        self.x_min = x_min
-        self.phi0 = float(profile(np.array([0.0]))[0])
-        tail = integrate_outward(lambda u: u**a * np.asarray(profile(u)), 1.0)
-        if tail.diverged:
-            raise ValidationError("profile tail moment diverges")
-        # find the effective support of the integrand
-        x_max = 1.0
-        while x_max < 1e8:
-            probe = float(np.asarray(profile(np.array([x_max])))[0]) * x_max**a
-            if probe < 1e-300:
-                break
-            x_max *= 2.0
-        xs = np.geomspace(x_min, x_max, 2400)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        widths = np.diff(xs)
-        panel = np.asarray(self.profile(mids)) * mids**self.a * widths
-        cum = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
-        self.xs = xs
-        self.W = cum
-
-    def _below(self, x):
-        """Analytic continuation of W on [x, x_min] using profile(0)."""
-        w0 = self.W[0]
-        if self.a == -1.0:
-            return w0 + self.phi0 * np.log(self.x_min / x)
-        p = self.a + 1.0
-        return w0 + self.phi0 * (self.x_min**p - np.asarray(x) ** p) / p
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.xs, self.W, right=0.0)
-        small = x < self.x_min
-        if np.any(small):
-            out = np.where(small, self._below(np.maximum(x, 1e-300)), out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +237,7 @@ class ScalingKernelModel(HeatKernelModel):
 
     family = "custom"
     exact_scaling = True
-    #: radii where the profile has a kink; the r_1 quadrature breaks there
+    #: radii where the profile has a kink; the log-space panels break there
     profile_kinks: tuple = ()
 
     def __init__(self, space: SpaceModel, profile: Callable, t0: float = INF,
@@ -297,63 +249,31 @@ class ScalingKernelModel(HeatKernelModel):
         super().__init__(space, t0,
                          phi_lower if phi_lower is not None else profile,
                          phi_upper if phi_upper is not None else profile)
-        self._tail_table: TailMomentTable | None = None
 
     def pt_radial(self, t: float, r):
         r = np.asarray(r, dtype=float)
         nu, beta = self.space.nu, self.space.beta
         return t ** (-nu / beta) * np.asarray(self.profile(r / t ** (1.0 / beta)))
 
-    def _table(self) -> TailMomentTable:
-        if self._tail_table is None:
-            nu, beta = self.space.nu, self.space.beta
-            self._tail_table = TailMomentTable(self.profile, nu - beta - 1.0)
-        return self._tail_table
+    def _log_w(self, x):
+        """log w(x), w(x) = e^{(nu-beta)x} profile(e^x): the weight in x = log u
+        that both kernel tables integrate."""
+        with np.errstate(divide="ignore"):
+            return ((self.space.nu - self.space.beta) * x
+                    + np.log(np.asarray(self.profile(np.exp(x)), dtype=float)))
 
-    def qt_radial(self, t: float) -> Callable:
-        nu, beta = self.space.nu, self.space.beta
-        table = self._table()
-        phi0 = table.phi0
-
-        def qt(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
-                out = beta * r ** (beta - nu) * table(r / t ** (1.0 / beta))
-            if nu >= beta:
-                out = np.where(r == 0.0, INF, out)
-            else:
-                at0 = phi0 * t ** (1.0 - nu / beta) * beta / (beta - nu)
-                out = np.where(r == 0.0, at0, out)
-            return out
-
-        return qt
-
-    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """r_1 on 4000 log-spaced radii from 1e-12 to where it drops below
-        1e-280 (at most 1e12), in one vectorized quadrature, rescaled to
-        r_alpha.
-
-        In x = log u, r_1(r) = beta r^{beta-nu} int exp(-(r e^{-x})^beta)
-        w(x) dx with w(x) = e^{(nu-beta)x} profile(e^x), which does not
-        depend on r: w is evaluated once on composite 16-point Gauss-Legendre
-        panels, narrowed where log w curves, and the table is a matrix of
-        exp(-(r e^{-x})^beta) times the weight vector.
+    @cached_property
+    def _panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edges, x, w): composite 16-point Gauss-Legendre panels in x, narrowed
+        where log w curves and split at `profile_kinks`, with x their nodes and
+        w the rule weights times w(x).  They reach from where every r_1 table
+        radius r >= _R1_LO has exp(-(r e^{-x})^beta) < e^-800 to where w
+        underflows or past the power-tail reach of r <= _R1_CAP.
         """
-        if not self.exact_scaling:
-            return super()._resolvent_samples(alpha)
-        nu, beta = self.space.nu, self.space.beta
-        r_lo, r_cap = 1e-12, 1e12
-
-        def log_w(x):
-            with np.errstate(divide="ignore"):
-                return (nu - beta) * x + np.log(np.asarray(self.profile(np.exp(x)),
-                                                           dtype=float))
-
-        # below the first probe exp(-(r e^{-x})^beta) < e^-800 for every r >=
-        # r_lo; above, stop where w underflows or past the power-tail reach
-        probe = np.arange(math.log(r_lo) - math.log(800.0) / beta,
-                          math.log(r_cap) + 40.0 / beta, 0.01)
-        lw = log_w(probe)
+        beta = self.space.beta
+        probe = np.arange(math.log(_R1_LO) - math.log(800.0) / beta,
+                          math.log(_R1_CAP) + 40.0 / beta, 0.01)
+        lw = self._log_w(probe)
         last = np.nonzero(lw >= -690.0)[0][-1] + 2
         probe, lw = probe[:last], lw[:last]
         # panels of width min(1/2, curvature^{-1/2}) in x
@@ -367,7 +287,57 @@ class ScalingKernelModel(HeatKernelModel):
                            [k for k in kinks if probe[0] < k < probe[-1]])
         a, b = edges[:-1, None], edges[1:, None]
         x = (0.5 * (b - a) * _GL16_NODES + 0.5 * (a + b)).ravel()
-        w = (0.5 * (b - a) * _GL16_WEIGHTS).ravel() * np.exp(log_w(x))
+        w = (0.5 * (b - a) * _GL16_WEIGHTS).ravel() * np.exp(self._log_w(x))
+        # where w has not underflowed by the last edge, its tail past it,
+        # about w / (decay rate per unit x), must be negligible
+        if lw[-1] >= -690.0:
+            rate = lw[-101] - lw[-1]
+            if rate <= 0.0 or lw[-1] - math.log(rate) > math.log(1e-12 * w.sum()):
+                raise ValidationError("profile tail moment diverges")
+        return edges, x, w
+
+    def qt_radial(self, t: float) -> Callable:
+        """q_t(r) = beta r^{beta-nu} W(log(r / t^{1/beta})), W(y) = int_y^inf w dx.
+
+        W is exact on the r_1 panels: a suffix sum over the panels right of
+        y, a 16-point rule from y to the right edge of its panel, and below
+        the panels the continuation of the profile by its value at 0.
+        """
+        nu, beta = self.space.nu, self.space.beta
+        edges, _, w = self._panels
+        suffix = np.append(np.cumsum(w.reshape(-1, 16).sum(axis=1)[::-1])[::-1], 0.0)
+        phi0 = float(np.asarray(self.profile(np.array([0.0])))[0])
+        x0, p = edges[0], nu - beta
+
+        def qt(r):
+            r = np.asarray(r, dtype=float)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                y = np.log(r) - math.log(t) / beta
+                k = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, len(edges) - 2)
+                a, b = np.clip(y, x0, edges[-1])[..., None], edges[k + 1][..., None]
+                nodes = 0.5 * (b - a) * _GL16_NODES + 0.5 * (a + b)
+                W = suffix[k + 1] + (0.5 * (b - a) * _GL16_WEIGHTS
+                                     * np.exp(self._log_w(nodes))).sum(axis=-1)
+                below = phi0 * (x0 - y if p == 0.0 else (math.exp(p * x0) - np.exp(p * y)) / p)
+                out = beta * r ** (beta - nu) * (W + np.where(y < x0, below, 0.0))
+            at0 = INF if p >= 0.0 else phi0 * t ** (1.0 - nu / beta) * beta / (beta - nu)
+            return np.where(r == 0.0, at0, out)
+
+        return qt
+
+    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """r_1 on 4000 log-spaced radii from 1e-12 to where it drops below
+        1e-280 (at most 1e12), in one vectorized quadrature, rescaled to
+        r_alpha.
+
+        In x = log u, r_1(r) = beta r^{beta-nu} int exp(-(r e^{-x})^beta)
+        w(x) dx, and w does not depend on r: the table is a matrix of
+        exp(-(r e^{-x})^beta) on the `_panels` nodes times its weights.
+        """
+        if not self.exact_scaling:
+            return super()._resolvent_samples(alpha)
+        nu, beta = self.space.nu, self.space.beta
+        _, x, w = self._panels
 
         def r1(rs):
             lr = np.log(rs)
@@ -378,9 +348,9 @@ class ScalingKernelModel(HeatKernelModel):
                 out[i:i + 32] = np.exp(-np.exp(arg)) @ w
             return beta * rs ** (beta - nu) * out
 
-        coarse = np.geomspace(r_lo, r_cap, 241)
+        coarse = np.geomspace(_R1_LO, _R1_CAP, 241)
         dead = np.nonzero(r1(coarse) <= 1e-280)[0]
-        rs = np.geomspace(r_lo, coarse[dead[0]] if len(dead) else r_cap, 4000)
+        rs = np.geomspace(_R1_LO, coarse[dead[0]] if len(dead) else _R1_CAP, 4000)
         return rs / alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0) * r1(rs)
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
@@ -390,6 +360,7 @@ class ScalingKernelModel(HeatKernelModel):
                 return INF
             phi0 = float(np.asarray(self.profile(np.array([0.0])))[0])
             return phi0 * math.gamma(1.0 - nu / beta) * alpha ** (nu / beta - 1.0)
+        self._panels  # raises ValidationError when the tail moment diverges
 
         # substitute u = r w: r_alpha(r) = beta int_0^inf e^{-alpha w^-beta}
         # w^{nu-beta-1} profile(r w) dw, which is O(1) across its support
@@ -439,9 +410,11 @@ class GaussianKernelModel(ScalingKernelModel):
         def qt(r):
             r = np.asarray(r, dtype=float)
             if d == 1:
-                return np.sqrt(2.0 * t / math.pi) * np.exp(-(r**2) / (2.0 * t)) - r * special.erfc(
-                    r / math.sqrt(2.0 * t)
-                )
+                # sqrt(2t/pi) e^{-z^2} - r erfc(z), z = r / sqrt(2t), with erfc
+                # = e^{-z^2} erfcx so that the far tail does not cancel
+                z = r / math.sqrt(2.0 * t)
+                return (np.sqrt(2.0 * t / math.pi) * np.exp(-(r**2) / (2.0 * t))
+                        * (1.0 - math.sqrt(math.pi) * z * special.erfcx(z)))
             x = r**2 / (2.0 * t)
             if d == 2:
                 with np.errstate(divide="ignore"):

@@ -18,7 +18,7 @@ from katolab.functionals import (
     semigroup_functional,
     sup_over_centers,
 )
-from katolab.kernels import GaussianKernelModel
+from katolab.kernels import GaussianKernelModel, ScalingKernelModel
 from katolab.measures import (
     FunctionalEstimate,
     PointMasses,
@@ -102,12 +102,17 @@ def test_kato_functional_off_center_is_smaller_for_radial_singularity():
 
 
 def test_semigroup_functional_mass_conservation():
-    # p = 1, mu = Lebesgue: int q_t(y) dy = t for the conservative kernel
+    # p = 1, mu = Lebesgue: int q_t(y) dy = t for the conservative kernel;
+    # the generic model serves the same profile by its log-space q_t
     mu = lebesgue(3)
     model = GaussianKernelModel(dim=3)
+    generic = ScalingKernelModel(model.space, model.profile)
     for t in [0.5, 0.125]:
         est = semigroup_functional(mu, model, 1.0, t, centers=[np.zeros(3)])
         assert est.value == pytest.approx(t, rel=1e-6)
+        est = semigroup_functional(mu, generic, 1.0, t, centers=[np.zeros(3)])
+        assert est.value == pytest.approx(t, rel=1e-12)
+        assert abs(est.value - t) <= est.error
 
 
 def test_resolvent_functional_mass_conservation():

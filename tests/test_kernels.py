@@ -48,6 +48,17 @@ def test_gaussian_qt_d1_oracle():
         assert got == pytest.approx(ref, rel=1e-10)
 
 
+def test_gaussian_qt_d1_far_tail_oracle():
+    # sqrt(2t/pi) e^{-z^2} and r erfc(z) nearly cancel for large z = r/sqrt(2t)
+    m = GaussianKernelModel(dim=1)
+    for t, r in [(1.0, 30.0), (4.0**-8, 0.072), (4.0**-8, 0.1)]:
+        got = float(np.asarray(m.qt_radial(t)(np.array([r])))[0])
+        ref, _ = integrate.quad(
+            lambda s: (2 * math.pi * s) ** -0.5 * math.exp(-(r**2) / (2 * s)),
+            0.0, t, epsrel=1e-13, epsabs=0.0, limit=200)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_gaussian_qt_d3_oracle():
     m = GaussianKernelModel(dim=3)
     for t, r in [(1.0, 0.4), (0.04, 0.9)]:
@@ -138,6 +149,62 @@ def test_relativistic_model_builds_one_table_per_alpha(monkeypatch):
     for a in [1.0, 16.0, 16.0, 64.0]:
         m.resolvent_radial(a)
     assert built == [1.0, 16.0, 64.0]
+
+
+# --------------------------------------------------------------------------
+# generic scaling model: q_t and r_1 from one log-space weight
+
+
+class StableProfileModel(ScalingKernelModel):
+    """The stable estimate's profile, served by the generic log-space q_t."""
+
+    def __init__(self, d: int, a: float):
+        A = stable_jump_constant(d, a)
+        self.profile_kinks = (A ** (1.0 / (d + a)),)
+        super().__init__(
+            SpaceModel(ambient_dim=d, nu=float(d), beta=a),
+            lambda u: 1.0 / np.maximum(1.0, np.asarray(u, float) ** (d + a) / A))
+
+
+def assert_close_above(got, ref, rel, floor):
+    """Infinite references must be met exactly, finite ones above floor to rel."""
+    inf = np.isinf(ref)
+    assert np.array_equal(got[inf], ref[inf])
+    big = ~inf & (ref > floor)
+    assert np.all(np.abs(got[big] - ref[big]) <= rel * ref[big])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("a", [0.8, 1.2, 1.5])
+def test_generic_qt_matches_stable_closed_form(d, a):
+    generic, exact = StableProfileModel(d, a), StableEstimateModel(d, a)
+    rs = np.geomspace(1e-20, 100.0, 221)
+    for t in [0.5, 4.0**-8]:
+        assert_close_above(generic.qt_radial(t)(rs), exact.qt_radial(t)(rs), 1e-12, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])  # nu < beta, nu = beta, nu > beta
+def test_generic_qt_matches_gaussian_closed_form(d):
+    exact = GaussianKernelModel(dim=d)
+    generic = ScalingKernelModel(exact.space, exact.profile)
+    rs = np.concatenate([[0.0], np.geomspace(1e-20, 100.0, 400)])
+    for t in [0.5, 4.0**-8]:
+        assert_close_above(generic.qt_radial(t)(rs), exact.qt_radial(t)(rs), 1e-12, 1e-250)
+
+
+def test_shared_panels_guard_both_tables_against_divergent_tail():
+    # w(x) = e^{(nu-beta)x} profile(e^x) grows like e^{x/10}: the tail moment
+    # int^inf u^{nu-beta-1} profile(u) du that q_t and r_alpha integrate diverges
+    space = SpaceModel(ambient_dim=2, nu=2.0, beta=1.5)
+    upper = lambda u: np.exp(-np.asarray(u, float))
+    m = ScalingKernelModel(space, lambda u: (1.0 + np.asarray(u, float)) ** -0.4,
+                           phi_lower=lambda u: 0.5 * upper(u), phi_upper=upper)
+    with pytest.raises(ValidationError):
+        m.qt_radial(0.5)
+    with pytest.raises(ValidationError):
+        m.resolvent_radial(1.0)
+    with pytest.raises(ValidationError):
+        m.resolvent_scalar(1.0, 1.0)
 
 
 # --------------------------------------------------------------------------
