@@ -1,5 +1,6 @@
 """Numerical classification of positive measures into L^p Kato and Dynkin
 classes for symmetric Markov processes with two-sided heat kernel estimates."""
+from types import ModuleType as _ModuleType
 
 from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
                              classify_limit, classify_measure, estimate_eta,
@@ -34,28 +35,6 @@ from .space import SpaceModel, sphere_surface_area, unit_ball_volume
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AhlforsAbstract", "CenterStrategy", "ClassificationReport",
-    "ClassifyConfig", "ConfigError", "Density", "DiagnosticsError",
-    "DistributionFunction", "DomainError", "FunctionalEstimate",
-    "GaussianKernelModel", "GreenKernelSpec", "HeatKernelModel",
-    "InsufficientDataError", "KatolabError", "KernelBounds", "LimitFit",
-    "MeasureRep", "PathConfig", "PointMasses",
-    "RadialDensity", "RadialProfile", "RunConfig", "ScalingKernelModel",
-    "SpaceModel", "SphereSurface", "StableEstimateModel",
-    "StretchedExponentialModel",
-    "ValidationError", "classify_limit", "classify_measure",
-    "estimate_eta", "eval_heat_kernel", "eval_resolvent_kernel",
-    "eval_time_integrated_kernel", "expected_additive_functional",
-    "fit_order_delta", "g_criterion", "green_value", "integrate_global",
-    "integrate_outward", "integrate_over_ball", "integrate_to_zero",
-    "kato_functional", "kernel_invariant_suite", "layer_cake_criterion",
-    "lebesgue", "log_profile", "lq_sufficient", "lq_unif_norm",
-    "make_kernel_model", "make_measure", "parse_config_text",
-    "parse_profile", "power_profile", "quadrature_additive_functional",
-    "radial_criterion", "relativistic_psi", "resolvent_functional",
-    "right_continuous_inverse", "schechter_norm", "schechter_sufficient",
-    "semigroup_functional", "simulate_paths", "sphere_surface_area",
-    "stable_jump_constant", "sup_over_centers", "synthetic_scaling_model",
-    "threshold_p_star", "time_integrated_bounds", "unit_ball_volume",
-]
+#: every public name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

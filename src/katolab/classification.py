@@ -17,7 +17,6 @@ from .functionals import (
     CenterStrategy,
     GreenKernelSpec,
     LOG_CAP,
-    green_power_profile,
     kato_functional,
     resolvent_functional,
     semigroup_functional,
@@ -95,9 +94,7 @@ def classify_limit(samples, slope_cutoff: float = SLOPE_CUTOFF,
 
     finite.sort(key=lambda row: row[0])
     half = finite[: max(len(finite) // 2, 6)]
-    s = np.array([r[0] for r in half])
-    v = np.array([r[1] for r in half])
-    e = np.array([r[2] for r in half])
+    s, v, e = (np.array(column) for column in zip(*half))
     x, y = np.log(s), np.log(v)
     sigma = np.maximum(e / v, 1e-6)
     w = 1.0 / sigma**2
@@ -212,6 +209,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     sweeps: dict[str, list] = {}
 
     def record(key, sweep):
+        sweep = list(sweep)
         sweeps[key] = [(float(sc), float(est), est.error + est.stat_error)
                        for sc, est in sweep]
         fits[key] = classify_limit(sweep, cfg.slope_cutoff, cfg.ratio_guard)
@@ -220,48 +218,37 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     if spec.regime == "log":
         r_grid = r_grid[r_grid <= LOG_CAP]
 
-    # criterion 1: Green-kernel ball integrals (always available)
-    g_profile = green_power_profile(spec, p)
+    # criterion 1: Green-kernel ball integrals (always available); each
+    # localized criterion computes the whole radius grid in one call
     if spec.regime == "trivial":
-        sweep = [(r, _ball_mass_sup(mu, centers, float(r))) for r in r_grid]
+        ests = [_ball_mass_sup(mu, centers, float(r)) for r in r_grid]
     else:
-        sweep = [(r, kato_functional(mu, spec, p, float(r), centers=centers))
-                 for r in r_grid]
-    record("green", sweep)
+        ests = kato_functional(mu, spec, p, r_grid, centers=centers)
+    record("green", zip(r_grid, ests))
 
     kernel_ok = mu.supports_kernel_criteria
     if kernel_ok:
         a1, a2 = cfg.localized_alphas
         for key, a in (("res_loc_a1", a1), ("res_loc_a*", a2)):
-            sweep = [(r, resolvent_functional(mu, model, p, a, centers=centers,
-                                              localized_radius=float(r)))
-                     for r in r_grid]
-            record(key, sweep)
+            record(key, zip(r_grid, resolvent_functional(
+                mu, model, p, a, centers=centers, localized_radius=r_grid)))
         t1, t2 = cfg.localized_times
         t1 = min(t1, 0.5 * model.t0)
         t2 = min(t2, 0.125 * model.t0)
         for key, t in (("sg_loc_t1", t1), ("sg_loc_t*", t2)):
-            sweep = [(r, semigroup_functional(mu, model, p, t, centers=centers,
-                                              localized_radius=float(r)))
-                     for r in r_grid]
-            record(key, sweep)
+            record(key, zip(r_grid, semigroup_functional(
+                mu, model, p, t, centers=centers, localized_radius=r_grid)))
 
         t_grid = np.asarray(cfg.t_grid, dtype=float)
         t_grid = t_grid[t_grid < model.t0]
         # global sweeps are recorded against the equivalent spatial scale
         # (t^{1/beta}, alpha^{-1/beta}) so the one slope cutoff discriminates
         # the same way on every criterion
-        sweep = [(t ** (1.0 / beta),
-                  semigroup_functional(mu, model, p, float(t),
-                                       centers=centers))
-                 for t in t_grid]
-        record("sg_global", sweep)
-
-        sweep = [(a ** (-1.0 / beta),
-                  resolvent_functional(mu, model, p, float(a),
-                                       centers=centers))
-                 for a in np.asarray(cfg.alpha_grid, dtype=float)]
-        record("res_global", sweep)
+        record("sg_global", [(t ** (1.0 / beta), semigroup_functional(
+            mu, model, p, float(t), centers=centers)) for t in t_grid])
+        record("res_global", [(a ** (-1.0 / beta), resolvent_functional(
+            mu, model, p, float(a), centers=centers))
+            for a in np.asarray(cfg.alpha_grid, dtype=float)])
     else:
         findings.append("measure supports ball-mass tests only; kernel "
                         "criteria skipped")

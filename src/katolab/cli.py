@@ -119,12 +119,9 @@ def cmd_kernel_check(run: RunConfig, out_dir: Path) -> int:
         w.writerow(["invariant", "samples", "failures"])
         for name, n, fails in rows:
             w.writerow([name, n, fails])
-    bad = 0
     for name, n, fails in rows:
-        status = "pass" if fails == 0 else "FAIL"
-        bad += fails
-        print(f"{status:4s}  {name:32s} {fails}/{n} failures")
-    return 0 if bad == 0 else 1
+        print(f"{'pass' if fails == 0 else 'FAIL':4s}  {name:32s} {fails}/{n} failures")
+    return 0 if all(fails == 0 for *_, fails in rows) else 1
 
 
 _MC_POTENTIALS = [
@@ -142,11 +139,7 @@ def cmd_mc_check(run: RunConfig, out_dir: Path, n_paths: int = 10_000) -> int:
     if model.family != "gaussian":
         print("mc-check supports the gaussian family only", file=sys.stderr)
         return 1
-    starts = [np.zeros(dim)]
-    for k, shift in enumerate((0.5, -1.0), start=1):
-        x = np.zeros(dim)
-        x[0] = shift
-        starts.append(x)
+    starts = [np.r_[shift, np.zeros(dim - 1)] for shift in (0.0, 0.5, -1.0)]
     rows, n_pass = [], 0
     for name, prof in _MC_POTENTIALS:
         for x0 in starts:

@@ -85,10 +85,9 @@ class RunConfig:
             meas["profile"] = parse_profile(meas["profile"])
         if "atoms" in meas:
             meas["atoms"] = _parse_atoms(meas["atoms"])
-        if "origin" in meas:
-            meas["origin"] = _floats(meas["origin"])
-        if "center" in meas:
-            meas["center"] = _floats(meas["center"])
+        for k in ("origin", "center"):
+            if k in meas:
+                meas[k] = _floats(meas[k])
         meas.setdefault("dim", str(model.space.ambient_dim))
         try:
             measure = make_measure(kind, **meas)
@@ -119,10 +118,7 @@ class RunConfig:
 
 def _parse_atoms(text: str) -> list[tuple]:
     atoms = []
-    for tok in text.split(";"):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, (t.strip() for t in text.split(";"))):
         if ":" not in tok:
             raise ConfigError(f"atom {tok!r} must be 'x,y,...:weight'")
         pt, w = tok.rsplit(":", 1)

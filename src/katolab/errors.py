@@ -10,11 +10,8 @@ class DomainError(KatolabError, ValueError):
 
 
 class AccuracyError(KatolabError):
-    """Quadrature failed to reach the requested accuracy.
-
-    Carries the best available estimate so callers can decide whether to
-    proceed anyway.
-    """
+    """Quadrature failed to reach the requested accuracy; carries the best
+    available estimate so callers can decide whether to proceed anyway."""
 
     def __init__(self, message, best_estimate=None):
         super().__init__(message)

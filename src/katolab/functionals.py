@@ -104,50 +104,54 @@ class CenterStrategy:
         if not pts:
             raise ConfigError("center strategy produced an empty center set")
         # dedupe while keeping first-seen order (deterministic argmax tie-break)
-        seen, out = set(), []
+        first: dict = {}
         for p in pts:
-            key = tuple(np.round(p, 12))
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-        return out
+            first.setdefault(tuple(np.round(p, 12)), p)
+        return list(first.values())
 
 
-def sup_over_centers(centers: list, objective) -> tuple[FunctionalEstimate, object]:
+def sup_over_centers(centers: list, objective) -> tuple:
     """Max of objective(center) over the finite set, reduced in index order.
 
-    objective returns a FunctionalEstimate; divergence at any center wins
-    (it certifies divergence of the supremum).  The centers are evaluated in
-    order and the first divergent one is returned at once: objectives after
-    it are not evaluated, so their exceptions do not surface.
+    objective returns a FunctionalEstimate, or a list of them (one per
+    radius of a grid), and each radius is reduced on its own: the first
+    center of largest value wins, and divergence at any center wins (it
+    certifies divergence of the supremum).  The centers are evaluated in
+    order until every radius has diverged: objectives after that are not
+    evaluated, so their exceptions do not surface.  Returns (estimate,
+    center), or their lists for a list objective.
     """
     if not centers:
         raise ConfigError("empty center set")
-    best, best_x = None, None
+    best, best_x = [], []
     for x in centers:
-        est = objective(x)
-        if est.diverged:
-            est.n_centers = len(centers)
-            est.argmax_center = x
-            return est, x
-        if best is None or est.value > best.value:
-            best, best_x = est, x
-    best.n_centers = len(centers)
-    best.argmax_center = best_x
-    return best, best_x
+        ests = objective(x)
+        single = isinstance(ests, FunctionalEstimate)
+        for k, est in enumerate([ests] if single else ests):
+            if k == len(best):
+                best.append(est)
+                best_x.append(x)
+            elif not best[k].diverged and (est.diverged
+                                           or est.value > best[k].value):
+                best[k], best_x[k] = est, x
+        if all(est.diverged for est in best):
+            break
+    for est, x in zip(best, best_x):
+        est.n_centers, est.argmax_center = len(centers), x
+    return (best[0], best_x[0]) if single else (best, best_x)
 
 
 # ---------------------------------------------------------------------------
 # the membership functionals
 
 
-def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r: float,
-                    centers: CenterStrategy | list | None = None
-                    ) -> FunctionalEstimate:
-    """sup_x int_{d(x,y) < r} G(d(x,y))^p mu(dy)."""
+def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r,
+                    centers: CenterStrategy | list | None = None):
+    """sup_x int_{d(x,y) < r} G(d(x,y))^p mu(dy); for a grid of radii r, one
+    estimate per radius, each center computing the whole grid at once."""
     if p < 1:
         raise DomainError("p must be >= 1")
-    if spec.regime == "log" and r > LOG_CAP:
+    if spec.regime == "log" and np.any(np.asarray(r) > LOG_CAP):
         raise DomainError("log-regime radius must satisfy r <= 1/e")
     g = green_power_profile(spec, p)
     pts = _resolve_centers(mu, centers)
@@ -158,10 +162,9 @@ def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r: float,
 
 def semigroup_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
                          t: float, centers: CenterStrategy | list | None = None,
-                         localized_radius: float | None = None
-                         ) -> FunctionalEstimate:
+                         localized_radius=None):
     """sup_x of the (localized) p-th power semigroup integral
-    int (int_0^t p_s(x,y) ds)^p mu(dy)."""
+    int (int_0^t p_s(x,y) ds)^p mu(dy); localized_radius as kato_functional's r."""
     _require_kernel_support(mu)
     if not 0.0 < t < model.t0:
         raise DomainError("t must lie in ]0, t0[")
@@ -172,10 +175,9 @@ def semigroup_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
 def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
                          alpha: float,
                          centers: CenterStrategy | list | None = None,
-                         localized_radius: float | None = None
-                         ) -> FunctionalEstimate:
+                         localized_radius=None):
     """sup_x of the (localized) p-th power resolvent integral
-    int r_alpha(x,y)^p mu(dy)."""
+    int r_alpha(x,y)^p mu(dy); localized_radius as kato_functional's r."""
     _require_kernel_support(mu)
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -184,10 +186,10 @@ def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
 
 
 def _radial_kernel_functional(mu: MeasureRep, model: HeatKernelModel, kernel,
-                              p: float, centers, localized_radius: float | None
-                              ) -> FunctionalEstimate:
-    """sup_x of int kernel(d(x,y))^p mu(dy), over the ball of radius
-    localized_radius around x when given, else over the whole space."""
+                              p: float, centers, localized_radius):
+    """sup_x of int kernel(d(x,y))^p mu(dy), over the ball (or each ball of a
+    grid) of radius localized_radius around x when given, else over the
+    whole space."""
     nu, beta = model.space.nu, model.space.beta
     # steepest admissible local slope: the jump branch of an estimate
     # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime

@@ -31,12 +31,8 @@ def stable_jump_constant(d: int, alpha: float) -> float:
     """Normalizing constant A(d, -alpha) of the alpha-stable jump density."""
     if not 0.0 < alpha < 2.0:
         raise DomainError("alpha must lie in ]0, 2[")
-    return (
-        alpha
-        * 2.0 ** (d + alpha)
-        * math.gamma((d + alpha) / 2.0)
-        / (2.0 ** (d + 1) * math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0))
-    )
+    return (alpha * 2.0 ** (d + alpha) * math.gamma((d + alpha) / 2.0)
+            / (2.0 ** (d + 1) * math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
 def _bessel_type_integral(k: float, r: float) -> float:
@@ -422,12 +418,8 @@ class GaussianKernelModel(ScalingKernelModel):
                 return np.where(r == 0.0, INF, out)
             a = d / 2.0 - 1.0
             with np.errstate(divide="ignore"):
-                out = (
-                    (2.0 * math.pi) ** (-d / 2.0)
-                    * (r**2 / 2.0) ** (1.0 - d / 2.0)
-                    * math.gamma(a)
-                    * special.gammaincc(a, x)
-                )
+                out = ((2.0 * math.pi) ** (-d / 2.0) * (r**2 / 2.0) ** (1.0 - d / 2.0)
+                       * math.gamma(a) * special.gammaincc(a, x))
             return np.where(r == 0.0, INF, out)
 
         return qt
@@ -457,31 +449,21 @@ class StableEstimateModel(ScalingKernelModel):
         self.profile_kinks = (A ** (1.0 / (dim + alpha)),)
         space = SpaceModel(ambient_dim=dim, nu=float(dim), beta=alpha)
         t0 = INF if m == 0.0 else 1.0 / m
-        if m == 0.0:
-            phi1 = phi2 = lambda u: np.minimum(
-                1.0, A * np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha))
-            )
-        else:
+        tail = lambda u: np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha))
+        phi1 = phi2 = lambda u: np.minimum(1.0, A * tail(u))
+        if m > 0.0:
             psi_vec = np.vectorize(lambda u: relativistic_psi(dim, alpha, u))
-            phi2 = lambda u: np.minimum(
-                1.0, A * np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha))
-            )
             phi1 = lambda u: np.minimum(
-                1.0,
-                A * psi_vec(np.asarray(u, dtype=float))
-                * np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha)),
-            )
+                1.0, A * psi_vec(np.asarray(u, dtype=float)) * tail(u))
         super().__init__(space, phi2, t0=t0, phi_lower=phi1, phi_upper=phi2,
                          estimate_only=True)
 
     def jump_density(self, r):
         r = np.asarray(r, dtype=float)
-        if self.m == 0.0:
-            return self.A * r ** (-(self.dim + self.alpha))
-        psi = np.vectorize(
-            lambda s: relativistic_psi(self.dim, self.alpha, self.m ** (1.0 / self.alpha) * s)
-        )(r)
-        return self.A * psi * r ** (-(self.dim + self.alpha))
+        d, a, m = self.dim, self.alpha, self.m
+        psi = 1.0 if m == 0.0 else np.vectorize(
+            lambda s: relativistic_psi(d, a, m ** (1.0 / a) * s))(r)
+        return self.A * psi * r ** (-(d + a))
 
     def pt_radial(self, t: float, r):
         r = np.asarray(r, dtype=float)
@@ -538,8 +520,7 @@ class StableEstimateModel(ScalingKernelModel):
         splits = sorted({J ** (-a / (d + a)), 1.0 / m} if J > 0.0 else {1.0 / m})
         f = lambda s: math.exp(-alpha * s) * float(self.pt_radial(s, np.array([r]))[0])
         T = max(1.0, splits[-1] * 2.0, 40.0 / alpha)
-        total = 0.0
-        lo = 0.0
+        total = lo = 0.0
         for s in [x for x in splits if x < T] + [T]:
             part, _ = integrate.quad(f, lo, s, epsrel=1e-10, limit=400)
             total += part

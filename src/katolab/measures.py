@@ -82,6 +82,8 @@ class FunctionalEstimate:
     method: str = "quadrature"
     n_centers: int = 0
     argmax_center: object = None
+    reason: str = ""  # why the deciding quadrature stopped (IntegralResult)
+    levels: int = 0  # panels it used
 
     def __float__(self) -> float:
         return INF if self.diverged else float(self.value)
@@ -116,11 +118,11 @@ class MeasureRep:
 
     dim: int
     supports_kernel_criteria = True
-    density_gap = 0.0  # relative error of the latest radial_mass_density
 
     def radial_mass_density(self, x) -> Callable | None:
         """Vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or None
-        if mu has no diffuse mass about x."""
+        if mu has no diffuse mass about x.  Inexact values come as the pair
+        (values, relative error)."""
         return None
 
     def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +142,8 @@ class MeasureRep:
         if m is None:
             return mass
         from scipy import integrate
-        val, _ = integrate.quad(lambda s: float(np.atleast_1d(m(s))[0]), 0.0, r,
-                                limit=200, points=[r * 0.5])
+        val, _ = integrate.quad(lambda s: float(np.atleast_1d(_split(m(s))[0])[0]),
+                                0.0, r, limit=200, points=[r * 0.5])
         return val + mass
 
     def support_points(self, n: int, rng) -> list:
@@ -159,8 +161,8 @@ class Density(MeasureRep):
 
     The radial mass density about x averages f over spheres by sphere_rules
     of _orders(dim), lowest first, until two in a row agree to ANGULAR_TOL;
-    the finer serves.  density_gap is the largest last-pair gap over the
-    latest callable's batches of radii (1 if only one order fits)."""
+    the finer serves, paired with the last pair's relative gap on that batch
+    of radii (1 if only one order fits)."""
 
     def __init__(self, f: Callable, dim: int, support_radius: float = INF,
                  constant: float | None = None):
@@ -178,7 +180,6 @@ class Density(MeasureRep):
 
         x = np.asarray(x, dtype=float)
         f, sup, orders = self.f, self.support_radius, _orders(d)
-        self.density_gap = 0.0
 
         def mean(s, order):  # of f over the spheres of radii s about x
             omega, w = sphere_rule(d, order)
@@ -197,8 +198,7 @@ class Density(MeasureRep):
                 gap, q = float(np.abs(q2 - q).max() / scale), q2
                 if not gap > ANGULAR_TOL:  # resolved (or not finite)
                     break
-            self.density_gap = max(self.density_gap, gap)
-            return q * area * s ** (d - 1)
+            return q * area * s ** (d - 1), gap
 
         return m
 
@@ -212,9 +212,7 @@ class Density(MeasureRep):
         if self.constant is not None and math.isinf(self.support_radius):
             return [origin]  # translation invariant
         scale = self.support_radius if math.isfinite(self.support_radius) else 1.0
-        pts = [origin]
-        pts += list(rng.normal(scale=scale, size=(n - 1, self.dim)))
-        return pts
+        return [origin] + list(rng.normal(scale=scale, size=(n - 1, self.dim)))
 
 
 def lebesgue(dim: int) -> Density:
@@ -343,11 +341,8 @@ class SphereSurface(MeasureRep):
         return self.mass * p, 2.0 * self.mass * se
 
     def support_points(self, n: int, rng) -> list:
-        pts = []
-        for _ in range(n):
-            u = rng.normal(size=3)
-            pts.append(self.center + self.R * u / np.linalg.norm(u))
-        return pts
+        return [self.center + self.R * u / np.linalg.norm(u)
+                for u in (rng.normal(size=3) for _ in range(n))]
 
 
 class AhlforsAbstract(MeasureRep):
@@ -409,38 +404,57 @@ def _atom_sum(g_radial: Callable, ds: np.ndarray, ws: np.ndarray) -> float:
     return total
 
 
-def integrate_over_ball(mu: MeasureRep, x, r: float, g_radial: Callable,
-                        hint: float | None = None) -> FunctionalEstimate:
+def _split(out) -> tuple:
+    """(values, relative error) of a radial_mass_density callable's output."""
+    return out if isinstance(out, tuple) else (out, 0.0)
+
+
+def _integrand(g_radial: Callable, m: Callable) -> Callable:
+    """s -> (g(s) m(s), relative error of m's values) for the quadrature."""
+
+    def h(s):
+        g = np.asarray(g_radial(s))
+        vals, gap = _split(m(s))
+        return g * np.asarray(vals), gap
+
+    return h
+
+
+def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
+                        hint: float | None = None):
     """int_{B_r(x)} g(d(x,y)) mu(dy) over the closed ball: an exact sum over
     the atoms of mu at distance <= r, plus the diffuse part by an inner
-    dyadic cutoff sweep.
+    dyadic cutoff sweep.  r is one radius, or a grid of radii that share
+    one panel store (integrate_to_zero): then one estimate per radius.
 
     g_radial is vectorized in the distance s; hint, if given, is the expected
     blow-up exponent of g at 0 (g ~ s^-hint) and is cross-checked against the
     observed growth.
     """
-    if r <= 0:
+    radii = [float(rk) for rk in np.atleast_1d(r)]
+    if any(rk <= 0 for rk in radii):
         raise DomainError("ball radius must be positive")
     if hint is None and isinstance(g_radial, RadialProfile):
         hint = g_radial.singularity
-    _check_hint(g_radial, r, hint)
+    for rk in radii:
+        _check_hint(g_radial, rk, hint)
 
     ds, ws = mu.radial_atoms(x)
-    inside = ds <= r
-    atoms = _atom_sum(g_radial, ds[inside], ws[inside])
+    atoms = [_atom_sum(g_radial, ds[ds <= rk], ws[ds <= rk]) for rk in radii]
     m = mu.radial_mass_density(x)
     if m is None:
-        return FunctionalEstimate(atoms, 0.0, diverged=math.isinf(atoms),
-                                  method="atom-sum")
-
-    h = lambda s: np.asarray(g_radial(s)) * np.asarray(m(s))
-    res = integrate_to_zero(h, r)
-    diverged = res.diverged or math.isinf(atoms)
-    angular = 0.0 if diverged else mu.density_gap * abs(res.value)
-    return FunctionalEstimate(INF if diverged else res.value + atoms,
-                              res.quad_error + angular, diverged=diverged,
-                              log_slope=res.log_slope,
-                              method="dyadic-quadrature")
+        out = [FunctionalEstimate(a, 0.0, diverged=math.isinf(a),
+                                  method="atom-sum") for a in atoms]
+    else:
+        out = []
+        for a, res in zip(atoms, integrate_to_zero(_integrand(g_radial, m), radii)):
+            diverged = res.diverged or math.isinf(a)
+            out.append(FunctionalEstimate(
+                INF if diverged else res.value + a, res.quad_error,
+                diverged=diverged, log_slope=res.log_slope,
+                method="dyadic-quadrature", reason=res.reason,
+                levels=res.levels))
+    return out if np.ndim(r) else out[0]
 
 
 def integrate_global(mu: MeasureRep, x, g_radial: Callable,
@@ -464,16 +478,14 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable,
         return FunctionalEstimate(head.value + tail, head.error,
                                   method="atom-sum")
 
-    res = integrate_outward(lambda s: np.asarray(g_radial(s)) * np.asarray(m(s)),
-                            r_split)
+    res = integrate_outward(_integrand(g_radial, m), r_split)
     if res.diverged:
-        return FunctionalEstimate(INF, 0.0, diverged=True,
-                                  log_slope=res.log_slope,
-                                  method="dyadic-quadrature")
-    return FunctionalEstimate(head.value + tail + res.value,
-                              head.error + res.quad_error
-                              + mu.density_gap * abs(res.value),
-                              method="dyadic-quadrature")
+        return FunctionalEstimate(INF, 0.0, diverged=True, log_slope=res.log_slope,
+                                  method="dyadic-quadrature", reason=res.reason,
+                                  levels=res.levels)
+    return FunctionalEstimate(head.value + tail + res.value, head.error + res.quad_error,
+                              method="dyadic-quadrature", reason=head.reason,
+                              levels=head.levels)
 
 
 def make_measure(kind: str, **kw) -> MeasureRep:

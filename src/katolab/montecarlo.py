@@ -88,8 +88,7 @@ def _functional_once(cfg: PathConfig, V, dt: float, rng) -> tuple:
             except Exception:
                 rowwise = True
             else:
-                if v.shape != (cfg.n_paths,):
-                    rowwise = True
+                rowwise = v.shape != (cfg.n_paths,)
         if rowwise:
             v = np.asarray([float(V(p)) for p in x], dtype=float)
         big = v > CLIP_BOUND
@@ -133,8 +132,7 @@ def quadrature_additive_functional(model, cfg: PathConfig, V_radial,
     from .profiles import RadialProfile
 
     c = cfg.x0 if center is None else np.atleast_1d(np.asarray(center, float))
-    prof = V_radial if isinstance(V_radial, RadialProfile) else \
-        RadialProfile(V_radial)
+    prof = V_radial if isinstance(V_radial, RadialProfile) else RadialProfile(V_radial)
     mu = RadialDensity(prof, dim=cfg.dim, origin=c)
     qt = model.qt_radial(cfg.t)
     est = integrate_global(mu, cfg.x0, lambda s: qt(s))

@@ -32,8 +32,7 @@ def power_profile(exponent: float, coeff: float = 1.0) -> RadialProfile:
 
     def f(s):
         with np.errstate(divide="ignore"):
-            out = coeff * s**exponent
-        return out
+            return coeff * s**exponent
 
     return RadialProfile(f, singularity=max(0.0, -exponent),
                          label=f"power({exponent})")

@@ -9,6 +9,7 @@ returned together with a flag and the observed growth rate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,6 +26,11 @@ GEOMETRIC_RATIO_MAX = 0.97
 MIN_LEVELS = 16
 MAX_EXTRA_LEVELS = 32
 
+#: integrate_outward stops once two panels in a row add at most this share
+#: of the sum, or after this many panels
+OUTWARD_REL_TOL = 1e-9
+OUTWARD_MAX_LEVELS = 60
+
 INF = float("inf")
 
 
@@ -35,11 +41,21 @@ class IntegralResult:
     value: float
     quad_error: float
     diverged: bool
+    #: why the pass stopped: "geometric", "negligible", "nonfinite",
+    #: "growing" or "depth_cap"
+    reason: str
+    levels: int  # panels the pass used
     #: increment per unit of log(1/epsilon); meaningful only when diverged
     log_slope: float = 0.0
 
-    def __float__(self) -> float:
-        return self.value
+
+class RadiusSweep(list):
+    """integrate_to_zero's results on a radius grid, one per radius; like a
+    single result it is diverged when the integral diverges at any radius."""
+
+    @property
+    def diverged(self) -> bool:
+        return any(res.diverged for res in self)
 
 
 def gauss_panel(h: Callable, a: float, b: float) -> float:
@@ -47,6 +63,21 @@ def gauss_panel(h: Callable, a: float, b: float) -> float:
     x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
     y = np.asarray(h(x), dtype=float)
     return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * y))
+
+
+def _panel(h: Callable, a: float, b: float) -> tuple[float, float]:
+    """gauss_panel of h on [a, b] and the relative error of h's values there:
+    h returns its values, or (values, relative error) when they are inexact."""
+    gap = 0.0  # what h states on this panel's nodes
+
+    def values(x):
+        nonlocal gap
+        y = h(x)
+        if isinstance(y, tuple):
+            y, gap = y
+        return y
+
+    return gauss_panel(values, a, b), gap
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
@@ -109,10 +140,7 @@ def _tail_window(panels: list[float]) -> tuple[str, list[float]]:
     tail = panels[-5:]
     if total <= 0.0 or max(tail) <= 1e-300 * max(total, 1.0):
         return "negligible", []
-    ratios = [
-        tail[i + 1] / tail[i] if tail[i] > 0 else 0.0
-        for i in range(len(tail) - 1)
-    ]
+    ratios = [b / a if a > 0 else 0.0 for a, b in zip(tail, tail[1:])]
     if all(r <= GEOMETRIC_RATIO_MAX for r in ratios):
         return "geometric", ratios
     return "growing", ratios
@@ -121,26 +149,35 @@ def _tail_window(panels: list[float]) -> tuple[str, list[float]]:
 def _analyze_panels(panels: list[float]) -> IntegralResult:
     """Classify a sequence of panel contributions as convergent or not."""
     state, ratios = _tail_window(panels)
+    n = len(panels)
     if state == "nonfinite":
-        return IntegralResult(INF, 0.0, True, INF)
+        return IntegralResult(INF, 0.0, True, state, n, INF)
     total = sum(panels)
     if state == "negligible":
-        return IntegralResult(total, 1e-16 * abs(total), False)
+        return IntegralResult(total, 1e-16 * abs(total), False, state, n)
     if state == "geometric":
         # the most recent ratio is the best estimate of the asymptotic rate
         rho = ratios[-1] if ratios else 0.0
         geo_tail = panels[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-        return IntegralResult(total + geo_tail, 0.5 * geo_tail + 1e-14 * total, False)
+        return IntegralResult(total + geo_tail, 0.5 * geo_tail + 1e-14 * total,
+                              False, state, n)
     slope = float(np.mean(panels[-4:])) / math.log(2.0)
-    return IntegralResult(INF, 0.0, True, slope)
+    return IntegralResult(INF, 0.0, True, state, n, slope)
 
 
-def integrate_to_zero(h: Callable, r: float) -> IntegralResult:
-    """Integrate h over (0, r], resolving a possible singularity at 0.
+def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
+    """Integrate h over (0, r], resolving a possible singularity at 0, for
+    one radius r or for each radius of a grid (then a RadiusSweep).
 
-    Panels are [r 2^{-j-1}, r 2^{-j}] for j = 0, 1, ...; the panel sequence
-    must decay geometrically for the integral to count as convergent, in
-    which case the remaining inner tail is extrapolated geometrically.
+    The panels of r are [r 2^{-j-1}, r 2^{-j}] for j = 0, 1, ...; the panel
+    sequence must decay geometrically for the integral to count as
+    convergent, in which case the remaining inner tail is extrapolated
+    geometrically.  The bar adds the largest relative error h states on any
+    of the panels, times the value.  Every radius runs this stopping rule
+    on its own panels, read from one store keyed by the panel edges: a
+    panel that several radii share (on a dyadic grid the panels of r 2^-k
+    are those of r from the k-th on) is evaluated once, and a radius gets
+    the same panels, bit for bit, on any grid.
 
     Integrands with an interior boundary layer (kernel time/resolvent
     scales) first rise and then settle into their asymptotic decay; the
@@ -148,13 +185,23 @@ def integrate_to_zero(h: Callable, r: float) -> IntegralResult:
     unambiguous: either every recent ratio is geometric (converged) or none
     is (nothing decays toward 0: divergent).
     """
+    panel = functools.cache(lambda a, b: _panel(h, a, b))
+    out = RadiusSweep(_to_zero(panel, float(rk)) for rk in np.atleast_1d(r))
+    return out if np.ndim(r) else out[0]
+
+
+def _to_zero(panel: Callable, r: float) -> IntegralResult:
+    """integrate_to_zero's pass over (0, r], panel(a, b) giving (value, gap)."""
     if r <= 0:
-        return IntegralResult(0.0, 0.0, False)
+        return IntegralResult(0.0, 0.0, False, "negligible", 0)
     panels: list[float] = []
+    gaps: list[float] = []
     j = 0
     settle = -1  # levels still to add after the first geometric window
     while True:
-        panels.append(gauss_panel(h, r * 2.0 ** -(j + 1), r * 2.0 ** -j))
+        value, gap = panel(r * 2.0 ** -(j + 1), r * 2.0 ** -j)
+        panels.append(value)
+        gaps.append(gap)
         j += 1
         if settle > 0:
             settle -= 1
@@ -175,23 +222,30 @@ def integrate_to_zero(h: Callable, r: float) -> IntegralResult:
         # transient crossover layer, so keep deepening to the depth cap
         if j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
             break
-    return _analyze_panels(panels)
+    res = _analyze_panels(panels)
+    if res.reason == "growing" and j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
+        res.reason = "depth_cap"
+    if not res.diverged:
+        res.quad_error += max([0.0] + gaps) * abs(res.value)
+    return res
 
 
-def integrate_outward(
-    h: Callable,
-    r0: float,
-    rel_tol: float = 1e-9,
-    max_levels: int = 60,
-) -> IntegralResult:
-    """Integrate h over [r0, inf) by dyadic doubling with a decay check."""
+def integrate_outward(h: Callable, r0: float) -> IntegralResult:
+    """Integrate h over [r0, inf) by dyadic doubling with a decay check: it
+    stops once two panels in a row add at most OUTWARD_REL_TOL of the sum.
+    The bar adds each panel's stated relative error times the panel."""
     panels: list[float] = []
-    acc = 0.0
-    for k in range(max_levels):
-        p = gauss_panel(h, r0 * 2.0**k, r0 * 2.0 ** (k + 1))
+    acc = angular = 0.0
+    for k in range(OUTWARD_MAX_LEVELS):
+        p, gap = _panel(h, r0 * 2.0**k, r0 * 2.0 ** (k + 1))
         panels.append(p)
         acc += p
-        if len(panels) >= 3 and p <= rel_tol * max(acc, 1e-300) and panels[-2] <= rel_tol * max(acc, 1e-300):
-            return IntegralResult(acc, p, False)
-    return _analyze_panels(panels)
-
+        angular += gap * abs(p)
+        small = OUTWARD_REL_TOL * max(acc, 1e-300)
+        if len(panels) >= 3 and p <= small and panels[-2] <= small:
+            return IntegralResult(acc, p + angular, False, "negligible",
+                                  len(panels))
+    res = _analyze_panels(panels)
+    if not res.diverged:
+        res.quad_error += angular
+    return res

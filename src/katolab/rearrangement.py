@@ -35,10 +35,9 @@ def right_continuous_inverse(f: Callable, tol: float = 1e-12) -> Callable:
         t = float(t)
         if t < 0:
             raise DomainError("inverse is defined for t >= 0")
-        if float(np.asarray(f(np.array([0.0])))[0]) <= t:
+        fval = lambda s: float(np.asarray(f(np.array([s])))[0])
+        if fval(0.0) <= t:
             return 0.0
-        def fval(s: float) -> float:
-            return float(np.asarray(f(np.array([s])))[0])
 
         hi = 1.0
         while fval(hi) > t:

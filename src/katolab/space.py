@@ -52,8 +52,7 @@ class SpaceModel:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(n, 2, self.ambient_dim))
         for x, y in pts:
-            dxy = self.metric(x, y)
-            dyx = self.metric(y, x)
+            dxy, dyx = self.metric(x, y), self.metric(y, x)
             if abs(dxy - dyx) > 1e-12 * (1.0 + abs(dxy)):
                 raise ValidationError("metric is not symmetric")
             if abs(self.metric(x, x)) > 1e-12:

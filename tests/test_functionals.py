@@ -275,6 +275,34 @@ def test_sup_over_centers_stops_at_first_divergence():
     assert est.diverged and arg == 2 and est.n_centers == 4
 
 
+def test_sup_over_centers_first_divergent_center_per_radius():
+    # two radii: the first diverges at center 1, the second at center 2;
+    # the sweep stops once every radius has diverged
+    calls = []
+    div = {0: (False, False), 1: (True, False), 2: (True, True),
+           3: (True, True)}
+    vals = {0: (1.0, 5.0), 1: (2.0, 7.0), 2: (0.0, 0.0), 3: (0.0, 0.0)}
+
+    def objective(c):
+        calls.append(c)
+        return [FunctionalEstimate(value=INF if d else v, diverged=d)
+                for v, d in zip(vals[c], div[c])]
+
+    ests, args = sup_over_centers([0, 1, 2, 3], objective)
+    assert calls == [0, 1, 2]
+    assert [e.diverged for e in ests] == [True, True]
+    assert args == [1, 2]
+    assert [e.argmax_center for e in ests] == [1, 2]
+    assert [e.n_centers for e in ests] == [4, 4]
+    # without divergence, each radius keeps its own argmax, first on ties
+    vals[3] = (2.0, 7.0)
+    div.update({1: (False, False), 2: (False, False), 3: (False, False)})
+    calls.clear()
+    ests, args = sup_over_centers([0, 1, 2, 3], objective)
+    assert calls == [0, 1, 2, 3]
+    assert [e.value for e in ests] == [2.0, 7.0] and args == [1, 1]
+
+
 def test_sup_over_centers_runs_on_calling_thread_in_center_order():
     calls = []
 

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katolab.kernels import GaussianKernelModel
+from katolab import quadrature
 from katolab.quadrature import (
     GEOMETRIC_RATIO_MAX,
     INF,
+    MAX_EXTRA_LEVELS,
+    MIN_LEVELS,
+    OUTWARD_MAX_LEVELS,
     gauss_panel,
     integrate_outward,
     integrate_to_zero,
@@ -96,6 +100,67 @@ def test_quad_error_is_reported():
     res = integrate_to_zero(lambda s: np.ones_like(np.asarray(s, float)), 1.0)
     assert res.quad_error >= 0.0
     assert res.value == pytest.approx(1.0, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# why a pass stopped, and how deep it went
+
+
+def test_reason_geometric():
+    res = integrate_to_zero(lambda s: np.asarray(s, dtype=float) ** -0.5, 1.0)
+    assert (res.reason, res.diverged) == ("geometric", False)
+    assert MIN_LEVELS < res.levels < MIN_LEVELS + MAX_EXTRA_LEVELS
+    assert res.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_reason_depth_cap():
+    # 1/s: every panel is ln 2, so the window never decays
+    res = integrate_to_zero(lambda s: 1.0 / np.asarray(s), 1.0)
+    assert (res.reason, res.diverged) == ("depth_cap", True)
+    assert res.levels == MIN_LEVELS + MAX_EXTRA_LEVELS
+
+
+def test_reason_growing():
+    # outward, 1/s does not decay either, but no depth cap is involved
+    res = integrate_outward(lambda s: 1.0 / np.asarray(s), 1.0)
+    assert (res.reason, res.diverged) == ("growing", True)
+    assert res.levels == OUTWARD_MAX_LEVELS
+
+
+def test_reason_negligible():
+    res = integrate_to_zero(lambda s: np.zeros_like(np.asarray(s, float)), 1.0)
+    assert (res.reason, res.diverged, res.value) == ("negligible", False, 0.0)
+    assert res.levels == MIN_LEVELS
+
+
+def test_reason_nonfinite():
+    res = integrate_to_zero(
+        lambda s: np.full_like(np.asarray(s, float), np.inf), 1.0)
+    assert (res.reason, res.diverged, res.value) == ("nonfinite", True, INF)
+    assert res.levels == MIN_LEVELS
+
+
+def test_radius_grid_reads_shared_panels_once(monkeypatch):
+    calls = []
+    orig = quadrature.gauss_panel
+
+    def counted(h, a, b):
+        calls.append((a, b))
+        return orig(h, a, b)
+
+    monkeypatch.setattr(quadrature, "gauss_panel", counted)
+    h = lambda s: np.asarray(s, dtype=float) ** -0.5
+    for grid in ([0.5, 0.25, 0.125], [0.3, 0.2, 0.15]):
+        calls.clear()
+        singles = [integrate_to_zero(h, r) for r in grid]
+        n_single = len(calls)
+        calls.clear()
+        sweep = integrate_to_zero(h, np.array(grid))
+        assert sweep == singles  # bit for bit, reasons and levels included
+        assert len(calls) == len(set(calls))  # no panel evaluated twice
+        assert len(calls) < n_single
+    assert not sweep.diverged
+    assert integrate_to_zero(lambda s: 1.0 / np.asarray(s), [1.0, 0.5]).diverged
 
 
 def _scipy_pchip(x, y):
