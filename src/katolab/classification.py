@@ -7,6 +7,7 @@ already witnesses them); convergence verdicts are evidence from the grid.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .functionals import (
     GreenKernelSpec,
     LOG_CAP,
     kato_functional,
+    panel_memo,
     resolvent_functional,
     semigroup_functional,
     sup_over_centers,
@@ -204,6 +206,10 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     nu, beta = space.nu, space.beta
     spec = GreenKernelSpec.from_space(space)
     centers = _resolve_centers(mu, cfg.centers)
+    # the criteria of this call share each center's radial mass density, built
+    # once and evaluated once per panel, on a copy of mu that dies with the call
+    build, shared = mu.radial_mass_density, copy.copy(mu)
+    shared.radial_mass_density = panel_memo(lambda x: panel_memo(build(x)))
     findings: list[str] = []
     fits: dict[str, LimitFit] = {}
     sweeps: dict[str, list] = {}
@@ -223,7 +229,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     if spec.regime == "trivial":
         ests = [_ball_mass_sup(mu, centers, float(r)) for r in r_grid]
     else:
-        ests = kato_functional(mu, spec, p, r_grid, centers=centers)
+        ests = kato_functional(shared, spec, p, r_grid, centers=centers)
     record("green", zip(r_grid, ests))
 
     kernel_ok = mu.supports_kernel_criteria
@@ -231,13 +237,13 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         a1, a2 = cfg.localized_alphas
         for key, a in (("res_loc_a1", a1), ("res_loc_a*", a2)):
             record(key, zip(r_grid, resolvent_functional(
-                mu, model, p, a, centers=centers, localized_radius=r_grid)))
+                shared, model, p, a, centers=centers, localized_radius=r_grid)))
         t1, t2 = cfg.localized_times
         t1 = min(t1, 0.5 * model.t0)
         t2 = min(t2, 0.125 * model.t0)
         for key, t in (("sg_loc_t1", t1), ("sg_loc_t*", t2)):
             record(key, zip(r_grid, semigroup_functional(
-                mu, model, p, t, centers=centers, localized_radius=r_grid)))
+                shared, model, p, t, centers=centers, localized_radius=r_grid)))
 
         t_grid = np.asarray(cfg.t_grid, dtype=float)
         t_grid = t_grid[t_grid < model.t0]
@@ -245,9 +251,9 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         # (t^{1/beta}, alpha^{-1/beta}) so the one slope cutoff discriminates
         # the same way on every criterion
         record("sg_global", [(t ** (1.0 / beta), semigroup_functional(
-            mu, model, p, float(t), centers=centers)) for t in t_grid])
+            shared, model, p, float(t), centers=centers)) for t in t_grid])
         record("res_global", [(a ** (-1.0 / beta), resolvent_functional(
-            mu, model, p, float(a), centers=centers))
+            shared, model, p, float(a), centers=centers))
             for a in np.asarray(cfg.alpha_grid, dtype=float)])
     else:
         findings.append("measure supports ball-mass tests only; kernel "
@@ -302,7 +308,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
 
     delta_hat = delta_ci = None
     if cfg.fit_delta and kernel_ok and verdict_K == "in":
-        delta_hat, delta_ci = fit_order_delta(mu, model, p, cfg, centers)
+        delta_hat, delta_ci = fit_order_delta(shared, model, p, cfg, centers)
 
     primary = fits.get("sg_global", fits["green"])
     return ClassificationReport(

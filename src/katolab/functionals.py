@@ -154,9 +154,9 @@ def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r,
     if spec.regime == "log" and np.any(np.asarray(r) > LOG_CAP):
         raise DomainError("log-regime radius must satisfy r <= 1/e")
     g = green_power_profile(spec, p)
-    pts = _resolve_centers(mu, centers)
+    pts, gp = _resolve_centers(mu, centers), panel_memo(g)
     est, _ = sup_over_centers(
-        pts, lambda x: integrate_over_ball(mu, x, r, g, hint=g.singularity))
+        pts, lambda x: integrate_over_ball(mu, x, r, gp, hint=g.singularity))
     return est
 
 
@@ -188,24 +188,36 @@ def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
 def _radial_kernel_functional(mu: MeasureRep, model: HeatKernelModel, kernel,
                               p: float, centers, localized_radius):
     """sup_x of int kernel(d(x,y))^p mu(dy), over the ball (or each ball of a
-    grid) of radius localized_radius around x when given, else over the
-    whole space."""
-    nu, beta = model.space.nu, model.space.beta
+    grid) of radius localized_radius around x when given, else over the whole
+    space; kernel^p is evaluated once per distinct panel for all the centers."""
     # steepest admissible local slope: the jump branch of an estimate
     # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime
-    hint = p * (nu + beta)
-
-    def g(s):
-        return np.asarray(kernel(s)) ** p
-
-    pts = _resolve_centers(mu, centers)
+    hint = p * (model.space.nu + model.space.beta)
+    g = panel_memo(lambda s: np.asarray(kernel(s)) ** p)
     if localized_radius is not None:
-        objective = lambda x: integrate_over_ball(mu, x, localized_radius, g,
-                                                  hint=hint)
+        objective = lambda x: integrate_over_ball(mu, x, localized_radius, g, hint=hint)
     else:
         objective = lambda x: integrate_global(mu, x, g, hint=hint)
-    est, _ = sup_over_centers(pts, objective)
-    return est
+    return sup_over_centers(_resolve_centers(mu, centers), objective)[0]
+
+
+def panel_memo(f):
+    """f evaluated once per distinct argument (its shape and bytes) for as long
+    as the returned callable lives; None stays None.  All centers of a sup,
+    and all criteria about one center, integrate over panels with
+    bit-identical nodes.  Callers share each result: none may write into it."""
+    if f is None:
+        return None
+    memo = {}
+
+    def served(s):
+        s = np.asarray(s, dtype=float)
+        key = (s.shape, s.tobytes())
+        if key not in memo:
+            memo[key] = f(s)
+        return memo[key]
+
+    return served
 
 
 def _require_kernel_support(mu: MeasureRep) -> None:

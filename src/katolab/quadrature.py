@@ -58,26 +58,19 @@ class RadiusSweep(list):
         return any(res.diverged for res in self)
 
 
-def gauss_panel(h: Callable, a: float, b: float) -> float:
-    """32-node Gauss-Legendre rule on [a, b] for a vectorized integrand."""
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    y = np.asarray(h(x), dtype=float)
-    return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * y))
+def gauss_panel(h: Callable, a: float, b: float):
+    """32-node Gauss-Legendre rule on [a, b] for a vectorized integrand h;
+    if h returns (values, relative error), as inexact values do, the rule
+    returns (integral, that error)."""
+    out = h(0.5 * (b - a) * _GL_NODES + 0.5 * (a + b))
+    y, gap = split_error(out)
+    value = 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * np.asarray(y, dtype=float)))
+    return (value, gap) if isinstance(out, tuple) else value
 
 
-def _panel(h: Callable, a: float, b: float) -> tuple[float, float]:
-    """gauss_panel of h on [a, b] and the relative error of h's values there:
-    h returns its values, or (values, relative error) when they are inexact."""
-    gap = 0.0  # what h states on this panel's nodes
-
-    def values(x):
-        nonlocal gap
-        y = h(x)
-        if isinstance(y, tuple):
-            y, gap = y
-        return y
-
-    return gauss_panel(values, a, b), gap
+def split_error(out) -> tuple:
+    """(values, relative error) of an output that may state no error."""
+    return out if isinstance(out, tuple) else (out, 0.0)
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
@@ -185,7 +178,7 @@ def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
     unambiguous: either every recent ratio is geometric (converged) or none
     is (nothing decays toward 0: divergent).
     """
-    panel = functools.cache(lambda a, b: _panel(h, a, b))
+    panel = functools.cache(lambda a, b: split_error(gauss_panel(h, a, b)))
     out = RadiusSweep(_to_zero(panel, float(rk)) for rk in np.atleast_1d(r))
     return out if np.ndim(r) else out[0]
 
@@ -237,7 +230,7 @@ def integrate_outward(h: Callable, r0: float) -> IntegralResult:
     panels: list[float] = []
     acc = angular = 0.0
     for k in range(OUTWARD_MAX_LEVELS):
-        p, gap = _panel(h, r0 * 2.0**k, r0 * 2.0 ** (k + 1))
+        p, gap = split_error(gauss_panel(h, r0 * 2.0**k, r0 * 2.0 ** (k + 1)))
         panels.append(p)
         acc += p
         angular += gap * abs(p)

@@ -341,6 +341,23 @@ def test_hint_mismatch_raises_diagnostics_error():
         integrate_over_ball(mu, np.zeros(1), 1.0, bad, hint=0.0)
 
 
+def test_hint_check_of_a_grid_raises_at_its_first_failing_radius():
+    # flat above 1e-4, ~ s^-1.9 / log(1/s) below: bounded as probed at r = 1,
+    # steeper than the hint at r = 0.1 and 0.01, by a different factor at each
+    def g(s):
+        s = np.minimum(np.asarray(s, float), 1e-4)
+        return s ** -1.9 / np.log(1.0 / s)
+
+    mu, x = lebesgue(1), np.zeros(1)
+    integrate_over_ball(mu, x, 1.0, g, hint=0.0)
+    messages = []
+    for r in (0.1, 0.01, [1.0, 0.1, 0.01]):
+        with pytest.raises(DiagnosticsError) as err:
+            integrate_over_ball(mu, x, r, g, hint=0.0)
+        messages.append(str(err.value))
+    assert messages[2] == messages[0] != messages[1]
+
+
 # --------------------------------------------------------------------------
 # structural properties
 
