@@ -61,11 +61,9 @@ class LimitFit:
     slope: float
     slope_ci: float
     certified: bool = False  # divergence witnessed by a sentinel
-    n_used: int = 0
 
 
-def classify_limit(samples, slope_cutoff: float = SLOPE_CUTOFF,
-                   ratio_guard: float = RATIO_GUARD) -> LimitFit:
+def classify_limit(samples) -> LimitFit:
     """Classify the scale -> 0 limit of positive data on a dyadic grid.
 
     samples: iterable of (scale, value, error) or (scale, FunctionalEstimate).
@@ -85,12 +83,11 @@ def classify_limit(samples, slope_cutoff: float = SLOPE_CUTOFF,
             rows.append((float(scale), v, e, not math.isfinite(v)))
 
     if any(d for *_, d in rows):
-        return LimitFit("diverges", -INF, 0.0, certified=True,
-                        n_used=len(rows))
+        return LimitFit("diverges", -INF, 0.0, certified=True)
     finite = [(s, v, e) for s, v, e, _ in rows if v > 0.0]
     if len(finite) < 6:
         if all(v == 0.0 for _, v, _, _ in rows) and len(rows) >= 6:
-            return LimitFit("tends_to_zero", INF, 0.0, n_used=len(rows))
+            return LimitFit("tends_to_zero", INF, 0.0)
         raise InsufficientDataError(
             f"need >= 6 positive finite samples, got {len(finite)}")
 
@@ -109,15 +106,15 @@ def classify_limit(samples, slope_cutoff: float = SLOPE_CUTOFF,
     se = math.sqrt(max((w * resid**2).sum() / dof / sxx, 1e-24))
     ci = 2.0 * se
 
-    if slope - ci < -slope_cutoff and slope + ci > slope_cutoff:
-        return LimitFit("undecided", slope, ci, n_used=len(half))
-    if slope > slope_cutoff:
-        return LimitFit("tends_to_zero", slope, ci, n_used=len(half))
-    if slope < -slope_cutoff:
-        return LimitFit("diverges", slope, ci, n_used=len(half))
-    if v.max() / max(v.min(), 1e-300) >= ratio_guard:
-        return LimitFit("diverges", slope, ci, n_used=len(half))
-    return LimitFit("bounded", slope, ci, n_used=len(half))
+    if slope - ci < -SLOPE_CUTOFF and slope + ci > SLOPE_CUTOFF:
+        return LimitFit("undecided", slope, ci)
+    if slope > SLOPE_CUTOFF:
+        return LimitFit("tends_to_zero", slope, ci)
+    if slope < -SLOPE_CUTOFF:
+        return LimitFit("diverges", slope, ci)
+    if v.max() / max(v.min(), 1e-300) >= RATIO_GUARD:
+        return LimitFit("diverges", slope, ci)
+    return LimitFit("bounded", slope, ci)
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +125,15 @@ def classify_limit(samples, slope_cutoff: float = SLOPE_CUTOFF,
 class ClassifyConfig:
     r_grid: np.ndarray = field(
         default_factory=lambda: 2.0 ** -np.arange(2, 12, dtype=float))
-    t_grid: np.ndarray = field(
-        default_factory=lambda: 4.0 ** -np.arange(1, 9, dtype=float))
-    alpha_grid: np.ndarray = field(
-        default_factory=lambda: 4.0 ** np.arange(1, 9, dtype=float))
     centers: CenterStrategy = field(default_factory=CenterStrategy)
-    slope_cutoff: float = SLOPE_CUTOFF
-    ratio_guard: float = RATIO_GUARD
-    threshold_band: float = THRESHOLD_BAND
-    localized_alphas: tuple = (1.0, 16.0)
-    localized_times: tuple = (0.5, 0.125)
     fit_delta: bool = False
     seed: int = 7
+
+    # scale grids shared by every config (class attributes, not fields)
+    t_grid = tuple(4.0 ** -k for k in range(1, 9))
+    alpha_grid = tuple(4.0 ** k for k in range(1, 9))
+    localized_alphas = (1.0, 16.0)
+    localized_times = (0.5, 0.125)
 
 
 @dataclass
@@ -218,7 +212,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         sweep = list(sweep)
         sweeps[key] = [(float(sc), float(est), est.error + est.stat_error)
                        for sc, est in sweep]
-        fits[key] = classify_limit(sweep, cfg.slope_cutoff, cfg.ratio_guard)
+        fits[key] = classify_limit(sweep)
 
     r_grid = np.asarray(cfg.r_grid, dtype=float)
     if spec.regime == "log":
@@ -300,7 +294,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     certified_div = any(f.verdict == "diverges" and f.certified
                         for f in fits.values())
     if (eta_hat is not None and nu > beta
-            and abs(eta_hat - p * (nu - beta)) < cfg.threshold_band
+            and abs(eta_hat - p * (nu - beta)) < THRESHOLD_BAND
             and not certified_div):
         findings.append("p is within the near-threshold band; verdict forced "
                         "to undecided")
@@ -318,8 +312,8 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         delta_hat=delta_hat, delta_ci=delta_ci, findings=findings,
         provenance={
             "r_grid": list(map(float, r_grid)),
-            "t_grid": list(map(float, np.asarray(cfg.t_grid))),
-            "alpha_grid": list(map(float, np.asarray(cfg.alpha_grid))),
+            "t_grid": list(cfg.t_grid),
+            "alpha_grid": list(cfg.alpha_grid),
             "n_centers": len(centers), "seed": cfg.seed,
             "sup_is_lower_bound": True,
         })
@@ -351,7 +345,7 @@ def fit_order_delta(mu: MeasureRep, model: HeatKernelModel, p: float,
             raise InsufficientDataError("semigroup functional diverges; no "
                                         "decay order to fit")
         sweep.append((float(t), float(est) ** (1.0 / p), est.error))
-    fit = classify_limit(sweep, cfg.slope_cutoff, cfg.ratio_guard)
+    fit = classify_limit(sweep)
     return fit.slope, fit.slope_ci
 
 

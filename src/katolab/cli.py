@@ -53,8 +53,7 @@ def cmd_classify(run: RunConfig, out_dir: Path) -> int:
 
     with open(out_dir / "classify.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["p", "criterion", "scale", "value", "stat_error",
-                    "verdict"])
+        w.writerow(["p", "criterion", "scale", "value", "error", "verdict"])
         for rep in reports:
             for key, rows in rep.sweeps.items():
                 for scale, value, err in rows:
@@ -133,7 +132,7 @@ _MC_POTENTIALS = [
 ]
 
 
-def cmd_mc_check(run: RunConfig, out_dir: Path, n_paths: int = 10_000) -> int:
+def cmd_mc_check(run: RunConfig, out_dir: Path) -> int:
     model = run.model
     dim = model.space.ambient_dim
     if model.family != "gaussian":
@@ -143,8 +142,7 @@ def cmd_mc_check(run: RunConfig, out_dir: Path, n_paths: int = 10_000) -> int:
     rows, n_pass = [], 0
     for name, prof in _MC_POTENTIALS:
         for x0 in starts:
-            cfg = PathConfig(process="brownian", t=0.5, n_paths=n_paths,
-                             seed=run.seed, x0=x0)
+            cfg = PathConfig(process="brownian", t=0.5, seed=run.seed, x0=x0)
             mc, se = expected_additive_functional(
                 cfg, lambda y: prof(np.linalg.norm(np.atleast_2d(y), axis=-1)))
             quad = quadrature_additive_functional(model, cfg, prof,

@@ -11,7 +11,7 @@ ignored.  Example:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class RunConfig:
     p_list: list[float]
     classify: ClassifyConfig
     seed: int = 7
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -113,7 +112,7 @@ class RunConfig:
             seed=seed,
             fit_delta=sweep.get("fit_delta", "false").lower() == "true")
         return cls(model=model, measure=measure, p_list=p_list,
-                   classify=classify, seed=seed, raw=kv)
+                   classify=classify, seed=seed)
 
 
 def _parse_atoms(text: str) -> list[tuple]:

@@ -225,7 +225,6 @@ class KernelBounds:
     lower: float
     upper: float
     shape: float
-    constants_fitted: bool
 
 
 class ScalingKernelModel(HeatKernelModel):
@@ -238,10 +237,8 @@ class ScalingKernelModel(HeatKernelModel):
 
     def __init__(self, space: SpaceModel, profile: Callable, t0: float = INF,
                  phi_lower: Callable | None = None,
-                 phi_upper: Callable | None = None,
-                 estimate_only: bool = False):
+                 phi_upper: Callable | None = None):
         self.profile = profile
-        self.estimate_only = estimate_only
         super().__init__(space, t0,
                          phi_lower if phi_lower is not None else profile,
                          phi_upper if phi_upper is not None else profile)
@@ -455,8 +452,7 @@ class StableEstimateModel(ScalingKernelModel):
             psi_vec = np.vectorize(lambda u: relativistic_psi(dim, alpha, u))
             phi1 = lambda u: np.minimum(
                 1.0, A * psi_vec(np.asarray(u, dtype=float)) * tail(u))
-        super().__init__(space, phi2, t0=t0, phi_lower=phi1, phi_upper=phi2,
-                         estimate_only=True)
+        super().__init__(space, phi2, t0=t0, phi_lower=phi1, phi_upper=phi2)
 
     def jump_density(self, r):
         r = np.asarray(r, dtype=float)
@@ -561,8 +557,7 @@ class StretchedExponentialModel(ScalingKernelModel):
         space = SpaceModel(ambient_dim=ambient_dim, nu=d_f, beta=d_w)
         profile = lambda u: c4 * np.exp(-c2 * np.asarray(u, dtype=float) ** kappa)
         phi1 = lambda u: c3 * np.exp(-c1 * np.asarray(u, dtype=float) ** kappa)
-        super().__init__(space, profile, phi_lower=phi1, phi_upper=profile,
-                         estimate_only=True)
+        super().__init__(space, profile, phi_lower=phi1, phi_upper=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +644,7 @@ def time_integrated_bounds(model: HeatKernelModel, t: float, x, y) -> KernelBoun
         raise DomainError("regime guard violated: d(x,y)^beta < t")
     c_lo, c_hi = model.bound_constants()
     shape = _bound_shape(nu, beta, t, d)
-    return KernelBounds(lower=c_lo * shape, upper=c_hi * shape, shape=shape,
-                        constants_fitted=True)
+    return KernelBounds(lower=c_lo * shape, upper=c_hi * shape, shape=shape)
 
 
 # ---------------------------------------------------------------------------

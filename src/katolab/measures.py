@@ -24,6 +24,7 @@ from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
 MAX_ANGULAR_POINTS = 512  # the most f calls one radius takes, all orders tried
+R_SPLIT = 1.0  # integrate_global: the ball B(x, R_SPLIT), then outward
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,7 +80,6 @@ class FunctionalEstimate:
     stat_error: float = 0.0
     diverged: bool = False
     log_slope: float = 0.0
-    method: str = "quadrature"
     n_centers: int = 0
     argmax_center: object = None
     reason: str = ""  # why the deciding quadrature stopped (IntegralResult)
@@ -431,49 +431,43 @@ def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
     atoms = [_atom_sum(g_radial, ds[ds <= rk], ws[ds <= rk]) for rk in radii]
     m = mu.radial_mass_density(x)
     if m is None:
-        out = [FunctionalEstimate(a, 0.0, diverged=math.isinf(a),
-                                  method="atom-sum") for a in atoms]
+        out = [FunctionalEstimate(a, 0.0, diverged=math.isinf(a)) for a in atoms]
     else:
         out = []
         for a, res in zip(atoms, integrate_to_zero(_integrand(g_radial, m), radii)):
             diverged = res.diverged or math.isinf(a)
             out.append(FunctionalEstimate(
                 INF if diverged else res.value + a, res.quad_error,
-                diverged=diverged, log_slope=res.log_slope,
-                method="dyadic-quadrature", reason=res.reason,
+                diverged=diverged, log_slope=res.log_slope, reason=res.reason,
                 levels=res.levels))
     return out if np.ndim(r) else out[0]
 
 
 def integrate_global(mu: MeasureRep, x, g_radial: Callable,
-                     r_split: float = 1.0,
                      hint: float | None = None) -> FunctionalEstimate:
     """Whole-space integral of g(d(x,y)) against mu.
 
-    The closed ball B(x, r_split) is handled by integrate_over_ball; outside
-    it, the atoms at distance > r_split are summed exactly and the diffuse
+    The closed ball B(x, R_SPLIT) is handled by integrate_over_ball; outside
+    it, the atoms at distance > R_SPLIT are summed exactly and the diffuse
     part is integrated outward.
     """
-    head = integrate_over_ball(mu, x, r_split, g_radial, hint=hint)
+    head = integrate_over_ball(mu, x, R_SPLIT, g_radial, hint=hint)
     if head.diverged:
         return head
 
     ds, ws = mu.radial_atoms(x)
-    outside = ds > r_split
+    outside = ds > R_SPLIT
     tail = _atom_sum(g_radial, ds[outside], ws[outside])
     m = mu.radial_mass_density(x)
     if m is None:
-        return FunctionalEstimate(head.value + tail, head.error,
-                                  method="atom-sum")
+        return FunctionalEstimate(head.value + tail, head.error)
 
-    res = integrate_outward(_integrand(g_radial, m), r_split)
+    res = integrate_outward(_integrand(g_radial, m), R_SPLIT)
     if res.diverged:
         return FunctionalEstimate(INF, 0.0, diverged=True, log_slope=res.log_slope,
-                                  method="dyadic-quadrature", reason=res.reason,
-                                  levels=res.levels)
+                                  reason=res.reason, levels=res.levels)
     return FunctionalEstimate(head.value + tail + res.value, head.error + res.quad_error,
-                              method="dyadic-quadrature", reason=head.reason,
-                              levels=head.levels)
+                              reason=head.reason, levels=head.levels)
 
 
 def make_measure(kind: str, **kw) -> MeasureRep:

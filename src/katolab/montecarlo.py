@@ -28,11 +28,14 @@ class PathConfig:
     n_paths: int = 10_000
     seed: int = 0
     x0: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    dim: int = 1
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the paths: the length of x0."""
+        return len(self.x0)
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        self.dim = len(self.x0)
         if self.dt is None:
             self.dt = self.t / 1000.0
         if not 0.0 < self.dt < self.t:

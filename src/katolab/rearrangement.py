@@ -14,16 +14,18 @@ from .errors import DomainError, ValidationError
 from .quadrature import INF, integrate_outward, integrate_to_zero
 from .space import LOG_CAP, unit_ball_volume
 
+DECREASING_TOL = 1e-9  # relative rise check_decreasing forgives
+INVERSE_TOL = 1e-12  # relative bracket width of right_continuous_inverse
+DENSITY_WINDOW = 4.0  # from_density samples the cube [-4, 4]^d
 
-def check_decreasing(f: Callable, lo: float = 1e-6, hi: float = 1e3,
-                     n: int = 200, tol: float = 1e-9) -> None:
-    s = np.geomspace(lo, hi, n)
-    v = np.asarray(f(s), dtype=float)
-    if np.any(np.diff(v) > tol * np.maximum(np.abs(v[:-1]), 1.0)):
+
+def check_decreasing(f: Callable) -> None:
+    v = np.asarray(f(np.geomspace(1e-6, 1e3, 200)), dtype=float)
+    if np.any(np.diff(v) > DECREASING_TOL * np.maximum(np.abs(v[:-1]), 1.0)):
         raise ValidationError("profile is not decreasing on the sampled grid")
 
 
-def right_continuous_inverse(f: Callable, tol: float = 1e-12) -> Callable:
+def right_continuous_inverse(f: Callable) -> Callable:
     """t -> sup{s >= 0 : f(s) > t} for decreasing nonnegative f.
 
     At continuity points of f the composition f(f^{-1}(t)) recovers t; on
@@ -51,7 +53,7 @@ def right_continuous_inverse(f: Callable, tol: float = 1e-12) -> Callable:
                 return 0.0
         # bisect in log space: relative precision is uniform across scales,
         # so far tails of the inverse stay accurate
-        while hi - lo > tol * hi:
+        while hi - lo > INVERSE_TOL * hi:
             mid = math.sqrt(lo * hi)
             if fval(mid) > t:
                 lo = mid
@@ -85,15 +87,15 @@ class DistributionFunction:
         return cls(lambda t: vol * np.asarray(inv(t), dtype=float) ** d)
 
     @classmethod
-    def from_density(cls, V: Callable, d: int, window: float = 4.0,
+    def from_density(cls, V: Callable, d: int,
                      n_samples: int = 100_000, seed: int = 0,
                      t_grid=None) -> "DistributionFunction":
-        """Monte Carlo threshold counting on a cube window, with isotonic
-        post-processing to enforce decrease."""
+        """Monte Carlo threshold counting on the cube window [-4, 4]^d,
+        with isotonic post-processing to enforce decrease."""
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-window, window, size=(n_samples, d))
+        pts = rng.uniform(-DENSITY_WINDOW, DENSITY_WINDOW, size=(n_samples, d))
         vals = np.abs(np.apply_along_axis(V, 1, pts))
-        vol = (2.0 * window) ** d
+        vol = (2.0 * DENSITY_WINDOW) ** d
         ts = (np.geomspace(max(vals.min(), 1e-8), vals.max() + 1e-8, 200)
               if t_grid is None else np.asarray(t_grid, dtype=float))
         m = np.array([vol * np.mean(vals >= t) for t in ts])

@@ -11,6 +11,7 @@ from .errors import ValidationError
 
 #: upper end of the log-kernel domain ]0, 1/e], where log(1/r) >= 1
 LOG_CAP = 1.0 / math.e
+SPOT_CHECK_PAIRS = 16  # random point pairs on which a metric is checked
 
 
 def euclidean(x, y) -> float:
@@ -48,9 +49,9 @@ class SpaceModel:
             object.__setattr__(self, "volume_bound", lambda r, c=c, nu=self.nu: c * r**nu)
         self._spot_check()
 
-    def _spot_check(self, n: int = 16) -> None:
+    def _spot_check(self) -> None:
         rng = np.random.default_rng(0)
-        pts = rng.normal(size=(n, 2, self.ambient_dim))
+        pts = rng.normal(size=(SPOT_CHECK_PAIRS, 2, self.ambient_dim))
         for x, y in pts:
             dxy, dyx = self.metric(x, y), self.metric(y, x)
             if abs(dxy - dyx) > 1e-12 * (1.0 + abs(dxy)):

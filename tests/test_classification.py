@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_classify_limit_sentinel_certifies_divergence():
 
 def test_classify_limit_accepts_functional_estimates():
     mk = lambda v: FunctionalEstimate(value=v, error=0.0, diverged=False,
-                                      log_slope=0.0, method="test")
+                                      log_slope=0.0)
     rows = [(s, mk(v)) for s, v, _ in _grid(1.5)]
     fit = classify_limit(rows)
     assert fit.verdict == "tends_to_zero"
@@ -124,6 +125,26 @@ def test_estimate_eta_prefers_declared_exponent():
     from katolab.measures import make_measure
     mu = make_measure("ahlfors", eta=1.7, c_lower=0.9, c_upper=1.1)
     assert estimate_eta(mu, [], []) == pytest.approx(1.7)
+
+
+def test_classify_config_scale_grids():
+    # the scale grids every classification runs on (benchmark oracles read them)
+    cfg = ClassifyConfig()
+    assert tuple(cfg.t_grid) == (
+        0.25, 0.0625, 0.015625, 0.00390625, 0.0009765625, 0.000244140625,
+        6.103515625e-05, 1.52587890625e-05)
+    assert tuple(cfg.alpha_grid) == (
+        4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0)
+    assert tuple(cfg.localized_alphas) == (1.0, 16.0)
+    assert tuple(cfg.localized_times) == (0.5, 0.125)
+
+
+def test_classify_config_fields():
+    assert [f.name for f in dataclasses.fields(ClassifyConfig)] == [
+        "r_grid", "centers", "fit_delta", "seed"]
+    assert isinstance(ClassifyConfig.t_grid, tuple)  # no instance can mutate it
+    with pytest.raises(TypeError):
+        ClassifyConfig(t_grid=(0.5,))
 
 
 # --------------------------------------------------------------------------

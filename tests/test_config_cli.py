@@ -92,6 +92,18 @@ def test_cli_classify_round_trip(tmp_path: Path):
         assert f"{v:.16e}" == row["value"]
 
 
+def test_cli_classify_csv_header(tmp_path: Path):
+    # the fifth column is the full error bar, error + stat_error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "out"
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "classify.csv") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["p", "criterion", "scale", "value", "error", "verdict"]
+
+
 def test_cli_classify_deterministic(tmp_path: Path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL)

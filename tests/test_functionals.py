@@ -240,7 +240,7 @@ def test_center_strategy_does_not_import_scipy_stats():
 
 def test_sup_over_centers_divergence_wins():
     mk = lambda v, d: FunctionalEstimate(value=v, error=0.0, diverged=d,
-                                         log_slope=0.0, method="test")
+                                         log_slope=0.0)
     ests = {0: mk(1.0, False), 1: mk(INF, True), 2: mk(2.0, False)}
     est, _ = sup_over_centers([0, 1, 2], lambda c: ests[c])
     assert est.diverged
@@ -249,7 +249,7 @@ def test_sup_over_centers_divergence_wins():
 
 def test_sup_over_centers_tracks_argmax():
     mk = lambda v: FunctionalEstimate(value=v, error=0.0, diverged=False,
-                                      log_slope=0.0, method="test")
+                                      log_slope=0.0)
     est, arg = sup_over_centers(["a", "b", "c"],
                                 lambda c: mk({"a": 1.0, "b": 5.0, "c": 2.0}[c]))
     assert est.value == 5.0
@@ -263,7 +263,7 @@ def test_sup_over_centers_stops_at_first_divergence():
         calls.append(c)
         div = c in (0, 2)
         return FunctionalEstimate(value=INF if div else 1.0, error=0.0,
-                                  diverged=div, log_slope=0.0, method="test")
+                                  diverged=div, log_slope=0.0)
 
     est, arg = sup_over_centers([0, 1, 2, 3], objective)
     assert calls == [0]
@@ -309,7 +309,7 @@ def test_sup_over_centers_runs_on_calling_thread_in_center_order():
     def objective(c):
         calls.append((c, threading.get_ident()))
         return FunctionalEstimate(value=float(c), error=0.0, diverged=False,
-                                  log_slope=0.0, method="test")
+                                  log_slope=0.0)
 
     est, arg = sup_over_centers([3, 1, 2], objective)
     me = threading.get_ident()

@@ -22,6 +22,12 @@ def test_config_validation():
                    x0=np.zeros(1))
 
 
+def test_path_dim_is_the_length_of_x0():
+    assert PathConfig(x0=np.zeros(3)).dim == 3
+    with pytest.raises(TypeError):
+        PathConfig(dim=2)  # read-only: x0 alone sets it
+
+
 def test_brownian_endpoint_variance():
     cfg = PathConfig(process="brownian", t=1.0, n_paths=20_000, seed=1,
                      x0=np.zeros(1))
