@@ -166,13 +166,14 @@ def _verdicts(fit: LimitFit) -> tuple[str, str]:
 
 
 def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
-    """Fitted ball-mass growth exponent at small radii (Ahlfors exponent)."""
+    """Fitted ball-mass growth exponent at small radii (Ahlfors exponent),
+    from the centers with at least 4 finite positive masses on the grid."""
     if hasattr(mu, "eta"):
         return float(mu.eta)
     slopes = []
     for x in centers:
         masses = np.array([mu.ball_mass(x, float(r)) for r in r_grid])
-        pos = masses > 0
+        pos = np.isfinite(masses) & (masses > 0)
         if pos.sum() < 4:
             continue
         lr, lm = np.log(r_grid[pos]), np.log(masses[pos])
@@ -218,13 +219,11 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
     if spec.regime == "log":
         r_grid = r_grid[r_grid <= LOG_CAP]
 
-    # criterion 1: Green-kernel ball integrals (always available); each
-    # localized criterion computes the whole radius grid in one call
-    if spec.regime == "trivial":
-        ests = [_ball_mass_sup(mu, centers, float(r)) for r in r_grid]
-    else:
-        ests = kato_functional(shared, spec, p, r_grid, centers=centers)
-    record("green", zip(r_grid, ests))
+    # criterion 1: Green-kernel ball integrals (always available; ball
+    # masses, G^0 = 1, when nu < beta); each localized criterion computes
+    # the whole radius grid in one call
+    record("green", zip(r_grid, kato_functional(shared, spec, p, r_grid,
+                                                centers=centers)))
 
     kernel_ok = mu.supports_kernel_criteria
     if kernel_ok:
@@ -285,7 +284,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
             # from the global semigroup sweep
             verdict_D = _verdicts(fits.get("sg_global", fits["green"]))[1]
 
-    eta_hat = estimate_eta(mu, centers, r_grid[len(r_grid) // 2:])
+    eta_hat = estimate_eta(shared, centers, r_grid[len(r_grid) // 2:])
     p_star = (threshold_p_star(min(eta_hat, nu), nu, beta)
               if eta_hat is not None and eta_hat > 1e-6 else INF)
 
@@ -317,17 +316,6 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
             "n_centers": len(centers), "seed": cfg.seed,
             "sup_is_lower_bound": True,
         })
-
-
-def _ball_mass_sup(mu: MeasureRep, centers: list, r: float) -> FunctionalEstimate:
-    """sup over the centers of mu(B_r(x)); an infinite mass diverges."""
-
-    def mass(x):
-        m = mu.ball_mass(x, r)
-        return FunctionalEstimate(m, 0.0, diverged=not math.isfinite(m))
-
-    est, _ = sup_over_centers(centers, mass)
-    return est
 
 
 def fit_order_delta(mu: MeasureRep, model: HeatKernelModel, p: float,

@@ -318,70 +318,47 @@ class ScalingKernelModel(HeatKernelModel):
 
         return qt
 
-    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """r_1 on 4000 log-spaced radii from 1e-12 to where it drops below
-        1e-280 (at most 1e12), in one vectorized quadrature, rescaled to
-        r_alpha.
+    def _r1(self, rs: np.ndarray) -> np.ndarray:
+        """r_1 at the radii rs >= _R1_LO, exact on the `_panels`.
 
         In x = log u, r_1(r) = beta r^{beta-nu} int exp(-(r e^{-x})^beta)
-        w(x) dx, and w does not depend on r: the table is a matrix of
-        exp(-(r e^{-x})^beta) on the `_panels` nodes times its weights.
+        w(x) dx, and w does not depend on r: the values are a matrix of
+        exp(-(r e^{-x})^beta) on the panel nodes times their weights.
         """
+        nu, beta = self.space.nu, self.space.beta
+        _, x, w = self._panels
+        lr = np.log(rs)
+        out = np.empty(len(rs))
+        for i in range(0, len(rs), 32):  # row blocks of about 1 MB
+            # exp(-e^7) already underflows to 0
+            arg = np.minimum(beta * (lr[i:i + 32, None] - x), 7.0)
+            out[i:i + 32] = np.exp(-np.exp(arg)) @ w
+        return beta * rs ** (beta - nu) * out
+
+    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """r_1 on 4000 log-spaced radii from _R1_LO to where it drops below
+        1e-280 (at most _R1_CAP), rescaled to r_alpha."""
         if not self.exact_scaling:
             return super()._resolvent_samples(alpha)
         nu, beta = self.space.nu, self.space.beta
-        _, x, w = self._panels
-
-        def r1(rs):
-            lr = np.log(rs)
-            out = np.empty(len(rs))
-            for i in range(0, len(rs), 32):  # row blocks of about 1 MB
-                # exp(-e^7) already underflows to 0
-                arg = np.minimum(beta * (lr[i:i + 32, None] - x), 7.0)
-                out[i:i + 32] = np.exp(-np.exp(arg)) @ w
-            return beta * rs ** (beta - nu) * out
-
         coarse = np.geomspace(_R1_LO, _R1_CAP, 241)
-        dead = np.nonzero(r1(coarse) <= 1e-280)[0]
+        dead = np.nonzero(self._r1(coarse) <= 1e-280)[0]
         rs = np.geomspace(_R1_LO, coarse[dead[0]] if len(dead) else _R1_CAP, 4000)
-        return rs / alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0) * r1(rs)
+        return rs / alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0) * self._r1(rs)
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
+        """r_alpha(r) = alpha^{nu/beta - 1} r_1(alpha^{1/beta} r), closed form
+        at r = 0; below _R1_LO in alpha^{1/beta} r, the table's continuation."""
         nu, beta = self.space.nu, self.space.beta
         if r == 0.0:
             if nu >= beta:
                 return INF
             phi0 = float(np.asarray(self.profile(np.array([0.0])))[0])
             return phi0 * math.gamma(1.0 - nu / beta) * alpha ** (nu / beta - 1.0)
-        self._panels  # raises ValidationError when the tail moment diverges
-
-        # substitute u = r w: r_alpha(r) = beta int_0^inf e^{-alpha w^-beta}
-        # w^{nu-beta-1} profile(r w) dw, which is O(1) across its support
-        def f(w):
-            return (
-                math.exp(-alpha * w ** (-beta))
-                * w ** (nu - beta - 1.0)
-                * float(np.asarray(self.profile(np.array([r * w])))[0])
-            )
-
-        w_lo = (alpha / 40.0) ** (1.0 / beta)  # exp factor < e^-40 below
-        w_hi = max(1.0, w_lo * 2.0)
-        peak = max(f(max(w_hi, w_lo * 1.5)), f(w_hi * 4.0), 1e-300)
-        while w_hi < 1e14 and f(w_hi) > 1e-18 * peak:
-            w_hi *= 2.0
-        # integrate in log space: the window can span many decades of w
-        g = lambda v: f(math.exp(v)) * math.exp(v)
-        import warnings
-
-        from scipy import integrate
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(
-                g, math.log(w_lo * 0.2), math.log(w_hi),
-                epsabs=1e-300, epsrel=1e-11, limit=400,
-                points=[math.log(w_lo),
-                        math.log(min(max(1.0 / max(r, 1e-300), w_lo), w_hi))])
-        return beta * val
+        u = alpha ** (1.0 / beta) * r
+        if u < _R1_LO:
+            return float(self.resolvent_radial(alpha)(np.array([r]))[0])
+        return alpha ** (nu / beta - 1.0) * float(self._r1(np.array([u]))[0])
 
 
 class GaussianKernelModel(ScalingKernelModel):

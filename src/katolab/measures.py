@@ -132,16 +132,9 @@ class MeasureRep:
         return float(ws[ds == 0.0].sum())
 
     def ball_mass(self, x, r: float) -> float:
-        """mu of the closed ball of radius r about x."""
-        ds, ws = self.radial_atoms(x)
-        mass = float(ws[ds <= r].sum())
-        m = self.radial_mass_density(x)
-        if m is None:
-            return mass
-        from scipy import integrate
-        val, _ = integrate.quad(lambda s: float(np.atleast_1d(split_error(m(s))[0])[0]),
-                                0.0, r, limit=200, points=[r * 0.5])
-        return val + mass
+        """mu of the closed ball of radius r about x: the ball integral of
+        g = 1, inf where the dyadic sweep diverges."""
+        return float(integrate_over_ball(self, x, r, np.ones_like))
 
     def support_points(self, n: int, rng) -> list:
         """Representative centers on or near the support, for sup sweeps."""

@@ -21,7 +21,12 @@ from katolab.classification import (
 from katolab.errors import DomainError, InsufficientDataError
 from katolab.functionals import CenterStrategy
 from katolab.kernels import GaussianKernelModel
-from katolab.measures import FunctionalEstimate, PointMasses, lebesgue
+from katolab.measures import (
+    FunctionalEstimate,
+    PointMasses,
+    RadialDensity,
+    lebesgue,
+)
 from katolab.profiles import power_profile
 from katolab.quadrature import INF
 
@@ -119,6 +124,26 @@ def test_estimate_eta_lebesgue():
     mu = lebesgue(3)
     eta = estimate_eta(mu, [np.zeros(3)], 2.0 ** -np.arange(2, 12))
     assert eta == pytest.approx(3.0, abs=1e-6)
+
+
+def test_estimate_eta_skips_non_finite_ball_masses():
+    # s^-3.5 in d = 3: every ball about the origin has infinite mass
+    mu = RadialDensity(power_profile(-3.5), dim=3)
+    grid = 2.0 ** -np.arange(7, 12)
+    origin, off = np.zeros(3), np.array([0.5, 0.0, 0.0])
+    assert all(mu.ball_mass(origin, r) == INF for r in grid)
+    assert estimate_eta(mu, [origin], grid) is None
+    assert estimate_eta(mu, [origin, off], grid) == pytest.approx(3.0, abs=1e-3)
+
+
+def test_green_below_beta_is_the_ball_mass():
+    # nu < beta: the green criterion is sup_x mu(B_r(x)), here 2r
+    rep = classify_measure(lebesgue(1), GaussianKernelModel(dim=1), 1.0,
+                           ClassifyConfig(centers=CenterStrategy(
+                               explicit=[[0.0]], n_support=0, n_random=0)))
+    for r, value, error in rep.sweeps["green"]:
+        assert value == pytest.approx(2.0 * r, rel=1e-12)
+        assert abs(value - 2.0 * r) <= error
 
 
 def test_estimate_eta_prefers_declared_exponent():

@@ -62,3 +62,29 @@ def test_point_mass_classify_loads_no_quad_or_interpolation(tmp_path):
         f"'--seed', '7', '--out', {str(tmp_path)!r}]) == 0")
     assert (tmp_path / "classify.csv").exists()
     assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+
+
+@pytest.mark.parametrize("name", ["brownian-d3-lebesgue", "stable-d2", "ahlfors-eta2"])
+def test_kernel_check_loads_no_quad(tmp_path, name):
+    # the scalar resolvent reads the r_1 panels: no scipy quad
+    cfg = SRC.parents[1] / "configs" / f"{name}.cfg"
+    loaded = _loaded_scipy_modules(
+        "import katolab.cli\n"
+        f"assert katolab.cli.main(['kernel-check', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0")
+    assert (tmp_path / "kernel_check.csv").exists()
+    assert "scipy.integrate" not in loaded
+
+
+def test_radial_density_ball_mass_and_eta_load_no_quad():
+    # ball masses come from the dyadic sweep with g = 1
+    loaded = _loaded_scipy_modules(
+        "import numpy as np\n"
+        "from katolab.classification import estimate_eta\n"
+        "from katolab.measures import RadialDensity\n"
+        "from katolab.profiles import power_profile\n"
+        "mu = RadialDensity(power_profile(-1.0), dim=3)\n"
+        "assert 0.0 < mu.ball_mass(np.zeros(3), 0.5) < np.inf\n"
+        "eta = estimate_eta(mu, [np.zeros(3)], 2.0 ** -np.arange(7, 12))\n"
+        "assert abs(eta - 2.0) < 1e-6, eta")
+    assert "scipy.integrate" not in loaded

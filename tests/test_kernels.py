@@ -73,20 +73,22 @@ def test_gaussian_resolvent_d1_closed_form():
     # r_alpha(x, y) = e^{-sqrt(2 alpha) |x-y|} / sqrt(2 alpha)
     m = GaussianKernelModel(dim=1)
     for a in [0.5, 1.0, 7.3]:
-        for r in [0.0, 0.2, 1.5, 6.0]:
+        for r in [0.0, 1e-9, 0.2, 1.5, 6.0]:
             got = m.resolvent_scalar(a, r)
             ref = math.exp(-math.sqrt(2 * a) * r) / math.sqrt(2 * a)
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_resolvent_d3_closed_form():
-    # r_alpha(x, y) = e^{-sqrt(2 alpha) r} / (2 pi r)
+    # r_alpha(x, y) = e^{-sqrt(2 alpha) r} / (2 pi r); the tiny radii lie
+    # below the r_1 panels' reach, where the table's continuation serves
     m = GaussianKernelModel(dim=3)
-    for a in [1.0, 4.0]:
-        for r in [0.1, 0.7, 3.0]:
-            got = m.resolvent_scalar(a, r)
-            ref = math.exp(-math.sqrt(2 * a) * r) / (2 * math.pi * r)
-            assert got == pytest.approx(ref, rel=1e-10)
+    cases = ([(a, r) for a in [1.0, 4.0] for r in [0.1, 0.7, 3.0]]
+             + [(a, r) for a in [1.0, 16.0] for r in [1e-16, 1e-14]])
+    for a, r in cases:
+        got = m.resolvent_scalar(a, r)
+        ref = math.exp(-math.sqrt(2 * a) * r) / (2 * math.pi * r)
+        assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_resolvent_interpolant_matches_scalar():
@@ -235,6 +237,20 @@ def test_stable_resolvent_matches_laplace_transform():
             * float(np.asarray(m.pt_radial(s, np.array([r])))[0]),
             0.0, np.inf, epsrel=1e-11, limit=600)
         assert got == pytest.approx(ref, rel=1e-5)
+
+
+def test_custom_resolvent_matches_laplace_transform():
+    # an oracle independent of the r_1 panels that both the table and the
+    # scalar read: the Laplace transform in time of p_s(r)
+    m = make_kernel_model("custom", dim=3, nu=3.0, beta=2.0,
+                          profile=parse_profile("exp:2"))
+    for a, r in [(1.0, 0.3), (7.9, 1.9), (30.0, 0.02)]:
+        got = m.resolvent_scalar(a, r)
+        f = lambda s: (math.exp(-a * s)
+                       * float(np.asarray(m.pt_radial(s, np.array([r])))[0]))
+        ref = sum(integrate.quad(f, lo, hi, epsrel=1e-12, limit=600)[0]
+                  for lo, hi in [(0.0, r * r), (r * r, 1.0), (1.0, np.inf)])
+        assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_stable_resolvent_at_zero_closed_form():
