@@ -361,8 +361,14 @@ class ScalingKernelModel(HeatKernelModel):
         return alpha ** (nu / beta - 1.0) * float(self._r1(np.array([u]))[0])
 
 
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """math.erfc element-wise into a float array (no scipy.special)."""
+    return np.fromiter(map(math.erfc, z.ravel()), float, z.size).reshape(z.shape)
+
+
 class GaussianKernelModel(ScalingKernelModel):
-    """Brownian heat kernel p_t(r) = (2 pi t)^{-d/2} exp(-r^2 / 2t)."""
+    """Brownian heat kernel p_t(r) = (2 pi t)^{-d/2} exp(-r^2 / 2t); for odd d
+    q_t and r_alpha are closed forms, with no r_1 table and no scipy.special."""
 
     family = "gaussian"
 
@@ -373,27 +379,60 @@ class GaussianKernelModel(ScalingKernelModel):
         super().__init__(space, profile)
         self.dim = dim
 
+    def _odd_resolvent(self, alpha: float, r) -> np.ndarray:
+        """r_alpha(r) = 2 (2 pi)^{-d/2} (r/k)^{1-d/2} K_{n+1/2}(kr), k = sqrt(2 alpha),
+        n = |d-2|//2, with the finite sum K_{n+1/2}(z) = sqrt(pi/2z) e^{-z}
+        sum_{j<=n} (n+j)!/(j!(n-j)!) (2z)^{-j}; 1/k at r = 0 for d = 1."""
+        d, k = self.dim, math.sqrt(2.0 * alpha)
+        n = abs(d - 2) // 2
+        z = k * np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = sum(math.factorial(n + j) / (math.factorial(j) * math.factorial(n - j))
+                        * (2.0 * z) ** -j for j in range(n + 1))
+            return k ** (d - 2.0) * (2.0 * math.pi * z) ** ((1.0 - d) / 2.0) * np.exp(-z) * terms
+
+    def resolvent_radial(self, alpha: float) -> Callable:
+        if self.dim % 2 == 0:
+            return super().resolvent_radial(alpha)
+        return lambda r: self._odd_resolvent(alpha, r)
+
+    def resolvent_scalar(self, alpha: float, r: float) -> float:
+        if self.dim % 2 == 0:
+            return super().resolvent_scalar(alpha, r)
+        return float(self._odd_resolvent(alpha, np.array([r]))[0])
+
     def qt_radial(self, t: float) -> Callable:
-        from scipy import special
         d = self.dim
 
         def qt(r):
             r = np.asarray(r, dtype=float)
-            if d == 1:
-                # sqrt(2t/pi) e^{-z^2} - r erfc(z), z = r / sqrt(2t), with erfc
-                # = e^{-z^2} erfcx so that the far tail does not cancel
-                z = r / math.sqrt(2.0 * t)
-                return (np.sqrt(2.0 * t / math.pi) * np.exp(-(r**2) / (2.0 * t))
-                        * (1.0 - math.sqrt(math.pi) * z * special.erfcx(z)))
             x = r**2 / (2.0 * t)
-            if d == 2:
-                with np.errstate(divide="ignore"):
-                    out = special.exp1(x) / (2.0 * math.pi)
-                return np.where(r == 0.0, INF, out)
-            a = d / 2.0 - 1.0
-            with np.errstate(divide="ignore"):
-                out = ((2.0 * math.pi) ** (-d / 2.0) * (r**2 / 2.0) ** (1.0 - d / 2.0)
-                       * math.gamma(a) * special.gammaincc(a, x))
+            if d == 1:
+                # sqrt(2t/pi) e^{-z^2} - r erfc(z), z = r / sqrt(2t); for z >= 2
+                # the bracket 1 - sqrt(pi) z erfcx(z) = K/(z + K) is a continued
+                # fraction, K = (1/2)/(z + 1/(z + (3/2)/(z + ...))), so the far
+                # tail does not cancel
+                z = np.sqrt(x.ravel())
+                out = math.sqrt(2.0 * t / math.pi) * np.exp(-x.ravel())
+                near = z < 2.0
+                out[near] -= r.ravel()[near] * _erfc(z[near])
+                zf, K = z[~near], 0.0
+                for j in range(60, 0, -1):
+                    K = 0.5 * j / (zf + K)
+                out[~near] *= K / (zf + K)
+                return out.reshape(r.shape)
+            if d % 2:
+                # Gamma(d/2 - 1, x) from Gamma(1/2, x) = sqrt(pi) erfc(sqrt x)
+                # by Gamma(b + 1, x) = b Gamma(b, x) + x^b e^{-x}
+                G = math.sqrt(math.pi) * _erfc(np.sqrt(x))
+                for b in np.arange(0.5, d / 2.0 - 1.0):
+                    G = b * G + x**b * np.exp(-x)
+            else:
+                from scipy import special
+                a = d / 2.0 - 1.0
+                G = special.exp1(x) if d == 2 else math.gamma(a) * special.gammaincc(a, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = (2.0 * math.pi) ** (-d / 2.0) * (r**2 / 2.0) ** (1.0 - d / 2.0) * G
             return np.where(r == 0.0, INF, out)
 
         return qt

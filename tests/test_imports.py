@@ -44,10 +44,12 @@ def _loaded_scipy_modules(code: str) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    code += ("\nimport sys; print('\\nscipy:', "
+             "*(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return set(out.split())
+    # the last line, after whatever the code itself printed
+    return set(out.splitlines()[-1].split()[1:])
 
 
 def test_import_katolab_loads_no_scipy():
@@ -88,3 +90,16 @@ def test_radial_density_ball_mass_and_eta_load_no_quad():
         "eta = estimate_eta(mu, [np.zeros(3)], 2.0 ** -np.arange(7, 12))\n"
         "assert abs(eta - 2.0) < 1e-6, eta")
     assert "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("name", ["delta0-d1", "brownian-d3-lebesgue", "sphere-d3"])
+def test_odd_gaussian_classify_loads_no_scipy(tmp_path, name):
+    # odd-d Gaussian kernels are closed forms in elementary functions and
+    # math.erfc: no resolvent table and no scipy.special
+    cfg = SRC.parents[1] / "configs" / f"{name}.cfg"
+    loaded = _loaded_scipy_modules(
+        "import katolab.cli\n"
+        f"assert katolab.cli.main(['classify', '--config', {str(cfg)!r}, "
+        f"'--seed', '7', '--out', {str(tmp_path)!r}]) == 0")
+    assert (tmp_path / "classify.csv").exists()
+    assert loaded == set()

@@ -80,15 +80,64 @@ def test_gaussian_resolvent_d1_closed_form():
 
 
 def test_gaussian_resolvent_d3_closed_form():
-    # r_alpha(x, y) = e^{-sqrt(2 alpha) r} / (2 pi r); the tiny radii lie
-    # below the r_1 panels' reach, where the table's continuation serves
+    # r_alpha(x, y) = e^{-sqrt(2 alpha) r} / (2 pi r), down to radii far
+    # below the reach of a scaling model's r_1 panels
     m = GaussianKernelModel(dim=3)
     cases = ([(a, r) for a in [1.0, 4.0] for r in [0.1, 0.7, 3.0]]
              + [(a, r) for a in [1.0, 16.0] for r in [1e-16, 1e-14]])
     for a, r in cases:
         got = m.resolvent_scalar(a, r)
         ref = math.exp(-math.sqrt(2 * a) * r) / (2 * math.pi * r)
-        assert got == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_gaussian_qt_d1_far_tail_against_mpmath():
+    # z = r/sqrt(2t) on [2, 26] with t = 1/2 and dyadic r, so that z^2 is
+    # exact in double precision and the comparison sees only the kernel
+    mpmath = pytest.importorskip("mpmath")
+    m = GaussianKernelModel(dim=1)
+    zs = np.arange(2.0, 26.0 + 1e-9, 0.125)
+    got = m.qt_radial(0.5)(zs)
+    for z, g in zip(zs, got):
+        with mpmath.workdps(40):
+            zm = mpmath.mpf(z)
+            ref = float(mpmath.exp(-zm**2) / mpmath.sqrt(mpmath.pi) - zm * mpmath.erfc(zm))
+        assert g == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_gaussian_qt_d1_continuous_across_branch_switch():
+    # the erfc difference serves z < 2, the continued fraction z >= 2
+    m = GaussianKernelModel(dim=1)
+    for t in [1.0, 4.0**-8]:
+        for z in [1.999, 2.0, 2.001]:
+            r = z * math.sqrt(2.0 * t)
+            got = float(m.qt_radial(t)(np.array([r]))[0])
+            ref, _ = integrate.quad(
+                lambda s: (2 * math.pi * s) ** -0.5 * math.exp(-(r**2) / (2 * s)),
+                0.0, t, epsrel=1e-13, epsabs=0.0, limit=200)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _gaussian_p(d, s, r):
+    return (2 * math.pi * s) ** (-d / 2) * math.exp(-(r**2) / (2 * s))
+
+
+def test_gaussian_d5_kernels_against_time_integrals():
+    # d = 5: K_{3/2} in r_alpha and Gamma(3/2, x) in q_t, each against a
+    # quad in time of the heat kernel itself
+    m = GaussianKernelModel(dim=5)
+    for a, r in [(1.0, 0.3), (7.9, 1.9), (30.0, 0.02), (0.5, 4.0)]:
+        f = lambda s: math.exp(-a * s) * _gaussian_p(5, s, r)
+        ref = sum(integrate.quad(f, lo, hi, epsrel=1e-13, epsabs=0.0, limit=400)[0]
+                  for lo, hi in [(0.0, r * r), (r * r, 1.0), (1.0, np.inf)])
+        assert m.resolvent_scalar(a, r) == pytest.approx(ref, rel=1e-12)
+        assert float(m.resolvent_radial(a)(np.array([r]))[0]) == m.resolvent_scalar(a, r)
+    for t, r in [(1.0, 0.4), (0.04, 0.9), (2.0, 3.0)]:
+        ref = sum(integrate.quad(lambda s: _gaussian_p(5, s, r), lo, hi,
+                                 epsrel=1e-13, epsabs=0.0, limit=400)[0]
+                  for lo, hi in [(0.0, min(r * r, t) / 2), (min(r * r, t) / 2, t)])
+        got = float(m.qt_radial(t)(np.array([r]))[0])
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_resolvent_interpolant_matches_scalar():
@@ -118,7 +167,7 @@ def test_one_resolvent_table_serves_every_classify_alpha(monkeypatch):
     cfg = ClassifyConfig()
     alphas = sorted(set(cfg.localized_alphas) | set(cfg.alpha_grid))
     assert len(alphas) == 9
-    m = GaussianKernelModel(dim=3)
+    m = GaussianKernelModel(dim=2)
     built = []
     build = m._build_resolvent_interp
     monkeypatch.setattr(m, "_build_resolvent_interp",
@@ -126,6 +175,22 @@ def test_one_resolvent_table_serves_every_classify_alpha(monkeypatch):
     for a in alphas:
         m.resolvent_radial(a)
     assert built == [1.0]
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_odd_gaussian_builds_no_resolvent_table(monkeypatch, d):
+    cfg = ClassifyConfig()
+    alphas = sorted(set(cfg.localized_alphas) | set(cfg.alpha_grid))
+    m = GaussianKernelModel(dim=d)
+    built = []
+    monkeypatch.setattr(m, "_build_resolvent_interp", built.append)
+    rs = np.geomspace(1e-20, 30.0, 50)
+    for a in alphas:
+        assert np.all(np.isfinite(m.resolvent_radial(a)(rs)))
+        assert math.isfinite(m.resolvent_scalar(a, 0.3))
+    assert np.all(np.isfinite(m.qt_radial(0.5)(rs)))
+    assert built == []
+    assert "_panels" not in vars(m)
 
 
 @pytest.mark.parametrize("model", [
