@@ -253,6 +253,8 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
                         "criteria skipped")
 
     criteria = {k: _verdicts(f)[0] for k, f in fits.items()}
+    certified_div = any(f.verdict == "diverges" and f.certified
+                        for f in fits.values())
 
     if spec.regime == "trivial":
         # equivalence with the kernel criteria is known to fail here:
@@ -273,12 +275,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         seen = set(criteria.values())
         if len(seen) > 1:
             findings.append(f"criteria disagree: {criteria}")
-            certified = any(f.verdict == "diverges" and f.certified
-                            for f in fits.values())
-            if certified:
-                verdict_K = verdict_D = "out"
-            else:
-                verdict_K = verdict_D = "undecided"
+            verdict_K = verdict_D = "out" if certified_div else "undecided"
         else:
             # Dynkin membership is finiteness at some fixed scale, judged
             # from the global semigroup sweep
@@ -290,8 +287,6 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
 
     # near the sharp threshold finite grids cannot distinguish the
     # log-corrected cases, unless divergence was certified outright
-    certified_div = any(f.verdict == "diverges" and f.certified
-                        for f in fits.values())
     if (eta_hat is not None and nu > beta
             and abs(eta_hat - p * (nu - beta)) < THRESHOLD_BAND
             and not certified_div):

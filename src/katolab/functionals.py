@@ -205,19 +205,34 @@ def panel_memo(f):
     """f evaluated once per distinct argument (its shape and bytes) for as long
     as the returned callable lives; None stays None.  All centers of a sup,
     and all criteria about one center, integrate over panels with
-    bit-identical nodes.  Callers share each result: none may write into it."""
+    bit-identical nodes.  A 2-d argument (one panel per row) not seen whole
+    is served row by row, f seeing only new rows, in one call; f must treat
+    each row as it would alone.  Callers share each result: none may write
+    into it."""
     if f is None:
         return None
-    memo = {}
+    memo, rows = {}, {}
 
     def served(s):
         s = np.asarray(s, dtype=float)
         key = (s.shape, s.tobytes())
         if key not in memo:
-            memo[key] = f(s)
+            memo[key] = f(s) if s.ndim != 2 else _by_row(f, s, rows)
         return memo[key]
 
     return served
+
+
+def _by_row(f, s: np.ndarray, rows: dict):
+    """f(s) from rows[row bytes] = (values, stated error or None)."""
+    keys = [row.tobytes() for row in s]
+    new = {k: i for i, k in enumerate(keys) if k not in rows}
+    if new:
+        out = f(s[list(new.values())])
+        vals, gaps = out if isinstance(out, tuple) else (out, None)
+        rows.update(zip(new, zip(vals, np.broadcast_to(gaps, len(new)))))
+    vals, gaps = zip(*(rows[k] for k in keys))
+    return np.stack(vals) if gaps[0] is None else (np.stack(vals), np.array(gaps))
 
 
 def _require_kernel_support(mu: MeasureRep) -> None:

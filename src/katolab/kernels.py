@@ -120,7 +120,7 @@ class HeatKernelModel:
 
         def h(t):
             t = np.asarray(t, dtype=float)
-            vol = np.maximum(np.array([V(x) for x in np.atleast_1d(t)]), t**nu)
+            vol = np.maximum(np.array([V(x) for x in t.ravel()]).reshape(t.shape), t**nu)
             return vol * np.asarray(self.phi2(t)) / t
 
         res = integrate_outward(h, 1.0)
@@ -545,11 +545,11 @@ def _late_branch_integral(model: StableEstimateModel, t1: float, t2: float, r):
     """int_{t1}^{t2} p_s(r) ds over the large-time branch, vectorized in r."""
     from scipy import integrate
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
+    out = np.empty(r.size)
+    for i, ri in enumerate(r.ravel()):
         f = lambda s: float(model.pt_radial(s, np.array([ri]))[0])
         out[i], _ = integrate.quad(f, t1, t2, epsrel=1e-9, limit=200)
-    return out
+    return out.reshape(r.shape)
 
 
 class StretchedExponentialModel(ScalingKernelModel):

@@ -180,7 +180,10 @@ class Density(MeasureRep):
             return vals.reshape(len(s), -1) @ w
 
         def m(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
+            s = np.asarray(s, dtype=float)
+            if s.ndim == 2:  # one panel per row, each its own batch of radii
+                return tuple(map(np.array, zip(*map(m, s))))
+            s = np.atleast_1d(s)
             q, gap = mean(s, orders[0]), 1.0
             for n in orders[1:]:
                 q2 = mean(s, n)
@@ -229,8 +232,8 @@ class RadialDensity(MeasureRep):
 
         def m(s):
             s = np.atleast_1d(np.asarray(s, dtype=float))
-            rad = s[:, None] if rho == 0.0 else np.sqrt(np.maximum(
-                rho**2 + s[:, None] ** 2 + 2.0 * rho * s[:, None] * us[None, :], 0.0))
+            rad = s[..., None] if rho == 0.0 else np.sqrt(np.maximum(
+                rho**2 + s[..., None] ** 2 + 2.0 * rho * s[..., None] * us, 0.0))
             vals = f(rad)
             if math.isfinite(sup):
                 vals = vals * (rad <= sup)
@@ -377,21 +380,21 @@ class AhlforsAbstract(MeasureRep):
 # integration operations
 
 
-def _atom_sum(g_radial: Callable, ds: np.ndarray, ws: np.ndarray) -> float:
-    """sum_i w_i g(d_i), exact; +inf when an atom of positive weight at
+def _atom_sums(g_radial: Callable, ds: np.ndarray, ws: np.ndarray,
+               radii: list) -> list[float]:
+    """sum_i w_i g(d_i) over the atoms at distance <= r, for each r of radii,
+    exact, from one call of g; +inf when an atom of positive weight at
     distance 0 meets a kernel that is infinite at 0."""
-    ds, ws = ds[ws != 0.0], ws[ws != 0.0]
-    total = 0.0
+    keep = (ws != 0.0) & (ds <= max(radii))
+    ds, ws = ds[keep], ws[keep]
+    gs = np.asarray(g_radial(ds)) if len(ds) else ds
     at_center = ds == 0.0
-    if np.any(at_center):
-        g0 = float(np.asarray(g_radial(np.array([0.0])))[0])
-        if not math.isfinite(g0):
-            return INF
-        total += float(ws[at_center].sum()) * g0
-    if np.any(~at_center):
-        total += float(np.dot(ws[~at_center],
-                              np.asarray(g_radial(ds[~at_center]))))
-    return total
+    g0 = float(gs[at_center][0]) if np.any(at_center) else 0.0
+    if not math.isfinite(g0):
+        return [INF] * len(radii)
+    center = float(ws[at_center].sum()) * g0
+    return [center + float(np.dot(ws[far], gs[far]))
+            for far in (~at_center & (ds <= rk) for rk in radii)]
 
 
 def _integrand(g_radial: Callable, m: Callable) -> Callable:
@@ -421,7 +424,7 @@ def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
     _check_hint(g_radial, radii, hint)
 
     ds, ws = mu.radial_atoms(x)
-    atoms = [_atom_sum(g_radial, ds[ds <= rk], ws[ds <= rk]) for rk in radii]
+    atoms = _atom_sums(g_radial, ds, ws, radii)
     m = mu.radial_mass_density(x)
     if m is None:
         out = [FunctionalEstimate(a, 0.0, diverged=math.isinf(a)) for a in atoms]
@@ -450,7 +453,7 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable,
 
     ds, ws = mu.radial_atoms(x)
     outside = ds > R_SPLIT
-    tail = _atom_sum(g_radial, ds[outside], ws[outside])
+    tail = _atom_sums(g_radial, ds[outside], ws[outside], [INF])[0]
     m = mu.radial_mass_density(x)
     if m is None:
         return FunctionalEstimate(head.value + tail, head.error)

@@ -9,7 +9,6 @@ returned together with a flag and the observed growth rate.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,10 +20,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 #: panel-to-panel ratio above which decay is no longer considered geometric
 GEOMETRIC_RATIO_MAX = 0.97
 
-#: integrate_to_zero's levels before the first tail-window check, and the
-#: further levels it may add before it stops at the depth cap
+#: integrate_to_zero's levels before the first tail-window check, the levels
+#: it adds after the first geometric window, the further levels it may add
+#: before it stops at the depth cap, and the most levels one round evaluates
+#: for a radius whose window still grows
 MIN_LEVELS = 16
+SETTLE_LEVELS = 9
 MAX_EXTRA_LEVELS = 32
+GROWING_CHUNK = 8
 
 #: integrate_outward stops once two panels in a row add at most this share
 #: of the sum, or after this many panels
@@ -58,13 +61,16 @@ class RadiusSweep(list):
         return any(res.diverged for res in self)
 
 
-def gauss_panel(h: Callable, a: float, b: float):
-    """32-node Gauss-Legendre rule on [a, b] for a vectorized integrand h;
-    if h returns (values, relative error), as inexact values do, the rule
-    returns (integral, that error)."""
-    out = h(0.5 * (b - a) * _GL_NODES + 0.5 * (a + b))
+def gauss_panel(h: Callable, a, b):
+    """32-node Gauss-Legendre rule on [a, b] for a vectorized integrand h; for
+    arrays of edges, on every panel [a_i, b_i] from one call of h on an (n, 32)
+    node array, one row per panel.  If h returns (values, relative error), as
+    inexact values do, the rule returns (integrals, those errors)."""
+    half = 0.5 * (np.asarray(b, dtype=float) - a)
+    out = h(half[..., None] * _GL_NODES + (0.5 * (np.asarray(a, dtype=float) + b))[..., None])
     y, gap = split_error(out)
-    value = 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * np.asarray(y, dtype=float)))
+    value = half * np.sum(_GL_WEIGHTS * np.asarray(y, dtype=float), axis=-1)
+    value = value if np.ndim(value) else float(value)
     return (value, gap) if isinstance(out, tuple) else value
 
 
@@ -170,7 +176,8 @@ def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
     on its own panels, read from one store keyed by the panel edges: a
     panel that several radii share (on a dyadic grid the panels of r 2^-k
     are those of r from the k-th on) is evaluated once, and a radius gets
-    the same panels, bit for bit, on any grid.
+    the same panels, bit for bit, on any grid.  The radii advance in rounds,
+    so h sees (n, 32) node arrays and must map each row as it would alone.
 
     Integrands with an interior boundary layer (kernel time/resolvent
     scales) first rise and then settle into their asymptotic decay; the
@@ -178,67 +185,87 @@ def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
     unambiguous: either every recent ratio is geometric (converged) or none
     is (nothing decays toward 0: divergent).
     """
-    panel = functools.cache(lambda a, b: split_error(gauss_panel(h, a, b)))
-    out = RadiusSweep(_to_zero(panel, float(rk)) for rk in np.atleast_1d(r))
-    return out if np.ndim(r) else out[0]
+    out = _in_rounds(h, [_to_zero(float(rk)) for rk in np.atleast_1d(r)])
+    return RadiusSweep(out) if np.ndim(r) else out[0]
 
 
-def _to_zero(panel: Callable, r: float) -> IntegralResult:
-    """integrate_to_zero's pass over (0, r], panel(a, b) giving (value, gap)."""
+def _in_rounds(h: Callable, passes: list) -> list:
+    """Run the generator passes to their results in rounds: a pass yields the
+    edges of the panels it reads next and is sent their (value, gap) pairs;
+    one round evaluates all asked panels the store, keyed by edges, lacks."""
+    store, results = {}, [None] * len(passes)
+    asks = dict.fromkeys(range(len(passes)), ())  # a fresh pass is sent None
+    while asks:
+        new = list(dict.fromkeys(e for edges in asks.values() for e in edges
+                                 if e not in store))
+        if new:
+            store.update(zip(new, _panels(h, new)))
+        for i, edges in list(asks.items()):
+            try:
+                asks[i] = passes[i].send([store[e] for e in edges] or None)
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+    return results
+
+
+def _panels(h: Callable, edges: list) -> list:
+    """(value, gap) of each panel (a, b) of edges, from one gauss_panel call."""
+    values, gaps = split_error(gauss_panel(h, *np.array(edges).T))
+    return list(zip(values.tolist(), np.broadcast_to(gaps, values.shape).tolist()))
+
+
+def _to_zero(r: float):
+    """integrate_to_zero's pass over (0, r], a generator for _in_rounds: it
+    asks for the MIN_LEVELS levels, the SETTLE_LEVELS after a geometric
+    window, or up to GROWING_CHUNK levels while the window grows."""
     if r <= 0:
         return IntegralResult(0.0, 0.0, False, "negligible", 0)
-    panels: list[float] = []
-    gaps: list[float] = []
-    j = 0
-    settle = -1  # levels still to add after the first geometric window
-    while True:
-        value, gap = panel(r * 2.0 ** -(j + 1), r * 2.0 ** -j)
-        panels.append(value)
-        gaps.append(gap)
-        j += 1
-        if settle > 0:
-            settle -= 1
+    cap = MIN_LEVELS + MAX_EXTRA_LEVELS
+    fetched: list = []  # (value, gap) of levels 0, 1, ...
+    stop, settling = MIN_LEVELS, False  # next decision after `stop` levels
+    for j in range(cap + SETTLE_LEVELS):
+        if j == len(fetched):
+            end = stop if settling or j < MIN_LEVELS else min(j + GROWING_CHUNK, cap)
+            fetched += yield [(r * 2.0 ** -(k + 1), r * 2.0 ** -k) for k in range(j, end)]
+        if j + 1 < stop:
             continue
-        if settle == 0:
+        if settling:
             break
-        if j < MIN_LEVELS:
-            continue
-        state, _ = _tail_window(panels)
-        if state in ("nonfinite", "negligible"):
+        state, _ = _tail_window([value for value, _ in fetched[:stop]])
+        if state in ("nonfinite", "negligible") or state == "growing" and stop >= cap:
             break
-        if state == "geometric":
-            # decay rate found; deepen a little more so the extrapolated
-            # remainder is a small share of the total
-            settle = 8
-            continue
-        # no early divergence break: a window of growing panels can be a
-        # transient crossover layer, so keep deepening to the depth cap
-        if j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
-            break
+        # geometric: decay rate found; deepen a little more so the extrapolated
+        # remainder is a small share of the total.  Growing: a growing window
+        # can be a transient crossover layer, so deepen up to the depth cap
+        settling = state == "geometric"
+        stop += SETTLE_LEVELS if settling else 1
+    panels, gaps = zip(*fetched[:stop])
     res = _analyze_panels(panels)
-    if res.reason == "growing" and j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
+    if res.reason == "growing" and stop >= cap:
         res.reason = "depth_cap"
     if not res.diverged:
-        res.quad_error += max([0.0] + gaps) * abs(res.value)
+        res.quad_error += max((0.0,) + gaps) * abs(res.value)
     return res
 
 
 def integrate_outward(h: Callable, r0: float) -> IntegralResult:
     """Integrate h over [r0, inf) by dyadic doubling with a decay check: it
     stops once two panels in a row add at most OUTWARD_REL_TOL of the sum.
-    The bar adds each panel's stated relative error times the panel."""
-    panels: list[float] = []
+    The bar adds each panel's stated relative error times the panel.  The
+    three panels it always reads come from one call of h."""
+    fetched = _panels(h, [(r0 * 2.0**k, r0 * 2.0 ** (k + 1)) for k in range(3)])
     acc = angular = 0.0
     for k in range(OUTWARD_MAX_LEVELS):
-        p, gap = split_error(gauss_panel(h, r0 * 2.0**k, r0 * 2.0 ** (k + 1)))
-        panels.append(p)
+        if k == len(fetched):
+            fetched += _panels(h, [(r0 * 2.0**k, r0 * 2.0 ** (k + 1))])
+        p, gap = fetched[k]
         acc += p
         angular += gap * abs(p)
         small = OUTWARD_REL_TOL * max(acc, 1e-300)
-        if len(panels) >= 3 and p <= small and panels[-2] <= small:
-            return IntegralResult(acc, p + angular, False, "negligible",
-                                  len(panels))
-    res = _analyze_panels(panels)
+        if k >= 2 and p <= small and fetched[k - 1][0] <= small:
+            return IntegralResult(acc, p + angular, False, "negligible", k + 1)
+    res = _analyze_panels([p for p, _ in fetched])
     if not res.diverged:
         res.quad_error += angular
     return res

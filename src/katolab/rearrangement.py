@@ -63,7 +63,7 @@ def right_continuous_inverse(f: Callable) -> Callable:
 
     def inv(t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([scalar(v) for v in arr])
+        out = np.array([scalar(v) for v in arr.ravel()]).reshape(arr.shape)
         return out if np.ndim(t) else float(out[0])
 
     return inv

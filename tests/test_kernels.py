@@ -481,3 +481,45 @@ def test_invariant_suite_clean(family, kw):
     model = make_kernel_model(family, **kw)
     rows = kernel_invariant_suite(model, n_samples=200, seed=1)
     assert all(fails == 0 for _, _, fails in rows), rows
+
+
+# --------------------------------------------------------------------------
+# panel arrays: a dyadic sweep hands every kernel an (n, 32) node array
+
+
+def _panel_nodes(n: int = 6) -> np.ndarray:
+    """The nodes of n dyadic panels below r = 1.5, one panel per row."""
+    edges = 1.5 * 2.0 ** -np.arange(n + 1.0)
+    a, b = edges[1:, None], edges[:-1, None]
+    return 0.5 * (b - a) * np.polynomial.legendre.leggauss(32)[0] + 0.5 * (a + b)
+
+
+def _assert_rowwise(f, s):
+    out = np.asarray(f(s))
+    assert out.shape == s.shape
+    assert np.array_equal(out, np.stack([np.asarray(f(row)) for row in s]))
+
+
+@pytest.mark.parametrize("model", [
+    GaussianKernelModel(dim=1),
+    GaussianKernelModel(dim=2),
+    GaussianKernelModel(dim=3),
+    GaussianKernelModel(dim=5),
+    StableEstimateModel(dim=2, alpha=1.2),
+    StretchedExponentialModel(d_f=2.0, d_w=3.0, d_J=2.5,
+                              c1=1.0, c2=1.0, c3=1.0, c4=1.0),
+    synthetic_scaling_model(nu=2.0, beta=1.5, dim=2),
+], ids=["gauss-d1", "gauss-d2", "gauss-d3", "gauss-d5", "stable",
+        "stretched-exp", "synthetic"])
+def test_radial_kernels_map_panel_arrays_row_by_row(model):
+    s = _panel_nodes()
+    for t in [0.05, 0.5]:
+        _assert_rowwise(model.qt_radial(t), s)
+    for a in [0.5, 4.0]:
+        _assert_rowwise(model.resolvent_radial(a), s)
+
+
+def test_relativistic_late_branch_maps_panel_arrays_row_by_row():
+    # t > 1/m adds the late branch, one quad per radius
+    m = StableEstimateModel(dim=1, alpha=1.5, m=0.5)
+    _assert_rowwise(m.qt_radial(3.0), _panel_nodes()[::3, ::8])

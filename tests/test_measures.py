@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from katolab.errors import DiagnosticsError, DomainError, ValidationError
 from katolab.measures import (
+    AhlforsAbstract,
     Density,
     PointMasses,
     RadialDensity,
@@ -403,3 +404,35 @@ def test_unit_ball_volume_values():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
+
+
+# --------------------------------------------------------------------------
+# panel arrays: a dyadic sweep hands m an (n, 32) node array
+
+
+def test_radial_mass_densities_map_panel_arrays_row_by_row():
+    edges = 1.5 * 2.0 ** -np.arange(7.0)
+    a, b = edges[1:, None], edges[:-1, None]
+    s = 0.5 * (b - a) * np.polynomial.legendre.leggauss(32)[0] + 0.5 * (a + b)
+    x3 = np.array([0.3, -0.2, 0.5])
+    bump = lambda y: math.exp(-float((y - 0.4) @ (y - 0.4)))
+    cases = [
+        (lebesgue(3), x3),
+        (Density(bump, dim=3), x3),
+        (Density(bump, dim=2, support_radius=1.0), x3[:2]),
+        (RadialDensity(power_profile(-1.5), dim=3, support_radius=1.0), np.zeros(3)),
+        (RadialDensity(power_profile(-1.5), dim=3, support_radius=1.0), x3),
+        (SphereSurface(np.zeros(3), 1.0, 2.0), x3),
+        (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5), np.zeros(1)),
+    ]
+    for mu, x in cases:
+        m = mu.radial_mass_density(x)
+        out, rows = m(s), [m(row) for row in s]
+        if isinstance(out, tuple):  # (values, relative error), one error per row
+            assert out[0].shape == s.shape and out[1].shape == (len(s),)
+            assert np.array_equal(out[0], np.stack([v for v, _ in rows]))
+            assert np.array_equal(out[1], [gap for _, gap in rows])
+        else:
+            assert out.shape == s.shape
+            assert np.array_equal(out, np.stack(rows))
+    assert PointMasses([(x3, 1.0)]).radial_mass_density(x3) is None

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katolab.kernels import GaussianKernelModel
+from katolab.measures import Density, _integrand
 from katolab import quadrature
 from katolab.quadrature import (
     GEOMETRIC_RATIO_MAX,
@@ -13,6 +14,7 @@ from katolab.quadrature import (
     MAX_EXTRA_LEVELS,
     MIN_LEVELS,
     OUTWARD_MAX_LEVELS,
+    SETTLE_LEVELS,
     gauss_panel,
     integrate_outward,
     integrate_to_zero,
@@ -109,7 +111,8 @@ def test_quad_error_is_reported():
 def test_reason_geometric():
     res = integrate_to_zero(lambda s: np.asarray(s, dtype=float) ** -0.5, 1.0)
     assert (res.reason, res.diverged) == ("geometric", False)
-    assert MIN_LEVELS < res.levels < MIN_LEVELS + MAX_EXTRA_LEVELS
+    # geometric at the first check, then SETTLE_LEVELS more
+    assert res.levels == MIN_LEVELS + SETTLE_LEVELS
     assert res.value == pytest.approx(2.0, rel=1e-12)
 
 
@@ -141,26 +144,111 @@ def test_reason_nonfinite():
 
 
 def test_radius_grid_reads_shared_panels_once(monkeypatch):
-    calls = []
+    panels = []  # every (a, b) passed to gauss_panel, one per panel
     orig = quadrature.gauss_panel
 
     def counted(h, a, b):
-        calls.append((a, b))
+        panels.extend(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
         return orig(h, a, b)
 
     monkeypatch.setattr(quadrature, "gauss_panel", counted)
     h = lambda s: np.asarray(s, dtype=float) ** -0.5
     for grid in ([0.5, 0.25, 0.125], [0.3, 0.2, 0.15]):
-        calls.clear()
+        panels.clear()
         singles = [integrate_to_zero(h, r) for r in grid]
-        n_single = len(calls)
-        calls.clear()
+        n_single = len(panels)
+        panels.clear()
         sweep = integrate_to_zero(h, np.array(grid))
         assert sweep == singles  # bit for bit, reasons and levels included
-        assert len(calls) == len(set(calls))  # no panel evaluated twice
-        assert len(calls) < n_single
+        assert len(panels) == len(set(panels))  # no panel evaluated twice
+        assert len(panels) < n_single
     assert not sweep.diverged
     assert integrate_to_zero(lambda s: 1.0 / np.asarray(s), [1.0, 0.5]).diverged
+
+
+def _sequential_to_zero(h, r):
+    """integrate_to_zero's stopping rule on one radius, one scalar gauss_panel
+    call per panel: the reference for the batched rounds."""
+    panels, gaps, j, settle = [], [], 0, -1
+    while True:
+        value, gap = quadrature.split_error(
+            gauss_panel(h, r * 2.0 ** -(j + 1), r * 2.0 ** -j))
+        panels.append(value)
+        gaps.append(gap)
+        j += 1
+        if settle > 0:
+            settle -= 1
+            continue
+        if settle == 0:
+            break
+        if j < MIN_LEVELS:
+            continue
+        state, _ = quadrature._tail_window(panels)
+        if state in ("nonfinite", "negligible"):
+            break
+        if state == "geometric":
+            settle = SETTLE_LEVELS - 1
+        elif j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
+            break
+    res = quadrature._analyze_panels(panels)
+    if res.reason == "growing" and j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
+        res.reason = "depth_cap"
+    if not res.diverged:
+        res.quad_error += max([0.0] + gaps) * abs(res.value)
+    return res
+
+
+def _crossover(s):
+    s = np.asarray(s, dtype=float)
+    return np.where(s > 1e-4, (s / 1e-4) ** -3.0, (s / 1e-4) ** 0.5)
+
+
+@pytest.mark.parametrize("h,reason", [
+    (lambda s: np.asarray(s, dtype=float) ** -0.5, "geometric"),
+    (lambda s: 1.0 / np.asarray(s), "depth_cap"),
+    (lambda s: np.zeros_like(np.asarray(s, float)), "negligible"),
+    (lambda s: np.full_like(np.asarray(s, float), np.inf), "nonfinite"),
+    (lambda s: np.asarray(s, dtype=float) ** (-1.0 + 0.05), "geometric"),
+    (_crossover, "geometric"),  # grows over several rounds, then settles
+], ids=["s^-0.5", "s^-1", "zeros", "inf", "s^-0.95", "crossover"])
+def test_rounds_equal_the_sequential_rule(h, reason):
+    for grid in ([0.5, 0.25, 0.125], [0.3, 0.2, 0.15]):
+        ref = [_sequential_to_zero(h, r) for r in grid]
+        assert integrate_to_zero(h, np.array(grid)) == ref  # bit for bit
+        assert [integrate_to_zero(h, r) for r in grid] == ref
+    assert {res.reason for res in ref} == {reason}
+
+
+def test_rounds_equal_the_sequential_rule_on_a_density():
+    # the density-offcenter bump seen from one of its centers: every panel
+    # chooses its angular order on its own, so f is called as often as with
+    # one call per panel
+    x0 = np.array([0.8, 0.0, 0.0])
+    calls = [0]
+
+    def bump(y):
+        calls[0] += 1
+        d = np.asarray(y, dtype=float) - x0
+        return math.exp(-float(d @ d))
+
+    mu = Density(bump, dim=3)
+    center = x0 + 0.8 * np.ones(3) / math.sqrt(3.0)
+    g = lambda s: np.asarray(s, dtype=float) ** -1.5
+    ref = _sequential_to_zero(_integrand(g, mu.radial_mass_density(center)), 0.5)
+    n_ref, calls[0] = calls[0], 0
+    got = integrate_to_zero(_integrand(g, mu.radial_mass_density(center)), 0.5)
+    assert got == ref and got.quad_error > 0.0
+    assert calls[0] == n_ref
+
+
+def test_gauss_panel_takes_edge_arrays():
+    h = lambda s: np.asarray(s, dtype=float) ** -0.5
+    a, b = np.array([0.25, 0.1, 1.0]), np.array([0.5, 0.3, 4.0])
+    got = gauss_panel(h, a, b)
+    assert got.shape == (3,)
+    assert list(got) == [gauss_panel(h, ai, bi) for ai, bi in zip(a, b)]
+    values, gaps = gauss_panel(lambda s: (h(s), np.full(len(s), 1e-9)), a, b)
+    assert np.array_equal(values, got) and np.array_equal(gaps, [1e-9] * 3)
 
 
 def _scipy_pchip(x, y):

@@ -106,8 +106,8 @@ LOCALIZED = ("kato_functional", "resolvent_functional", "semigroup_functional")
 
 
 def _localized_panels(monkeypatch, per_radius: bool) -> int:
-    """gauss_panel calls of the localized criteria in `classify` on
-    configs/sphere-d3.cfg, with each criterion called once per radius
+    """Panels passed to gauss_panel by the localized criteria in `classify`
+    on configs/sphere-d3.cfg, with each criterion called once per radius
     (the former way) or once per grid."""
     import katolab.classification as cls
 
@@ -115,9 +115,9 @@ def _localized_panels(monkeypatch, per_radius: bool) -> int:
     count = {"n": 0, "on": False}
     gauss_panel = quadrature.gauss_panel
 
-    def counted(*args):
-        count["n"] += count["on"]
-        return gauss_panel(*args)
+    def counted(h, a, b):
+        count["n"] += count["on"] * np.size(a)
+        return gauss_panel(h, a, b)
 
     monkeypatch.setattr(quadrature, "gauss_panel", counted)
     for name in LOCALIZED:
