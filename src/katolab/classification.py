@@ -126,7 +126,6 @@ class ClassifyConfig:
     r_grid: np.ndarray = field(
         default_factory=lambda: 2.0 ** -np.arange(2, 12, dtype=float))
     centers: CenterStrategy = field(default_factory=CenterStrategy)
-    fit_delta: bool = False
     seed: int = 7
 
     # scale grids shared by every config (class attributes, not fields)
@@ -148,8 +147,6 @@ class ClassificationReport:
     slope_ci: float
     predicted_threshold: float
     eta_hat: float | None
-    delta_hat: float | None
-    delta_ci: float | None
     findings: list
     provenance: dict
 
@@ -294,16 +291,11 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
                         "to undecided")
         verdict_K = verdict_D = "undecided"
 
-    delta_hat = delta_ci = None
-    if cfg.fit_delta and kernel_ok and verdict_K == "in":
-        delta_hat, delta_ci = fit_order_delta(shared, model, p, cfg, centers)
-
     primary = fits.get("sg_global", fits["green"])
     return ClassificationReport(
         p=p, verdict_K=verdict_K, verdict_D=verdict_D, criteria=criteria,
         fits=fits, sweeps=sweeps, fitted_slope=primary.slope, slope_ci=primary.slope_ci,
-        predicted_threshold=p_star, eta_hat=eta_hat,
-        delta_hat=delta_hat, delta_ci=delta_ci, findings=findings,
+        predicted_threshold=p_star, eta_hat=eta_hat, findings=findings,
         provenance={
             "r_grid": list(map(float, r_grid)),
             "t_grid": list(cfg.t_grid),

@@ -69,9 +69,6 @@ def cmd_classify(run: RunConfig, out_dir: Path) -> int:
         lines.append(f"  criteria: {rep.criteria}")
         lines.append(f"  primary slope = {rep.fitted_slope:.4f} "
                      f"+- {rep.slope_ci:.4f}")
-        if rep.delta_hat is not None:
-            lines.append(f"  delta_hat = {rep.delta_hat:.4f} "
-                         f"+- {rep.delta_ci:.4f}")
         for note in rep.findings:
             lines.append(f"  note: {note}")
         lines.append("  sup over finite center set "

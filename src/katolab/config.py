@@ -109,8 +109,7 @@ class RunConfig:
         classify = ClassifyConfig(
             r_grid=2.0 ** -np.arange(2, depth + 1, dtype=float),
             centers=centers,
-            seed=seed,
-            fit_delta=sweep.get("fit_delta", "false").lower() == "true")
+            seed=seed)
         return cls(model=model, measure=measure, p_list=p_list,
                    classify=classify, seed=seed)
 

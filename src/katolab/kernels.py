@@ -22,6 +22,8 @@ from .space import LOG_CAP, SpaceModel
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: radius range of a scaling model's r_1 table
 _R1_LO, _R1_CAP = 1e-12, 1e12
+#: widest panel of `_log_panels`, in log s
+_LOG_PANEL_WIDTH = 0.5
 
 # ---------------------------------------------------------------------------
 # relativistic special functions
@@ -35,31 +37,45 @@ def stable_jump_constant(d: int, alpha: float) -> float:
             / (2.0 ** (d + 1) * math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
-def _bessel_type_integral(k: float, r: float) -> float:
-    """I(r) = int_0^inf s^{k-1} exp(-s/4 - r^2/s) ds, split at the saddle s=2r."""
-    if r < 0:
-        raise DomainError("r must be nonnegative")
-    if r == 0.0:
-        return 4.0**k * math.gamma(k)
-    from scipy import integrate
-
-    def f(s):
-        return s ** (k - 1.0) * math.exp(-s / 4.0 - r * r / s)
-
-    split = 2.0 * r
-    head, e1 = integrate.quad(f, 0.0, split, epsabs=0.0, epsrel=1e-10, limit=200)
-    tail, e2 = integrate.quad(f, split, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
-    val = head + tail
-    if val > 0 and (e1 + e2) > 1e-8 * val:
-        raise AccuracyError("I(r) quadrature did not converge", best_estimate=val)
-    return val
-
-
-def relativistic_psi(d: int, alpha: float, r: float) -> float:
-    """Decreasing correction factor Psi(r) = I(r)/I(0) of the relativistic
-    jump density; Psi(0) = 1 and Psi(r) ~ e^{-r}(1 + r^{(d+alpha-1)/2})."""
+def relativistic_psi(d: int, alpha: float, r):
+    """Decreasing correction factor Psi(r) = I(r)/I(0) of the relativistic jump
+    density, I(r) = int_0^inf s^{k-1} e^{-s/4 - r^2/s} ds = 2 (2r)^k K_k(r) with
+    k = (d+alpha)/2: Psi(r) = r^k K_k(r) / (2^{k-1} Gamma(k)), Psi(0) = 1, Psi(r)
+    ~ e^{-r}(1 + r^{(d+alpha-1)/2}).  Vectorized; a scalar r gives a float."""
+    from scipy import special
     k = (d + alpha) / 2.0
-    return _bessel_type_integral(k, r) / _bessel_type_integral(k, 0.0)
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise DomainError("r must be nonnegative")
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = r**k * special.kve(k, r) * np.exp(-r) / (2.0 ** (k - 1.0) * math.gamma(k))
+    # where r^k or K_k leaves the float range, the limits 1 (r -> 0) and 0
+    out = np.where(np.isfinite(out), out, r < 1.0)
+    return out if out.ndim else float(out)
+
+
+def _log_panels(f: Callable, lo, hi, *rows) -> np.ndarray:
+    """int_lo^hi f(s, *rows) ds per radius (lo > 0; lo, hi and rows broadcast),
+    0 where hi <= lo: 16-point Gauss-Legendre in log s on ceil(log(hi/lo) /
+    _LOG_PANEL_WIDTH) equal panels.  Rows run in blocks of 256 and add their
+    panel sums in order, so a block's padding panels are exact zeros and a
+    batch equals its rows evaluated one by one, bit for bit."""
+    lo, hi, *rows = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, *rows)))
+    x0 = np.log(lo.ravel())
+    span = np.maximum(np.log(hi.ravel()) - x0, 0.0)
+    n = np.ceil(span / _LOG_PANEL_WIDTH)
+    rows = [v.ravel()[:, None, None] for v in rows]
+    out = np.zeros(x0.size)
+    for i in range(0, x0.size, 256):
+        b = slice(i, i + 256)
+        k = np.arange(max(n[b].max(), 1.0))[:, None]
+        h = (span[b] / np.maximum(n[b], 1.0))[:, None, None]
+        s = np.exp(x0[b, None, None] + h * (k + 0.5 * (_GL16_NODES + 1.0)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = 0.5 * h * _GL16_WEIGHTS * s * f(s, *(row[b] for row in rows))
+        panels = np.where(k < n[b, None, None], vals, 0.0).sum(axis=-1)
+        out[b] = np.cumsum(panels, axis=-1)[:, -1]
+    return out.reshape(lo.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +88,6 @@ class HeatKernelModel:
 
     family = "custom"
     estimate_only = False
-    #: p_t(r) = t^{-nu/beta} profile(r / t^{1/beta}) holds exactly
-    exact_scaling = False
 
     def __init__(self, space: SpaceModel, t0: float = INF,
                  phi_lower: Callable | None = None,
@@ -83,9 +97,6 @@ class HeatKernelModel:
         self.phi1 = phi_lower
         self.phi2 = phi_upper
         self._bound_constants: tuple[float, float] | None = None
-        # exact scaling: one table of r_1; otherwise one table per alpha
-        self._unit_resolvent: Callable | None = None
-        self._resolvent_cache: dict[float, Callable] = {}
         self._check_profile_order()
         self._check_h_phi2()
 
@@ -126,64 +137,6 @@ class HeatKernelModel:
         res = integrate_outward(h, 1.0)
         if res.diverged:
             raise ValidationError("Phi2 fails the integrability condition H(Phi2)")
-
-    def resolvent_radial(self, alpha: float) -> Callable:
-        """Vectorized r -> r_alpha(r), served from cached tables.
-
-        For a kernel of exact scaling form p_t(r) = t^{-nu/beta}
-        Phi(r / t^{1/beta}), the substitution s = u/alpha in
-        r_alpha = int_0^inf e^{-alpha s} p_s ds gives the exact identity
-        r_alpha(r) = alpha^{nu/beta - 1} r_1(alpha^{1/beta} r), so one
-        lazily built table of r_1 serves every alpha.  The relativistic
-        family (StableEstimateModel with m > 0) is not exactly scaling and
-        builds one table per alpha from scalar quadratures.
-        """
-        if not self.exact_scaling:
-            key = float(alpha)
-            if key not in self._resolvent_cache:
-                self._resolvent_cache[key] = self._build_resolvent_interp(alpha)
-            return self._resolvent_cache[key]
-        if self._unit_resolvent is None:
-            self._unit_resolvent = self._build_resolvent_interp(1.0)
-        r1 = self._unit_resolvent
-        nu, beta = self.space.nu, self.space.beta
-        scale, factor = alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0)
-        return lambda r: factor * r1(scale * np.asarray(r, dtype=float))
-
-    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(r, r_alpha(r)) on 800 log-spaced radii, one scalar quadrature each."""
-        r_lo, r_hi = 1e-6, 1e-5
-        while r_hi < 1e6 and self.resolvent_scalar(alpha, r_hi) > 1e-280:
-            r_hi *= 2.0
-        rs = np.geomspace(r_lo, r_hi, 800)
-        return rs, np.array([self.resolvent_scalar(alpha, float(r)) for r in rs])
-
-    def _build_resolvent_interp(self, alpha: float) -> Callable:
-        rs, vals = self._resolvent_samples(alpha)
-        pos = vals > 0.0
-        rs, vals = rs[pos], vals[pos]
-        log_r, log_v = np.log(rs), np.log(vals)
-        spline = pchip(log_r, log_v)
-        at_zero = self.resolvent_scalar(alpha, 0.0)
-
-        def interp(r):
-            r = np.asarray(r, dtype=float)
-            lr = np.log(np.maximum(r, 1e-300))
-            out = np.exp(spline(lr))
-            out = np.where(lr > log_r[-1], 0.0, out)
-            if math.isinf(at_zero):
-                # continue the power/log divergence below the grid
-                slope = (log_v[1] - log_v[0]) / (log_r[1] - log_r[0])
-                small = r < rs[0]
-                if np.any(small):
-                    ext = np.exp(log_v[0] + slope * (np.log(np.maximum(r, 1e-300)) - log_r[0]))
-                    out = np.where(small, ext, out)
-                out = np.where(r == 0.0, INF, out)
-            else:
-                out = np.where(r < rs[0], at_zero, out)
-            return out
-
-        return interp
 
     # -- closed-form bound shapes ------------------------------------------
 
@@ -230,8 +183,6 @@ class KernelBounds:
 class ScalingKernelModel(HeatKernelModel):
     """Kernel of exact scaling form p_t(r) = t^{-nu/beta} profile(r/t^{1/beta})."""
 
-    family = "custom"
-    exact_scaling = True
     #: radii where the profile has a kink; the log-space panels break there
     profile_kinks: tuple = ()
 
@@ -335,11 +286,52 @@ class ScalingKernelModel(HeatKernelModel):
             out[i:i + 32] = np.exp(-np.exp(arg)) @ w
         return beta * rs ** (beta - nu) * out
 
+    def resolvent_radial(self, alpha: float) -> Callable:
+        """Vectorized r -> r_alpha(r) from one lazily built table of r_1.
+
+        The substitution s = u/alpha in r_alpha = int_0^inf e^{-alpha s} p_s ds
+        gives the exact identity r_alpha(r) = alpha^{nu/beta - 1}
+        r_1(alpha^{1/beta} r), so one table serves every alpha.
+        """
+        r1 = self._unit_resolvent
+        nu, beta = self.space.nu, self.space.beta
+        scale, factor = alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0)
+        return lambda r: factor * r1(scale * np.asarray(r, dtype=float))
+
+    @cached_property
+    def _unit_resolvent(self) -> Callable:
+        return self._build_resolvent_interp(1.0)
+
+    def _build_resolvent_interp(self, alpha: float) -> Callable:
+        rs, vals = self._resolvent_samples(alpha)
+        pos = vals > 0.0
+        rs, vals = rs[pos], vals[pos]
+        log_r, log_v = np.log(rs), np.log(vals)
+        spline = pchip(log_r, log_v)
+        at_zero = self.resolvent_scalar(alpha, 0.0)
+
+        def interp(r):
+            r = np.asarray(r, dtype=float)
+            lr = np.log(np.maximum(r, 1e-300))
+            out = np.exp(spline(lr))
+            out = np.where(lr > log_r[-1], 0.0, out)
+            if math.isinf(at_zero):
+                # continue the power/log divergence below the grid
+                slope = (log_v[1] - log_v[0]) / (log_r[1] - log_r[0])
+                small = r < rs[0]
+                if np.any(small):
+                    ext = np.exp(log_v[0] + slope * (np.log(np.maximum(r, 1e-300)) - log_r[0]))
+                    out = np.where(small, ext, out)
+                out = np.where(r == 0.0, INF, out)
+            else:
+                out = np.where(r < rs[0], at_zero, out)
+            return out
+
+        return interp
+
     def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """r_1 on 4000 log-spaced radii from _R1_LO to where it drops below
         1e-280 (at most _R1_CAP), rescaled to r_alpha."""
-        if not self.exact_scaling:
-            return super()._resolvent_samples(alpha)
         nu, beta = self.space.nu, self.space.beta
         coarse = np.geomspace(_R1_LO, _R1_CAP, 241)
         dead = np.nonzero(self._r1(coarse) <= 1e-280)[0]
@@ -367,8 +359,8 @@ def _erfc(z: np.ndarray) -> np.ndarray:
 
 
 class GaussianKernelModel(ScalingKernelModel):
-    """Brownian heat kernel p_t(r) = (2 pi t)^{-d/2} exp(-r^2 / 2t); for odd d
-    q_t and r_alpha are closed forms, with no r_1 table and no scipy.special."""
+    """Brownian heat kernel p_t(r) = (2 pi t)^{-d/2} exp(-r^2 / 2t).  q_t and
+    r_alpha are closed forms with no r_1 table; odd d needs no scipy.special."""
 
     family = "gaussian"
 
@@ -379,27 +371,29 @@ class GaussianKernelModel(ScalingKernelModel):
         super().__init__(space, profile)
         self.dim = dim
 
-    def _odd_resolvent(self, alpha: float, r) -> np.ndarray:
-        """r_alpha(r) = 2 (2 pi)^{-d/2} (r/k)^{1-d/2} K_{n+1/2}(kr), k = sqrt(2 alpha),
-        n = |d-2|//2, with the finite sum K_{n+1/2}(z) = sqrt(pi/2z) e^{-z}
-        sum_{j<=n} (n+j)!/(j!(n-j)!) (2z)^{-j}; 1/k at r = 0 for d = 1."""
+    def _resolvent(self, alpha: float, r) -> np.ndarray:
+        """r_alpha(r) = 2 (2 pi)^{-d/2} (r/k)^{1-d/2} K_{d/2-1}(kr), k = sqrt(2 alpha):
+        scipy's K for even d; for odd d, n = |d-2|//2, the finite sum
+        K_{n+1/2}(z) = sqrt(pi/2z) e^{-z} sum_{j<=n} (n+j)!/(j!(n-j)!) (2z)^{-j};
+        1/k at r = 0 for d = 1."""
         d, k = self.dim, math.sqrt(2.0 * alpha)
         n = abs(d - 2) // 2
-        z = k * np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float)
+        z = k * r
         with np.errstate(divide="ignore", invalid="ignore"):
+            if d % 2 == 0:
+                from scipy import special
+                return (2.0 * (2.0 * math.pi) ** (-d / 2.0) * (r / k) ** (1.0 - d / 2.0)
+                        * special.kv(d / 2.0 - 1.0, z))
             terms = sum(math.factorial(n + j) / (math.factorial(j) * math.factorial(n - j))
                         * (2.0 * z) ** -j for j in range(n + 1))
             return k ** (d - 2.0) * (2.0 * math.pi * z) ** ((1.0 - d) / 2.0) * np.exp(-z) * terms
 
     def resolvent_radial(self, alpha: float) -> Callable:
-        if self.dim % 2 == 0:
-            return super().resolvent_radial(alpha)
-        return lambda r: self._odd_resolvent(alpha, r)
+        return lambda r: self._resolvent(alpha, r)
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
-        if self.dim % 2 == 0:
-            return super().resolvent_scalar(alpha, r)
-        return float(self._odd_resolvent(alpha, np.array([r]))[0])
+        return float(self._resolvent(alpha, np.array([r]))[0])
 
     def qt_radial(self, t: float) -> Callable:
         d = self.dim
@@ -443,7 +437,8 @@ class StableEstimateModel(ScalingKernelModel):
     p_t(r) = t^{-d/alpha} min(1, A (r/t^{1/alpha})^{-(d+alpha)}).
 
     For mass m > 0 the Psi correction is applied inside the jump density;
-    the small-time branch is then valid only for t <= 1/m.
+    the small-time branch is then valid only for t <= 1/m, and r_alpha is
+    computed per radius from closed forms and `_log_panels`, with no table.
     """
 
     family = "stable_estimate"
@@ -455,35 +450,42 @@ class StableEstimateModel(ScalingKernelModel):
         self.dim = dim
         self.alpha = alpha
         self.m = m
-        A = stable_jump_constant(dim, alpha)
-        self.A = A
-        # the mass correction breaks exact scaling
-        self.exact_scaling = m == 0.0
+        self.A = A = stable_jump_constant(dim, alpha)
         self.profile_kinks = (A ** (1.0 / (dim + alpha)),)
         space = SpaceModel(ambient_dim=dim, nu=float(dim), beta=alpha)
         t0 = INF if m == 0.0 else 1.0 / m
         tail = lambda u: np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha))
         phi1 = phi2 = lambda u: np.minimum(1.0, A * tail(u))
         if m > 0.0:
-            psi_vec = np.vectorize(lambda u: relativistic_psi(dim, alpha, u))
-            phi1 = lambda u: np.minimum(
-                1.0, A * psi_vec(np.asarray(u, dtype=float)) * tail(u))
+            phi1 = lambda u: np.minimum(1.0, A * relativistic_psi(dim, alpha, u) * tail(u))
         super().__init__(space, phi2, t0=t0, phi_lower=phi1, phi_upper=phi2)
 
     def jump_density(self, r):
         r = np.asarray(r, dtype=float)
         d, a, m = self.dim, self.alpha, self.m
-        psi = 1.0 if m == 0.0 else np.vectorize(
-            lambda s: relativistic_psi(d, a, m ** (1.0 / a) * s))(r)
+        psi = 1.0 if m == 0.0 else relativistic_psi(d, a, m ** (1.0 / a) * r)
         return self.A * psi * r ** (-(d + a))
+
+    def _late_branch(self, t, r):
+        """p_t(r) = m^{d/a - d/2} t^{-d/2} exp(-min(m^{1/a} r, m^{2/a-1} r^2/t)),
+        the large-time (t > 1/m) branch of the global relativistic estimate."""
+        d, a, m = self.dim, self.alpha, self.m
+        expo = np.minimum(m ** (1.0 / a) * r, m ** (2.0 / a - 1.0) * r**2 / t)
+        return m ** (d / a - d / 2.0) * t ** (-d / 2.0) * np.exp(-expo)
+
+    def _late_branch_integral(self, t1: float, t2, r, alpha: float):
+        """int_{t1}^{t2} e^{-alpha s} p_s(r) ds over the large-time branch,
+        vectorized in r, with a panel edge at s_c = m^{1/a-1} r where its
+        exponent switches from m^{1/a} r to m^{2/a-1} r^2/s."""
+        s_c = np.clip(self.m ** (1.0 / self.alpha - 1.0) * r, t1, t2)
+        f = lambda s, r: np.exp(-alpha * s) * self._late_branch(s, r)
+        return _log_panels(f, t1, s_c, r) + _log_panels(f, s_c, t2, r)
 
     def pt_radial(self, t: float, r):
         r = np.asarray(r, dtype=float)
         d, a, m = self.dim, self.alpha, self.m
         if m > 0.0 and t > 1.0 / m:
-            # large-time branch of the global relativistic estimate
-            expo = np.minimum(m ** (1.0 / a) * r, m ** (2.0 / a - 1.0) * r**2 / t)
-            return m ** (d / a - d / 2.0) * t ** (-d / 2.0) * np.exp(-expo)
+            return self._late_branch(t, r)
         with np.errstate(divide="ignore", over="ignore"):
             jump = np.where(r > 0.0, t * self.jump_density(np.maximum(r, 1e-300)), INF)
         return np.minimum(t ** (-d / a), jump)
@@ -512,44 +514,41 @@ class StableEstimateModel(ScalingKernelModel):
             else:
                 out = np.where(r == 0.0, t_small ** (1.0 - d / a) / (1.0 - d / a), out)
             if m > 0.0 and t > 1.0 / m:
-                out = out + _late_branch_integral(self, 1.0 / m, t, r)
+                out = out + self._late_branch_integral(1.0 / m, t, r, 0.0)
             return out
 
         return qt
 
+    def resolvent_radial(self, alpha: float) -> Callable:
+        if self.m == 0.0:
+            return super().resolvent_radial(alpha)
+        return lambda r: self._massive_resolvent(alpha, r)
+
     def resolvent_scalar(self, alpha: float, r: float) -> float:
+        if self.m > 0.0:
+            return float(self._massive_resolvent(alpha, np.array([r]))[0])
+        return super().resolvent_scalar(alpha, r)
+
+    def _massive_resolvent(self, alpha: float, r) -> np.ndarray:
+        """r_alpha(r) for m > 0, with J the jump density, T = 1/m and
+        u = min(J^{-a/(d+a)}, T): int_0^u e^{-alpha s} s J ds in closed form,
+        plus int_u^T e^{-alpha s} s^{-d/a} ds (closed form where J = inf), plus
+        the late branch from T to past e^{-alpha s} and past the saddle
+        sqrt(c/alpha) of e^{-alpha s - c/s}, c = m^{2/a-1} r^2."""
+        from scipy import special
         d, a, m = self.dim, self.alpha, self.m
-        if r == 0.0 and d >= a:
-            return INF
-        if m == 0.0:
-            if r == 0.0:  # int_0^inf e^{-alpha s} s^{-d/a} ds in closed form
-                return math.gamma(1.0 - d / a) * alpha ** (d / a - 1.0)
-            return super().resolvent_scalar(alpha, r)
-        from scipy import integrate
-        with np.errstate(divide="ignore"):  # J = inf at r = 0, so s* = 0
-            J = float(self.jump_density(np.array([r]))[0])
-        # once J underflows to 0, s* = inf: only the split at 1/m remains
-        splits = sorted({J ** (-a / (d + a)), 1.0 / m} if J > 0.0 else {1.0 / m})
-        f = lambda s: math.exp(-alpha * s) * float(self.pt_radial(s, np.array([r]))[0])
-        T = max(1.0, splits[-1] * 2.0, 40.0 / alpha)
-        total = lo = 0.0
-        for s in [x for x in splits if x < T] + [T]:
-            part, _ = integrate.quad(f, lo, s, epsrel=1e-10, limit=400)
-            total += part
-            lo = s
-        tail, _ = integrate.quad(f, T, np.inf, epsrel=1e-8, limit=200)
-        return total + tail
-
-
-def _late_branch_integral(model: StableEstimateModel, t1: float, t2: float, r):
-    """int_{t1}^{t2} p_s(r) ds over the large-time branch, vectorized in r."""
-    from scipy import integrate
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty(r.size)
-    for i, ri in enumerate(r.ravel()):
-        f = lambda s: float(model.pt_radial(s, np.array([ri]))[0])
-        out[i], _ = integrate.quad(f, t1, t2, epsrel=1e-9, limit=200)
-    return out.reshape(r.shape)
+        T = 1.0 / m
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            J = self.jump_density(r)  # inf at r = 0 or where r^{-(d+a)} overflows
+            u = np.minimum(J ** (-a / (d + a)), T)
+            head = np.where(u > 0.0, J * special.gammainc(2.0, alpha * u), 0.0) / alpha**2
+        at0 = (INF if d >= a else alpha ** (d / a - 1.0) * math.gamma(1.0 - d / a)
+               * special.gammainc(1.0 - d / a, alpha * T))
+        mid = np.where(u > 0.0, _log_panels(lambda s: s ** (-d / a) * np.exp(-alpha * s),
+                                             np.where(u > 0.0, u, T), T), at0)
+        s_far = T + 50.0 / alpha + 4.0 * m ** (1.0 / a - 0.5) * r / math.sqrt(alpha)
+        return head + mid + self._late_branch_integral(T, s_far, r, alpha)
 
 
 class StretchedExponentialModel(ScalingKernelModel):

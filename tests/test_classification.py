@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from katolab.classification import (
     schechter_sufficient,
     threshold_p_star,
 )
+from katolab.config import RunConfig
 from katolab.errors import DomainError, InsufficientDataError
 from katolab.functionals import CenterStrategy
 from katolab.kernels import GaussianKernelModel
@@ -166,7 +168,7 @@ def test_classify_config_scale_grids():
 
 def test_classify_config_fields():
     assert [f.name for f in dataclasses.fields(ClassifyConfig)] == [
-        "r_grid", "centers", "fit_delta", "seed"]
+        "r_grid", "centers", "seed"]
     assert isinstance(ClassifyConfig.t_grid, tuple)  # no instance can mutate it
     with pytest.raises(TypeError):
         ClassifyConfig(t_grid=(0.5,))
@@ -204,6 +206,18 @@ def test_classify_point_mass_trivial_regime_discrepancy():
     assert rep.criteria["green"] == "in"
     assert rep.criteria["sg_loc_t1"] == "out"
     assert any("disagree" in f for f in rep.findings)
+
+
+def test_classify_relativistic_config():
+    # relativistic stable, a = m = 1, on R^3: p* = nu / (nu - beta) = 1.5
+    run = RunConfig.from_file(str(Path(__file__).resolve().parents[1]
+                                  / "configs" / "relativistic-d3.cfg"))
+    assert run.p_list == [1.0, 2.0]
+    reps = [classify_measure(run.measure, run.model, p, run.classify) for p in run.p_list]
+    for rep, verdict in zip(reps, ["in", "out"]):
+        assert (rep.verdict_K, rep.verdict_D) == (verdict, verdict)
+        assert set(rep.criteria.values()) == {verdict}
+        assert rep.predicted_threshold == pytest.approx(1.5, abs=1e-6)
 
 
 def test_classify_rejects_p_below_one():

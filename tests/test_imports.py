@@ -103,3 +103,16 @@ def test_odd_gaussian_classify_loads_no_scipy(tmp_path, name):
         f"'--seed', '7', '--out', {str(tmp_path)!r}]) == 0")
     assert (tmp_path / "classify.csv").exists()
     assert loaded == set()
+
+
+def test_relativistic_classify_and_kernel_check_load_no_quad(tmp_path):
+    # Psi is a Bessel K and r_alpha runs on log-space panels: no scipy quad
+    cfg = SRC.parents[1] / "configs" / "relativistic-d3.cfg"
+    loaded = _loaded_scipy_modules(
+        "import katolab.cli\n"
+        "for cmd in ['classify', 'kernel-check']:\n"
+        f"    assert katolab.cli.main([cmd, '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0")
+    assert (tmp_path / "classify.csv").exists()
+    assert (tmp_path / "kernel_check.csv").exists()
+    assert "scipy.special" in loaded and "scipy.integrate" not in loaded

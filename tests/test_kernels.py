@@ -167,7 +167,7 @@ def test_one_resolvent_table_serves_every_classify_alpha(monkeypatch):
     cfg = ClassifyConfig()
     alphas = sorted(set(cfg.localized_alphas) | set(cfg.alpha_grid))
     assert len(alphas) == 9
-    m = GaussianKernelModel(dim=2)
+    m = StableEstimateModel(dim=2, alpha=1.2)
     built = []
     build = m._build_resolvent_interp
     monkeypatch.setattr(m, "_build_resolvent_interp",
@@ -175,6 +175,22 @@ def test_one_resolvent_table_serves_every_classify_alpha(monkeypatch):
     for a in alphas:
         m.resolvent_radial(a)
     assert built == [1.0]
+
+
+def test_even_gaussian_resolvent_against_mpmath():
+    # 2 (2 pi)^{-d/2} (r/k)^{1-d/2} K_{d/2-1}(kr), k = sqrt(2 alpha), at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    for d in [2, 4, 6]:
+        m = GaussianKernelModel(dim=d)
+        for a in [1.0, 16.0, 4096.0]:
+            for r in [1e-16, 1e-13, 1e-6, 0.3, 3.0]:
+                with mpmath.workdps(50):
+                    k, rm, nu = mpmath.sqrt(2 * mpmath.mpf(a)), mpmath.mpf(r), mpmath.mpf(d) / 2
+                    ref = float(2 * (2 * mpmath.pi) ** -nu * (rm / k) ** (1 - nu)
+                                * mpmath.besselk(nu - 1, k * rm))
+                assert m.resolvent_scalar(a, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                assert float(m.resolvent_radial(a)(np.array([r]))[0]) == m.resolvent_scalar(a, r)
+        assert "_unit_resolvent" not in vars(m) and "_panels" not in vars(m)  # no table
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -206,16 +222,16 @@ def test_rescaled_resolvent_table_matches_scalar(model):
             assert got == pytest.approx(model.resolvent_scalar(a, r), rel=1e-6)
 
 
-def test_relativistic_model_builds_one_table_per_alpha(monkeypatch):
+def test_relativistic_model_builds_no_table(monkeypatch):
     m = StableEstimateModel(dim=2, alpha=1.2, m=1.0)
-    assert not m.exact_scaling
     built = []
-    # stub the builder: the scalar relativistic build is slow
-    monkeypatch.setattr(m, "_build_resolvent_interp",
-                        lambda a: built.append(a) or (lambda r: r))
-    for a in [1.0, 16.0, 16.0, 64.0]:
-        m.resolvent_radial(a)
-    assert built == [1.0, 16.0, 64.0]
+    monkeypatch.setattr(m, "_build_resolvent_interp", built.append)
+    rs = np.array([0.0, 1e-9, 0.02, 0.3, 1.9, 5.0])
+    for a in [1.0, 16.0, 64.0]:
+        radial = m.resolvent_radial(a)(rs)
+        assert np.array_equal(radial, [m.resolvent_scalar(a, float(r)) for r in rs])
+    assert built == []
+    assert "_panels" not in vars(m)
 
 
 # --------------------------------------------------------------------------
@@ -350,6 +366,69 @@ def test_relativistic_resolvent_past_jump_density_underflow():
         assert math.isfinite(v) and v >= 0.0
 
 
+RELATIVISTIC = [(1, 1.5, 0.5), (3, 1.0, 1.0)]  # (d, a, m): d < a and d > a
+
+
+def _relativistic_p(model, r):
+    """s -> p_s(r) of the relativistic estimate, in math functions."""
+    d, a, m = model.dim, model.alpha, model.m
+    J = float(model.jump_density(np.array([r]))[0]) if r > 0 else math.inf
+
+    def p(s):
+        if s <= 1.0 / m:
+            return min(s ** (-d / a), s * J)
+        expo = min(m ** (1 / a) * r, m ** (2 / a - 1) * r * r / s)
+        return m ** (d / a - d / 2) * s ** (-d / 2) * math.exp(-expo)
+
+    return p, J
+
+
+def _split_quad(f, cuts, top):
+    """int_0^top f by quad: one piece up to cuts[0], then 30 log-spaced
+    sub-intervals between consecutive cuts and up to a finite top."""
+    edges = [0.0, cuts[0]]
+    for lo, hi in zip(cuts, cuts[1:] + [top]):
+        if hi > lo:
+            edges += list(np.geomspace(lo, hi, 31)[1:])
+    return sum(integrate.quad(f, lo, hi, epsrel=1e-13, epsabs=0.0, limit=200)[0]
+               for lo, hi in zip(edges, edges[1:]))
+
+
+def _relativistic_cuts(model, r, J):
+    """s* (or 1e-6/m at r = 0), 1/m and s_c, each at least the one before."""
+    d, a, m = model.dim, model.alpha, model.m
+    T = 1.0 / m
+    s_star = min(J ** (-a / (d + a)), T) if r > 0 else 1e-6 * T
+    return [s_star, T, max(T, m ** (1 / a - 1) * r)]
+
+
+@pytest.mark.parametrize("d,a,m", RELATIVISTIC)
+def test_relativistic_resolvent_against_split_quad(d, a, m):
+    # the quad reference splits at s*, 1/m and s_c and runs past the saddle
+    # sqrt(c/alpha) of e^{-alpha s - c/s}, c = m^{2/a-1} r^2, and to infinity
+    model = StableEstimateModel(dim=d, alpha=a, m=m)
+    for alpha in [0.3, 1.0, 16.0]:
+        for r in [1e-4, 0.3, 3.0, 10.0, 40.0]:
+            p, J = _relativistic_p(model, r)
+            f = lambda s: math.exp(-alpha * s) * p(s)
+            cuts = _relativistic_cuts(model, r, J)
+            top = cuts[-1] + 200.0 / alpha + 4.0 * r * m ** (1 / a - 0.5) / math.sqrt(alpha)
+            ref = _split_quad(f, cuts, top) + integrate.quad(f, top, np.inf)[0]
+            assert model.resolvent_scalar(alpha, r) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("d,a,m", RELATIVISTIC)
+def test_relativistic_qt_late_branch_against_split_quad(d, a, m):
+    model = StableEstimateModel(dim=d, alpha=a, m=m)
+    rs = [0.3, 3.0, 10.0, 40.0] + ([0.0] if d < a else [])
+    for t in [1.5 / m, 3.0 / m, 30.0 / m]:
+        got = model.qt_radial(t)(np.array(rs))
+        for r, g in zip(rs, got):
+            p, J = _relativistic_p(model, r)
+            ref = _split_quad(p, [c for c in _relativistic_cuts(model, r, J) if c < t], t)
+            assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_stable_resolvent_power_tail():
     # heavy jump tails Laplace-transform to heavy tails: r_alpha ~ J(r)/alpha^2
     m = StableEstimateModel(dim=2, alpha=1.2)
@@ -373,6 +452,24 @@ def test_relativistic_psi_normalization_and_monotone():
     vals = [relativistic_psi(3, 1.0, r) for r in np.linspace(0.0, 50.0, 120)]
     assert vals[0] == pytest.approx(1.0, rel=1e-12)
     assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("d,a", [(3, 1.0), (1, 1.5), (2, 1.2)])
+def test_relativistic_psi_against_its_integral(d, a):
+    # Psi(r) = I(r)/I(0), I(r) = int_0^inf s^{k-1} e^{-s/4 - r^2/s} ds, by quad
+    # around the saddle s = 2r with the factor e^{-r} taken out
+    k = (d + a) / 2.0
+    rs = np.concatenate([[0.0, 1e-3, 0.1], np.linspace(0.5, 600.0, 41)])
+    got = relativistic_psi(d, a, rs)
+    for r, g in zip(rs, got):
+        f = lambda s: math.exp((k - 1) * math.log(s) - s / 4 - r * r / s + r)
+        edges = [0.0] + list(max(2.0 * r, 1.0) * np.geomspace(1e-3, 1e2, 51))
+        # epsabs: I >= 1 here, and far pieces are subnormal
+        I = sum(integrate.quad(f, lo, hi, epsrel=1e-13, epsabs=1e-200, limit=200)[0]
+                for lo, hi in zip(edges, edges[1:])) + integrate.quad(f, edges[-1], np.inf)[0]
+        ref = math.exp(-r) * I / (4.0**k * math.gamma(k))
+        assert g == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert relativistic_psi(d, a, 0.0) == 1.0 and isinstance(relativistic_psi(d, a, 3.0), float)
 
 
 def test_relativistic_psi_exponential_envelope():
@@ -476,6 +573,7 @@ def test_stretched_exponential_upper_constant():
     ("gaussian", {"dim": 3}),
     ("gaussian", {"dim": 1}),
     ("stable_estimate", {"dim": 2, "alpha": 1.2}),
+    ("relativistic", {"dim": 3, "alpha": 1.0, "m": 1.0}),
 ])
 def test_invariant_suite_clean(family, kw):
     model = make_kernel_model(family, **kw)
@@ -506,10 +604,11 @@ def _assert_rowwise(f, s):
     GaussianKernelModel(dim=3),
     GaussianKernelModel(dim=5),
     StableEstimateModel(dim=2, alpha=1.2),
+    StableEstimateModel(dim=1, alpha=1.5, m=0.5),
     StretchedExponentialModel(d_f=2.0, d_w=3.0, d_J=2.5,
                               c1=1.0, c2=1.0, c3=1.0, c4=1.0),
     synthetic_scaling_model(nu=2.0, beta=1.5, dim=2),
-], ids=["gauss-d1", "gauss-d2", "gauss-d3", "gauss-d5", "stable",
+], ids=["gauss-d1", "gauss-d2", "gauss-d3", "gauss-d5", "stable", "relativistic",
         "stretched-exp", "synthetic"])
 def test_radial_kernels_map_panel_arrays_row_by_row(model):
     s = _panel_nodes()
@@ -520,6 +619,6 @@ def test_radial_kernels_map_panel_arrays_row_by_row(model):
 
 
 def test_relativistic_late_branch_maps_panel_arrays_row_by_row():
-    # t > 1/m adds the late branch, one quad per radius
+    # t > 1/m adds the late branch, panels in log s per radius
     m = StableEstimateModel(dim=1, alpha=1.5, m=0.5)
     _assert_rowwise(m.qt_radial(3.0), _panel_nodes()[::3, ::8])
