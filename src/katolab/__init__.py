@@ -13,13 +13,13 @@ from .errors import (ConfigError, DiagnosticsError, DomainError,
 from .functionals import (CenterStrategy, GreenKernelSpec, green_value,
                           kato_functional, resolvent_functional,
                           semigroup_functional, sup_over_centers)
-from .kernels import (GaussianKernelModel, HeatKernelModel, KernelBounds,
-                      ScalingKernelModel, StableEstimateModel,
-                      StretchedExponentialModel, eval_heat_kernel,
-                      eval_resolvent_kernel, eval_time_integrated_kernel,
-                      kernel_invariant_suite, make_kernel_model,
-                      relativistic_psi, stable_jump_constant,
-                      synthetic_scaling_model, time_integrated_bounds)
+from .kernels import (GaussianKernelModel, KernelBounds, ScalingKernelModel,
+                      StableEstimateModel, StretchedExponentialModel,
+                      eval_heat_kernel, eval_resolvent_kernel,
+                      eval_time_integrated_kernel, kernel_invariant_suite,
+                      make_kernel_model, relativistic_psi,
+                      stable_jump_constant, synthetic_scaling_model,
+                      time_integrated_bounds)
 from .measures import (AhlforsAbstract, Density, FunctionalEstimate,
                        MeasureRep, PointMasses, RadialDensity, SphereSurface,
                        integrate_global, integrate_over_ball, lebesgue,

@@ -25,7 +25,7 @@ from .functionals import (
     sup_over_centers,
     _resolve_centers,
 )
-from .kernels import HeatKernelModel
+from .kernels import ScalingKernelModel
 from .measures import (
     Density,
     FunctionalEstimate,
@@ -178,7 +178,7 @@ def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
     return float(min(slopes)) if slopes else None
 
 
-def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
+def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
                      config: ClassifyConfig | None = None) -> ClassificationReport:
     """Run the membership criteria and produce a per-p report.
 
@@ -305,7 +305,7 @@ def classify_measure(mu: MeasureRep, model: HeatKernelModel, p: float,
         })
 
 
-def fit_order_delta(mu: MeasureRep, model: HeatKernelModel, p: float,
+def fit_order_delta(mu: MeasureRep, model: ScalingKernelModel, p: float,
                     config: ClassifyConfig | None = None,
                     centers: list | None = None) -> tuple[float, float]:
     """Fitted decay order delta with semigroup functional = O(t^{p delta})."""

@@ -18,7 +18,7 @@ import numpy as np
 from .classification import ClassifyConfig
 from .errors import ConfigError
 from .functionals import CenterStrategy
-from .kernels import HeatKernelModel, make_kernel_model
+from .kernels import ScalingKernelModel, make_kernel_model
 from .measures import MeasureRep, make_measure
 from .profiles import parse_profile
 
@@ -48,7 +48,7 @@ def _floats(text: str) -> list[float]:
 
 @dataclass
 class RunConfig:
-    model: HeatKernelModel
+    model: ScalingKernelModel
     measure: MeasureRep
     p_list: list[float]
     classify: ClassifyConfig
@@ -92,6 +92,9 @@ class RunConfig:
             measure = make_measure(kind, **meas)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad measure block: {exc}") from exc
+        if measure.dim != model.space.ambient_dim:
+            raise ConfigError(f"measure dimension {measure.dim} differs from the "
+                              f"kernel's {model.space.ambient_dim}")
 
         sweep = sections.get("sweep", {})
         p_list = _floats(sweep.get("p", "1"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernels import HeatKernelModel
+from .kernels import ScalingKernelModel
 from .measures import (
     FunctionalEstimate,
     MeasureRep,
@@ -160,7 +160,7 @@ def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r,
     return est
 
 
-def semigroup_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
+def semigroup_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
                          t: float, centers: CenterStrategy | list | None = None,
                          localized_radius=None):
     """sup_x of the (localized) p-th power semigroup integral
@@ -172,7 +172,7 @@ def semigroup_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
                                      localized_radius)
 
 
-def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
+def resolvent_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
                          alpha: float,
                          centers: CenterStrategy | list | None = None,
                          localized_radius=None):
@@ -185,7 +185,7 @@ def resolvent_functional(mu: MeasureRep, model: HeatKernelModel, p: float,
                                      centers, localized_radius)
 
 
-def _radial_kernel_functional(mu: MeasureRep, model: HeatKernelModel, kernel,
+def _radial_kernel_functional(mu: MeasureRep, model: ScalingKernelModel, kernel,
                               p: float, centers, localized_radius):
     """sup_x of int kernel(d(x,y))^p mu(dy), over the ball (or each ball of a
     grid) of radius localized_radius around x when given, else over the whole

@@ -82,59 +82,53 @@ def _log_panels(f: Callable, lo, hi, *rows) -> np.ndarray:
 # kernel models
 
 
-class HeatKernelModel:
-    """Base class: a kernel family over a SpaceModel with profile sandwich
-    Phi1 <= t^{nu/beta} p_t <= Phi2 valid for t < t0."""
+def _bound_shape(nu: float, beta: float, t: float, d: float) -> float:
+    if nu > beta:
+        return d ** (beta - nu)
+    if nu == beta:
+        return math.log(1.0 / d)
+    return t ** (1.0 - nu / beta)
+
+
+@dataclass
+class KernelBounds:
+    lower: float
+    upper: float
+    shape: float
+
+
+class ScalingKernelModel:
+    """Kernel of exact scaling form p_t(r) = t^{-nu/beta} profile(r/t^{1/beta})
+    over a SpaceModel, with profile sandwich Phi1 <= t^{nu/beta} p_t <= Phi2
+    valid for t < t0; Phi1 and Phi2 default to the profile."""
 
     family = "custom"
     estimate_only = False
+    #: radii where the profile has a kink; the log-space panels break there
+    profile_kinks: tuple = ()
 
-    def __init__(self, space: SpaceModel, t0: float = INF,
+    def __init__(self, space: SpaceModel, profile: Callable, t0: float = INF,
                  phi_lower: Callable | None = None,
                  phi_upper: Callable | None = None):
         self.space = space
+        self.profile = profile
         self.t0 = t0
-        self.phi1 = phi_lower
-        self.phi2 = phi_upper
+        self.phi1 = phi_lower if phi_lower is not None else profile
+        self.phi2 = phi_upper if phi_upper is not None else profile
         self._bound_constants: tuple[float, float] | None = None
         self._check_profile_order()
         self._check_h_phi2()
 
-    # -- radial kernel interface ------------------------------------------
-
-    def pt_radial(self, t: float, r):
-        raise NotImplementedError
-
-    def qt_radial(self, t: float) -> Callable:
-        """Vectorized r -> int_0^t p_s(r) ds."""
-        raise NotImplementedError
-
-    def resolvent_scalar(self, alpha: float, r: float) -> float:
-        raise NotImplementedError
-
-    # -- shared machinery ---------------------------------------------------
-
     def _check_profile_order(self) -> None:
-        if self.phi1 is None or self.phi2 is None:
-            return
         us = np.geomspace(1e-4, 1e2, 64)
         lo, hi = np.asarray(self.phi1(us)), np.asarray(self.phi2(us))
         if np.any(lo > hi * (1.0 + 1e-9)):
             raise ValidationError("lower profile exceeds the upper profile")
 
     def _check_h_phi2(self) -> None:
-        """Tail-ratio test of H(Phi2): int_1^inf (V(t) or t^nu) Phi2(t)/t dt."""
-        if self.phi2 is None:
-            return
+        """Tail test of H(Phi2): int_1^inf t^{nu-1} Phi2(t) dt < inf."""
         nu = self.space.nu
-        V = self.space.volume_bound
-
-        def h(t):
-            t = np.asarray(t, dtype=float)
-            vol = np.maximum(np.array([V(x) for x in t.ravel()]).reshape(t.shape), t**nu)
-            return vol * np.asarray(self.phi2(t)) / t
-
-        res = integrate_outward(h, 1.0)
+        res = integrate_outward(lambda t: t ** (nu - 1.0) * np.asarray(self.phi2(t)), 1.0)
         if res.diverged:
             raise ValidationError("Phi2 fails the integrability condition H(Phi2)")
 
@@ -164,35 +158,7 @@ class HeatKernelModel:
             raise ValidationError("no admissible (t, d) pairs to fit bound constants")
         return min(ratios), max(ratios)
 
-
-def _bound_shape(nu: float, beta: float, t: float, d: float) -> float:
-    if nu > beta:
-        return d ** (beta - nu)
-    if nu == beta:
-        return math.log(1.0 / d)
-    return t ** (1.0 - nu / beta)
-
-
-@dataclass
-class KernelBounds:
-    lower: float
-    upper: float
-    shape: float
-
-
-class ScalingKernelModel(HeatKernelModel):
-    """Kernel of exact scaling form p_t(r) = t^{-nu/beta} profile(r/t^{1/beta})."""
-
-    #: radii where the profile has a kink; the log-space panels break there
-    profile_kinks: tuple = ()
-
-    def __init__(self, space: SpaceModel, profile: Callable, t0: float = INF,
-                 phi_lower: Callable | None = None,
-                 phi_upper: Callable | None = None):
-        self.profile = profile
-        super().__init__(space, t0,
-                         phi_lower if phi_lower is not None else profile,
-                         phi_upper if phi_upper is not None else profile)
+    # -- radial kernel interface ------------------------------------------
 
     def pt_radial(self, t: float, r):
         r = np.asarray(r, dtype=float)
@@ -454,7 +420,11 @@ class StableEstimateModel(ScalingKernelModel):
         self.profile_kinks = (A ** (1.0 / (dim + alpha)),)
         space = SpaceModel(ambient_dim=dim, nu=float(dim), beta=alpha)
         t0 = INF if m == 0.0 else 1.0 / m
-        tail = lambda u: np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha))
+
+        def tail(u):
+            with np.errstate(over="ignore"):  # inf at u = 0
+                return np.maximum(np.asarray(u, dtype=float), 1e-300) ** (-(dim + alpha))
+
         phi1 = phi2 = lambda u: np.minimum(1.0, A * tail(u))
         if m > 0.0:
             phi1 = lambda u: np.minimum(1.0, A * relativistic_psi(dim, alpha, u) * tail(u))
@@ -496,11 +466,13 @@ class StableEstimateModel(ScalingKernelModel):
 
         def qt(r):
             r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
+            # at r = 0 the jump density overflows to J = inf and J * m1^2 is
+            # inf * 0; np.where drops both
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 J = np.where(r > 0.0, self.jump_density(np.maximum(r, 1e-300)), INF)
                 s_star = np.where(r > 0.0, J ** (-a / (d + a)), 0.0)
-            m1 = np.minimum(t_small, s_star)
-            head = np.where(r > 0.0, 0.5 * J * m1**2, 0.0)
+                m1 = np.minimum(t_small, s_star)
+                head = np.where(r > 0.0, 0.5 * J * m1**2, 0.0)
             if d == a:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     mid = np.log(np.maximum(t_small, 1e-300) / np.maximum(s_star, 1e-300))
@@ -579,7 +551,7 @@ class StretchedExponentialModel(ScalingKernelModel):
 # factory and evaluation helpers
 
 
-def make_kernel_model(family: str, **kw) -> HeatKernelModel:
+def make_kernel_model(family: str, **kw) -> ScalingKernelModel:
     if family == "gaussian":
         return GaussianKernelModel(dim=int(kw["dim"]))
     if family in ("stable_estimate", "relativistic"):
@@ -612,16 +584,20 @@ def synthetic_scaling_model(nu: float, beta: float, dim: int = 1) -> ScalingKern
     return ScalingKernelModel(space, profile)
 
 
-def _check_t(model: HeatKernelModel, t: float) -> None:
+def _check_t(model: ScalingKernelModel, t: float) -> None:
     if t <= 0:
         raise DomainError("t must be positive")
     if model.estimate_only and t >= model.t0:
         raise DomainError(f"t={t} is outside the estimate window ]0, {model.t0}[")
 
 
-def eval_heat_kernel(model: HeatKernelModel, t: float, x, y) -> float:
+def _distance(x, y) -> float:
+    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+
+
+def eval_heat_kernel(model: ScalingKernelModel, t: float, x, y) -> float:
     _check_t(model, t)
-    r = model.space.distance(x, y)
+    r = _distance(x, y)
     val = float(np.asarray(model.pt_radial(t, np.array([r])))[0])
     if not math.isfinite(val) or val < 0:
         raise AccuracyError(f"heat kernel evaluation overflowed at t={t}, r={r}",
@@ -629,25 +605,25 @@ def eval_heat_kernel(model: HeatKernelModel, t: float, x, y) -> float:
     return val
 
 
-def eval_time_integrated_kernel(model: HeatKernelModel, t: float, x, y) -> float:
+def eval_time_integrated_kernel(model: ScalingKernelModel, t: float, x, y) -> float:
     """int_0^t p_s(x, y) ds; +inf sentinel when the integral diverges."""
     _check_t(model, t)
-    r = model.space.distance(x, y)
+    r = _distance(x, y)
     return float(np.asarray(model.qt_radial(t)(np.array([r])))[0])
 
 
-def eval_resolvent_kernel(model: HeatKernelModel, alpha: float, x, y) -> float:
+def eval_resolvent_kernel(model: ScalingKernelModel, alpha: float, x, y) -> float:
     """r_alpha(x, y) = int_0^inf e^{-alpha s} p_s(x, y) ds."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    r = model.space.distance(x, y)
+    r = _distance(x, y)
     return model.resolvent_scalar(alpha, r)
 
 
-def time_integrated_bounds(model: HeatKernelModel, t: float, x, y) -> KernelBounds:
+def time_integrated_bounds(model: ScalingKernelModel, t: float, x, y) -> KernelBounds:
     """Two-sided closed-form bounds on int_0^t p_s ds with fitted constants."""
     nu, beta = model.space.nu, model.space.beta
-    d = model.space.distance(x, y)
+    d = _distance(x, y)
     if t <= 0 or t > model.t0:
         raise DomainError("need 0 < t <= t0")
     if nu == beta:
@@ -666,7 +642,7 @@ def time_integrated_bounds(model: HeatKernelModel, t: float, x, y) -> KernelBoun
 # invariant suite used by the CLI kernel-check command
 
 
-def kernel_invariant_suite(model: HeatKernelModel, n_samples: int = 1000,
+def kernel_invariant_suite(model: ScalingKernelModel, n_samples: int = 1000,
                            seed: int = 0) -> list[tuple[str, int, int]]:
     """Run the structural kernel invariants; rows are (name, samples, failures)."""
     rng = np.random.default_rng(seed)

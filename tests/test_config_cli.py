@@ -67,6 +67,27 @@ def test_run_config_atoms_parse():
     assert run.measure.weights.tolist() == [1.0, 0.5]
 
 
+@pytest.mark.parametrize("measure", [
+    "measure.kind = sphere_surface\nmeasure.center = 0,0,0\n",
+    "measure.kind = lebesgue\nmeasure.dim = 3\n",
+], ids=["sphere", "lebesgue-dim3"])
+def test_run_config_rejects_measure_of_other_dimension(measure):
+    # a 3-d measure under a 2-d kernel would be classified against the
+    # wrong kernel; the sphere never reads measure.dim, so it is checked
+    # on the built measure
+    with pytest.raises(ConfigError, match="dimension"):
+        RunConfig.from_dict(parse_config_text(
+            "kernel.family = gaussian\nkernel.dim = 2\n" + measure + "sweep.p = 1\n"))
+
+
+def test_shipped_configs_load():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert len(configs) == 6
+    for cfg in configs:
+        run = RunConfig.from_file(str(cfg))
+        assert run.measure.dim == run.model.space.ambient_dim
+
+
 # --------------------------------------------------------------------------
 # CLI end to end
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +345,23 @@ def test_stable_resolvent_at_zero_closed_form():
         assert m.resolvent_scalar(a, 0.0) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("m, q1", [(0.0, 0.037400838787634325),
+                                   (0.5, 0.03097079235115248)],
+                         ids=["m0", "m0.5"])
+def test_stable_values_at_zero_raise_no_warning(m, q1):
+    # d < alpha: every value at r = 0 is finite, and the overflow and inf * 0
+    # on the way there are discarded
+    model = StableEstimateModel(dim=1, alpha=1.5, m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = model.qt_radial(0.5)(np.array([0.0, 1.0]))
+        p0 = float(model.pt_radial(0.5, 0.0))
+        r0 = model.resolvent_scalar(1.0, 0.0)
+    assert q.tolist() == [2.3811015779522986, q1]
+    assert p0 == 1.5874010519681994
+    assert r0 == {0.0: 2.678938534707747, 0.5: 2.6826505342788476}[m]
+
+
 def test_relativistic_resolvent_at_zero_has_late_branch():
     # d < alpha, m > 0: p_s(0) = s^{-d/alpha} up to s = 1/m, then
     # m^{d/alpha - d/2} s^{-d/2}
@@ -540,12 +559,22 @@ def test_misordered_profiles_rejected():
 
 
 def test_heavy_upper_profile_fails_tail_test():
-    # Phi2(u) ~ u^-nu makes the tail-ratio integral diverge
+    # Phi2(u) ~ u^-nu makes the tail-ratio integral diverge; u^-(nu + 1/2)
+    # passes, so the test's decision sits between the two
     space = SpaceModel(ambient_dim=2, nu=2.0, beta=1.5)
     heavy = lambda u: (1.0 + np.asarray(u, float)) ** -2.0
     with pytest.raises(ValidationError):
         ScalingKernelModel(space, heavy, phi_lower=lambda u: 0.5 * heavy(u),
                            phi_upper=heavy)
+    lighter = lambda u: (1.0 + np.asarray(u, float)) ** -2.5
+    ScalingKernelModel(space, lighter, phi_lower=lambda u: 0.5 * lighter(u),
+                       phi_upper=lighter)
+
+
+def test_space_model_is_euclidean_with_two_exponents():
+    assert [f.name for f in dataclasses.fields(SpaceModel)] == ["ambient_dim", "nu", "beta"]
+    with pytest.raises(TypeError):
+        SpaceModel(ambient_dim=2, nu=2.0, beta=2.0, metric=lambda x, y: 0.0)
 
 
 # --------------------------------------------------------------------------
