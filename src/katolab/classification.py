@@ -7,7 +7,6 @@ already witnesses them); convergence verdicts are evidence from the grid.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -18,11 +17,11 @@ from .functionals import (
     CenterStrategy,
     GreenKernelSpec,
     LOG_CAP,
-    kato_functional,
-    panel_memo,
-    resolvent_functional,
+    kato_job,
+    resolvent_job,
     semigroup_functional,
-    sup_over_centers,
+    semigroup_job,
+    sups,
     _resolve_centers,
 )
 from .kernels import ScalingKernelModel
@@ -31,7 +30,6 @@ from .measures import (
     FunctionalEstimate,
     MeasureRep,
     RadialDensity,
-    integrate_over_ball,
 )
 from .profiles import RadialProfile, power_profile
 from .quadrature import INF
@@ -167,13 +165,19 @@ def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
     from the centers with at least 4 finite positive masses on the grid."""
     if hasattr(mu, "eta"):
         return float(mu.eta)
+    return _fit_eta(r_grid, [[mu.ball_mass(x, float(r)) for r in r_grid]
+                             for x in centers])
+
+
+def _fit_eta(r_grid, masses: list) -> float | None:
+    """estimate_eta's fit from each center's ball masses on r_grid."""
     slopes = []
-    for x in centers:
-        masses = np.array([mu.ball_mass(x, float(r)) for r in r_grid])
-        pos = np.isfinite(masses) & (masses > 0)
+    for row in masses:
+        row = np.array(row)
+        pos = np.isfinite(row) & (row > 0)
         if pos.sum() < 4:
             continue
-        lr, lm = np.log(r_grid[pos]), np.log(masses[pos])
+        lr, lm = np.log(r_grid[pos]), np.log(row[pos])
         slopes.append(np.polyfit(lr, lm, 1)[0])
     return float(min(slopes)) if slopes else None
 
@@ -198,10 +202,6 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
     nu, beta = space.nu, space.beta
     spec = GreenKernelSpec.from_space(space)
     centers = _resolve_centers(mu, cfg.centers)
-    # the criteria of this call share each center's radial mass density, built
-    # once and evaluated once per panel, on a copy of mu that dies with the call
-    build, shared = mu.radial_mass_density, copy.copy(mu)
-    shared.radial_mass_density = panel_memo(lambda x: panel_memo(build(x)))
     findings: list[str] = []
     fits: dict[str, LimitFit] = {}
     sweeps: dict[str, list] = {}
@@ -217,37 +217,38 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
         r_grid = r_grid[r_grid <= LOG_CAP]
 
     # criterion 1: Green-kernel ball integrals (always available; ball
-    # masses, G^0 = 1, when nu < beta); each localized criterion computes
-    # the whole radius grid in one call
-    record("green", zip(r_grid, kato_functional(shared, spec, p, r_grid,
-                                                centers=centers)))
-
+    # masses, G^0 = 1, when nu < beta).  All criteria run in one engine
+    # call, each (key, scale, job): a localized one (scale None) over the
+    # radius grid; a global one per scale, recorded against the equivalent
+    # spatial scale (t^{1/beta}, alpha^{-1/beta}) so the one slope cutoff
+    # discriminates the same way on every criterion
+    runs = [("green", None, kato_job(spec, p, r_grid))]
     kernel_ok = mu.supports_kernel_criteria
     if kernel_ok:
-        a1, a2 = cfg.localized_alphas
-        for key, a in (("res_loc_a1", a1), ("res_loc_a*", a2)):
-            record(key, zip(r_grid, resolvent_functional(
-                shared, model, p, a, centers=centers, localized_radius=r_grid)))
-        t1, t2 = cfg.localized_times
-        t1 = min(t1, 0.5 * model.t0)
-        t2 = min(t2, 0.125 * model.t0)
-        for key, t in (("sg_loc_t1", t1), ("sg_loc_t*", t2)):
-            record(key, zip(r_grid, semigroup_functional(
-                shared, model, p, t, centers=centers, localized_radius=r_grid)))
-
+        (a1, a2), (t1, t2) = cfg.localized_alphas, cfg.localized_times
+        t1, t2 = min(t1, 0.5 * model.t0), min(t2, 0.125 * model.t0)
+        runs += [("res_loc_a1", None, resolvent_job(model, p, a1, r_grid)),
+                 ("res_loc_a*", None, resolvent_job(model, p, a2, r_grid)),
+                 ("sg_loc_t1", None, semigroup_job(model, p, t1, r_grid)),
+                 ("sg_loc_t*", None, semigroup_job(model, p, t2, r_grid))]
         t_grid = np.asarray(cfg.t_grid, dtype=float)
-        t_grid = t_grid[t_grid < model.t0]
-        # global sweeps are recorded against the equivalent spatial scale
-        # (t^{1/beta}, alpha^{-1/beta}) so the one slope cutoff discriminates
-        # the same way on every criterion
-        record("sg_global", [(t ** (1.0 / beta), semigroup_functional(
-            shared, model, p, float(t), centers=centers)) for t in t_grid])
-        record("res_global", [(a ** (-1.0 / beta), resolvent_functional(
-            shared, model, p, float(a), centers=centers))
-            for a in np.asarray(cfg.alpha_grid, dtype=float)])
+        runs += [("sg_global", t ** (1.0 / beta), semigroup_job(model, p, float(t), None))
+                 for t in t_grid[t_grid < model.t0]]
+        runs += [("res_global", a ** (-1.0 / beta), resolvent_job(model, p, float(a), None))
+                 for a in np.asarray(cfg.alpha_grid, dtype=float)]
     else:
         findings.append("measure supports ball-mass tests only; kernel "
                         "criteria skipped")
+    # estimate_eta's ball masses join the engine call where they are integrals
+    r_eta = r_grid[len(r_grid) // 2:]
+    integrated = not (hasattr(mu, "eta") or mu.closed_ball_mass)
+    found, masses = sups(mu, centers, [job for *_, job in runs], r_eta if integrated else None)
+    # (an empty t grid still records sg_global, which then fails its fit)
+    rows: dict[str, list] = {key: [] for key, *_ in runs + [("sg_global",)] * kernel_ok}
+    for (key, scale, _), est in zip(runs, found):
+        rows[key] += zip(r_grid, est) if scale is None else [(scale, est)]
+    for key, sweep in rows.items():
+        record(key, sweep)
 
     criteria = {k: _verdicts(f)[0] for k, f in fits.items()}
     certified_div = any(f.verdict == "diverges" and f.certified
@@ -278,7 +279,7 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
             # from the global semigroup sweep
             verdict_D = _verdicts(fits.get("sg_global", fits["green"]))[1]
 
-    eta_hat = estimate_eta(shared, centers, r_grid[len(r_grid) // 2:])
+    eta_hat = estimate_eta(mu, centers, r_eta) if masses is None else _fit_eta(r_eta, masses)
     p_star = (threshold_p_star(min(eta_hat, nu), nu, beta)
               if eta_hat is not None and eta_hat > 1e-6 else INF)
 
@@ -342,10 +343,8 @@ def _unit_ball_sup(f, q: float, dim: int, centers, weight: RadialProfile
                    ) -> FunctionalEstimate:
     """sup_x int_{B_1(x)} weight(d(x,y)) |f(y)|^q dm."""
     mu_q = _as_power_measure(f, q, dim)
-    pts = _resolve_centers(mu_q, centers)
-    est, _ = sup_over_centers(
-        pts, lambda x: integrate_over_ball(mu_q, x, 1.0, weight))
-    return est
+    return sups(mu_q, _resolve_centers(mu_q, centers), [(weight, 1.0, None)],
+                None)[0][0]
 
 
 def lq_unif_norm(f, q: float, dim: int,

@@ -14,10 +14,11 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kernels import ScalingKernelModel
 from .measures import (
+    R_SPLIT,
     FunctionalEstimate,
     MeasureRep,
-    integrate_global,
-    integrate_over_ball,
+    check_hint,
+    integrate_jobs,
 )
 from .profiles import RadialProfile
 from .space import LOG_CAP
@@ -148,16 +149,8 @@ def sup_over_centers(centers: list, objective) -> tuple:
 def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r,
                     centers: CenterStrategy | list | None = None):
     """sup_x int_{d(x,y) < r} G(d(x,y))^p mu(dy); for a grid of radii r, one
-    estimate per radius, each center computing the whole grid at once."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    if spec.regime == "log" and np.any(np.asarray(r) > LOG_CAP):
-        raise DomainError("log-regime radius must satisfy r <= 1/e")
-    g = green_power_profile(spec, p)
-    pts, gp = _resolve_centers(mu, centers), panel_memo(g)
-    est, _ = sup_over_centers(
-        pts, lambda x: integrate_over_ball(mu, x, r, gp, hint=g.singularity))
-    return est
+    estimate per radius."""
+    return sups(mu, _resolve_centers(mu, centers), [kato_job(spec, p, r)], None)[0][0]
 
 
 def semigroup_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
@@ -166,10 +159,8 @@ def semigroup_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
     """sup_x of the (localized) p-th power semigroup integral
     int (int_0^t p_s(x,y) ds)^p mu(dy); localized_radius as kato_functional's r."""
     _require_kernel_support(mu)
-    if not 0.0 < t < model.t0:
-        raise DomainError("t must lie in ]0, t0[")
-    return _radial_kernel_functional(mu, model, model.qt_radial(t), p, centers,
-                                     localized_radius)
+    job = semigroup_job(model, p, t, localized_radius)
+    return sups(mu, _resolve_centers(mu, centers), [job], None)[0][0]
 
 
 def resolvent_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
@@ -179,60 +170,59 @@ def resolvent_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
     """sup_x of the (localized) p-th power resolvent integral
     int r_alpha(x,y)^p mu(dy); localized_radius as kato_functional's r."""
     _require_kernel_support(mu)
+    job = resolvent_job(model, p, alpha, localized_radius)
+    return sups(mu, _resolve_centers(mu, centers), [job], None)[0][0]
+
+
+def kato_job(spec: GreenKernelSpec, p: float, r) -> tuple:
+    """kato_functional's (g, r, hint): G^p over the ball (or each ball of a grid) r."""
+    if p < 1:
+        raise DomainError("p must be >= 1")
+    if spec.regime == "log" and np.any(np.asarray(r) > LOG_CAP):
+        raise DomainError("log-regime radius must satisfy r <= 1/e")
+    g = green_power_profile(spec, p)
+    return g, r, g.singularity
+
+
+def semigroup_job(model: ScalingKernelModel, p: float, t: float, r) -> tuple:
+    """semigroup_functional's (g, r, hint); r None for the whole space."""
+    if not 0.0 < t < model.t0:
+        raise DomainError("t must lie in ]0, t0[")
+    return _kernel_job(model, model.qt_radial(t), p, r)
+
+
+def resolvent_job(model: ScalingKernelModel, p: float, alpha: float, r) -> tuple:
+    """resolvent_functional's (g, r, hint); r None for the whole space."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return _radial_kernel_functional(mu, model, model.resolvent_radial(alpha), p,
-                                     centers, localized_radius)
+    return _kernel_job(model, model.resolvent_radial(alpha), p, r)
 
 
-def _radial_kernel_functional(mu: MeasureRep, model: ScalingKernelModel, kernel,
-                              p: float, centers, localized_radius):
-    """sup_x of int kernel(d(x,y))^p mu(dy), over the ball (or each ball of a
-    grid) of radius localized_radius around x when given, else over the whole
-    space; kernel^p is evaluated once per distinct panel for all the centers."""
+def _kernel_job(model: ScalingKernelModel, kernel, p: float, r) -> tuple:
     # steepest admissible local slope: the jump branch of an estimate
     # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime
     hint = p * (model.space.nu + model.space.beta)
-    g = panel_memo(lambda s: np.asarray(kernel(s)) ** p)
-    if localized_radius is not None:
-        objective = lambda x: integrate_over_ball(mu, x, localized_radius, g, hint=hint)
-    else:
-        objective = lambda x: integrate_global(mu, x, g, hint=hint)
-    return sup_over_centers(_resolve_centers(mu, centers), objective)[0]
+    return (lambda s: np.asarray(kernel(s)) ** p), r, hint
 
 
-def panel_memo(f):
-    """f evaluated once per distinct argument (its shape and bytes) for as long
-    as the returned callable lives; None stays None.  All centers of a sup,
-    and all criteria about one center, integrate over panels with
-    bit-identical nodes.  A 2-d argument (one panel per row) not seen whole
-    is served row by row, f seeing only new rows, in one call; f must treat
-    each row as it would alone.  Callers share each result: none may write
-    into it."""
-    if f is None:
-        return None
-    memo, rows = {}, {}
-
-    def served(s):
-        s = np.asarray(s, dtype=float)
-        key = (s.shape, s.tobytes())
-        if key not in memo:
-            memo[key] = f(s) if s.ndim != 2 else _by_row(f, s, rows)
-        return memo[key]
-
-    return served
-
-
-def _by_row(f, s: np.ndarray, rows: dict):
-    """f(s) from rows[row bytes] = (values, stated error or None)."""
-    keys = [row.tobytes() for row in s]
-    new = {k: i for i, k in enumerate(keys) if k not in rows}
-    if new:
-        out = f(s[list(new.values())])
-        vals, gaps = out if isinstance(out, tuple) else (out, None)
-        rows.update(zip(new, zip(vals, np.broadcast_to(gaps, len(new)))))
-    vals, gaps = zip(*(rows[k] for k in keys))
-    return np.stack(vals) if gaps[0] is None else (np.stack(vals), np.array(gaps))
+def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
+    """(sups, masses): the sup over the centers of each job (g, r, hint), the
+    integral of g(d(x,y)) mu(dy) over the ball B_r(x) (a list over a grid r)
+    or the whole space (r None); and each center's ball masses at mass_radii
+    (float, inf where divergent; None for None).  All in one integrate_jobs
+    run, where the first center leads each sup."""
+    radii = [None if r is None else [float(rk) for rk in np.atleast_1d(r)]
+             for _, r, _ in jobs]
+    for (g, _, hint), rs in zip(jobs, radii):
+        check_hint(g, [R_SPLIT] if rs is None else rs, hint)
+    tasks = [(g, rs, True) for (g, _, _), rs in zip(jobs, radii)]
+    if mass_radii is not None:
+        tasks.append((np.ones_like, [float(rk) for rk in mass_radii], False))
+    tables = integrate_jobs(mu, centers, tasks)
+    ests = [sup_over_centers(centers, lambda x, rows=iter(table): next(rows))[0]
+            for table in tables[:len(jobs)]]  # objective: the next center's row
+    masses = None if mass_radii is None else [[float(e) for e in row] for row in tables[-1]]
+    return [e if np.ndim(r) else e[0] for e, (_, r, _) in zip(ests, jobs)], masses
 
 
 def _require_kernel_support(mu: MeasureRep) -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .quadrature import INF, integrate_outward, pchip
+from .quadrature import INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges, pchip
 from .space import LOG_CAP, SpaceModel
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -126,10 +126,13 @@ class ScalingKernelModel:
             raise ValidationError("lower profile exceeds the upper profile")
 
     def _check_h_phi2(self) -> None:
-        """Tail test of H(Phi2): int_1^inf t^{nu-1} Phi2(t) dt < inf."""
+        """Tail test of H(Phi2): int_1^inf t^{nu-1} Phi2(t) dt < inf, by
+        integrate_outward's test on its panels, all from one call of Phi2."""
         nu = self.space.nu
-        res = integrate_outward(lambda t: t ** (nu - 1.0) * np.asarray(self.phi2(t)), 1.0)
-        if res.diverged:
+        edges = 2.0 ** np.arange(OUTWARD_MAX_LEVELS + 1)
+        panels = gauss_panel(lambda t: t ** (nu - 1.0) * np.asarray(self.phi2(t)),
+                             edges[:-1], edges[1:])
+        if outward_diverges(panels):
             raise ValidationError("Phi2 fails the integrability condition H(Phi2)")
 
     # -- closed-form bound shapes ------------------------------------------
@@ -432,9 +435,11 @@ class StableEstimateModel(ScalingKernelModel):
 
     def jump_density(self, r):
         r = np.asarray(r, dtype=float)
+        return self._a_psi(r) * r ** (-(self.dim + self.alpha))
+
+    def _a_psi(self, r):  # the jump density times r^(d+a)
         d, a, m = self.dim, self.alpha, self.m
-        psi = 1.0 if m == 0.0 else relativistic_psi(d, a, m ** (1.0 / a) * r)
-        return self.A * psi * r ** (-(d + a))
+        return self.A * (1.0 if m == 0.0 else relativistic_psi(d, a, m ** (1.0 / a) * r))
 
     def _late_branch(self, t, r):
         """p_t(r) = m^{d/a - d/2} t^{-d/2} exp(-min(m^{1/a} r, m^{2/a-1} r^2/t)),
@@ -473,12 +478,18 @@ class StableEstimateModel(ScalingKernelModel):
                 s_star = np.where(r > 0.0, J ** (-a / (d + a)), 0.0)
                 m1 = np.minimum(t_small, s_star)
                 head = np.where(r > 0.0, 0.5 * J * m1**2, 0.0)
+                big = (r > 0.0) & np.isinf(J)
+                if big.any():  # s* = c^(-a/(d+a)) r^a, 0.5 J s*^2 = 0.5 c^((d-a)/(d+a)) r^(a-d)
+                    c = self._a_psi(np.where(big, r, 1.0))  # A psi
+                    s_star = np.where(big, c ** (-a / (d + a)) * r**a, s_star)
+                    head = np.where(big, np.where(
+                        s_star <= t_small, 0.5 * c ** ((d - a) / (d + a)) * r ** (a - d), INF), head)
             if d == a:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     mid = np.log(np.maximum(t_small, 1e-300) / np.maximum(s_star, 1e-300))
             else:
                 p = 1.0 - d / a
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     mid = (t_small**p - s_star**p) / p
             out = head + np.where(t_small > s_star, mid, 0.0)
             if d >= a:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
-from .quadrature import INF, integrate_outward, integrate_to_zero, split_error
+from .quadrature import INF, REASONS, dyadic_passes
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -89,22 +89,6 @@ class FunctionalEstimate:
         return INF if self.diverged else float(self.value)
 
 
-def _check_hint(g_radial: Callable, radii: list, hint: float | None) -> None:
-    """Compare the observed blow-up of g over each radius's cutoff grid with
-    the caller's singularity hint, all probes in one call of g; off by two
-    orders of magnitude is an error, raised at the first such radius."""
-    if hint is None:
-        return
-    probes = np.outer([2.0**-10, 2.0**-14], radii)  # (s_hi, s_lo) per radius
-    g = np.asarray(g_radial(probes.ravel()), dtype=float).reshape(2, -1)
-    expected = 16.0 ** hint  # (s_hi / s_lo) ** hint
-    for g_hi, g_lo in zip(*g):
-        if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
-            raise DiagnosticsError(
-                f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
-                f"s^-{hint} (expected <= {expected:.3g}) by more than 2 orders")
-
-
 class MeasureRep:
     """Base class; subclasses are the five computable representations.
 
@@ -115,6 +99,7 @@ class MeasureRep:
 
     dim: int
     supports_kernel_criteria = True
+    closed_ball_mass = False  # ball_mass is a closed form, not an integral
 
     def radial_mass_density(self, x) -> Callable | None:
         """Vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or None
@@ -160,11 +145,13 @@ class Density(MeasureRep):
         self.dim = dim
         self.support_radius = support_radius
         self.constant = constant
+        # a constant density on all of R^dim
+        self.closed_ball_mass = constant is not None and math.isinf(support_radius)
 
     def radial_mass_density(self, x) -> Callable:
         d = self.dim
         area = sphere_surface_area(d)
-        if self.constant is not None and math.isinf(self.support_radius):
+        if self.closed_ball_mass:
             c = self.constant
             return lambda s: c * area * np.asarray(s, dtype=float) ** (d - 1)
 
@@ -196,13 +183,13 @@ class Density(MeasureRep):
         return m
 
     def ball_mass(self, x, r: float) -> float:
-        if self.constant is not None and math.isinf(self.support_radius):
+        if self.closed_ball_mass:
             return self.constant * unit_ball_volume(self.dim) * r**self.dim
         return super().ball_mass(x, r)
 
     def support_points(self, n: int, rng) -> list:
         origin = np.zeros(self.dim)
-        if self.constant is not None and math.isinf(self.support_radius):
+        if self.closed_ball_mass:
             return [origin]  # translation invariant
         scale = self.support_radius if math.isfinite(self.support_radius) else 1.0
         return [origin] + list(rng.normal(scale=scale, size=(n - 1, self.dim)))
@@ -280,6 +267,8 @@ class SphereSurface(MeasureRep):
     mass density (mass / 4 pi R^2) * 2 pi R s / rho on |rho - R| <= s <= rho + R.
     """
 
+    closed_ball_mass = True
+
     def __init__(self, center, radius: float, total_mass: float, dim: int = 3):
         if dim != 3:
             raise DomainError("surface measure is implemented for dim=3 only")
@@ -348,6 +337,7 @@ class AhlforsAbstract(MeasureRep):
     """
 
     supports_kernel_criteria = False
+    closed_ball_mass = True
 
     def __init__(self, eta: float, c_lower: float, c_upper: float, r0: float,
                  dim: int = 1):
@@ -397,73 +387,114 @@ def _atom_sums(g_radial: Callable, ds: np.ndarray, ws: np.ndarray,
             for far in (~at_center & (ds <= rk) for rk in radii)]
 
 
-def _integrand(g_radial: Callable, m: Callable) -> Callable:
-    """s -> (g(s) m(s), relative error of m's values) for the quadrature."""
-    def h(s):
-        vals, gap = split_error(m(s))
-        return np.asarray(g_radial(s)) * np.asarray(vals), gap
-    return h
+def check_hint(g_radial: Callable, radii: list, hint: float | None) -> None:
+    """Compare the observed blow-up of g over each radius's cutoff grid with
+    the singularity hint (by default a RadialProfile's own), all probes in
+    one call of g; off by two orders of magnitude is an error, raised at the
+    first such radius."""
+    if hint is None and isinstance(g_radial, RadialProfile):
+        hint = g_radial.singularity
+    if hint is None:
+        return
+    probes = np.outer([2.0**-10, 2.0**-14], radii)  # (s_hi, s_lo) per radius
+    g = np.asarray(g_radial(probes.ravel()), dtype=float).reshape(2, -1)
+    expected = 16.0 ** hint  # (s_hi / s_lo) ** hint
+    for g_hi, g_lo in zip(*g):
+        if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
+            raise DiagnosticsError(
+                f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
+                f"s^-{hint} (expected <= {expected:.3g}) by more than 2 orders")
+
+
+def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
+    """out[job][center]: FunctionalEstimates of each job (g_radial, radii,
+    led), one per radius (radii None: one for the whole space), every
+    diffuse pass in one dyadic_passes run.  A closed ball is an exact atom
+    sum plus the inner dyadic sweep; the whole space, B(x, R_SPLIT) and,
+    unless it diverged, the atoms beyond plus the outward pass.  A led job
+    integrates the centers after the first only where the first does not
+    diverge (elsewhere None: a sup is decided there)."""
+    if any(rk <= 0 for _, radii, _ in jobs for rk in radii or ()):
+        raise DomainError("ball radius must be positive")
+    dens = [mu.radial_mass_density(x) for x in centers]
+    n_c, radii = len(centers), [[R_SPLIT] if rs is None else rs for _, rs, _ in jobs]
+    # one entry per (job, center, radius), job by job, center by center
+    sizes, lengths = [n_c * len(rs) for rs in radii], [len(rs) for rs in radii]
+    start = np.cumsum([0] + sizes)
+    job, whole, led = (np.repeat(col, sizes) for col in zip(
+        *((j, rs is None, bool(ld)) for j, (_, rs, ld) in enumerate(jobs))))
+    center = np.concatenate([np.repeat(np.arange(n_c), len(rs)) for rs in radii])
+    first = np.arange(len(job)) - center * np.repeat(lengths, sizes)  # first center's
+    atoms, tail = np.zeros(len(job)), np.zeros(len(job))
+    for c, x in enumerate(centers):
+        ds, ws = mu.radial_atoms(x)
+        if not np.any(ws != 0.0):
+            continue
+        for j, (g, rs, _) in enumerate(jobs):
+            at = slice(start[j] + c * lengths[j], start[j] + (c + 1) * lengths[j])
+            atoms[at] = _atom_sums(g, ds, ws, radii[j])
+            if rs is None:
+                tail[at] = _atom_sums(g, ds[ds > R_SPLIT], ws[ds > R_SPLIT], [INF])[0]
+    # each entry's ball pass, then (whole space, finite atoms) an outward one;
+    # a led job's later centers start after the first center's last pass
+    infinite = np.isinf(atoms)
+    skip = led & (center > 0) & infinite[first]
+    has_head = np.array([m is not None for m in dens], bool)[center] & ~skip
+    has_out = whole & has_head & ~infinite
+    head = np.where(has_head, np.cumsum(has_head) - 1, -1)
+    out = np.where(has_out, np.cumsum(has_out) - 1 + has_head.sum(), -1)
+    after = np.where(led & (center > 0), np.maximum(head, out)[first], -1)
+    res = dyadic_passes(
+        [g for g, _, _ in jobs], dens, np.concatenate([job[has_head], job[has_out]]),
+        np.concatenate([center[has_head], center[has_out]]),
+        np.concatenate([np.concatenate([np.tile(rs, n_c) for rs in radii])[has_head],
+                        np.full(has_out.sum(), R_SPLIT)]),
+        np.repeat([False, True], [has_head.sum(), has_out.sum()]),
+        np.concatenate([after[has_head], head[has_out]]))
+
+    def at(column, fill, i):  # column at pass i, fill for no pass (i = -1)
+        return np.append(column, fill)[i]
+
+    head_div = at(res["diverged"], False, head) | infinite
+    out_div = whole & ~head_div & at(res["diverged"], False, out)
+    diverged, shown = head_div | out_div, np.where(out_div, out, head)
+    value = at(res["value"], 0.0, head) + atoms
+    value = np.where(whole, value + tail + at(res["value"], 0.0, out), value)
+    error = at(res["quad_error"], 0.0, head) + np.where(whole & ~head_div,
+                                                      at(res["quad_error"], 0.0, out), 0.0)
+    names = REASONS + ("",)  # "" for no pass
+    ests = [None if miss else FunctionalEstimate(INF if d else v, 0.0 if od else e, diverged=d,
+                                                 log_slope=s, reason=names[k], levels=n)
+            for miss, v, e, d, od, s, k, n in zip(
+                (skip | ~at(res["ran"], True, head)).tolist(), value.tolist(), error.tolist(),
+                diverged.tolist(), out_div.tolist(), at(res["log_slope"], 0.0, shown).tolist(),
+                at(res["reason"], len(REASONS), shown).tolist(), at(res["levels"], 0, shown).tolist())]
+    return [[ests[start[j] + c * n:start[j] + (c + 1) * n] for c in range(n_c)]
+            for j, n in enumerate(lengths)]
 
 
 def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
                         hint: float | None = None):
-    """int_{B_r(x)} g(d(x,y)) mu(dy) over the closed ball: an exact sum over
-    the atoms of mu at distance <= r, plus the diffuse part by an inner
-    dyadic cutoff sweep.  r is one radius, or a grid of radii that share
-    one panel store (integrate_to_zero): then one estimate per radius.
+    """int_{B_r(x)} g(d(x,y)) mu(dy) over the closed ball (integrate_jobs);
+    r is one radius, or a grid of radii that share one panel store: then one
+    estimate per radius.
 
     g_radial is vectorized in the distance s; hint, if given, is the expected
     blow-up exponent of g at 0 (g ~ s^-hint) and is cross-checked against the
     observed growth.
     """
     radii = [float(rk) for rk in np.atleast_1d(r)]
-    if any(rk <= 0 for rk in radii):
-        raise DomainError("ball radius must be positive")
-    if hint is None and isinstance(g_radial, RadialProfile):
-        hint = g_radial.singularity
-    _check_hint(g_radial, radii, hint)
-
-    ds, ws = mu.radial_atoms(x)
-    atoms = _atom_sums(g_radial, ds, ws, radii)
-    m = mu.radial_mass_density(x)
-    if m is None:
-        out = [FunctionalEstimate(a, 0.0, diverged=math.isinf(a)) for a in atoms]
-    else:
-        out = []
-        for a, res in zip(atoms, integrate_to_zero(_integrand(g_radial, m), radii)):
-            diverged = res.diverged or math.isinf(a)
-            out.append(FunctionalEstimate(
-                INF if diverged else res.value + a, res.quad_error,
-                diverged=diverged, log_slope=res.log_slope, reason=res.reason,
-                levels=res.levels))
+    check_hint(g_radial, radii, hint)
+    out = integrate_jobs(mu, [x], [(g_radial, radii, False)])[0][0]
     return out if np.ndim(r) else out[0]
 
 
 def integrate_global(mu: MeasureRep, x, g_radial: Callable,
                      hint: float | None = None) -> FunctionalEstimate:
-    """Whole-space integral of g(d(x,y)) against mu.
-
-    The closed ball B(x, R_SPLIT) is handled by integrate_over_ball; outside
-    it, the atoms at distance > R_SPLIT are summed exactly and the diffuse
-    part is integrated outward.
-    """
-    head = integrate_over_ball(mu, x, R_SPLIT, g_radial, hint=hint)
-    if head.diverged:
-        return head
-
-    ds, ws = mu.radial_atoms(x)
-    outside = ds > R_SPLIT
-    tail = _atom_sums(g_radial, ds[outside], ws[outside], [INF])[0]
-    m = mu.radial_mass_density(x)
-    if m is None:
-        return FunctionalEstimate(head.value + tail, head.error)
-
-    res = integrate_outward(_integrand(g_radial, m), R_SPLIT)
-    if res.diverged:
-        return FunctionalEstimate(INF, 0.0, diverged=True, log_slope=res.log_slope,
-                                  reason=res.reason, levels=res.levels)
-    return FunctionalEstimate(head.value + tail + res.value, head.error + res.quad_error,
-                              reason=head.reason, levels=head.levels)
+    """Whole-space integral of g(d(x,y)) against mu (integrate_jobs): the
+    closed ball B(x, R_SPLIT), then outward."""
+    check_hint(g_radial, [R_SPLIT], hint)
+    return integrate_jobs(mu, [x], [(g_radial, None, False)])[0][0][0]
 
 
 def make_measure(kind: str, **kw) -> MeasureRep:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -127,126 +128,41 @@ def pchip(x, y) -> Callable:
     return f
 
 
-def _tail_window(panels: list[float]) -> tuple[str, list[float]]:
-    """Verdict on the last five panels, ordered from the coarse end toward
-    the limit under scrutiny (s -> 0 for inward passes, s -> inf for
-    outward ones): "nonfinite", "negligible" (nothing left near the limit),
-    "geometric" (every ratio in the window decays) or "growing".  Also
-    returns the window's panel-to-panel ratios."""
-    total = sum(panels)
-    if not math.isfinite(total):
-        return "nonfinite", []
-    tail = panels[-5:]
-    if total <= 0.0 or max(tail) <= 1e-300 * max(total, 1.0):
-        return "negligible", []
-    ratios = [b / a if a > 0 else 0.0 for a, b in zip(tail, tail[1:])]
-    if all(r <= GEOMETRIC_RATIO_MAX for r in ratios):
-        return "geometric", ratios
-    return "growing", ratios
+REASONS = ("geometric", "negligible", "nonfinite", "growing", "depth_cap")
+GEOMETRIC, NEGLIGIBLE, NONFINITE, GROWING, DEPTH_CAP = range(len(REASONS))
+
+PANEL_BLOCK = 256  # the most panels (rows of 32 nodes) per gauss_panel call
+
+_WAIT, _RUN, _DONE = range(3)  # pass status in dyadic_passes
+
+#: dyadic_passes' result per pass: IntegralResult's fields (reason as an
+#: index into REASONS), and whether it ran (its `after` pass converged)
+PASS = np.dtype([("value", float), ("quad_error", float), ("diverged", bool),
+                 ("reason", int), ("levels", int), ("log_slope", float), ("ran", bool)])
 
 
-def _analyze_panels(panels: list[float]) -> IntegralResult:
-    """Classify a sequence of panel contributions as convergent or not."""
-    state, ratios = _tail_window(panels)
-    n = len(panels)
-    if state == "nonfinite":
-        return IntegralResult(INF, 0.0, True, state, n, INF)
-    total = sum(panels)
-    if state == "negligible":
-        return IntegralResult(total, 1e-16 * abs(total), False, state, n)
-    if state == "geometric":
-        # the most recent ratio is the best estimate of the asymptotic rate
-        rho = ratios[-1] if ratios else 0.0
-        geo_tail = panels[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-        return IntegralResult(total + geo_tail, 0.5 * geo_tail + 1e-14 * total,
-                              False, state, n)
-    slope = float(np.mean(panels[-4:])) / math.log(2.0)
-    return IntegralResult(INF, 0.0, True, state, n, slope)
+def _results(out: np.ndarray) -> list[IntegralResult]:
+    return [IntegralResult(v, e, d, REASONS[k], n, s) for v, e, d, k, n, s, _ in out.tolist()]
 
 
 def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
     """Integrate h over (0, r], resolving a possible singularity at 0, for
-    one radius r or for each radius of a grid (then a RadiusSweep).
+    one radius r or for each radius of a grid (then a RadiusSweep), as
+    dyadic_passes of the one integrand h: h sees (n, 32) node arrays and
+    must map each row as it would alone.
 
     The panels of r are [r 2^{-j-1}, r 2^{-j}] for j = 0, 1, ...; the panel
     sequence must decay geometrically for the integral to count as
-    convergent, in which case the remaining inner tail is extrapolated
-    geometrically.  The bar adds the largest relative error h states on any
-    of the panels, times the value.  Every radius runs this stopping rule
-    on its own panels, read from one store keyed by the panel edges: a
-    panel that several radii share (on a dyadic grid the panels of r 2^-k
-    are those of r from the k-th on) is evaluated once, and a radius gets
-    the same panels, bit for bit, on any grid.  The radii advance in rounds,
-    so h sees (n, 32) node arrays and must map each row as it would alone.
-
-    Integrands with an interior boundary layer (kernel time/resolvent
-    scales) first rise and then settle into their asymptotic decay; the
-    sweep keeps deepening past MIN_LEVELS until the last-window verdict is
-    unambiguous: either every recent ratio is geometric (converged) or none
-    is (nothing decays toward 0: divergent).
+    convergent, and the remaining inner tail is then extrapolated.  The bar
+    adds the largest relative error h states on a panel, times the value.
+    An integrand with an interior boundary layer (kernel time/resolvent
+    scales) first rises and then decays: the sweep deepens past MIN_LEVELS
+    until every recent ratio is geometric (converged) or none is (divergent).
     """
-    out = _in_rounds(h, [_to_zero(float(rk)) for rk in np.atleast_1d(r)])
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    zero = np.zeros(len(radii), int)
+    out = _results(dyadic_passes([np.ones_like], [h], zero, zero, radii, zero > 0, zero - 1))
     return RadiusSweep(out) if np.ndim(r) else out[0]
-
-
-def _in_rounds(h: Callable, passes: list) -> list:
-    """Run the generator passes to their results in rounds: a pass yields the
-    edges of the panels it reads next and is sent their (value, gap) pairs;
-    one round evaluates all asked panels the store, keyed by edges, lacks."""
-    store, results = {}, [None] * len(passes)
-    asks = dict.fromkeys(range(len(passes)), ())  # a fresh pass is sent None
-    while asks:
-        new = list(dict.fromkeys(e for edges in asks.values() for e in edges
-                                 if e not in store))
-        if new:
-            store.update(zip(new, _panels(h, new)))
-        for i, edges in list(asks.items()):
-            try:
-                asks[i] = passes[i].send([store[e] for e in edges] or None)
-            except StopIteration as done:
-                results[i] = done.value
-                del asks[i]
-    return results
-
-
-def _panels(h: Callable, edges: list) -> list:
-    """(value, gap) of each panel (a, b) of edges, from one gauss_panel call."""
-    values, gaps = split_error(gauss_panel(h, *np.array(edges).T))
-    return list(zip(values.tolist(), np.broadcast_to(gaps, values.shape).tolist()))
-
-
-def _to_zero(r: float):
-    """integrate_to_zero's pass over (0, r], a generator for _in_rounds: it
-    asks for the MIN_LEVELS levels, the SETTLE_LEVELS after a geometric
-    window, or up to GROWING_CHUNK levels while the window grows."""
-    if r <= 0:
-        return IntegralResult(0.0, 0.0, False, "negligible", 0)
-    cap = MIN_LEVELS + MAX_EXTRA_LEVELS
-    fetched: list = []  # (value, gap) of levels 0, 1, ...
-    stop, settling = MIN_LEVELS, False  # next decision after `stop` levels
-    for j in range(cap + SETTLE_LEVELS):
-        if j == len(fetched):
-            end = stop if settling or j < MIN_LEVELS else min(j + GROWING_CHUNK, cap)
-            fetched += yield [(r * 2.0 ** -(k + 1), r * 2.0 ** -k) for k in range(j, end)]
-        if j + 1 < stop:
-            continue
-        if settling:
-            break
-        state, _ = _tail_window([value for value, _ in fetched[:stop]])
-        if state in ("nonfinite", "negligible") or state == "growing" and stop >= cap:
-            break
-        # geometric: decay rate found; deepen a little more so the extrapolated
-        # remainder is a small share of the total.  Growing: a growing window
-        # can be a transient crossover layer, so deepen up to the depth cap
-        settling = state == "geometric"
-        stop += SETTLE_LEVELS if settling else 1
-    panels, gaps = zip(*fetched[:stop])
-    res = _analyze_panels(panels)
-    if res.reason == "growing" and stop >= cap:
-        res.reason = "depth_cap"
-    if not res.diverged:
-        res.quad_error += max((0.0,) + gaps) * abs(res.value)
-    return res
 
 
 def integrate_outward(h: Callable, r0: float) -> IntegralResult:
@@ -254,18 +170,220 @@ def integrate_outward(h: Callable, r0: float) -> IntegralResult:
     stops once two panels in a row add at most OUTWARD_REL_TOL of the sum.
     The bar adds each panel's stated relative error times the panel.  The
     three panels it always reads come from one call of h."""
-    fetched = _panels(h, [(r0 * 2.0**k, r0 * 2.0 ** (k + 1)) for k in range(3)])
-    acc = angular = 0.0
-    for k in range(OUTWARD_MAX_LEVELS):
-        if k == len(fetched):
-            fetched += _panels(h, [(r0 * 2.0**k, r0 * 2.0 ** (k + 1))])
-        p, gap = fetched[k]
-        acc += p
-        angular += gap * abs(p)
-        small = OUTWARD_REL_TOL * max(acc, 1e-300)
-        if k >= 2 and p <= small and fetched[k - 1][0] <= small:
-            return IntegralResult(acc, p + angular, False, "negligible", k + 1)
-    res = _analyze_panels([p for p, _ in fetched])
-    if not res.diverged:
-        res.quad_error += angular
-    return res
+    return _results(dyadic_passes([np.ones_like], [h], [0], [0], [r0], [True], [-1]))[0]
+
+
+def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.ndarray:
+    """Run many dyadic passes together, in rounds; one PASS record each.
+    Pass i integrates gs[kernel[i]](s) * ms[center[i]](s) over (0, r[i]] by
+    integrate_to_zero's rule or, where outward[i], over [r[i], inf) by
+    integrate_outward's; where after[i] >= 0 it starts once pass after[i]
+    has ended undiverged, and never if that one diverged or never ran.
+
+    A round asks each running pass for its next levels (the MIN_LEVELS, the
+    SETTLE_LEVELS after a geometric window, up to GROWING_CHUNK while it
+    grows; outward three, then one), evaluates the panels no pass has read
+    (_Panels) and runs the stopping rule on (pass, stop) arrays, so each
+    pass ends exactly as it would alone."""
+    r, outward, after = np.asarray(r, float), np.asarray(outward, bool), np.asarray(after)
+    n, cap = len(r), MIN_LEVELS + MAX_EXTRA_LEVELS
+    panels = _Panels(gs, ms, np.asarray(kernel, int), np.asarray(center, int), r, outward)
+    out = np.zeros(n, PASS)
+    out["reason"] = NEGLIGIBLE
+    status = np.where(after >= 0, _WAIT, _RUN)
+    status[~outward & (r <= 0)] = _DONE  # an empty interval: 0, after no level
+    got, stop, settling = np.zeros(n, int), np.full(n, MIN_LEVELS), np.zeros(n, bool)
+    while True:
+        wait = np.flatnonzero(status == _WAIT)  # start where `after` converged
+        prior = after[wait]
+        status[wait[(status[prior] == _DONE) & ~out["diverged"][prior]]] = _RUN
+        if not len(run := np.flatnonzero(status == _RUN)):
+            out["ran"] = status == _DONE
+            return out
+        first = got[run]
+        got[run] = np.where(outward[run], np.where(first == 0, 3, first + 1),
+                            np.where(settling[run] | (first < MIN_LEVELS), stop[run],
+                                     np.minimum(first + GROWING_CHUNK, cap)))
+        panels.fetch(run, first, got[run])
+        o = run[outward[run]]
+        if len(o):  # stop once the last two panels add <= OUTWARD_REL_TOL of the sum
+            P, Q = panels.read(o, got[o])
+            done, acc = _outward_stop(P, got[o])
+            with np.errstate(invalid="ignore"):  # an inf panel of no stated error
+                angular = np.cumsum(Q * np.abs(P), axis=1)[np.arange(len(o)), got[o]]
+            d = o[done]
+            out["value"][d], out["quad_error"][d] = acc[done], P[done, got[d]] + angular[done]
+            out["levels"][d], status[d] = got[d], _DONE  # reason: NEGLIGIBLE
+            if (last := ~done & (got[o] == OUTWARD_MAX_LEVELS)).any():
+                _finish(out, status, o[last], P[last], Q[last], got[o[last]], False)
+        t = run[~outward[run]]
+        t = t[stop[t] <= got[t]]
+        if len(t):  # a settling pass ends; another decides at each stop it reached
+            P, Q = panels.read(t, got[t])
+            u = ~settling[t]
+            s0, last = stop[t[u]], np.minimum(got[t[u]], cap)
+            S = np.minimum(s0[:, None] + np.arange(int((last - s0).max(initial=0)) + 1),
+                           last[:, None])
+            state = _window(P[u], S)[0]
+            decides = (state != GROWING) | (S >= cap)
+            rows, pick = np.arange(len(S)), decides.argmax(axis=1)
+            s, state, decided = S[rows, pick], state[rows, pick], decides[rows, pick]
+            geo = decided & (state == GEOMETRIC)
+            stop[t[u]] = np.where(geo, s + SETTLE_LEVELS, np.where(decided, s, last + 1))
+            settling[t[u]] = geo
+            end = ~u
+            end[u] = decided & ~geo | geo & (stop[t[u]] <= got[t[u]])
+            _finish(out, status, t[end], P[end], Q[end], stop[t[end]], True)
+
+
+def _outward_stop(P: np.ndarray, k) -> tuple:
+    """Whether integrate_outward stops at k >= 3 panels read (k one count or
+    a row per pass, a row of P as _Panels.read lays it out), and their sum."""
+    rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(k) - 1))
+    acc = np.cumsum(P, axis=1)[rows, k]
+    small = OUTWARD_REL_TOL * np.maximum(acc, 1e-300)
+    return (k >= 3) & (P[rows, k] <= small) & (P[rows, k - 1] <= small), acc
+
+
+def outward_diverges(panels: np.ndarray) -> bool:
+    """Whether integrate_outward diverges, from all OUTWARD_MAX_LEVELS of its
+    panels evaluated at once: the same test, level by level."""
+    P, n = np.concatenate([[0.0], panels])[None], len(panels)
+    if _outward_stop(P, np.arange(3, n + 1)[None])[0].any():
+        return False
+    return int(_window(P, np.array([n]))[0][0]) in (GROWING, NONFINITE)
+
+
+def _window(P: np.ndarray, s) -> tuple:
+    """The verdict on the last five of the first s panels of a pass (s one
+    stop or a row per pass), ordered from the coarse end toward the limit:
+    NONFINITE, NEGLIGIBLE (nothing left near the limit), GEOMETRIC (every
+    ratio decays) or GROWING; and the sum, the window and its last ratio."""
+    rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(s) - 1))
+    total = np.cumsum(P, axis=1)[rows, s]
+    tail = P[rows[..., None], s[..., None] + np.arange(-4, 1)]
+    with np.errstate(invalid="ignore"):  # inf / inf
+        ratios = np.divide(tail[..., 1:], tail[..., :-1],
+                           out=np.zeros_like(tail[..., 1:]), where=tail[..., :-1] > 0)
+    state = np.where((ratios <= GEOMETRIC_RATIO_MAX).all(axis=-1), GEOMETRIC, GROWING)
+    state = np.where((total <= 0.0) | (tail.max(axis=-1) <= 1e-300 * np.maximum(total, 1.0)),
+                     NEGLIGIBLE, state)
+    return np.where(np.isfinite(total), state, NONFINITE), total, tail, ratios[..., -1]
+
+
+def _finish(out: np.ndarray, status, t, P, Q, s, inward: bool) -> None:
+    """End the passes t at their first s panels (errors in Q): a geometric
+    window extrapolates its tail, a growing ("depth_cap" inward at the cap)
+    or non-finite one diverges.  The bar adds the largest stated error times
+    the value (inward) or each panel's error times the panel (outward)."""
+    state, total, tail, rho = _window(P, s)
+    geo, diverged = state == GEOMETRIC, (state == GROWING) | (state == NONFINITE)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        geo_tail = np.where(rho > 0, tail[:, -1] * rho / (1.0 - rho), 0.0)
+        value = np.where(geo, total + geo_tail, total)
+        error = np.where(geo, 0.5 * geo_tail + 1e-14 * total, 1e-16 * np.abs(total))
+        if inward:  # the errors of the first s panels only
+            gap = np.where(np.arange(P.shape[1]) <= s[:, None], Q, 0.0)
+            error = error + np.fmax.reduce(gap, axis=1) * np.abs(value)
+        else:
+            error = error + np.cumsum(Q * np.abs(P), axis=1)[np.arange(len(t)), s]
+        slope = np.mean(tail[:, 1:], axis=1) / math.log(2.0)
+    out["value"][t], out["quad_error"][t] = np.where(diverged, INF, value), np.where(diverged, 0.0, error)
+    out["diverged"][t], out["levels"][t], status[t] = diverged, s, _DONE
+    out["reason"][t] = np.where(inward & (state == GROWING) & (s >= MIN_LEVELS + MAX_EXTRA_LEVELS),
+                             DEPTH_CAP, state)
+    out["log_slope"][t] = np.where(state == NONFINITE, INF, np.where(diverged, slope, 0.0))
+
+
+class _Panels:
+    """The panel values dyadic_passes reads, each evaluated once.  A radius
+    r = m 2^e (math.frexp) reads the panels [m 2^(n-1), m 2^n] of the ladder
+    of its mantissa m, shared by the passes of one (kernel, center).  A value
+    is gauss_panel's half * sum(w * g * m), from g evaluated once per panel
+    for all centers and m once per panel for all kernels (m may state
+    (values, relative error), one error per row)."""
+
+    def __init__(self, gs, ms, kernel, center, r, outward):
+        self.gs, self.ms, (mant, top) = gs, ms, np.frexp(r)
+        self.ladders = np.array(sorted(set(mant.tolist())))
+        lad, nl = np.searchsorted(self.ladders, mant), len(self.ladders)
+        # the exponents n within reach: [lo, lo + width)
+        self.lo = int(top.min(initial=0)) - MIN_LEVELS - MAX_EXTRA_LEVELS - SETTLE_LEVELS + 1
+        self.width = int(top.max(initial=0)) + OUTWARD_MAX_LEVELS + 1 - self.lo
+        self.npid = nl * self.width  # panels (ladder, n)
+        # each (kernel, center, ladder) in use owns `width` value keys; level
+        # j of pass i has key key0[i] + step[i] * j
+        owner = (kernel * len(ms) + center) * nl + lad
+        owners = np.flatnonzero(np.bincount(owner))
+        (self.o_k, self.o_c), self.o_lad = np.divmod(owners // nl, len(ms)), owners % nl
+        self.step = np.where(outward, 1, -1)
+        self.key0 = np.searchsorted(owners, owner) * self.width - self.lo + top + outward
+        # values, and the rows of g and m, each with its stated error last
+        self.value = _store(len(self.o_k) * self.width, 2)
+        self.g = _store(len(gs) * self.npid, len(_GL_NODES) + 1)
+        self.m = _store(len(ms) * self.npid, len(_GL_NODES) + 1)
+
+    def fetch(self, t: np.ndarray, first: np.ndarray, end: np.ndarray) -> None:
+        """Evaluate levels [first, end) of the passes t where no pass did."""
+        count = end - first
+        j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+        key = self.key0[np.repeat(t, count)] + self.step[np.repeat(t, count)] * j
+        new = _missing(self.value, key)
+        o, col = np.divmod(key[new], self.width)
+        pid = self.o_lad[o] * self.width + col
+        b = np.ldexp(self.ladders[self.o_lad[o]], col + self.lo)
+        for i in range(0, len(new), PANEL_BLOCK):
+            at = slice(i, i + PANEL_BLOCK)
+            k, c = self.o_k[o[at]], self.o_c[o[at]]
+            h = partial(_product, _rows(self.g, self.gs, k, k * self.npid + pid[at]),
+                        _rows(self.m, self.ms, c, c * self.npid + pid[at]))
+            _add(self.value, key[new[at]], np.column_stack(gauss_panel(h, 0.5 * b[at], b[at])))
+
+    def read(self, t: np.ndarray, s: np.ndarray) -> tuple:
+        """(values, stated errors) of the first s[i] levels of each pass t[i]:
+        level j in column j + 1 of row i, after a 0 that a running sum
+        starts from, and 0 beyond."""
+        j = np.arange(int(s.max(initial=0)))
+        keep = j < s[:, None]
+        rows = self.value[0][(self.key0[t, None] + self.step[t, None] * j)[keep]] - 1
+        P = np.zeros((2, len(t), len(j) + 1))
+        P[:, :, 1:][:, keep] = self.value[1][rows].T
+        return P[0], P[1]
+
+
+def _store(keys: int, width: int) -> tuple:
+    """(slot, rows, [rows used]): key's row is slot[key] - 1 (0: none yet),
+    packed in the order they come, so only rows in use are written."""
+    return np.zeros(keys, np.int32), np.empty((keys, width)), [0]
+
+
+def _missing(store: tuple, key: np.ndarray) -> np.ndarray:
+    """Positions in key of keys not stored, one per key; _add them next."""
+    slot, i = store[0], np.flatnonzero(store[0][key] == 0)
+    slot[key[i]] = tag = -1 - np.arange(len(i))  # of repeats, the last tag stays
+    return i[slot[key[i]] == tag]
+
+
+def _add(store: tuple, key: np.ndarray, rows: np.ndarray) -> None:
+    slot, buf, used = store
+    slot[key] = np.arange(used[0], used[0] + len(key)) + 1
+    buf[used[0]:used[0] + len(key)] = rows
+    used[0] += len(key)
+
+
+def _product(g: Callable, m: Callable, nodes) -> tuple:
+    m_rows = m(nodes)
+    return g(nodes)[:, :-1] * m_rows[:, :-1], m_rows[:, -1]
+
+
+def _rows(store: tuple, fns: list, owner, key) -> Callable:
+    """nodes -> fns[owner] at each row of nodes (its stated error last),
+    evaluated once per key."""
+    def rows(nodes):
+        new = _missing(store, key)
+        for o in np.flatnonzero(np.bincount(owner[new])).tolist():
+            i = new[owner[new] == o]
+            y, err = split_error(fns[o](nodes[i]))
+            _add(store, key[i], np.column_stack([y, np.broadcast_to(err, len(i))]))
+        return store[1][store[0][key] - 1]
+    return rows

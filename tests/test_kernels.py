@@ -362,6 +362,23 @@ def test_stable_values_at_zero_raise_no_warning(m, q1):
     assert r0 == {0.0: 2.678938534707747, 0.5: 2.6826505342788476}[m]
 
 
+@pytest.mark.parametrize("m", [0.0, 0.5], ids=["m0", "m0.5"])
+def test_stable_qt_is_finite_where_the_jump_density_overflows(m):
+    # J = A psi r^-(d+a) overflows at these radii; the head then comes from
+    # A psi and r apart.  d < a: the value meets its r = 0 limit; d > a: it
+    # keeps the r^(a-d) growth it has at 1e-60
+    for (d, a), r in (((1, 1.5), 1e-200), ((2, 1.2), 1e-100)):
+        model = StableEstimateModel(dim=d, alpha=a, m=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q0, qr, q60 = model.qt_radial(0.5)(np.array([0.0, r, 1e-60]))
+        assert math.isfinite(qr)
+        if d < a:
+            assert qr == pytest.approx(q0, rel=1e-12)
+        else:
+            assert qr == pytest.approx(q60 * (r / 1e-60) ** (a - d), rel=1e-12)
+
+
 def test_relativistic_resolvent_at_zero_has_late_branch():
     # d < alpha, m > 0: p_s(0) = s^{-d/alpha} up to s = 1/m, then
     # m^{d/alpha - d/2} s^{-d/2}

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katolab.functionals import GreenKernelSpec, kato_functional
 from katolab.kernels import GaussianKernelModel
-from katolab.measures import Density, _integrand
+from katolab.measures import Density, PointMasses, integrate_jobs
 from katolab import quadrature
 from katolab.quadrature import (
     GEOMETRIC_RATIO_MAX,
@@ -14,10 +15,15 @@ from katolab.quadrature import (
     MAX_EXTRA_LEVELS,
     MIN_LEVELS,
     OUTWARD_MAX_LEVELS,
+    OUTWARD_REL_TOL,
+    REASONS,
     SETTLE_LEVELS,
+    IntegralResult,
+    dyadic_passes,
     gauss_panel,
     integrate_outward,
     integrate_to_zero,
+    outward_diverges,
     pchip,
 )
 
@@ -166,6 +172,48 @@ def test_radius_grid_reads_shared_panels_once(monkeypatch):
     assert integrate_to_zero(lambda s: 1.0 / np.asarray(s), [1.0, 0.5]).diverged
 
 
+def _integrand(g, m):
+    """s -> (g(s) m(s), relative error of m's values): one pass's integrand."""
+    def h(s):
+        vals, gap = quadrature.split_error(m(s))
+        return np.asarray(g(s)) * np.asarray(vals), gap
+    return h
+
+
+def _tail_window(panels):
+    """The stopping rule's verdict on the last five panels, one pass at a
+    time: "nonfinite", "negligible", "geometric" or "growing", and the
+    window's ratios."""
+    total = sum(panels)
+    if not math.isfinite(total):
+        return "nonfinite", []
+    tail = panels[-5:]
+    if total <= 0.0 or max(tail) <= 1e-300 * max(total, 1.0):
+        return "negligible", []
+    ratios = [b / a if a > 0 else 0.0 for a, b in zip(tail, tail[1:])]
+    if all(r <= GEOMETRIC_RATIO_MAX for r in ratios):
+        return "geometric", ratios
+    return "growing", ratios
+
+
+def _analyze_panels(panels):
+    """The result of one pass from its panels, one pass at a time."""
+    state, ratios = _tail_window(panels)
+    n = len(panels)
+    if state == "nonfinite":
+        return IntegralResult(INF, 0.0, True, state, n, INF)
+    total = sum(panels)
+    if state == "negligible":
+        return IntegralResult(total, 1e-16 * abs(total), False, state, n)
+    if state == "geometric":
+        rho = ratios[-1] if ratios else 0.0
+        geo_tail = panels[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
+        return IntegralResult(total + geo_tail, 0.5 * geo_tail + 1e-14 * total,
+                              False, state, n)
+    slope = float(np.mean(panels[-4:])) / math.log(2.0)
+    return IntegralResult(INF, 0.0, True, state, n, slope)
+
+
 def _sequential_to_zero(h, r):
     """integrate_to_zero's stopping rule on one radius, one scalar gauss_panel
     call per panel: the reference for the batched rounds."""
@@ -183,14 +231,14 @@ def _sequential_to_zero(h, r):
             break
         if j < MIN_LEVELS:
             continue
-        state, _ = quadrature._tail_window(panels)
+        state, _ = _tail_window(panels)
         if state in ("nonfinite", "negligible"):
             break
         if state == "geometric":
             settle = SETTLE_LEVELS - 1
         elif j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
             break
-    res = quadrature._analyze_panels(panels)
+    res = _analyze_panels(panels)
     if res.reason == "growing" and j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
         res.reason = "depth_cap"
     if not res.diverged:
@@ -239,6 +287,154 @@ def test_rounds_equal_the_sequential_rule_on_a_density():
     got = integrate_to_zero(_integrand(g, mu.radial_mass_density(center)), 0.5)
     assert got == ref and got.quad_error > 0.0
     assert calls[0] == n_ref
+
+
+# --------------------------------------------------------------------------
+# the engine: kernels x centers x radii in one dyadic_passes run
+
+
+def _sequential_outward(h, r0):
+    """integrate_outward's rule on one pass, one scalar gauss_panel call per
+    panel: the reference for the outward passes of the engine."""
+    panels, acc, angular = [], 0.0, 0.0
+    for k in range(OUTWARD_MAX_LEVELS):
+        p, gap = quadrature.split_error(
+            gauss_panel(h, r0 * 2.0**k, r0 * 2.0 ** (k + 1)))
+        panels.append(p)
+        acc += p
+        angular += gap * abs(p)
+        small = OUTWARD_REL_TOL * max(acc, 1e-300)
+        if k >= 2 and p <= small and panels[k - 1] <= small:
+            return IntegralResult(acc, p + angular, False, "negligible", k + 1)
+    res = _analyze_panels(panels)
+    if not res.diverged:
+        res.quad_error += angular
+    return res
+
+
+def _rows_once(m):
+    """m evaluated once per distinct argument, so that the references below
+    read a Density's angular means at the cost of one engine run."""
+    seen = {}
+
+    def served(s):
+        key = np.shape(s), np.asarray(s).tobytes()
+        if key not in seen:
+            seen[key] = m(s)
+        return seen[key]
+
+    return served
+
+
+ENGINE_KERNELS = [
+    lambda s: np.asarray(s, dtype=float) ** -0.5,
+    lambda s: 1.0 / np.asarray(s),
+    lambda s: np.zeros_like(np.asarray(s, float)),
+    lambda s: np.full_like(np.asarray(s, float), np.inf),
+    _crossover,
+    lambda s: np.exp(-np.asarray(s, dtype=float) ** 2),
+]
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.25, 0.125], [0.3, 0.2, 0.15]],
+                         ids=["dyadic", "non-dyadic"])
+def test_engine_batch_equals_sequential_passes(grid):
+    # a 2-d Density seen from an off-center point states a relative angular
+    # gap per panel row, which must reach the bar of every undiverged pass
+    mu = Density(lambda y: math.exp(-float(y @ y) - 0.5 * y[0]), dim=2)
+    ms = [lambda s: np.ones_like(np.asarray(s, float)),
+          mu.radial_mass_density(np.array([0.2, -0.1]))]
+    gs = ENGINE_KERNELS
+    spec = [(k, c, r, False) for k in range(len(gs)) for c in range(len(ms))
+            for r in grid]
+    spec += [(k, c, r, True) for k in range(len(gs)) for c in range(len(ms))
+             for r in grid[1:]]
+    k, c, r, outward = map(np.array, zip(*spec))
+    got = dyadic_passes(gs, ms, k, c, r, outward, np.full(len(r), -1))
+    assert got["ran"].all()
+    memo = [_rows_once(m) for m in ms]
+    want = [(_sequential_outward if out else _sequential_to_zero)(
+        _integrand(gs[kk], memo[cc]), rr) for kk, cc, rr, out in spec]
+    # bit for bit, reasons and levels included (repr: a nan bar equals itself)
+    assert repr(quadrature._results(got)) == repr(want)
+    assert {res.reason for res in want} == set(REASONS)
+    # the same passes with the Density's values but no stated gap
+    plain = dyadic_passes(gs, [ms[0], lambda s: memo[1](s)[0]], k, c, r, outward,
+                          np.full(len(r), -1))
+    gapped = (c == 1) & ~got["diverged"] & (got["value"] > 0) & np.isfinite(got["value"])
+    assert gapped.sum() >= 10
+    assert np.array_equal(plain["value"][gapped], got["value"][gapped])
+    assert (got["quad_error"][gapped] > plain["quad_error"][gapped]).all()
+
+
+def test_engine_starts_a_pass_after_its_prior_pass_converged():
+    # pass 1 waits for pass 0 (converges), pass 3 for pass 2 (diverges),
+    # pass 4 for pass 3 (never runs)
+    gs = [lambda s: np.asarray(s, dtype=float) ** -0.5, lambda s: 1.0 / np.asarray(s)]
+    ms = [lambda s: np.ones_like(np.asarray(s, float))]
+    got = dyadic_passes(gs, ms, [0, 0, 1, 1, 0], [0] * 5, [1.0, 0.5, 1.0, 0.5, 0.5],
+                        [False] * 5, [-1, 0, -1, 2, 3])
+    assert got["ran"].tolist() == [True, True, True, False, False]
+    assert quadrature._results(got)[1] == integrate_to_zero(gs[0], 0.5)
+
+
+@pytest.mark.parametrize("h", [
+    lambda s: np.exp(-np.asarray(s, dtype=float) ** 2),
+    lambda s: np.asarray(s, dtype=float) ** -1.5,
+    lambda s: 1.0 / np.asarray(s),
+    lambda s: np.zeros_like(np.asarray(s, float)),
+    lambda s: np.full_like(np.asarray(s, float), np.inf),
+    lambda s: np.where(np.asarray(s) < 1e3, 1.0, 1.0 / np.asarray(s)),
+], ids=["gauss", "s^-1.5", "s^-1", "zeros", "inf", "flat-then-1/s"])
+def test_outward_verdict_from_all_panels_equals_integrate_outward(h):
+    edges = 2.0 ** np.arange(OUTWARD_MAX_LEVELS + 1)
+    panels = gauss_panel(h, edges[:-1], edges[1:])
+    assert outward_diverges(panels) == integrate_outward(h, 1.0).diverged
+
+
+def test_jobs_sum_point_mass_atoms_exactly():
+    atoms = [((0.0, 0.0), 2.0), ((0.3, 0.0), 1.0), ((0.0, 1.5), 0.5)]
+    mu = PointMasses(atoms)
+    def g(s):
+        with np.errstate(divide="ignore"):
+            return np.asarray(s, dtype=float) ** -1.5
+
+    centers = [np.array([0.1, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 1.0])]
+    radii = [1.0, 0.5, 0.25]
+    balls, whole, led = integrate_jobs(
+        mu, centers, [(g, radii, False), (g, None, False), (g, radii, True)])
+    for c, x in enumerate(centers):
+        ds = [float(np.linalg.norm(np.array(p) - x)) for p, _ in atoms]
+        for rk, est, lead in zip(radii + [INF], balls[c] + whole[c], led[c] + [None]):
+            want = sum(w * (INF if d == 0 else d ** -1.5)
+                       for d, (_, w) in zip(ds, atoms) if d <= rk)
+            assert est.diverged == math.isinf(want)
+            assert float(est) == pytest.approx(want, rel=1e-15)
+            assert (est.reason, est.levels) == ("", 0)  # no diffuse mass
+            if lead is not None:
+                assert lead == est
+    # led by a center on an atom, the other centers are not integrated
+    led = integrate_jobs(mu, centers[1:], [(g, radii, True)])[0]
+    assert all(est.diverged for est in led[0]) and led[1] == [None] * 3
+
+
+@pytest.mark.parametrize("r,calls", [(0.5, 269_568), (0.25, 209_920),
+                                     (0.125, 193_536)])
+def test_density_offcenter_calls_f_as_often_as_one_pass_per_center(r, calls):
+    # the density-offcenter geometry: a bump seen from four tetrahedral centers
+    x0 = np.array([0.8, 0.0, 0.0])
+    tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    centers = [x0 + 0.8 * u / math.sqrt(3.0) for u in tetra]
+    count = [0]
+
+    def bump(y):
+        count[0] += 1
+        d = np.asarray(y, dtype=float) - x0
+        return math.exp(-float(d @ d))
+
+    kato_functional(Density(bump, dim=3), GreenKernelSpec(nu=3.0, beta=2.0), 1.5,
+                    r, centers=centers)
+    assert count[0] == calls
 
 
 def test_gauss_panel_takes_edge_arrays():

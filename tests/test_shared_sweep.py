@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from katolab import quadrature
 from katolab.classification import ClassifyConfig, classify_measure
 from katolab.config import RunConfig
 from katolab.functionals import (
@@ -102,51 +101,25 @@ def test_point_masses_diverge_only_at_the_positive_atom():
     assert not any(e.diverged for e in ests)
 
 
-LOCALIZED = ("kato_functional", "resolvent_functional", "semigroup_functional")
-
-
-def _localized_panels(monkeypatch, per_radius: bool) -> int:
-    """Panels passed to gauss_panel by the localized criteria in `classify`
-    on configs/sphere-d3.cfg, with each criterion called once per radius
-    (the former way) or once per grid."""
-    import katolab.classification as cls
-
+def test_sphere_d3_reads_each_density_row_once(monkeypatch):
+    # one classify call runs every criterion in one engine call: each row
+    # (center, panel nodes) of the radial mass density is evaluated once
     run = RunConfig.from_file("configs/sphere-d3.cfg")
-    count = {"n": 0, "on": False}
-    gauss_panel = quadrature.gauss_panel
+    build = SphereSurface.radial_mass_density
+    rows = []
 
-    def counted(h, a, b):
-        count["n"] += count["on"] * np.size(a)
-        return gauss_panel(h, a, b)
+    def counted(self, x):
+        m = build(self, x)
+        center = tuple(np.asarray(x, dtype=float).tolist())
 
-    monkeypatch.setattr(quadrature, "gauss_panel", counted)
-    for name in LOCALIZED:
-        fn = getattr(cls, name)
+        def rows_read(s):
+            rows.extend((center, row.tobytes()) for row in np.atleast_2d(s))
+            return m(s)
 
-        def wrapped(*args, _fn=fn, _name=name, **kw):
-            if _name == "kato_functional":
-                grid = args[3]
-                call = lambda r: _fn(*args[:3], r, *args[4:], **kw)
-            elif kw.get("localized_radius") is not None:
-                grid = kw["localized_radius"]
-                call = lambda r: _fn(*args, **{**kw, "localized_radius": r})
-            else:
-                return _fn(*args, **kw)  # a global criterion
-            count["on"] = True
-            try:
-                return [call(float(r)) for r in grid] if per_radius else call(grid)
-            finally:
-                count["on"] = False
+        return None if m is None else rows_read
 
-        monkeypatch.setattr(cls, name, wrapped)
-    reports = [classify_measure(run.measure, run.model, p, run.classify)
-               for p in run.p_list]
-    monkeypatch.undo()
-    return count["n"], reports
-
-
-def test_sphere_d3_localized_panels_fall_at_least_5x(monkeypatch):
-    shared, reports = _localized_panels(monkeypatch, per_radius=False)
-    alone, reports_alone = _localized_panels(monkeypatch, per_radius=True)
-    assert [r.sweeps for r in reports] == [r.sweeps for r in reports_alone]
-    assert shared * 5 <= alone
+    monkeypatch.setattr(SphereSurface, "radial_mass_density", counted)
+    for p in run.p_list:
+        rows.clear()
+        classify_measure(run.measure, run.model, p, run.classify)
+        assert rows and len(rows) == len(set(rows))
