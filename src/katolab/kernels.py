@@ -16,17 +16,48 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .quadrature import INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges, pchip
+from .quadrature import INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges
 from .space import LOG_CAP, SpaceModel
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-#: radius range of a scaling model's r_1 table
+#: radius range that a scaling model's r_1 panels resolve
 _R1_LO, _R1_CAP = 1e-12, 1e12
+#: `_r1`: nodes per chunk; eps where its Taylor tail takes over; its terms
+_R1_CHUNK, _R1_EPS, _R1_TERMS = 64, 0.5, 16
 #: widest panel of `_log_panels`, in log s
 _LOG_PANEL_WIDTH = 0.5
 
 # ---------------------------------------------------------------------------
-# relativistic special functions
+# special functions
+
+#: Gamma(s, x): continued fraction depth (x >= 2) and series terms (x < 2)
+_GAMMA_CF_DEPTH, _GAMMA_SERIES_TERMS = 60, 30
+
+
+def _upper_gamma(s: float, x) -> np.ndarray:
+    """Gamma(s, x) = int_x^inf e^{-y} y^{s-1} dy for real s < 1, x >= 0, element
+    by element: its continued fraction from x = 2 on; below, Gamma(s0) - gamma(s0,
+    x) by series for s0 = s - floor(s) (E_1 for an integer s), then Gamma(s - 1,
+    x) = (Gamma(s, x) - x^{s-1} e^{-x}) / (s - 1) down to s.  Relative error about
+    1e-14; near, not at, an integer s, 1e-15 / |s - round(s)| (9e-12 at 0.001)."""
+    x = np.asarray(x, dtype=float)
+    out, far, near = np.zeros(x.shape), (x >= 2.0) & (x < 746.0), x < 2.0  # e^-746 = 0
+    if far.any():
+        xf, h = x[far], x[far] + (2 * _GAMMA_CF_DEPTH + 1 - s)
+        for j in range(_GAMMA_CF_DEPTH, 0, -1):
+            h = xf + (2 * j - 1 - s) - j * (j - s) / h
+        out[far] = np.exp(-xf) * (xf**s / h)
+    xn, s0, k = x[near], s - math.floor(s), np.arange(1.0, _GAMMA_SERIES_TERMS + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if s0 == 0.0:  # E_1(x) = -euler - log x - sum_{k>=1} (-x)^k / (k k!)
+            g = -np.euler_gamma - np.log(xn) - (np.cumprod(-xn[:, None] / k, axis=1) / k).sum(1)
+        else:  # gamma(s0, x) = x^s0 e^{-x} / s0 sum_{k>=0} x^k / ((s0 + 1) ... (s0 + k))
+            g = math.gamma(s0) - xn**s0 * np.exp(-xn) / s0 * (
+                1.0 + np.cumprod(xn[:, None] / (s0 + k), axis=1).sum(axis=1))
+        for sig in np.arange(s0, s, -1.0):
+            g = (g - xn ** (sig - 1.0) * np.exp(-xn)) / (sig - 1.0)
+    out[near] = np.where(xn > 0.0, g, math.gamma(s) if s > 0.0 else INF)
+    return out
 
 
 def stable_jump_constant(d: int, alpha: float) -> float:
@@ -170,7 +201,7 @@ class ScalingKernelModel:
 
     def _log_w(self, x):
         """log w(x), w(x) = e^{(nu-beta)x} profile(e^x): the weight in x = log u
-        that both kernel tables integrate."""
+        that q_t and r_1 integrate."""
         with np.errstate(divide="ignore"):
             return ((self.space.nu - self.space.beta) * x
                     + np.log(np.asarray(self.profile(np.exp(x)), dtype=float)))
@@ -179,8 +210,8 @@ class ScalingKernelModel:
     def _panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(edges, x, w): composite 16-point Gauss-Legendre panels in x, narrowed
         where log w curves and split at `profile_kinks`, with x their nodes and
-        w the rule weights times w(x).  They reach from where every r_1 table
-        radius r >= _R1_LO has exp(-(r e^{-x})^beta) < e^-800 to where w
+        w the rule weights times w(x).  They reach from where every radius
+        r >= _R1_LO has exp(-(r e^{-x})^beta) < e^-800 to where w
         underflows or past the power-tail reach of r <= _R1_CAP.
         """
         beta = self.space.beta
@@ -238,88 +269,65 @@ class ScalingKernelModel:
 
         return qt
 
-    def _r1(self, rs: np.ndarray) -> np.ndarray:
-        """r_1 at the radii rs >= _R1_LO, exact on the `_panels`.
+    @cached_property
+    def _r1_chunks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """-e^{-beta x} and w on the `_panels` nodes in rows of _R1_CHUNK (weight 0
+        pads the last), and per row the moments sum w e^{-k beta (x - x_c)}, k <
+        _R1_TERMS, over the nodes from its first, x_c, on (zeros past the last)."""
+        (_, x, w), beta = self._panels, self.space.beta
+        pad = -len(x) % _R1_CHUNK
+        xc = np.append(x, np.full(pad, x[-1])).reshape(-1, _R1_CHUNK)
+        wc, k = np.append(w, np.zeros(pad)).reshape(-1, _R1_CHUNK), np.arange(_R1_TERMS)
+        own = (np.exp(-beta * (xc - xc[:, :1])) ** k[:, None, None] * wc).sum(axis=-1).T
+        step = np.exp(-beta * np.diff(xc[:, 0], append=INF))[:, None] ** k
+        moments = np.zeros((len(xc) + 1, _R1_TERMS))
+        for c in range(len(xc) - 1, -1, -1):
+            moments[c] = own[c] + step[c] * moments[c + 1]
+        return -np.exp(-beta * xc), wc, moments
 
-        In x = log u, r_1(r) = beta r^{beta-nu} int exp(-(r e^{-x})^beta)
-        w(x) dx, and w does not depend on r: the values are a matrix of
-        exp(-(r e^{-x})^beta) on the panel nodes times their weights.
-        """
+    def _r1(self, r) -> np.ndarray:
+        """r_1 at every radius r >= 0, exact on the `_panels`: in x = log u,
+        r_1(r) = beta r^{beta-nu} int exp(-eps) w dx, eps = r^beta e^{-beta x}.
+        Per radius, node chunks where exp(-eps) is 0 in double add nothing,
+        each chunk up to the first whose eps is at most _R1_EPS is summed on
+        its own and added in order, and from that one on the Taylor series of
+        exp(-eps) on its moments adds the rest, so a batch equals its radii one
+        by one, bit for bit.  Below the panels the profile is continued by its
+        value at 0: phi0 Gamma(1 - nu/beta, (r e^{-x0})^beta), 0 in double for
+        r >= _R1_LO and the closed form at r = 0."""
         nu, beta = self.space.nu, self.space.beta
-        _, x, w = self._panels
-        lr = np.log(rs)
-        out = np.empty(len(rs))
-        for i in range(0, len(rs), 32):  # row blocks of about 1 MB
-            # exp(-e^7) already underflows to 0
-            arg = np.minimum(beta * (lr[i:i + 32, None] - x), 7.0)
-            out[i:i + 32] = np.exp(-np.exp(arg)) @ w
-        return beta * rs ** (beta - nu) * out
+        nx, wc, moments = self._r1_chunks
+        r = np.asarray(r, dtype=float)
+        rb = r.ravel()[:, None] ** beta
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lo = (np.exp(rb * nx[:, -1]) == 0.0).sum(axis=1)
+            hi = (rb * nx[:, 0] < -_R1_EPS).sum(axis=1)
+            neg_eps, m, live = rb[:, 0] * np.append(nx[:, 0], 0.0)[hi], moments[hi], hi - lo
+            out = m[:, -1]
+            for k in range(_R1_TERMS - 2, -1, -1):  # Horner, with the 1/k!
+                out = m[:, k] + neg_eps / (k + 1) * out
+            for i in range(0, len(rb), 64):  # row blocks of at most 64 radii
+                b, j = slice(i, i + 64), np.arange(max(live[i:i + 64].max(initial=0), 1))
+                rows = np.minimum(lo[b, None] + j, len(nx) - 1)
+                chunks = (np.exp(rb[b, :, None] * nx[rows]) * wc[rows]).sum(axis=-1)
+                out[b] += np.cumsum(np.where(j < live[b, None], chunks, 0.0), axis=1)[:, -1]
+            below = _upper_gamma(1.0 - nu / beta, rb[:, 0] * math.exp(-beta * self._panels[0][0]))
+            out = (beta * r.ravel() ** (beta - nu) * out
+                   + float(np.asarray(self.profile(np.array([0.0])))[0]) * below)
+        return out.reshape(r.shape)
 
     def resolvent_radial(self, alpha: float) -> Callable:
-        """Vectorized r -> r_alpha(r) from one lazily built table of r_1.
-
-        The substitution s = u/alpha in r_alpha = int_0^inf e^{-alpha s} p_s ds
-        gives the exact identity r_alpha(r) = alpha^{nu/beta - 1}
-        r_1(alpha^{1/beta} r), so one table serves every alpha.
-        """
-        r1 = self._unit_resolvent
+        """Vectorized r -> r_alpha(r) = alpha^{nu/beta - 1} r_1(alpha^{1/beta} r)
+        (s = u/alpha in int_0^inf e^{-alpha s} p_s ds), r_1 the panel sum `_r1`.
+        The panels are built here: a divergent tail moment raises at once."""
+        self._r1_chunks  # builds the panels
         nu, beta = self.space.nu, self.space.beta
         scale, factor = alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0)
-        return lambda r: factor * r1(scale * np.asarray(r, dtype=float))
-
-    @cached_property
-    def _unit_resolvent(self) -> Callable:
-        return self._build_resolvent_interp(1.0)
-
-    def _build_resolvent_interp(self, alpha: float) -> Callable:
-        rs, vals = self._resolvent_samples(alpha)
-        pos = vals > 0.0
-        rs, vals = rs[pos], vals[pos]
-        log_r, log_v = np.log(rs), np.log(vals)
-        spline = pchip(log_r, log_v)
-        at_zero = self.resolvent_scalar(alpha, 0.0)
-
-        def interp(r):
-            r = np.asarray(r, dtype=float)
-            lr = np.log(np.maximum(r, 1e-300))
-            out = np.exp(spline(lr))
-            out = np.where(lr > log_r[-1], 0.0, out)
-            if math.isinf(at_zero):
-                # continue the power/log divergence below the grid
-                slope = (log_v[1] - log_v[0]) / (log_r[1] - log_r[0])
-                small = r < rs[0]
-                if np.any(small):
-                    ext = np.exp(log_v[0] + slope * (np.log(np.maximum(r, 1e-300)) - log_r[0]))
-                    out = np.where(small, ext, out)
-                out = np.where(r == 0.0, INF, out)
-            else:
-                out = np.where(r < rs[0], at_zero, out)
-            return out
-
-        return interp
-
-    def _resolvent_samples(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """r_1 on 4000 log-spaced radii from _R1_LO to where it drops below
-        1e-280 (at most _R1_CAP), rescaled to r_alpha."""
-        nu, beta = self.space.nu, self.space.beta
-        coarse = np.geomspace(_R1_LO, _R1_CAP, 241)
-        dead = np.nonzero(self._r1(coarse) <= 1e-280)[0]
-        rs = np.geomspace(_R1_LO, coarse[dead[0]] if len(dead) else _R1_CAP, 4000)
-        return rs / alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0) * self._r1(rs)
+        return lambda r: factor * self._r1(scale * np.asarray(r, dtype=float))
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
-        """r_alpha(r) = alpha^{nu/beta - 1} r_1(alpha^{1/beta} r), closed form
-        at r = 0; below _R1_LO in alpha^{1/beta} r, the table's continuation."""
-        nu, beta = self.space.nu, self.space.beta
-        if r == 0.0:
-            if nu >= beta:
-                return INF
-            phi0 = float(np.asarray(self.profile(np.array([0.0])))[0])
-            return phi0 * math.gamma(1.0 - nu / beta) * alpha ** (nu / beta - 1.0)
-        u = alpha ** (1.0 / beta) * r
-        if u < _R1_LO:
-            return float(self.resolvent_radial(alpha)(np.array([r]))[0])
-        return alpha ** (nu / beta - 1.0) * float(self._r1(np.array([u]))[0])
+        """r_alpha(r) at one radius: a one-point call of resolvent_radial."""
+        return float(self.resolvent_radial(alpha)(np.array([r]))[0])
 
 
 def _erfc(z: np.ndarray) -> np.ndarray:
@@ -329,7 +337,7 @@ def _erfc(z: np.ndarray) -> np.ndarray:
 
 class GaussianKernelModel(ScalingKernelModel):
     """Brownian heat kernel p_t(r) = (2 pi t)^{-d/2} exp(-r^2 / 2t).  q_t and
-    r_alpha are closed forms with no r_1 table; odd d needs no scipy.special."""
+    r_alpha are closed forms; only even d's r_alpha needs scipy.special."""
 
     family = "gaussian"
 
@@ -361,9 +369,6 @@ class GaussianKernelModel(ScalingKernelModel):
     def resolvent_radial(self, alpha: float) -> Callable:
         return lambda r: self._resolvent(alpha, r)
 
-    def resolvent_scalar(self, alpha: float, r: float) -> float:
-        return float(self._resolvent(alpha, np.array([r]))[0])
-
     def qt_radial(self, t: float) -> Callable:
         d = self.dim
 
@@ -384,17 +389,13 @@ class GaussianKernelModel(ScalingKernelModel):
                     K = 0.5 * j / (zf + K)
                 out[~near] *= K / (zf + K)
                 return out.reshape(r.shape)
-            if d % 2:
-                # Gamma(d/2 - 1, x) from Gamma(1/2, x) = sqrt(pi) erfc(sqrt x)
-                # by Gamma(b + 1, x) = b Gamma(b, x) + x^b e^{-x}
-                G = math.sqrt(math.pi) * _erfc(np.sqrt(x))
-                for b in np.arange(0.5, d / 2.0 - 1.0):
-                    G = b * G + x**b * np.exp(-x)
-            else:
-                from scipy import special
-                a = d / 2.0 - 1.0
-                G = special.exp1(x) if d == 2 else math.gamma(a) * special.gammaincc(a, x)
+            # Gamma(d/2 - 1, x) from Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) (odd d)
+            # or Gamma(0, x) = E_1(x) (even d) by Gamma(b + 1, x) = b Gamma(b, x)
+            # + x^b e^{-x}
+            G = math.sqrt(math.pi) * _erfc(np.sqrt(x)) if d % 2 else _upper_gamma(0.0, x)
             with np.errstate(divide="ignore", invalid="ignore"):
+                for b in np.arange(0.5 * (d % 2), d / 2.0 - 1.0):
+                    G = b * G + x**b * np.exp(-x)
                 out = (2.0 * math.pi) ** (-d / 2.0) * (r**2 / 2.0) ** (1.0 - d / 2.0) * G
             return np.where(r == 0.0, INF, out)
 
@@ -406,8 +407,9 @@ class StableEstimateModel(ScalingKernelModel):
     p_t(r) = t^{-d/alpha} min(1, A (r/t^{1/alpha})^{-(d+alpha)}).
 
     For mass m > 0 the Psi correction is applied inside the jump density;
-    the small-time branch is then valid only for t <= 1/m, and r_alpha is
-    computed per radius from closed forms and `_log_panels`, with no table.
+    the small-time branch is then valid only for t <= 1/m.  r_alpha is one
+    closed form per radius for every m, plus `_log_panels` on the late
+    branch for m > 0.
     """
 
     family = "stable_estimate"
@@ -465,37 +467,35 @@ class StableEstimateModel(ScalingKernelModel):
             jump = np.where(r > 0.0, t * self.jump_density(np.maximum(r, 1e-300)), INF)
         return np.minimum(t ** (-d / a), jump)
 
+    def _head(self, r, top) -> tuple:
+        """(s*, J min(s*, top)^2) at radii r: p_s(r) turns from s J (J the jump
+        density) to s^{-d/a} at s* = J^{-a/(d+a)}.  Where J overflows, s* =
+        c^{-a/(d+a)} r^a and J s*^2 = c^{(d-a)/(d+a)} r^{a-d}, c = A psi."""
+        d, a = self.dim, self.alpha
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            J = self.jump_density(np.maximum(r, 1e-300))
+            s_star = J ** (-a / (d + a))
+            Ju2 = J * np.minimum(top, s_star) ** 2
+            if (big := np.isinf(J)).any():
+                c = self._a_psi(np.where(big, r, 1.0))
+                s_star = np.where(big, c ** (-a / (d + a)) * r**a, s_star)
+                Ju2 = np.where(big, np.where(s_star <= top, c ** ((d - a) / (d + a))
+                                             * r ** (a - d), INF), Ju2)
+        return s_star, Ju2
+
     def qt_radial(self, t: float) -> Callable:
         d, a, m = self.dim, self.alpha, self.m
         t_small = t if m == 0.0 else min(t, 1.0 / m)
 
         def qt(r):
             r = np.asarray(r, dtype=float)
-            # at r = 0 the jump density overflows to J = inf and J * m1^2 is
-            # inf * 0; np.where drops both
+            s_star, Ju2 = self._head(r, t_small)
+            head, p = np.where(r > 0.0, 0.5 * Ju2, 0.0), 1.0 - d / a
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                J = np.where(r > 0.0, self.jump_density(np.maximum(r, 1e-300)), INF)
-                s_star = np.where(r > 0.0, J ** (-a / (d + a)), 0.0)
-                m1 = np.minimum(t_small, s_star)
-                head = np.where(r > 0.0, 0.5 * J * m1**2, 0.0)
-                big = (r > 0.0) & np.isinf(J)
-                if big.any():  # s* = c^(-a/(d+a)) r^a, 0.5 J s*^2 = 0.5 c^((d-a)/(d+a)) r^(a-d)
-                    c = self._a_psi(np.where(big, r, 1.0))  # A psi
-                    s_star = np.where(big, c ** (-a / (d + a)) * r**a, s_star)
-                    head = np.where(big, np.where(
-                        s_star <= t_small, 0.5 * c ** ((d - a) / (d + a)) * r ** (a - d), INF), head)
-            if d == a:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    mid = np.log(np.maximum(t_small, 1e-300) / np.maximum(s_star, 1e-300))
-            else:
-                p = 1.0 - d / a
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    mid = (t_small**p - s_star**p) / p
-            out = head + np.where(t_small > s_star, mid, 0.0)
-            if d >= a:
-                out = np.where(r == 0.0, INF, out)
-            else:
-                out = np.where(r == 0.0, t_small ** (1.0 - d / a) / (1.0 - d / a), out)
+                mid = (np.log(np.maximum(t_small, 1e-300) / np.maximum(s_star, 1e-300))
+                       if d == a else (t_small**p - s_star**p) / p)
+            out = np.where(r == 0.0, INF if d >= a else t_small**p / p,
+                           head + np.where(t_small > s_star, mid, 0.0))
             if m > 0.0 and t > 1.0 / m:
                 out = out + self._late_branch_integral(1.0 / m, t, r, 0.0)
             return out
@@ -503,35 +503,33 @@ class StableEstimateModel(ScalingKernelModel):
         return qt
 
     def resolvent_radial(self, alpha: float) -> Callable:
-        if self.m == 0.0:
-            return super().resolvent_radial(alpha)
-        return lambda r: self._massive_resolvent(alpha, r)
-
-    def resolvent_scalar(self, alpha: float, r: float) -> float:
-        if self.m > 0.0:
-            return float(self._massive_resolvent(alpha, np.array([r]))[0])
-        return super().resolvent_scalar(alpha, r)
-
-    def _massive_resolvent(self, alpha: float, r) -> np.ndarray:
-        """r_alpha(r) for m > 0, with J the jump density, T = 1/m and
-        u = min(J^{-a/(d+a)}, T): int_0^u e^{-alpha s} s J ds in closed form,
-        plus int_u^T e^{-alpha s} s^{-d/a} ds (closed form where J = inf), plus
-        the late branch from T to past e^{-alpha s} and past the saddle
-        sqrt(c/alpha) of e^{-alpha s - c/s}, c = m^{2/a-1} r^2."""
-        from scipy import special
+        """r -> r_alpha(r), closed form up to T = 1/m (inf for m = 0): with u =
+        min(s*, T) (`_head`), int_0^u e^{-alpha s} s J ds = J u^2 gamma(2, alpha
+        u) / (alpha u)^2 plus int_u^T e^{-alpha s} s^{-d/a} ds = alpha^{d/a-1}
+        (Gamma(1-d/a, alpha u) - Gamma(1-d/a, alpha T)); for m > 0 plus the late
+        branch from T to past e^{-alpha s} and past the saddle sqrt(c/alpha) of
+        e^{-alpha s - c/s}, c = m^{2/a-1} r^2."""
         d, a, m = self.dim, self.alpha, self.m
-        T = 1.0 / m
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            J = self.jump_density(r)  # inf at r = 0 or where r^{-(d+a)} overflows
-            u = np.minimum(J ** (-a / (d + a)), T)
-            head = np.where(u > 0.0, J * special.gammainc(2.0, alpha * u), 0.0) / alpha**2
-        at0 = (INF if d >= a else alpha ** (d / a - 1.0) * math.gamma(1.0 - d / a)
-               * special.gammainc(1.0 - d / a, alpha * T))
-        mid = np.where(u > 0.0, _log_panels(lambda s: s ** (-d / a) * np.exp(-alpha * s),
-                                             np.where(u > 0.0, u, T), T), at0)
-        s_far = T + 50.0 / alpha + 4.0 * m ** (1.0 / a - 0.5) * r / math.sqrt(alpha)
-        return head + mid + self._late_branch_integral(T, s_far, r, alpha)
+        T, s = (INF if m == 0.0 else 1.0 / m), 1.0 - d / a
+        scale, past_T = alpha ** (d / a - 1.0), _upper_gamma(s, alpha * T)
+
+        def r_alpha(r):
+            r = np.asarray(r, dtype=float)
+            s_star, Ju2 = self._head(r, T)
+            y = alpha * np.minimum(s_star, T)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                # gamma(2, y) / y^2, by its series below y = 1 where 1 - e^{-y}(1 + y) cancels
+                g2 = np.where(y < 1.0, 0.5 * np.exp(-y) * (1.0 + np.cumprod(
+                    y[..., None] / np.arange(3.0, 20.0), axis=-1).sum(axis=-1)),
+                    -(np.expm1(-y) + y * np.exp(-y)) / y**2)
+                out = np.where(r > 0.0, Ju2 * g2, 0.0) + np.where(
+                    y < alpha * T, scale * (_upper_gamma(s, y) - past_T), 0.0)
+            if m > 0.0:
+                s_far = T + 50.0 / alpha + 4.0 * m ** (1.0 / a - 0.5) * r / math.sqrt(alpha)
+                out = out + self._late_branch_integral(T, s_far, r, alpha)
+            return out
+
+        return r_alpha
 
 
 class StretchedExponentialModel(ScalingKernelModel):

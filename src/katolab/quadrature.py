@@ -167,9 +167,10 @@ def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
 
 def integrate_outward(h: Callable, r0: float) -> IntegralResult:
     """Integrate h over [r0, inf) by dyadic doubling with a decay check: it
-    stops once two panels in a row add at most OUTWARD_REL_TOL of the sum.
-    The bar adds each panel's stated relative error times the panel.  The
-    three panels it always reads come from one call of h."""
+    stops once two panels in a row add at most OUTWARD_REL_TOL of a finite
+    sum, and diverges ("nonfinite") at a sum that is not.  The bar adds each
+    panel's stated relative error times the panel.  The three panels it
+    always reads come from one call of h."""
     return _results(dyadic_passes([np.ones_like], [h], [0], [0], [r0], [True], [-1]))[0]
 
 
@@ -214,7 +215,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
             d = o[done]
             out["value"][d], out["quad_error"][d] = acc[done], P[done, got[d]] + angular[done]
             out["levels"][d], status[d] = got[d], _DONE  # reason: NEGLIGIBLE
-            if (last := ~done & (got[o] == OUTWARD_MAX_LEVELS)).any():
+            if (last := ~done & ((got[o] == OUTWARD_MAX_LEVELS) | ~np.isfinite(acc))).any():
                 _finish(out, status, o[last], P[last], Q[last], got[o[last]], False)
         t = run[~outward[run]]
         t = t[stop[t] <= got[t]]
@@ -237,12 +238,12 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
 
 
 def _outward_stop(P: np.ndarray, k) -> tuple:
-    """Whether integrate_outward stops at k >= 3 panels read (k one count or
-    a row per pass, a row of P as _Panels.read lays it out), and their sum."""
+    """Whether integrate_outward stops converged at k >= 3 panels read (k one
+    count or a row per pass, a row of P as _Panels.read lays it out), and the sum."""
     rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(k) - 1))
     acc = np.cumsum(P, axis=1)[rows, k]
     small = OUTWARD_REL_TOL * np.maximum(acc, 1e-300)
-    return (k >= 3) & (P[rows, k] <= small) & (P[rows, k - 1] <= small), acc
+    return (k >= 3) & np.isfinite(acc) & (P[rows, k] <= small) & (P[rows, k - 1] <= small), acc
 
 
 def outward_diverges(panels: np.ndarray) -> bool:

@@ -1,18 +1,21 @@
 """Every error bar that `katolab classify` writes bounds the actual error.
 
-Rows are checked against closed forms that katolab does not use: the
-Lebesgue Green and resolvent integrals of perfbench/oracles.py.  The bars of
-kernels served from interpolation tables (Gaussian in even d, stable,
-stretched-exponential, custom) leave out the table error and are not
-checked here yet.
+Rows are checked against references that katolab does not use: the Lebesgue
+Green and resolvent integrals of perfbench/oracles.py (brownian-d3-lebesgue),
+and mpmath quadrature of the stable resolvent's closed form (stable-d2).
+Rows of the other configs are not checked here yet.
 """
 import csv
 import importlib.util
 import math
+from itertools import accumulate
 from pathlib import Path
+
+import pytest
 
 from katolab.classification import ClassifyConfig
 from katolab.cli import main
+from katolab.kernels import stable_jump_constant
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("oracles", ROOT / "perfbench" / "oracles.py")
@@ -20,38 +23,82 @@ oracles = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracles)
 
 
-def _lebesgue_d3_oracle(cfg: ClassifyConfig, key: str, p: float, scale: float):
-    """Closed form of a brownian-d3-lebesgue row, None for rows without one."""
-    a1, a2 = cfg.localized_alphas
-    if key == "green":
-        return oracles.green_ball_lebesgue_d3(p, scale)
-    if key in ("res_loc_a1", "res_loc_a*"):
-        return oracles.resolvent_lebesgue_d3(p, a1 if key == "res_loc_a1" else a2, scale)
-    if key == "res_global":  # recorded at the scale alpha^{-1/2}
-        alpha = min(cfg.alpha_grid, key=lambda a: abs(a**-0.5 - scale))
-        return oracles.resolvent_lebesgue_d3(p, float(alpha))
-    return None
-
-
-def test_brownian_d3_lebesgue_bars_cover_the_error(tmp_path):
-    cfg_path = ROOT / "configs" / "brownian-d3-lebesgue.cfg"
+def _uncovered_rows(tmp_path, config: str, oracle) -> tuple[int, list]:
+    """Run classify on a shipped config; count the finite rows the oracle
+    has a value for and list those whose bar misses it."""
+    cfg_path = ROOT / "configs" / f"{config}.cfg"
     assert main(["classify", "--config", str(cfg_path), "--seed", "7",
                  "--out", str(tmp_path)]) == 0
     with open(tmp_path / "classify.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    cfg = ClassifyConfig()
     checked, uncovered = 0, []
     for row in rows:
         p, scale = float(row["p"]), float(row["scale"])
         value, err = float(row["value"]), float(row["error"])
-        ref = _lebesgue_d3_oracle(cfg, row["criterion"], p, scale)
-        if p >= 3.0 or ref is None or not math.isfinite(value):
+        ref = oracle(row["criterion"], p, scale)
+        if ref is None or not math.isfinite(value):
             continue
         checked += 1
         if abs(value - ref) > err:
             uncovered.append(f"{row['criterion']} p={p:g} scale={scale:g}: "
                              f"|{value!r} - {ref!r}| > {err!r}")
+    return checked, uncovered
+
+
+def test_brownian_d3_lebesgue_bars_cover_the_error(tmp_path):
+    cfg = ClassifyConfig()
+    a1, a2 = cfg.localized_alphas
+
+    def oracle(key, p, scale):
+        """Closed form of a brownian-d3-lebesgue row, None for rows without one."""
+        if p >= 3.0:
+            return None
+        if key == "green":
+            return oracles.green_ball_lebesgue_d3(p, scale)
+        if key in ("res_loc_a1", "res_loc_a*"):
+            return oracles.resolvent_lebesgue_d3(p, a1 if key == "res_loc_a1" else a2, scale)
+        if key == "res_global":  # recorded at the scale alpha^{-1/2}
+            alpha = min(cfg.alpha_grid, key=lambda a: abs(a**-0.5 - scale))
+            return oracles.resolvent_lebesgue_d3(p, float(alpha))
+        return None
+
+    checked, uncovered = _uncovered_rows(tmp_path, "brownian-d3-lebesgue", oracle)
     # p in {1, 2, 2.8}: 10 green and 2 x 10 localized resolvent radii plus
     # 8 global alphas each
     assert checked == 3 * 38
+    assert uncovered == []
+
+
+def test_stable_d2_localized_resolvent_bars_cover_the_error(tmp_path):
+    # Lebesgue measure on R^2 under the stable estimate (d, a) = (2, 1.2):
+    # the localized resolvent row at radius r is 2 pi int_0^r r_alpha(s)^p s ds,
+    # with r_alpha = J gamma(2, alpha u) / alpha^2 + alpha^(d/a-1) Gamma(1-d/a,
+    # alpha u), J = A s^-(d+a), u = J^(-a/(d+a)), integrated by mpmath
+    mpmath = pytest.importorskip("mpmath")
+    cfg = ClassifyConfig()
+    a1, a2 = cfg.localized_alphas
+    radii = sorted(float(r) for r in cfg.r_grid)
+    d, a = 2, mpmath.mpf(1.2)
+    sums = {}
+
+    def r_alpha(alpha, s):
+        J = mpmath.mpf(stable_jump_constant(2, 1.2)) * s ** -(d + a)
+        u = J ** (-a / (d + a))
+        return (J * mpmath.gammainc(2, 0, alpha * u) / alpha**2
+                + mpmath.mpf(alpha) ** (d / a - 1) * mpmath.gammainc(1 - d / a, alpha * u))
+
+    def oracle(key, p, scale):
+        if key not in ("res_loc_a1", "res_loc_a*"):
+            return None
+        alpha = a1 if key == "res_loc_a1" else a2
+        if (p, alpha) not in sums:  # the integral up to every radius of the grid
+            with mpmath.workdps(20):
+                f = lambda s: 2 * mpmath.pi * r_alpha(alpha, s) ** p * s
+                parts = [mpmath.quad(f, [lo, hi]) for lo, hi in zip([0.0] + radii, radii)]
+                sums[p, alpha] = dict(zip(radii, map(float, accumulate(parts))))
+        return sums[p, alpha][scale]
+
+    checked, uncovered = _uncovered_rows(tmp_path, "stable-d2", oracle)
+    # p in {1, 1.5, 2}: 2 x 10 localized resolvent radii each
+    assert checked == 3 * 20
     assert uncovered == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from katolab import kernels
 from katolab.classification import ClassifyConfig
 from katolab.errors import DomainError, ValidationError
 from katolab.kernels import (
@@ -165,20 +166,6 @@ def test_resolvent_table_small_r_closed_form():
         assert np.allclose(got1, np.exp(-k * r1) / k, rtol=1e-5, atol=0.0)
 
 
-def test_one_resolvent_table_serves_every_classify_alpha(monkeypatch):
-    cfg = ClassifyConfig()
-    alphas = sorted(set(cfg.localized_alphas) | set(cfg.alpha_grid))
-    assert len(alphas) == 9
-    m = StableEstimateModel(dim=2, alpha=1.2)
-    built = []
-    build = m._build_resolvent_interp
-    monkeypatch.setattr(m, "_build_resolvent_interp",
-                        lambda a: built.append(a) or build(a))
-    for a in alphas:
-        m.resolvent_radial(a)
-    assert built == [1.0]
-
-
 def test_even_gaussian_resolvent_against_mpmath():
     # 2 (2 pi)^{-d/2} (r/k)^{1-d/2} K_{d/2-1}(kr), k = sqrt(2 alpha), at 50 digits
     mpmath = pytest.importorskip("mpmath")
@@ -196,18 +183,15 @@ def test_even_gaussian_resolvent_against_mpmath():
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
-def test_odd_gaussian_builds_no_resolvent_table(monkeypatch, d):
+def test_odd_gaussian_builds_no_resolvent_table(d):
     cfg = ClassifyConfig()
     alphas = sorted(set(cfg.localized_alphas) | set(cfg.alpha_grid))
     m = GaussianKernelModel(dim=d)
-    built = []
-    monkeypatch.setattr(m, "_build_resolvent_interp", built.append)
     rs = np.geomspace(1e-20, 30.0, 50)
     for a in alphas:
         assert np.all(np.isfinite(m.resolvent_radial(a)(rs)))
         assert math.isfinite(m.resolvent_scalar(a, 0.3))
     assert np.all(np.isfinite(m.qt_radial(0.5)(rs)))
-    assert built == []
     assert "_panels" not in vars(m)
 
 
@@ -217,22 +201,18 @@ def test_odd_gaussian_builds_no_resolvent_table(monkeypatch, d):
                       profile=parse_profile("exp:2")),
 ], ids=["stable", "custom-exp"])
 def test_rescaled_resolvent_table_matches_scalar(model):
+    rs = np.array([0.003, 0.02, 0.3, 1.0, 1.9, 5.0])
     for a in [0.5, 1.0, 7.9, 30.0]:
-        g = model.resolvent_radial(a)
-        for r in [0.003, 0.02, 0.3, 1.0, 1.9, 5.0]:
-            got = float(np.asarray(g(np.array([r])))[0])
-            assert got == pytest.approx(model.resolvent_scalar(a, r), rel=1e-6)
+        radial = model.resolvent_radial(a)(rs)
+        assert np.array_equal(radial, [model.resolvent_scalar(a, float(r)) for r in rs])
 
 
-def test_relativistic_model_builds_no_table(monkeypatch):
+def test_relativistic_model_builds_no_table():
     m = StableEstimateModel(dim=2, alpha=1.2, m=1.0)
-    built = []
-    monkeypatch.setattr(m, "_build_resolvent_interp", built.append)
     rs = np.array([0.0, 1e-9, 0.02, 0.3, 1.9, 5.0])
     for a in [1.0, 16.0, 64.0]:
         radial = m.resolvent_radial(a)(rs)
         assert np.array_equal(radial, [m.resolvent_scalar(a, float(r)) for r in rs])
-    assert built == []
     assert "_panels" not in vars(m)
 
 
@@ -475,6 +455,112 @@ def test_stable_resolvent_power_tail():
     assert slope == pytest.approx(2.0 + 1.2, abs=0.05)
 
 
+# --------------------------------------------------------------------------
+# r_alpha without tables: the generic panel sum, the stable closed form and
+# the incomplete gamma they share
+
+
+def test_r1_below_the_panels_when_nu_equals_beta():
+    # nu = beta = 2, profile e^{-u^2}: r_1(r) = int_0^inf e^{-s - r^2/s} ds / s
+    # = 2 K_0(2r), a log divergence at 0; below r = 1e-12 the profile is
+    # continued by its value at 0, profile(0) E_1((r e^{-x0})^2)
+    mpmath = pytest.importorskip("mpmath")
+    m = synthetic_scaling_model(2.0, 2.0, 2)
+    rs = np.array([1e-13, 1e-15, 1e-18, 1e-30, 1e-100])
+    got = m.resolvent_radial(1.0)(rs)
+    for r, g in zip(rs, got):
+        with mpmath.workdps(30):
+            ref = float(2 * mpmath.besselk(0, 2 * mpmath.mpf(r)))
+        assert abs(g - ref) <= 1e-13 * ref
+        assert m.resolvent_scalar(1.0, float(r)) == g
+    assert m.resolvent_scalar(1.0, 0.0) == math.inf
+
+
+STABLE_DA = [(2, 1.2), (1, 1.5), (1, 0.7), (1, 1.0), (2, 1.0), (3, 0.5)]
+
+
+@pytest.mark.parametrize("d,a", STABLE_DA)
+def test_stable_resolvent_against_closed_form(d, a):
+    # m = 0, J = A r^-(d+a), u = J^(-a/(d+a)): r_alpha = J gamma(2, alpha u) /
+    # alpha^2 + alpha^(d/a-1) Gamma(1-d/a, alpha u), at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    model = StableEstimateModel(dim=d, alpha=a)
+    rs = np.geomspace(1e-6, 30.0, 300)
+    with mpmath.workdps(30):
+        A, dm = mpmath.mpf(stable_jump_constant(d, a)), mpmath.mpf(d)
+        for alpha in [1.0, 16.0, 4096.0]:
+            got = model.resolvent_radial(alpha)(rs)
+            for r, g in zip(rs, got):
+                J = A * mpmath.mpf(r) ** -(dm + a)
+                u = J ** (-a / (dm + a))
+                ref = float(J * mpmath.gammainc(2, 0, alpha * u) / alpha**2
+                            + mpmath.mpf(alpha) ** (dm / a - 1)
+                            * mpmath.gammainc(1 - dm / a, alpha * u))
+                assert abs(g - ref) <= 1e-12 * ref, (alpha, r)
+    assert "_panels" not in vars(model)
+
+
+@pytest.mark.parametrize("model", [
+    make_kernel_model("custom", dim=3, nu=3.0, beta=2.0,
+                      profile=parse_profile("exp:2")),
+    StretchedExponentialModel(d_f=1.585, d_w=2.32, d_J=2.32,
+                              c1=1.0, c2=1.0, c3=1.0, c4=1.0),
+    synthetic_scaling_model(nu=2.5, beta=2.0),
+], ids=["custom-exp", "stretched-exp", "synthetic"])
+def test_generic_resolvent_equals_the_full_panel_sum(model):
+    # every panel node in one exactly rounded sum of exp(-u^beta e^{-beta x}) w,
+    # against the chunks and the Taylor tail that _r1 reads per radius
+    nu, beta = model.space.nu, model.space.beta
+    _, x, w = model._panels
+    rs = np.geomspace(1e-12, 30.0, 1000)
+    for alpha in [1.0, 16.0, 4096.0]:
+        u = alpha ** (1.0 / beta) * rs
+        terms = np.exp(-(u[:, None] ** beta) * np.exp(-beta * x)) * w
+        ref = (alpha ** (nu / beta - 1.0) * beta * u ** (beta - nu)
+               * np.array([math.fsum(row) for row in terms]))
+        got = model.resolvent_radial(alpha)(rs)
+        big = ref > 1e-280
+        assert big.sum() > 500
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-13 * ref[big])
+
+
+@pytest.mark.parametrize("s", [1 / 3, -0.43, -2 / 3, 0.0, -1.0, -2.0, -4.5, -5.0])
+def test_upper_gamma_against_mpmath(s):
+    # Gamma(s, x) on both sides of the switch from series to continued
+    # fraction at x = 2; a subnormal value is held to a few units of 2^-1074
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.geomspace(1e-12, 700.0, 400), [1.0, 2.0 - 1e-12, 2.0]])
+    got = kernels._upper_gamma(s, xs)
+    for x, g in zip(xs, got):
+        with mpmath.workdps(30):
+            ref = float(mpmath.gammainc(s, x))
+        assert abs(g - ref) <= max(1e-13 * ref, 4 * 2.0**-1074), x
+    ends = kernels._upper_gamma(s, np.array([0.0, 800.0, np.inf]))
+    assert ends.tolist() == [math.gamma(s) if s > 0 else math.inf, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0], ids=["stable", "relativistic"])
+def test_stable_resolvent_is_finite_at_tiny_radii(m):
+    # J = A psi r^-(d+a) overflows below about 1e-100; s* and J u^2 come from
+    # A psi and r apart.  d < a: r_alpha meets its value at 0; d > a: it keeps
+    # the r^(a-d) growth it has at 1e-60; d = a: it grows like log(1/r)
+    for (d, a), tiny in (((1, 1.5), [1e-100, 1e-200]), ((2, 1.2), [1e-100, 1e-200]),
+                         ((3, 1.0), [1e-100]), ((1, 1.0), [1e-100, 1e-200])):
+        model = StableEstimateModel(dim=d, alpha=a, m=m)
+        for alpha in [1.0, 16.0]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v0, v60, *vs = model.resolvent_radial(alpha)(np.array([0.0, 1e-60] + tiny))
+            assert np.all(np.isfinite(vs))
+            for r, v in zip(tiny, vs):
+                if d < a:
+                    assert v == pytest.approx(v0, rel=1e-12)
+                elif d > a:
+                    assert v == pytest.approx(v60 * (r / 1e-60) ** (a - d), rel=1e-12)
+                else:
+                    assert v > v60 and v0 == math.inf
+
+
 def test_stable_alpha_out_of_range():
     with pytest.raises(DomainError):
         StableEstimateModel(dim=1, alpha=2.0)
@@ -575,6 +661,15 @@ def test_misordered_profiles_rejected():
                            phi_upper=lambda u: 0.5 * np.asarray(profile(u)))
 
 
+def test_infinite_upper_profile_fails_tail_test():
+    # an infinite Phi2 tail makes the H(Phi2) integral infinite, not negligible
+    space = SpaceModel(ambient_dim=2, nu=2.0, beta=1.5)
+    profile = lambda u: np.exp(-np.asarray(u, float))
+    upper = lambda u: np.where(np.asarray(u, float) > 4.0, np.inf, 1.0)
+    with pytest.raises(ValidationError):
+        ScalingKernelModel(space, profile, phi_upper=upper)
+
+
 def test_heavy_upper_profile_fails_tail_test():
     # Phi2(u) ~ u^-nu makes the tail-ratio integral diverge; u^-(nu + 1/2)
     # passes, so the test's decision sits between the two
@@ -654,8 +749,9 @@ def _assert_rowwise(f, s):
     StretchedExponentialModel(d_f=2.0, d_w=3.0, d_J=2.5,
                               c1=1.0, c2=1.0, c3=1.0, c4=1.0),
     synthetic_scaling_model(nu=2.0, beta=1.5, dim=2),
+    make_kernel_model("custom", dim=3, nu=3.0, beta=2.0, profile=parse_profile("exp:2")),
 ], ids=["gauss-d1", "gauss-d2", "gauss-d3", "gauss-d5", "stable", "relativistic",
-        "stretched-exp", "synthetic"])
+        "stretched-exp", "synthetic", "custom-exp"])
 def test_radial_kernels_map_panel_arrays_row_by_row(model):
     s = _panel_nodes()
     for t in [0.05, 0.5]:

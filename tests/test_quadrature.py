@@ -142,6 +142,19 @@ def test_reason_negligible():
     assert res.levels == MIN_LEVELS
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_outward_nonfinite_sum_diverges(value):
+    # as inward: a non-finite running sum ends the pass, at the first check
+    # (three panels) or at the first panel after that where it turns up
+    res = integrate_outward(lambda s: np.full_like(np.asarray(s, float), value), 1.0)
+    assert (res.value, res.quad_error, res.diverged, res.reason, res.levels) == (
+        INF, 0.0, True, "nonfinite", 3)
+    late = integrate_outward(
+        lambda s: np.where(np.asarray(s) < 8.0, np.exp(-np.asarray(s, float)), value), 1.0)
+    assert (late.value, late.diverged, late.reason, late.levels) == (INF, True, "nonfinite", 4)
+    assert outward_diverges(np.full(OUTWARD_MAX_LEVELS, value))
+
+
 def test_reason_nonfinite():
     res = integrate_to_zero(
         lambda s: np.full_like(np.asarray(s, float), np.inf), 1.0)
@@ -303,6 +316,8 @@ def _sequential_outward(h, r0):
         panels.append(p)
         acc += p
         angular += gap * abs(p)
+        if k >= 2 and not math.isfinite(acc):
+            return _analyze_panels(panels)
         small = OUTWARD_REL_TOL * max(acc, 1e-300)
         if k >= 2 and p <= small and panels[k - 1] <= small:
             return IntegralResult(acc, p + angular, False, "negligible", k + 1)
@@ -469,7 +484,13 @@ def test_pchip_matches_scipy_bit_for_bit():
 
 
 def test_pchip_matches_scipy_on_the_resolvent_table():
-    rs, vals = GaussianKernelModel(dim=3)._resolvent_samples(1.0)
+    # r_1 of the 3-d Gaussian profile's panel sum on the 4,000 log-spaced
+    # radii the former resolvent table sampled: from 1e-12 to where r_1
+    # falls below 1e-280
+    m = GaussianKernelModel(dim=3)
+    coarse = np.geomspace(1e-12, 1e12, 241)
+    rs = np.geomspace(1e-12, coarse[np.nonzero(m._r1(coarse) <= 1e-280)[0][0]], 4000)
+    vals = m._r1(rs)
     log_r, log_v = np.log(rs[vals > 0]), np.log(vals[vals > 0])
     mids = 0.5 * (log_r[1:] + log_r[:-1])
     probe = np.concatenate([log_r, mids, np.linspace(log_r[0], log_r[-1], 999)])
