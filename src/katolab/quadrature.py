@@ -203,45 +203,49 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
             return out
         first = got[run]
         got[run] = np.where(outward[run], np.where(first == 0, 3, first + 1),
-                            np.where(settling[run] | (first < MIN_LEVELS), stop[run],
+                            np.where(settling[run] | (first < MIN_LEVELS),
+                                     np.maximum(stop[run], first),
                                      np.minimum(first + GROWING_CHUNK, cap)))
         panels.fetch(run, first, got[run])
         o = run[outward[run]]
         if len(o):  # stop once the last two panels add <= OUTWARD_REL_TOL of the sum
-            P, Q = panels.read(o, got[o])
-            done, acc = _outward_stop(P, got[o])
+            P, Q, C = panels.read(o, got[o])
+            done, acc = _outward_stop(P, C, got[o])
             with np.errstate(invalid="ignore"):  # an inf panel of no stated error
                 angular = np.cumsum(Q * np.abs(P), axis=1)[np.arange(len(o)), got[o]]
             d = o[done]
             out["value"][d], out["quad_error"][d] = acc[done], P[done, got[d]] + angular[done]
             out["levels"][d], status[d] = got[d], _DONE  # reason: NEGLIGIBLE
             if (last := ~done & ((got[o] == OUTWARD_MAX_LEVELS) | ~np.isfinite(acc))).any():
-                _finish(out, status, o[last], P[last], Q[last], got[o[last]], False)
+                s = got[o[last]]
+                _finish(out, status, o[last], s, _window(P[last], C[last], s), angular[last], False)
         t = run[~outward[run]]
         t = t[stop[t] <= got[t]]
-        if len(t):  # a settling pass ends; another decides at each stop it reached
-            P, Q = panels.read(t, got[t])
-            u = ~settling[t]
-            s0, last = stop[t[u]], np.minimum(got[t[u]], cap)
+        if len(t):  # a settling pass ends at its stop; another decides at each stop it reached
+            P, Q, C = panels.read(t, got[t])
+            ends = settling[t]
+            s0, last = stop[t], np.where(ends, stop[t], np.minimum(got[t], cap))
             S = np.minimum(s0[:, None] + np.arange(int((last - s0).max(initial=0)) + 1),
                            last[:, None])
-            state = _window(P[u], S)[0]
-            decides = (state != GROWING) | (S >= cap)
+            window = _window(P, C, S)
+            decides = (window[0] != GROWING) | (S >= cap) | ends[:, None]
             rows, pick = np.arange(len(S)), decides.argmax(axis=1)
-            s, state, decided = S[rows, pick], state[rows, pick], decides[rows, pick]
-            geo = decided & (state == GEOMETRIC)
-            stop[t[u]] = np.where(geo, s + SETTLE_LEVELS, np.where(decided, s, last + 1))
-            settling[t[u]] = geo
-            end = ~u
-            end[u] = decided & ~geo | geo & (stop[t[u]] <= got[t[u]])
-            _finish(out, status, t[end], P[end], Q[end], stop[t[end]], True)
+            window = [w[rows, pick] for w in window]  # at the stop each pass decides
+            s, decided = S[rows, pick], decides[rows, pick]
+            settling[t] = geo = decided & (window[0] == GEOMETRIC) & ~ends
+            stop[t] = np.where(geo, s + SETTLE_LEVELS, np.where(decided, s, last + 1))
+            if (end := decided & ~geo).any():
+                gap = np.where(np.arange(Q.shape[1]) <= s[end, None], Q[end], 0.0)
+                _finish(out, status, t[end], s[end], [w[end] for w in window],
+                        np.fmax.reduce(gap, axis=1), True)
 
 
-def _outward_stop(P: np.ndarray, k) -> tuple:
+def _outward_stop(P: np.ndarray, C: np.ndarray, k) -> tuple:
     """Whether integrate_outward stops converged at k >= 3 panels read (k one
-    count or a row per pass, a row of P as _Panels.read lays it out), and the sum."""
+    count or a row per pass, a row of P as _Panels.read lays it out, C its
+    running sums), and the sum."""
     rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(k) - 1))
-    acc = np.cumsum(P, axis=1)[rows, k]
+    acc = C[rows, k]
     small = OUTWARD_REL_TOL * np.maximum(acc, 1e-300)
     return (k >= 3) & np.isfinite(acc) & (P[rows, k] <= small) & (P[rows, k - 1] <= small), acc
 
@@ -250,18 +254,20 @@ def outward_diverges(panels: np.ndarray) -> bool:
     """Whether integrate_outward diverges, from all OUTWARD_MAX_LEVELS of its
     panels evaluated at once: the same test, level by level."""
     P, n = np.concatenate([[0.0], panels])[None], len(panels)
-    if _outward_stop(P, np.arange(3, n + 1)[None])[0].any():
+    C = np.cumsum(P, axis=1)
+    if _outward_stop(P, C, np.arange(3, n + 1)[None])[0].any():
         return False
-    return int(_window(P, np.array([n]))[0][0]) in (GROWING, NONFINITE)
+    return int(_window(P, C, np.array([n]))[0][0]) in (GROWING, NONFINITE)
 
 
-def _window(P: np.ndarray, s) -> tuple:
+def _window(P: np.ndarray, C: np.ndarray, s) -> tuple:
     """The verdict on the last five of the first s panels of a pass (s one
-    stop or a row per pass), ordered from the coarse end toward the limit:
-    NONFINITE, NEGLIGIBLE (nothing left near the limit), GEOMETRIC (every
-    ratio decays) or GROWING; and the sum, the window and its last ratio."""
+    stop or a row per pass; C the running sums of P), ordered from the coarse
+    end toward the limit: NONFINITE, NEGLIGIBLE (nothing left near the limit),
+    GEOMETRIC (every ratio decays) or GROWING; and the sum, the window and its
+    last ratio."""
     rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(s) - 1))
-    total = np.cumsum(P, axis=1)[rows, s]
+    total = C[rows, s]
     tail = P[rows[..., None], s[..., None] + np.arange(-4, 1)]
     with np.errstate(invalid="ignore"):  # inf / inf
         ratios = np.divide(tail[..., 1:], tail[..., :-1],
@@ -272,22 +278,19 @@ def _window(P: np.ndarray, s) -> tuple:
     return np.where(np.isfinite(total), state, NONFINITE), total, tail, ratios[..., -1]
 
 
-def _finish(out: np.ndarray, status, t, P, Q, s, inward: bool) -> None:
-    """End the passes t at their first s panels (errors in Q): a geometric
-    window extrapolates its tail, a growing ("depth_cap" inward at the cap)
-    or non-finite one diverges.  The bar adds the largest stated error times
-    the value (inward) or each panel's error times the panel (outward)."""
-    state, total, tail, rho = _window(P, s)
+def _finish(out: np.ndarray, status, t, s, window, bar, inward: bool) -> None:
+    """End the passes t at their first s panels from their _window there: a
+    geometric window extrapolates its tail, a growing ("depth_cap" inward at
+    the cap) or non-finite one diverges.  The bar adds `bar`: inward the
+    largest stated error of those panels, times the value; outward the sum of
+    each panel's error times the panel."""
+    state, total, tail, rho = window
     geo, diverged = state == GEOMETRIC, (state == GROWING) | (state == NONFINITE)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         geo_tail = np.where(rho > 0, tail[:, -1] * rho / (1.0 - rho), 0.0)
         value = np.where(geo, total + geo_tail, total)
         error = np.where(geo, 0.5 * geo_tail + 1e-14 * total, 1e-16 * np.abs(total))
-        if inward:  # the errors of the first s panels only
-            gap = np.where(np.arange(P.shape[1]) <= s[:, None], Q, 0.0)
-            error = error + np.fmax.reduce(gap, axis=1) * np.abs(value)
-        else:
-            error = error + np.cumsum(Q * np.abs(P), axis=1)[np.arange(len(t)), s]
+        error = error + (bar * np.abs(value) if inward else bar)
         slope = np.mean(tail[:, 1:], axis=1) / math.log(2.0)
     out["value"][t], out["quad_error"][t] = np.where(diverged, INF, value), np.where(diverged, 0.0, error)
     out["diverged"][t], out["levels"][t], status[t] = diverged, s, _DONE
@@ -329,47 +332,52 @@ class _Panels:
         count = end - first
         j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
         key = self.key0[np.repeat(t, count)] + self.step[np.repeat(t, count)] * j
-        new = _missing(self.value, key)
-        o, col = np.divmod(key[new], self.width)
+        key = key[_missing(self.value, key)]
+        o, col = np.divmod(key, self.width)
         pid = self.o_lad[o] * self.width + col
         b = np.ldexp(self.ladders[self.o_lad[o]], col + self.lo)
-        for i in range(0, len(new), PANEL_BLOCK):
+        g = _rows(self.g, self.gs, self.o_k[o], self.o_k[o] * self.npid + pid)
+        m = _rows(self.m, self.ms, self.o_c[o], self.o_c[o] * self.npid + pid)
+        for i in range(0, len(key), PANEL_BLOCK):
             at = slice(i, i + PANEL_BLOCK)
-            k, c = self.o_k[o[at]], self.o_c[o[at]]
-            h = partial(_product, _rows(self.g, self.gs, k, k * self.npid + pid[at]),
-                        _rows(self.m, self.ms, c, c * self.npid + pid[at]))
-            _add(self.value, key[new[at]], np.column_stack(gauss_panel(h, 0.5 * b[at], b[at])))
+            h = partial(_product, partial(g, at), partial(m, at))
+            _add(self.value, key[at], *gauss_panel(h, 0.5 * b[at], b[at]))
 
     def read(self, t: np.ndarray, s: np.ndarray) -> tuple:
-        """(values, stated errors) of the first s[i] levels of each pass t[i]:
-        level j in column j + 1 of row i, after a 0 that a running sum
-        starts from, and 0 beyond."""
-        j = np.arange(int(s.max(initial=0)))
-        keep = j < s[:, None]
-        rows = self.value[0][(self.key0[t, None] + self.step[t, None] * j)[keep]] - 1
-        P = np.zeros((2, len(t), len(j) + 1))
-        P[:, :, 1:][:, keep] = self.value[1][rows].T
-        return P[0], P[1]
+        """(values, stated errors, running sums of the values) of the first
+        s[i] levels of each pass t[i]: level j in column j + 1 of row i, after
+        a 0 that a running sum starts from, and 0 beyond."""
+        j = np.arange(-1, int(s.max(initial=0)))
+        keep = (j >= 0) & (j < s[:, None])
+        key = np.where(keep, self.key0[t, None] + self.step[t, None] * j, 0)
+        P, Q = np.moveaxis(self.value[1].take(np.where(keep, self.value[0][key] - 1, -1), 0), -1, 0)
+        return P, Q, np.cumsum(P, axis=1)
 
 
 def _store(keys: int, width: int) -> tuple:
-    """(slot, rows, [rows used]): key's row is slot[key] - 1 (0: none yet),
-    packed in the order they come, so only rows in use are written."""
-    return np.zeros(keys, np.int32), np.empty((keys, width)), [0]
+    """(slot, rows, [rows used]): key's row is slot[key] - 1 (0: none yet, a
+    row of zeros), packed in the order they come, so only rows in use are
+    written."""
+    rows = np.empty((keys + 1, width))
+    rows[-1] = 0.0
+    return np.zeros(keys, np.int32), rows, [0]
 
 
 def _missing(store: tuple, key: np.ndarray) -> np.ndarray:
-    """Positions in key of keys not stored, one per key; _add them next."""
-    slot, i = store[0], np.flatnonzero(store[0][key] == 0)
+    """Positions in key of keys not stored, one per key (the last of
+    repeats), tagged as taken until their rows are stored."""
+    slot, i = store[0], (store[0][key] == 0).nonzero()[0]
     slot[key[i]] = tag = -1 - np.arange(len(i))  # of repeats, the last tag stays
     return i[slot[key[i]] == tag]
 
 
-def _add(store: tuple, key: np.ndarray, rows: np.ndarray) -> None:
+def _add(store: tuple, key: np.ndarray, value, err) -> None:
+    """Store each key's panel value and its stated error."""
     slot, buf, used = store
-    slot[key] = np.arange(used[0], used[0] + len(key)) + 1
-    buf[used[0]:used[0] + len(key)] = rows
-    used[0] += len(key)
+    at = slice(used[0], used[0] + len(key))
+    buf[at, 0], buf[at, 1] = value, err
+    slot[key] = np.arange(at.start, at.stop) + 1
+    used[0] = at.stop
 
 
 def _product(g: Callable, m: Callable, nodes) -> tuple:
@@ -378,13 +386,23 @@ def _product(g: Callable, m: Callable, nodes) -> tuple:
 
 
 def _rows(store: tuple, fns: list, owner, key) -> Callable:
-    """nodes -> fns[owner] at each row of nodes (its stated error last),
-    evaluated once per key."""
-    def rows(nodes):
-        new = _missing(store, key)
-        for o in np.flatnonzero(np.bincount(owner[new])).tolist():
-            i = new[owner[new] == o]
-            y, err = split_error(fns[o](nodes[i]))
-            _add(store, key[i], np.column_stack([y, np.broadcast_to(err, len(i))]))
-        return store[1][store[0][key] - 1]
+    """(at, nodes) -> fns[owner[k]] at row k of nodes (its stated error last)
+    for each k in the block `at` of keys: a key is evaluated in the first
+    block that holds it, one call per owner there in ascending order, its
+    rows written straight into the store."""
+    new = (len(key) - 1 - _missing(store, key[::-1]))[::-1]  # first of repeats
+
+    def rows(at: slice, nodes):
+        slot, buf, used = store
+        i = new[new.searchsorted(at.start):new.searchsorted(at.stop)]
+        if len(i):
+            i = i[owner[i].argsort(kind="stable")]
+            cut = ((owner[i[1:]] != owner[i[:-1]]).nonzero()[0] + 1).tolist()
+            sub, n = nodes.take(i - at.start, 0), used[0]
+            for a, b in zip([0] + cut, cut + [len(i)]):
+                y, err = split_error(fns[owner[i[a]]](sub[a:b]))
+                buf[n + a:n + b, :-1], buf[n + a:n + b, -1] = y, err
+            slot[key[i]] = np.arange(n, n + len(i)) + 1
+            used[0] += len(i)
+        return buf.take(slot[key[at]] - 1, 0)
     return rows
