@@ -95,7 +95,8 @@ class CenterStrategy:
     seed: int = 7
 
     def build(self, mu: MeasureRep) -> list:
-        rng = np.random.default_rng(self.seed)
+        # a generator only where points are drawn: numpy.random costs an import
+        rng = np.random.default_rng(self.seed) if self.n_support > 0 or self.n_random > 0 else None
         pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in self.explicit]
         if self.n_support > 0:
             pts += [np.atleast_1d(p) for p in mu.support_points(self.n_support, rng)]

@@ -16,6 +16,7 @@ from .space import LOG_CAP, unit_ball_volume
 
 DECREASING_TOL = 1e-9  # relative rise check_decreasing forgives
 INVERSE_TOL = 1e-12  # relative bracket width of right_continuous_inverse
+TINY = np.finfo(float).tiny  # the smallest normal float
 DENSITY_WINDOW = 4.0  # from_density samples the cube [-4, 4]^d
 
 
@@ -32,39 +33,39 @@ def right_continuous_inverse(f: Callable) -> Callable:
     plateaus the inverse jumps, which is exactly the right-continuous choice.
     """
     check_decreasing(f)
-
-    def scalar(t: float) -> float:
-        t = float(t)
-        if t < 0:
-            raise DomainError("inverse is defined for t >= 0")
-        fval = lambda s: float(np.asarray(f(np.array([s])))[0])
-        if fval(0.0) <= t:
-            return 0.0
-
-        hi = 1.0
-        while fval(hi) > t:
-            hi *= 2.0
-            if hi > 1e15:
-                return INF
-        lo = hi / 2.0
-        while fval(lo) <= t:
-            lo /= 2.0
-            if lo < 1e-300:
-                return 0.0
-        # bisect in log space: relative precision is uniform across scales,
-        # so far tails of the inverse stay accurate
-        while hi - lo > INVERSE_TOL * hi:
-            mid = math.sqrt(lo * hi)
-            if fval(mid) > t:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    f_at = lambda s: np.asarray(f(s), dtype=float)
 
     def inv(t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([scalar(v) for v in arr.ravel()]).reshape(arr.shape)
-        return out if np.ndim(t) else float(out[0])
+        if np.any(arr < 0):
+            raise DomainError("inverse is defined for t >= 0")
+        tv, out = arr.ravel(), np.zeros(arr.size)
+        lo, hi = np.zeros(arr.size), np.ones(arr.size)
+        # every t at once, each by the steps of a search of its own: 0 where
+        # f(0) <= t; hi doubles while f(hi) > t (inf past 1e15); lo halves
+        # from hi / 2 while f(lo) <= t (0 below 1e-300); then bisection in log
+        # space: relative precision is uniform across scales, so far tails of
+        # the inverse stay accurate
+        live = run = np.flatnonzero(~(f_at(np.zeros(arr.size)) <= tv))
+        while len(run) and len(run := run[f_at(hi[run]) > tv[run]]):
+            hi[run] *= 2.0
+            run = run[hi[run] <= 1e15]
+        out[live[hi[live] > 1e15]] = INF
+        live = run = live[hi[live] <= 1e15]
+        lo[live] = hi[live] / 2.0
+        while len(run) and len(run := run[f_at(lo[run]) <= tv[run]]):
+            lo[run] /= 2.0
+            run = run[lo[run] >= 1e-300]
+        live = run = live[lo[live] >= 1e-300]
+        while len(run := run[hi[run] - lo[run] > INVERSE_TOL * hi[run]]):
+            # sqrt(lo hi); where lo hi is below the normal floats, sqrt(lo)
+            # sqrt(hi): the product would lose digits or reach 0 and stall
+            prod = lo[run] * hi[run]
+            mid = np.where(prod < TINY, np.sqrt(lo[run]) * np.sqrt(hi[run]), np.sqrt(prod))
+            up = f_at(mid) > tv[run]
+            lo[run[up]], hi[run[~up]] = mid[up], mid[~up]
+        out[live] = lo[live]
+        return out.reshape(arr.shape) if np.ndim(t) else float(out[0])
 
     return inv
 

@@ -116,3 +116,20 @@ def test_relativistic_classify_and_kernel_check_load_no_quad(tmp_path):
     assert (tmp_path / "classify.csv").exists()
     assert (tmp_path / "kernel_check.csv").exists()
     assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("name", ["brownian-d3-lebesgue", "stable-d2"])
+def test_classify_on_explicit_centers_does_not_import_numpy_random(tmp_path, name):
+    # these configs draw no center, so CenterStrategy.build makes no generator
+    cfg = SRC.parents[1] / "configs" / f"{name}.cfg"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = ("import sys, katolab.cli\n"
+            f"assert katolab.cli.main(['classify', '--config', {str(cfg)!r}, "
+            f"'--seed', '7', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('\\nrandom:', 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert (tmp_path / "classify.csv").exists()
+    assert out.splitlines()[-1] == "random: False"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from katolab.errors import DomainError, ValidationError
 from katolab.rearrangement import (
+    INVERSE_TOL,
+    TINY,
     DistributionFunction,
     check_decreasing,
     g_criterion,
@@ -61,6 +63,59 @@ def test_inverse_composition_identity(a):
         # at continuity points f(f^{-1}(t)) = t
         assert float(np.asarray(f(np.array([s])))[0]) == pytest.approx(
             t, rel=1e-6)
+
+
+def _scalar_inverse(f, t):
+    """The one-t-at-a-time search right_continuous_inverse vectorizes: the
+    reference it must equal bit for bit.  Where lo * hi is below the normal
+    floats the midpoint is sqrt(lo) sqrt(hi) (sqrt(lo * hi) would stall)."""
+    fval = lambda s: float(np.asarray(f(np.array([s])))[0])
+    if fval(0.0) <= t:
+        return 0.0
+    hi = 1.0
+    while fval(hi) > t:
+        hi *= 2.0
+        if hi > 1e15:
+            return math.inf
+    lo = hi / 2.0
+    while fval(lo) <= t:
+        lo /= 2.0
+        if lo < 1e-300:
+            return 0.0
+    while hi - lo > INVERSE_TOL * hi:
+        mid = math.sqrt(lo * hi) if lo * hi >= TINY else math.sqrt(lo) * math.sqrt(hi)
+        if fval(mid) > t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_inverse_equals_the_scalar_search_bit_for_bit():
+    # the 20 profiles of acceptance criterion 10; t from 0 (inf: hi passes
+    # 1e15) through 1e300 (0: lo falls below 1e-300) to t >= f(0) = inf
+    from test_acceptance import REARR_PROFILES
+
+    ts = np.concatenate([[0.0, 1e-300], np.geomspace(1e-30, 1e300, 46), [math.inf, 7.5]])
+    kinds = set()
+    for name, prof in REARR_PROFILES:
+        got = right_continuous_inverse(prof)(ts)
+        want = [_scalar_inverse(prof, t) for t in ts]
+        assert repr(got.tolist()) == repr(want), name
+        assert [right_continuous_inverse(prof)(t) for t in ts[:3]] == want[:3]
+        kinds |= {0.0 if w == 0.0 else math.inf if math.isinf(w) else 1.0 for w in want}
+    assert kinds == {0.0, 1.0, math.inf}
+
+
+@pytest.mark.parametrize("a", [0.3, 0.9, 1.5])
+def test_inverse_below_the_square_root_of_the_normal_floats(a):
+    # f = s^-a: f^-1(t) = t^(-1/a) from 1e-155, where lo * hi underflows,
+    # down to 1e-290 or t = 1e300; sqrt(lo * hi) reached 0 there, and the
+    # search never ended
+    inv = right_continuous_inverse(lambda s: np.asarray(s, float) ** -a)
+    want = np.geomspace(1e-155, max(1e-290, 10.0 ** (-300.0 / a)), 8)
+    got = inv(want ** -a)
+    assert np.allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 # --------------------------------------------------------------------------
