@@ -32,14 +32,19 @@ _LOG_PANEL_WIDTH = 0.5
 
 #: Gamma(s, x): continued fraction depth (x >= 2) and series terms (x < 2)
 _GAMMA_CF_DEPTH, _GAMMA_SERIES_TERMS = 60, 30
+#: Taylor coefficients c_2 ... c_12 of 1/Gamma(z) = sum c_k z^k
+_RGAMMA = (0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+           -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+           -0.00021524167411495098, 0.0001280502823881162, -2.013485478078824e-05)
 
 
 def _upper_gamma(s: float, x) -> np.ndarray:
     """Gamma(s, x) = int_x^inf e^{-y} y^{s-1} dy for real s < 1, x >= 0, element
     by element: its continued fraction from x = 2 on; below, Gamma(s0) - gamma(s0,
     x) by series for s0 = s - floor(s) (E_1 for an integer s), then Gamma(s - 1,
-    x) = (Gamma(s, x) - x^{s-1} e^{-x}) / (s - 1) down to s.  Relative error about
-    1e-14; near, not at, an integer s, 1e-15 / |s - round(s)| (9e-12 at 0.001)."""
+    x) = (Gamma(s, x) - x^{s-1} e^{-x}) / (s - 1) down to s.  Within 0.05 of an
+    integer n <= 0, s0 = s - n by Temme's form, free of the 1/s0 cancellation and
+    of a division by s0 - 1.  Relative error about 1e-14."""
     x = np.asarray(x, dtype=float)
     out, far, near = np.zeros(x.shape), (x >= 2.0) & (x < 746.0), x < 2.0  # e^-746 = 0
     if far.any():
@@ -47,10 +52,16 @@ def _upper_gamma(s: float, x) -> np.ndarray:
         for j in range(_GAMMA_CF_DEPTH, 0, -1):
             h = xf + (2 * j - 1 - s) - j * (j - s) / h
         out[far] = np.exp(-xf) * (xf**s / h)
-    xn, s0, k = x[near], s - math.floor(s), np.arange(1.0, _GAMMA_SERIES_TERMS + 1)
+    # the base s0 = s - floor(s), or s - n within 0.05 of an integer n <= 0
+    xn, k, n = x[near], np.arange(1.0, _GAMMA_SERIES_TERMS + 1), round(s)
+    s0 = s - n if (temme := s < 0.5 and 0.0 < abs(s - n) <= 0.05) else s - math.floor(s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if s0 == 0.0:  # E_1(x) = -euler - log x - sum_{k>=1} (-x)^k / (k k!)
             g = -np.euler_gamma - np.log(xn) - (np.cumprod(-xn[:, None] / k, axis=1) / k).sum(1)
+        elif temme:  # (Gamma(1+s0) - 1)/s0 - expm1(s0 log x)/s0 - x^s0 sum_k>=1 (-x)^k/(k!(k+s0))
+            p = np.polyval(_RGAMMA[::-1], s0)  # (1/Gamma(1 + s0) - 1)/s0
+            g = (-p / (1.0 + s0 * p) - np.expm1(s0 * np.log(xn)) / s0
+                 - xn**s0 * (np.cumprod(-xn[:, None] / k, axis=1) / (k + s0)).sum(1))
         else:  # gamma(s0, x) = x^s0 e^{-x} / s0 sum_{k>=0} x^k / ((s0 + 1) ... (s0 + k))
             g = math.gamma(s0) - xn**s0 * np.exp(-xn) / s0 * (
                 1.0 + np.cumprod(xn[:, None] / (s0 + k), axis=1).sum(axis=1))

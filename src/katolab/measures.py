@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
-from .quadrature import INF, REASONS, dyadic_passes
+from .quadrature import INF, PASS, REASONS, dyadic_passes
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -452,23 +452,22 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
         np.repeat([False, True], [has_head.sum(), has_out.sum()]),
         np.concatenate([after[has_head], head[has_out]]))
 
-    def at(column, fill, i):  # column at pass i, fill for no pass (i = -1)
-        return np.append(column, fill)[i]
-
-    head_div = at(res["diverged"], False, head) | infinite
-    out_div = whole & ~head_div & at(res["diverged"], False, out)
-    diverged, shown = head_div | out_div, np.where(out_div, out, head)
-    value = at(res["value"], 0.0, head) + atoms
-    value = np.where(whole, value + tail + at(res["value"], 0.0, out), value)
-    error = at(res["quad_error"], 0.0, head) + np.where(whole & ~head_div,
-                                                      at(res["quad_error"], 0.0, out), 0.0)
+    # each entry's ball and outward pass; -1 (no pass) reads the record appended
+    res = np.append(res, np.array([(0.0, 0.0, False, len(REASONS), 0, 0.0, True)], PASS))
+    ball, beyond = res[head], res[out]
+    head_div = ball["diverged"] | infinite
+    out_div = whole & ~head_div & beyond["diverged"]
+    diverged, shown = head_div | out_div, res[np.where(out_div, out, head)]
+    value = ball["value"] + atoms
+    value = np.where(diverged, INF, np.where(whole, value + tail + beyond["value"], value))
+    error = ball["quad_error"] + np.where(whole & ~head_div, beyond["quad_error"], 0.0)
     names = REASONS + ("",)  # "" for no pass
-    ests = [None if miss else FunctionalEstimate(INF if d else v, 0.0 if od else e, diverged=d,
-                                                 log_slope=s, reason=names[k], levels=n)
-            for miss, v, e, d, od, s, k, n in zip(
-                (skip | ~at(res["ran"], True, head)).tolist(), value.tolist(), error.tolist(),
-                diverged.tolist(), out_div.tolist(), at(res["log_slope"], 0.0, shown).tolist(),
-                at(res["reason"], len(REASONS), shown).tolist(), at(res["levels"], 0, shown).tolist())]
+    # FunctionalEstimate's fields by position: keywords would double its cost
+    ests = [None if miss else FunctionalEstimate(v, e, 0.0, d, s, 0, None, names[k], n)
+            for miss, v, e, d, s, k, n in zip(
+                (skip | ~ball["ran"]).tolist(), value.tolist(), np.where(out_div, 0.0, error).tolist(),
+                diverged.tolist(), shown["log_slope"].tolist(), shown["reason"].tolist(),
+                shown["levels"].tolist())]
     return [[ests[start[j] + c * n:start[j] + (c + 1) * n] for c in range(n_c)]
             for j, n in enumerate(lengths)]
 

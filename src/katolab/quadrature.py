@@ -230,8 +230,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
             window = _window(P, C, S)
             decides = (window[0] != GROWING) | (S >= cap) | ends[:, None]
             rows, pick = np.arange(len(S)), decides.argmax(axis=1)
-            window = [w[rows, pick] for w in window]  # at the stop each pass decides
-            s, decided = S[rows, pick], decides[rows, pick]
+            s, decided, *window = (w[rows, pick] for w in (S, decides, *window))  # at its stop
             settling[t] = geo = decided & (window[0] == GEOMETRIC) & ~ends
             stop[t] = np.where(geo, s + SETTLE_LEVELS, np.where(decided, s, last + 1))
             if (end := decided & ~geo).any():
@@ -242,8 +241,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
 
 def _outward_stop(P: np.ndarray, C: np.ndarray, k) -> tuple:
     """Whether integrate_outward stops converged at k >= 3 panels read (k one
-    count or a row per pass, a row of P as _Panels.read lays it out, C its
-    running sums), and the sum."""
+    count or a row per pass, P and C as _Panels.read lays them out), and the sum."""
     rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(k) - 1))
     acc = C[rows, k]
     small = OUTWARD_REL_TOL * np.maximum(acc, 1e-300)
@@ -262,10 +260,9 @@ def outward_diverges(panels: np.ndarray) -> bool:
 
 def _window(P: np.ndarray, C: np.ndarray, s) -> tuple:
     """The verdict on the last five of the first s panels of a pass (s one
-    stop or a row per pass; C the running sums of P), ordered from the coarse
-    end toward the limit: NONFINITE, NEGLIGIBLE (nothing left near the limit),
-    GEOMETRIC (every ratio decays) or GROWING; and the sum, the window and its
-    last ratio."""
+    stop or a row per pass, C the running sums), coarse end first: NONFINITE,
+    NEGLIGIBLE (nothing left near the limit), GEOMETRIC (every ratio decays)
+    or GROWING; and the sum, the window and its last ratio."""
     rows = np.arange(len(P)).reshape((-1,) + (1,) * (np.ndim(s) - 1))
     total = C[rows, s]
     tail = P[rows[..., None], s[..., None] + np.arange(-4, 1)]
@@ -281,9 +278,8 @@ def _window(P: np.ndarray, C: np.ndarray, s) -> tuple:
 def _finish(out: np.ndarray, status, t, s, window, bar, inward: bool) -> None:
     """End the passes t at their first s panels from their _window there: a
     geometric window extrapolates its tail, a growing ("depth_cap" inward at
-    the cap) or non-finite one diverges.  The bar adds `bar`: inward the
-    largest stated error of those panels, times the value; outward the sum of
-    each panel's error times the panel."""
+    the cap) or non-finite one diverges.  The bar adds `bar` (the largest stated
+    error) times the value (inward), or `bar` (each panel's error times it)."""
     state, total, tail, rho = window
     geo, diverged = state == GEOMETRIC, (state == GROWING) | (state == NONFINITE)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -324,6 +320,7 @@ class _Panels:
         self.key0 = np.searchsorted(owners, owner) * self.width - self.lo + top + outward
         # values, and the rows of g and m, each with its stated error last
         self.value = _store(len(self.o_k) * self.width, 2)
+        self.value[1][-1] = 0.0  # what read finds beyond a pass's levels
         self.g = _store(len(gs) * self.npid, len(_GL_NODES) + 1)
         self.m = _store(len(ms) * self.npid, len(_GL_NODES) + 1)
 
@@ -355,24 +352,19 @@ class _Panels:
 
 
 def _store(keys: int, width: int) -> tuple:
-    """(slot, rows, [rows used]): key's row is slot[key] - 1 (0: none yet, a
-    row of zeros), packed in the order they come, so only rows in use are
-    written."""
-    rows = np.empty((keys + 1, width))
-    rows[-1] = 0.0
-    return np.zeros(keys, np.int32), rows, [0]
+    """(slot, rows, [rows used]): key's row is slot[key] - 1 (0: none yet),
+    packed in the order they come, so only rows in use are written."""
+    return np.zeros(keys, np.int32), np.empty((keys + 1, width)), [0]
 
 
 def _missing(store: tuple, key: np.ndarray) -> np.ndarray:
-    """Positions in key of keys not stored, one per key (the last of
-    repeats), tagged as taken until their rows are stored."""
+    """Positions in key of keys not stored, one per key (the last of repeats)."""
     slot, i = store[0], (store[0][key] == 0).nonzero()[0]
     slot[key[i]] = tag = -1 - np.arange(len(i))  # of repeats, the last tag stays
     return i[slot[key[i]] == tag]
 
 
 def _add(store: tuple, key: np.ndarray, value, err) -> None:
-    """Store each key's panel value and its stated error."""
     slot, buf, used = store
     at = slice(used[0], used[0] + len(key))
     buf[at, 0], buf[at, 1] = value, err

@@ -41,11 +41,10 @@ def right_continuous_inverse(f: Callable) -> Callable:
             raise DomainError("inverse is defined for t >= 0")
         tv, out = arr.ravel(), np.zeros(arr.size)
         lo, hi = np.zeros(arr.size), np.ones(arr.size)
-        # every t at once, each by the steps of a search of its own: 0 where
-        # f(0) <= t; hi doubles while f(hi) > t (inf past 1e15); lo halves
-        # from hi / 2 while f(lo) <= t (0 below 1e-300); then bisection in log
-        # space: relative precision is uniform across scales, so far tails of
-        # the inverse stay accurate
+        # all t at once, each by the steps of its own search: 0 where f(0) <= t;
+        # hi doubles while f(hi) > t (inf past 1e15); lo halves from hi / 2 while
+        # f(lo) <= t (0 below 1e-300); then bisection in log space, so that far
+        # tails of the inverse keep their relative precision
         live = run = np.flatnonzero(~(f_at(np.zeros(arr.size)) <= tv))
         while len(run) and len(run := run[f_at(hi[run]) > tv[run]]):
             hi[run] *= 2.0
@@ -58,8 +57,7 @@ def right_continuous_inverse(f: Callable) -> Callable:
             run = run[lo[run] >= 1e-300]
         live = run = live[lo[live] >= 1e-300]
         while len(run := run[hi[run] - lo[run] > INVERSE_TOL * hi[run]]):
-            # sqrt(lo hi); where lo hi is below the normal floats, sqrt(lo)
-            # sqrt(hi): the product would lose digits or reach 0 and stall
+            # sqrt(lo) sqrt(hi) where lo hi is not normal: it would stall at 0
             prod = lo[run] * hi[run]
             mid = np.where(prod < TINY, np.sqrt(lo[run]) * np.sqrt(hi[run]), np.sqrt(prod))
             up = f_at(mid) > tv[run]

@@ -524,10 +524,13 @@ def test_generic_resolvent_equals_the_full_panel_sum(model):
         assert np.all(np.abs(got[big] - ref[big]) <= 1e-13 * ref[big])
 
 
-@pytest.mark.parametrize("s", [1 / 3, -0.43, -2 / 3, 0.0, -1.0, -2.0, -4.5, -5.0])
+@pytest.mark.parametrize("s", [1 / 3, -0.43, -2 / 3, 0.0, -1.0, -2.0, -4.5, -5.0,
+                               0.001, -0.001, 0.01, -0.99, -1.01])
 def test_upper_gamma_against_mpmath(s):
     # Gamma(s, x) on both sides of the switch from series to continued
-    # fraction at x = 2; a subnormal value is held to a few units of 2^-1074
+    # fraction at x = 2, near an integer s too (Temme's form: the plain series
+    # lost digits like 1e-15 / |s - round(s)| there); a subnormal value is held
+    # to a few units of 2^-1074
     mpmath = pytest.importorskip("mpmath")
     xs = np.concatenate([np.geomspace(1e-12, 700.0, 400), [1.0, 2.0 - 1e-12, 2.0]])
     got = kernels._upper_gamma(s, xs)
