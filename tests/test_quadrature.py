@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from katolab.functionals import GreenKernelSpec, kato_functional
 from katolab.kernels import GaussianKernelModel
-from katolab.measures import Density, PointMasses, integrate_jobs
+from katolab.measures import Density, PointMasses, RadialDensity, integrate_jobs
+from katolab.profiles import power_profile
 from katolab import quadrature
 from katolab.quadrature import (
     GEOMETRIC_RATIO_MAX,
@@ -16,6 +17,7 @@ from katolab.quadrature import (
     MIN_LEVELS,
     OUTWARD_MAX_LEVELS,
     OUTWARD_REL_TOL,
+    PANEL_BLOCK,
     REASONS,
     SETTLE_LEVELS,
     IntegralResult,
@@ -353,20 +355,37 @@ ENGINE_KERNELS = [
 
 @pytest.mark.parametrize("grid", [[0.5, 0.25, 0.125], [0.3, 0.2, 0.15]],
                          ids=["dyadic", "non-dyadic"])
-def test_engine_batch_equals_sequential_passes(grid):
+def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     # a 2-d Density seen from an off-center point states a relative angular
-    # gap per panel row, which must reach the bar of every undiverged pass
+    # gap per panel row, which must reach the bar of every undiverged pass;
+    # with three densities a round's new panels cross a PANEL_BLOCK boundary
+    # and a block holds rows of several kernels and densities
     mu = Density(lambda y: math.exp(-float(y @ y) - 0.5 * y[0]), dim=2)
     ms = [lambda s: np.ones_like(np.asarray(s, float)),
-          mu.radial_mass_density(np.array([0.2, -0.1]))]
+          mu.radial_mass_density(np.array([0.2, -0.1])),
+          RadialDensity(power_profile(-1.0), dim=2).radial_mass_density(np.array([0.3, 0.0]))]
     gs = ENGINE_KERNELS
     spec = [(k, c, r, False) for k in range(len(gs)) for c in range(len(ms))
             for r in grid]
     spec += [(k, c, r, True) for k in range(len(gs)) for c in range(len(ms))
              for r in grid[1:]]
     k, c, r, outward = map(np.array, zip(*spec))
-    got = dyadic_passes(gs, ms, k, c, r, outward, np.full(len(r), -1))
+    blocks = []  # per gauss_panel call: panels, and the kernels and densities it evaluates
+    orig = quadrature.gauss_panel
+
+    def counted(h, a, b):
+        blocks.append((np.size(a), set(), set()))
+        return orig(h, a, b)
+
+    def traced(fns, side):
+        return [lambda s, i=i, f=f: (blocks[-1][side].add(i), f(s))[1] for i, f in enumerate(fns)]
+
+    monkeypatch.setattr(quadrature, "gauss_panel", counted)
+    got = dyadic_passes(traced(gs, 1), traced(ms, 2), k, c, r, outward, np.full(len(r), -1))
+    monkeypatch.undo()
     assert got["ran"].all()
+    assert max(n for n, _, _ in blocks) == PANEL_BLOCK
+    assert any(len(ks) > 1 and len(cs) > 1 for _, ks, cs in blocks)
     memo = [_rows_once(m) for m in ms]
     want = [(_sequential_outward if out else _sequential_to_zero)(
         _integrand(gs[kk], memo[cc]), rr) for kk, cc, rr, out in spec]
@@ -374,12 +393,13 @@ def test_engine_batch_equals_sequential_passes(grid):
     assert repr(quadrature._results(got)) == repr(want)
     assert {res.reason for res in want} == set(REASONS)
     # the same passes with the Density's values but no stated gap
-    plain = dyadic_passes(gs, [ms[0], lambda s: memo[1](s)[0]], k, c, r, outward,
+    plain = dyadic_passes(gs, [ms[0], lambda s: memo[1](s)[0], ms[2]], k, c, r, outward,
                           np.full(len(r), -1))
     gapped = (c == 1) & ~got["diverged"] & (got["value"] > 0) & np.isfinite(got["value"])
     assert gapped.sum() >= 10
     assert np.array_equal(plain["value"][gapped], got["value"][gapped])
     assert (got["quad_error"][gapped] > plain["quad_error"][gapped]).all()
+    assert repr(plain[c != 1].tolist()) == repr(got[c != 1].tolist())
 
 
 def test_engine_starts_a_pass_after_its_prior_pass_converged():
