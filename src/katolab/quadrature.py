@@ -204,7 +204,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
         first = got[run]
         got[run] = np.where(outward[run], np.where(first == 0, 3, first + 1),
                             np.where(settling[run] | (first < MIN_LEVELS),
-                                     np.maximum(stop[run], first),
+                                     np.maximum(stop[run], first),  # a stop read ends now
                                      np.minimum(first + GROWING_CHUNK, cap)))
         panels.fetch(run, first, got[run])
         o = run[outward[run]]
@@ -278,8 +278,8 @@ def _window(P: np.ndarray, C: np.ndarray, s) -> tuple:
 def _finish(out: np.ndarray, status, t, s, window, bar, inward: bool) -> None:
     """End the passes t at their first s panels from their _window there: a
     geometric window extrapolates its tail, a growing ("depth_cap" inward at
-    the cap) or non-finite one diverges.  The bar adds `bar` (the largest stated
-    error) times the value (inward), or `bar` (each panel's error times it)."""
+    the cap) or non-finite one diverges.  The bar adds bar times the value (inward:
+    the largest stated error) or bar (outward: each panel's error times it, summed)."""
     state, total, tail, rho = window
     geo, diverged = state == GEOMETRIC, (state == GROWING) | (state == NONFINITE)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
