@@ -204,7 +204,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
         first = got[run]
         got[run] = np.where(outward[run], np.where(first == 0, 3, first + 1),
                             np.where(settling[run] | (first < MIN_LEVELS),
-                                     np.maximum(stop[run], first),  # a stop read ends now
+                                     np.maximum(stop[run], first),  # no new level past a read stop
                                      np.minimum(first + GROWING_CHUNK, cap)))
         panels.fetch(run, first, got[run])
         o = run[outward[run]]
