@@ -1,0 +1,44 @@
+#!/usr/bin/env python3
+"""Write what the CLI produces on every shipped config into one directory.
+
+    python scripts/snapshot_outputs.py DIR
+
+Runs `katolab classify`, `sweep-p` and `kernel-check` with `--seed 7` on
+each `configs/*.cfg`, one fresh interpreter per run, from the `src/` of the
+checkout this script sits in.  Run k of config c writes its output files
+under DIR/c/k/, with stdout.txt and exit_code.txt beside them (stderr,
+whose warnings name source paths, passes through).  Two checkouts' outputs
+are byte-identical when `diff -r DIR1 DIR2` is empty.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("classify", "sweep-p", "kernel-check")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir", type=Path, help="output directory")
+    out = parser.parse_args().dir.resolve()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        for cmd in COMMANDS:
+            run_dir = out / cfg.stem / cmd
+            run_dir.mkdir(parents=True, exist_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "katolab.cli", cmd, "--config", str(cfg),
+                 "--out", str(run_dir), "--seed", "7"],
+                stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)
+            (run_dir / "stdout.txt").write_text(proc.stdout)
+            (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+            print(f"{cfg.stem} {cmd}: exit {proc.returncode}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,9 +10,9 @@ from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
 from .config import RunConfig, parse_config_text
 from .errors import (ConfigError, DiagnosticsError, DomainError,
                      InsufficientDataError, KatolabError, ValidationError)
-from .functionals import (CenterStrategy, GreenKernelSpec, green_value,
-                          kato_functional, resolvent_functional,
-                          semigroup_functional, sup_over_centers)
+from .functionals import (CenterStrategy, kato_functional,
+                          resolvent_functional, semigroup_functional,
+                          sup_over_centers)
 from .kernels import (GaussianKernelModel, KernelBounds, ScalingKernelModel,
                       StableEstimateModel, StretchedExponentialModel,
                       eval_heat_kernel, eval_resolvent_kernel,
@@ -26,7 +26,8 @@ from .measures import (AhlforsAbstract, Density, FunctionalEstimate,
                        make_measure)
 from .montecarlo import (PathConfig, expected_additive_functional,
                          quadrature_additive_functional, simulate_paths)
-from .profiles import RadialProfile, log_profile, parse_profile, power_profile
+from .profiles import (GreenKernelSpec, RadialProfile, green_value, log_profile,
+                       parse_profile, power_profile)
 from .quadrature import integrate_outward, integrate_to_zero
 from .rearrangement import (DistributionFunction, g_criterion,
                             layer_cake_criterion, radial_criterion,

@@ -15,13 +15,12 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .functionals import (
     CenterStrategy,
-    GreenKernelSpec,
     LOG_CAP,
     kato_job,
     resolvent_job,
-    semigroup_functional,
     semigroup_job,
     sups,
+    _require_kernel_support,
     _resolve_centers,
 )
 from .kernels import ScalingKernelModel
@@ -31,7 +30,7 @@ from .measures import (
     MeasureRep,
     RadialDensity,
 )
-from .profiles import RadialProfile, power_profile
+from .profiles import GreenKernelSpec, RadialProfile, power_profile
 from .quadrature import INF
 
 SLOPE_CUTOFF = 0.05
@@ -64,27 +63,17 @@ class LimitFit:
 def classify_limit(samples) -> LimitFit:
     """Classify the scale -> 0 limit of positive data on a dyadic grid.
 
-    samples: iterable of (scale, value, error) or (scale, FunctionalEstimate).
-    Weighted log-log regression over the finest half of the grid; slope > +c
-    means the values shrink with scale, slope < -c means they blow up.
+    samples: iterable of (scale, value, error); a non-finite value certifies
+    divergence.  Weighted log-log regression over the finest half of the
+    grid; slope > +c means the values shrink with scale, slope < -c means
+    they blow up.
     """
-    rows = []
-    for item in samples:
-        scale, rest = item[0], item[1:]
-        if len(rest) == 1 and isinstance(rest[0], FunctionalEstimate):
-            est = rest[0]
-            rows.append((float(scale), float(est), est.error + est.stat_error,
-                         est.diverged))
-        else:
-            v = float(rest[0])
-            e = float(rest[1]) if len(rest) > 1 else 0.0
-            rows.append((float(scale), v, e, not math.isfinite(v)))
-
-    if any(d for *_, d in rows):
+    rows = [(float(s), float(v), float(e)) for s, v, e in samples]
+    if not all(math.isfinite(v) for _, v, _ in rows):
         return LimitFit("diverges", -INF, 0.0, certified=True)
-    finite = [(s, v, e) for s, v, e, _ in rows if v > 0.0]
+    finite = [row for row in rows if row[1] > 0.0]
     if len(finite) < 6:
-        if all(v == 0.0 for _, v, _, _ in rows) and len(rows) >= 6:
+        if all(v == 0.0 for _, v, _ in rows) and len(rows) >= 6:
             return LimitFit("tends_to_zero", INF, 0.0)
         raise InsufficientDataError(
             f"need >= 6 positive finite samples, got {len(finite)}")
@@ -207,10 +196,9 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
     sweeps: dict[str, list] = {}
 
     def record(key, sweep):
-        sweep = list(sweep)
         sweeps[key] = [(float(sc), float(est), est.error + est.stat_error)
                        for sc, est in sweep]
-        fits[key] = classify_limit(sweep)
+        fits[key] = classify_limit(sweeps[key])
 
     r_grid = np.asarray(cfg.r_grid, dtype=float)
     if spec.regime == "log":
@@ -307,21 +295,21 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
 
 
 def fit_order_delta(mu: MeasureRep, model: ScalingKernelModel, p: float,
-                    config: ClassifyConfig | None = None,
-                    centers: list | None = None) -> tuple[float, float]:
-    """Fitted decay order delta with semigroup functional = O(t^{p delta})."""
+                    config: ClassifyConfig | None = None) -> tuple[float, float]:
+    """Fitted decay order delta with semigroup functional = O(t^{p delta}),
+    every t of the grid in one engine run."""
     cfg = config or ClassifyConfig()
-    pts = centers if centers is not None else _resolve_centers(mu, cfg.centers)
-    t_grid = np.asarray(cfg.t_grid, dtype=float)
-    t_grid = t_grid[t_grid < model.t0]
-    sweep = []
-    for t in t_grid:
-        est = semigroup_functional(mu, model, p, float(t), centers=pts)
-        if est.diverged:
-            raise InsufficientDataError("semigroup functional diverges; no "
-                                        "decay order to fit")
-        sweep.append((float(t), float(est) ** (1.0 / p), est.error))
-    fit = classify_limit(sweep)
+    centers = _resolve_centers(mu, cfg.centers)
+    t_grid = [float(t) for t in cfg.t_grid if t < model.t0]
+    if not t_grid:
+        raise InsufficientDataError("no t of the grid lies below t0")
+    _require_kernel_support(mu)
+    found, _ = sups(mu, centers, [semigroup_job(model, p, t, None) for t in t_grid], None)
+    if any(est.diverged for est in found):
+        raise InsufficientDataError("semigroup functional diverges; no "
+                                    "decay order to fit")
+    fit = classify_limit([(t, float(est) ** (1.0 / p), est.error)
+                          for t, est in zip(t_grid, found)])
     return fit.slope, fit.slope_ci
 
 
@@ -358,10 +346,10 @@ def lq_unif_norm(f, q: float, dim: int,
 
 
 def schechter_norm(f, alpha_exponent: float, q: float, dim: int,
-                   centers: CenterStrategy | list | None = None,
-                   nu: float | None = None) -> FunctionalEstimate:
-    """sup_x int_{B_1(x)} |f(y)|^q d(x,y)^{-(nu - alpha)} dm."""
-    nu = float(nu if nu is not None else dim)
+                   centers: CenterStrategy | list | None = None) -> FunctionalEstimate:
+    """sup_x int_{B_1(x)} |f(y)|^q d(x,y)^{-(nu - alpha)} dm, nu = dim: dm is
+    Lebesgue measure on R^dim."""
+    nu = float(dim)
     if q < 1:
         raise DomainError("q must be >= 1")
     if nu < alpha_exponent and q <= alpha_exponent / nu:

@@ -42,6 +42,11 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+SECTIONS = ("kernel", "measure", "sweep")
+SWEEP_KEYS = ("p", "seed", "grid_depth", "centers_explicit", "centers_support",
+              "centers_random", "center_window")
+
+
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
@@ -64,6 +69,8 @@ class RunConfig:
         sections: dict[str, dict[str, str]] = {}
         for key, val in kv.items():
             sect, name = key.split(".", 1)
+            if sect not in SECTIONS or sect == "sweep" and name not in SWEEP_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
             sections.setdefault(sect, {})[name] = val
 
         kernel = dict(sections.get("kernel", {}))
@@ -71,8 +78,6 @@ class RunConfig:
         for k in ("profile", "phi_lower", "phi_upper"):
             if k in kernel:
                 kernel[k] = parse_profile(kernel[k])
-        for k in list(sections.get("space", {})):
-            kernel.setdefault(k, sections["space"][k])
         try:
             model = make_kernel_model(family, **kernel)
         except (KeyError, TypeError, ValueError) as exc:

@@ -6,7 +6,6 @@ grid-density heuristics.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,63 +19,8 @@ from .measures import (
     check_hint,
     integrate_jobs,
 )
-from .profiles import RadialProfile
+from .profiles import GreenKernelSpec, green_power_profile
 from .space import LOG_CAP
-
-
-@dataclass(frozen=True)
-class GreenKernelSpec:
-    """Green-type radial kernel determined by the exponent pair (nu, beta):
-    r^{beta-nu} when nu > beta, log(1/r) on ]0, 1/e] when nu = beta, and the
-    constant 1 (ball-mass test only) when nu < beta."""
-
-    nu: float
-    beta: float
-
-    @property
-    def regime(self) -> str:
-        if self.nu > self.beta:
-            return "power"
-        if self.nu == self.beta:
-            return "log"
-        return "trivial"
-
-    @classmethod
-    def from_space(cls, space) -> "GreenKernelSpec":
-        return cls(nu=space.nu, beta=space.beta)
-
-
-def green_value(spec: GreenKernelSpec, r: float) -> float:
-    if r <= 0:
-        raise DomainError("r must be positive")
-    if spec.regime == "power":
-        return r ** (spec.beta - spec.nu)
-    if spec.regime == "log":
-        if r > LOG_CAP:
-            raise DomainError("log-regime Green kernel is defined for r <= 1/e")
-        return math.log(1.0 / r)
-    return 1.0
-
-
-def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:
-    """Vectorized s -> G(s)^p with its singularity exponent as quadrature hint."""
-    if spec.regime == "power":
-        a = p * (spec.nu - spec.beta)
-
-        def f(s):
-            with np.errstate(divide="ignore"):
-                return np.asarray(s, dtype=float) ** (-a)
-
-        return RadialProfile(f, singularity=a, label=f"green^{p}")
-    if spec.regime == "log":
-
-        def f(s):
-            with np.errstate(divide="ignore"):
-                return np.maximum(np.log(1.0 / np.asarray(s, dtype=float)), 0.0) ** p
-
-        return RadialProfile(f, singularity=0.0, label=f"green^{p}")
-    return RadialProfile(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                         singularity=0.0, label="green^0")
 
 
 # ---------------------------------------------------------------------------

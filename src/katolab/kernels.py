@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
+from .profiles import GreenKernelSpec, green_value
 from .quadrature import INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges
 from .space import LOG_CAP, SpaceModel
 
@@ -125,11 +126,8 @@ def _log_panels(f: Callable, lo, hi, *rows) -> np.ndarray:
 
 
 def _bound_shape(nu: float, beta: float, t: float, d: float) -> float:
-    if nu > beta:
-        return d ** (beta - nu)
-    if nu == beta:
-        return math.log(1.0 / d)
-    return t ** (1.0 - nu / beta)
+    """The Green kernel G(d) where nu >= beta, else t^{1 - nu/beta}."""
+    return green_value(GreenKernelSpec(nu, beta), d) if nu >= beta else t ** (1.0 - nu / beta)
 
 
 @dataclass

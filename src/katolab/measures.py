@@ -269,12 +269,13 @@ class SphereSurface(MeasureRep):
 
     closed_ball_mass = True
 
-    def __init__(self, center, radius: float, total_mass: float, dim: int = 3):
-        if dim != 3:
-            raise DomainError("surface measure is implemented for dim=3 only")
+    def __init__(self, center, radius: float, total_mass: float):
+        self.center = np.asarray(center, dtype=float)
+        if self.center.shape != (3,):
+            raise DomainError("surface measure is implemented in R^3 only: "
+                              "the center needs 3 coordinates")
         if radius <= 0 or total_mass < 0:
             raise ValidationError("need radius > 0 and total_mass >= 0")
-        self.center = np.asarray(center, dtype=float)
         self.R = float(radius)
         self.mass = float(total_mass)
         self.dim = 3

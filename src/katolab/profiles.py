@@ -1,14 +1,15 @@
 """Symbolic radial profile primitives: small parsed building blocks for
-radial densities and Green-type weights."""
+radial densities, and the Green kernel G of the (nu, beta) regime."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .quadrature import pchip
+from .space import LOG_CAP
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,61 @@ class RadialProfile:
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
+
+
+@dataclass(frozen=True)
+class GreenKernelSpec:
+    """Green-type radial kernel determined by the exponent pair (nu, beta):
+    r^{beta-nu} when nu > beta, log(1/r) on ]0, 1/e] when nu = beta, and the
+    constant 1 (ball-mass test only) when nu < beta."""
+
+    nu: float
+    beta: float
+
+    @property
+    def regime(self) -> str:
+        if self.nu > self.beta:
+            return "power"
+        if self.nu == self.beta:
+            return "log"
+        return "trivial"
+
+    @classmethod
+    def from_space(cls, space) -> "GreenKernelSpec":
+        return cls(nu=space.nu, beta=space.beta)
+
+
+def green_value(spec: GreenKernelSpec, r: float) -> float:
+    if r <= 0:
+        raise DomainError("r must be positive")
+    if spec.regime == "power":
+        return r ** (spec.beta - spec.nu)
+    if spec.regime == "log":
+        if r > LOG_CAP:
+            raise DomainError("log-regime Green kernel is defined for r <= 1/e")
+        return math.log(1.0 / r)
+    return 1.0
+
+
+def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:
+    """Vectorized s -> G(s)^p with its singularity exponent as quadrature hint."""
+    if spec.regime == "power":
+        a = p * (spec.nu - spec.beta)
+
+        def f(s):
+            with np.errstate(divide="ignore"):
+                return np.asarray(s, dtype=float) ** (-a)
+
+        return RadialProfile(f, singularity=a, label=f"green^{p}")
+    if spec.regime == "log":
+
+        def f(s):
+            with np.errstate(divide="ignore"):
+                return np.maximum(np.log(1.0 / np.asarray(s, dtype=float)), 0.0) ** p
+
+        return RadialProfile(f, singularity=0.0, label=f"green^{p}")
+    return RadialProfile(lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                         singularity=0.0, label="green^0")
 
 
 def power_profile(exponent: float, coeff: float = 1.0) -> RadialProfile:
@@ -74,9 +130,12 @@ def tabulated_profile(radii, values) -> RadialProfile:
         raise ConfigError("tabulated profile needs one value per radius")
     if np.any(values < 0):
         raise ConfigError("tabulated profile values must be nonnegative")
-    interp = pchip(radii, values)
-    return RadialProfile(lambda s: np.where(s >= radii[-1], 0.0, interp(s)),
-                         singularity=0.0, label="tabulated")
+    from scipy.interpolate import PchipInterpolator
+
+    interp = PchipInterpolator(radii, values)
+    return RadialProfile(
+        lambda s: np.where(s >= radii[-1], 0.0, interp(s.clip(radii[0], radii[-1]))),
+        singularity=0.0, label="tabulated")
 
 
 def parse_profile(text: str) -> RadialProfile:

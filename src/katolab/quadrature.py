@@ -80,54 +80,6 @@ def split_error(out) -> tuple:
     return out if isinstance(out, tuple) else (out, 0.0)
 
 
-def _pchip_end_slope(h0, h1, m0, m1) -> float:
-    """One-sided three-point end slope, cut to keep the data's shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def pchip(x, y) -> Callable:
-    """Monotone piecewise-cubic Hermite (PCHIP) interpolant of y over the
-    strictly increasing x, held at its end values outside [x[0], x[-1]].
-
-    Slopes, coefficients and the evaluation order are those of
-    scipy.interpolate.PchipInterpolator, so on [x[0], x[-1]] the values
-    agree with it bit for bit.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(x) == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        # Fritsch-Carlson: weighted harmonic mean of the neighbouring
-        # secants, 0 where they change sign or one is flat
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-        d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],
-                            np.where(flat, 0.0, inner),
-                            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
-    inner_knots = x[1:-1]
-
-    def f(xv):
-        xv = np.asarray(xv, dtype=float).clip(x[0], x[-1])
-        # piece i covers [x[i], x[i+1]); the last one is closed at x[-1]
-        i = inner_knots.searchsorted(xv, "right")
-        s = xv - x[i]
-        s2 = s * s
-        return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
-
-    return f
-
-
 REASONS = ("geometric", "negligible", "nonfinite", "growing", "depth_cap")
 GEOMETRIC, NEGLIGIBLE, NONFINITE, GROWING, DEPTH_CAP = range(len(REASONS))
 

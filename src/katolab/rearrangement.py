@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .profiles import GreenKernelSpec, green_power_profile
 from .quadrature import INF, integrate_outward, integrate_to_zero
 from .space import LOG_CAP, unit_ball_volume
 
@@ -93,7 +94,7 @@ class DistributionFunction:
         with isotonic post-processing to enforce decrease."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-DENSITY_WINDOW, DENSITY_WINDOW, size=(n_samples, d))
-        vals = np.abs(np.apply_along_axis(V, 1, pts))
+        vals = np.abs(np.fromiter(map(V, pts), float, n_samples))
         vol = (2.0 * DENSITY_WINDOW) ** d
         ts = (np.geomspace(max(vals.min(), 1e-8), vals.max() + 1e-8, 200)
               if t_grid is None else np.asarray(t_grid, dtype=float))
@@ -113,28 +114,13 @@ class DistributionFunction:
 def radial_criterion(profile: Callable, d: int, alpha_exponent: float,
                      p: float, R: float = 1.0) -> tuple[float, bool]:
     """Centered integral test for |V| m with V = f(|x|) decreasing:
-    finiteness of int_0^R w(r) f(r) dr with the regime weight w."""
-    a = alpha_exponent
-    if d > a:
-        expo = d - p * (d - a) - 1.0
-
-        def w(r):
-            with np.errstate(divide="ignore"):
-                return np.asarray(r, dtype=float) ** expo
-
-    elif d == a:
+    finiteness of int_0^R r^{d-1} G(r)^p f(r) dr, G the Green kernel of
+    (nu, beta) = (d, alpha) (R at most 1/e in its log regime)."""
+    spec = GreenKernelSpec(d, alpha_exponent)
+    if spec.regime == "log":
         R = min(R, LOG_CAP)
-
-        def w(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.log(1.0 / r) ** p * r ** (d - 1.0)
-
-    else:  # a > d: no singular weight, only local integrability of f
-        def w(r):
-            return np.asarray(r, dtype=float) ** (d - 1.0)
-
-    res = integrate_to_zero(lambda r: w(r) * np.asarray(profile(r)), R)
+    g = green_power_profile(spec, p)
+    res = integrate_to_zero(lambda r: r ** (d - 1.0) * g(r) * np.asarray(profile(r)), R)
     return (INF if res.diverged else res.value), not res.diverged
 
 

@@ -21,12 +21,13 @@ from katolab.classification import (
 )
 from katolab.config import RunConfig
 from katolab.errors import DomainError, InsufficientDataError
-from katolab.functionals import CenterStrategy
-from katolab.kernels import GaussianKernelModel
+from katolab import functionals
+from katolab.functionals import CenterStrategy, semigroup_functional
+from katolab.kernels import GaussianKernelModel, StableEstimateModel
 from katolab.measures import (
-    FunctionalEstimate,
     PointMasses,
     RadialDensity,
+    SphereSurface,
     lebesgue,
 )
 from katolab.profiles import power_profile
@@ -68,15 +69,6 @@ def test_classify_limit_sentinel_certifies_divergence():
     fit = classify_limit(rows)
     assert fit.verdict == "diverges"
     assert fit.certified
-
-
-def test_classify_limit_accepts_functional_estimates():
-    mk = lambda v: FunctionalEstimate(value=v, error=0.0, diverged=False,
-                                      log_slope=0.0)
-    rows = [(s, mk(v)) for s, v, _ in _grid(1.5)]
-    fit = classify_limit(rows)
-    assert fit.verdict == "tends_to_zero"
-    assert fit.slope == pytest.approx(1.5, abs=0.01)
 
 
 def test_classify_limit_needs_six_samples():
@@ -234,6 +226,30 @@ def test_fit_order_delta_lebesgue():
         delta, ci = fit_order_delta(mu, model, p, _fast_config())
         assert delta == pytest.approx(expect, rel=1e-3)
         assert ci >= 0.0
+
+
+def test_fit_order_delta_is_one_engine_run_equal_to_the_per_t_fit(monkeypatch):
+    model, mu, p = GaussianKernelModel(dim=3), SphereSurface(np.zeros(3), 1.0, 4 * math.pi), 1.5
+    cfg = ClassifyConfig(centers=CenterStrategy(n_support=4, n_random=4))
+    centers = cfg.centers.build(mu)
+    rows = []
+    for t in cfg.t_grid:
+        est = semigroup_functional(mu, model, p, t, centers=centers)
+        rows.append((t, float(est) ** (1.0 / p), est.error))
+    fit = classify_limit(rows)
+    runs = []
+    engine = functionals.integrate_jobs
+    monkeypatch.setattr(functionals, "integrate_jobs",
+                        lambda *args: runs.append(1) or engine(*args))
+    assert fit_order_delta(mu, model, p, cfg) == (fit.slope, fit.slope_ci)
+    assert len(runs) == 1
+
+
+def test_fit_order_delta_needs_a_t_below_t0():
+    # t0 = 1/m = 1e-6 lies below every t of the grid
+    with pytest.raises(InsufficientDataError):
+        fit_order_delta(lebesgue(2), StableEstimateModel(2, 1.2, m=1e6), 1.0,
+                        _fast_config(dim=2))
 
 
 # --------------------------------------------------------------------------

@@ -58,6 +58,17 @@ def test_run_config_bad_kernel_block():
             "kernel.family = gaussian\nkernel.nonsense = 3\n"))
 
 
+@pytest.mark.parametrize("line", [
+    "kernal.family = stable_estimate",  # a misspelt section
+    "space.nu = 3",  # no alias of the kernel section
+    "sweep.center_random = 0",  # a misspelt sweep key
+    "sweep.centers = 2",
+])
+def test_run_config_rejects_unknown_keys(line):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        RunConfig.from_dict(parse_config_text(MINIMAL + line + "\n"))
+
+
 def test_run_config_atoms_parse():
     run = RunConfig.from_dict(parse_config_text(
         "kernel.family = gaussian\nkernel.dim = 2\n"

@@ -12,7 +12,6 @@ from katolab.functionals import (
     CenterStrategy,
     GreenKernelSpec,
     green_power_profile,
-    green_value,
     kato_functional,
     resolvent_functional,
     semigroup_functional,
@@ -25,6 +24,7 @@ from katolab.measures import (
     SphereSurface,
     lebesgue,
 )
+from katolab.profiles import green_value
 from katolab.quadrature import INF
 from katolab.space import SpaceModel
 

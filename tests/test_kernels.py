@@ -257,6 +257,20 @@ def test_generic_qt_matches_gaussian_closed_form(d):
         assert_close_above(generic.qt_radial(t)(rs), exact.qt_radial(t)(rs), 1e-12, 1e-250)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_generic_kernels_match_gaussian_closed_forms_on_the_classify_grids(d):
+    # the panel-sum q_t and r_alpha of the Gaussian profile against the closed
+    # forms, at every t and alpha of the classify grids and t = alpha = 1
+    exact = GaussianKernelModel(dim=d)
+    generic = ScalingKernelModel(exact.space, exact.profile)
+    rs = np.geomspace(1e-8, 30.0, 1000)
+    for k in range(9):
+        t, alpha = 4.0**-k, 4.0**k
+        assert_close_above(generic.qt_radial(t)(rs), exact.qt_radial(t)(rs), 2e-12, 1e-200)
+        assert_close_above(generic.resolvent_radial(alpha)(rs),
+                           exact.resolvent_radial(alpha)(rs), 5e-13, 1e-200)
+
+
 def test_shared_panels_guard_both_tables_against_divergent_tail():
     # w(x) = e^{(nu-beta)x} profile(e^x) grows like e^{x/10}: the tail moment
     # int^inf u^{nu-beta-1} profile(u) du that q_t and r_alpha integrate diverges
@@ -630,6 +644,17 @@ def test_time_integrated_bounds_log_regime_guard():
     x = np.zeros(2)
     with pytest.raises(DomainError):
         time_integrated_bounds(m, 0.25, x, np.array([0.5, 0.0]))  # d >= 1/e
+
+
+@pytest.mark.parametrize("make", [lambda: GaussianKernelModel(dim=3),
+                                  lambda: synthetic_scaling_model(nu=2.0, beta=2.0, dim=2)],
+                         ids=["power", "log"])
+def test_time_integrated_bounds_reject_zero_distance(make):
+    # the Green-kernel shape G(d) is defined for d > 0 only
+    m = make()
+    x = np.zeros(m.space.ambient_dim)
+    with pytest.raises(DomainError, match="r must be positive"):
+        time_integrated_bounds(m, 0.25, x, x)
 
 
 def test_bounds_sandwich_heat_kernel_integral():

@@ -82,7 +82,7 @@ def test_sphere_ball_mass_matches_monte_carlo():
 
 def test_sphere_requires_d3():
     with pytest.raises(DomainError):
-        SphereSurface(center=np.zeros(2), radius=1.0, total_mass=1.0, dim=2)
+        SphereSurface(center=np.zeros(2), radius=1.0, total_mass=1.0)
 
 
 def test_radial_density_ball_mass_off_origin():

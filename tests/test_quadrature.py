@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katolab.functionals import GreenKernelSpec, kato_functional
-from katolab.kernels import GaussianKernelModel
 from katolab.measures import Density, PointMasses, RadialDensity, integrate_jobs
 from katolab.profiles import power_profile
 from katolab import quadrature
@@ -26,7 +25,6 @@ from katolab.quadrature import (
     integrate_outward,
     integrate_to_zero,
     outward_diverges,
-    pchip,
 )
 
 
@@ -480,48 +478,3 @@ def test_gauss_panel_takes_edge_arrays():
     assert list(got) == [gauss_panel(h, ai, bi) for ai, bi in zip(a, b)]
     values, gaps = gauss_panel(lambda s: (h(s), np.full(len(s), 1e-9)), a, b)
     assert np.array_equal(values, got) and np.array_equal(gaps, [1e-9] * 3)
-
-
-def _scipy_pchip(x, y):
-    from scipy.interpolate import PchipInterpolator
-
-    return PchipInterpolator(x, y, extrapolate=False)
-
-
-def test_pchip_matches_scipy_bit_for_bit():
-    rng = np.random.default_rng(11)
-    for case in range(200):
-        n = 2 if case % 10 == 0 else int(rng.integers(3, 40))
-        x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 3.0
-        y = rng.normal(size=n)  # sign changes and local extrema
-        if case % 3 == 1:
-            y = np.round(2.0 * y) / 2.0  # flat runs
-        elif case % 3 == 2:
-            y = np.cumsum(np.abs(y))  # monotone with flat steps
-            y[n // 2:] = y[n // 2]
-        probe = np.concatenate([x, rng.uniform(x[0], x[-1], 300)])
-        assert np.array_equal(pchip(x, y)(probe), _scipy_pchip(x, y)(probe))
-
-
-def test_pchip_matches_scipy_on_the_resolvent_table():
-    # r_1 of the 3-d Gaussian profile's panel sum on the 4,000 log-spaced
-    # radii the former resolvent table sampled: from 1e-12 to where r_1
-    # falls below 1e-280
-    m = GaussianKernelModel(dim=3)
-    coarse = np.geomspace(1e-12, 1e12, 241)
-    rs = np.geomspace(1e-12, coarse[np.nonzero(m._r1(coarse) <= 1e-280)[0][0]], 4000)
-    vals = m._r1(rs)
-    log_r, log_v = np.log(rs[vals > 0]), np.log(vals[vals > 0])
-    mids = 0.5 * (log_r[1:] + log_r[:-1])
-    probe = np.concatenate([log_r, mids, np.linspace(log_r[0], log_r[-1], 999)])
-    assert np.array_equal(pchip(log_r, log_v)(probe),
-                          _scipy_pchip(log_r, log_v)(probe))
-
-
-def test_pchip_holds_end_values_and_takes_scalars():
-    x, y = np.array([0.0, 1.0, 3.0]), np.array([2.0, 1.0, 5.0])
-    f = pchip(x, y)
-    assert np.array_equal(f(np.array([-7.0, -0.5, 0.0])), [2.0, 2.0, 2.0])
-    assert np.array_equal(f(np.array([3.0, 3.5, 1e9])), [f(3.0)] * 3)
-    assert f(3.0) == pytest.approx(5.0, rel=1e-15)
-    assert f(1.0) == 1.0
