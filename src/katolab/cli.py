@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classification import classify_measure, fit_order_delta
-from .config import RunConfig
+from .config import RunConfig, parse_config_text
 from .errors import KatolabError
 from .kernels import kernel_invariant_suite
 from .montecarlo import (
@@ -29,21 +29,6 @@ from .profiles import RadialProfile
 
 def _fmt(v: float) -> str:
     return f"{float(v):.16e}"
-
-
-def _apply_overrides(run: RunConfig, args) -> RunConfig:
-    if args.p:
-        run.p_list = [float(tok) for tok in args.p.split(",") if tok.strip()]
-    if args.seed is not None:
-        run.seed = args.seed
-        run.classify.seed = args.seed
-        run.classify.centers.seed = args.seed
-    if args.grid_depth is not None:
-        run.classify.r_grid = 2.0 ** -np.arange(2, args.grid_depth + 1,
-                                                dtype=float)
-    if args.centers is not None:
-        run.classify.centers.n_random = args.centers
-    return run
 
 
 def cmd_classify(run: RunConfig, out_dir: Path) -> int:
@@ -172,16 +157,21 @@ def main(argv=None) -> int:
                                  "mc-check"])
     parser.add_argument("--config", required=True, help="run config path")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--p", default=None, help="comma-separated p list")
-    parser.add_argument("--grid-depth", type=int, default=None,
+    # each flag below sets the config key of its dest
+    parser.add_argument("--seed", type=int, dest="sweep.seed")
+    parser.add_argument("--p", dest="sweep.p", help="comma-separated p list")
+    parser.add_argument("--grid-depth", type=int, dest="sweep.grid_depth",
                         help="finest dyadic level j of the r grid")
-    parser.add_argument("--centers", type=int, default=None,
+    parser.add_argument("--centers", type=int, dest="sweep.centers_random",
                         help="number of random centers")
     args = parser.parse_args(argv)
 
     try:
-        run = _apply_overrides(RunConfig.from_file(args.config), args)
+        with open(args.config) as fh:
+            kv = parse_config_text(fh.read())
+        kv.update((key, str(val)) for key, val in vars(args).items()
+                  if key.startswith("sweep.") and val not in (None, ""))
+        run = RunConfig.from_dict(kv)
         out_dir = Path(args.out)
         if args.command == "classify":
             return cmd_classify(run, out_dir)

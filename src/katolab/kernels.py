@@ -155,7 +155,6 @@ class ScalingKernelModel:
         self.t0 = t0
         self.phi1 = phi_lower if phi_lower is not None else profile
         self.phi2 = phi_upper if phi_upper is not None else profile
-        self._bound_constants: tuple[float, float] | None = None
         self._check_profile_order()
         self._check_h_phi2()
 
@@ -177,12 +176,8 @@ class ScalingKernelModel:
 
     # -- closed-form bound shapes ------------------------------------------
 
+    @cached_property
     def bound_constants(self) -> tuple[float, float]:
-        if self._bound_constants is None:
-            self._bound_constants = self._fit_bound_constants()
-        return self._bound_constants
-
-    def _fit_bound_constants(self) -> tuple[float, float]:
         nu, beta = self.space.nu, self.space.beta
         t_hi = min(self.t0, 0.4 if nu == beta else 1.0)
         ratios = []
@@ -570,29 +565,34 @@ class StretchedExponentialModel(ScalingKernelModel):
 
 
 def make_kernel_model(family: str, **kw) -> ScalingKernelModel:
+    """Config-facing factory; a keyword that family does not read is a TypeError."""
     if family == "gaussian":
-        return GaussianKernelModel(dim=int(kw["dim"]))
-    if family in ("stable_estimate", "relativistic"):
-        m = float(kw.get("m", 0.0))
+        model = GaussianKernelModel(dim=int(kw.pop("dim")))
+    elif family in ("stable_estimate", "relativistic"):
+        m = float(kw.pop("m", 0.0))
         if family == "relativistic" and m <= 0.0:
             raise DomainError("relativistic family requires m > 0")
-        return StableEstimateModel(dim=int(kw["dim"]), alpha=float(kw["alpha"]), m=m)
-    if family == "stretched_exponential":
-        return StretchedExponentialModel(
-            d_f=float(kw["d_f"]), d_w=float(kw["d_w"]),
-            d_J=float(kw.get("d_J", kw["d_w"])),
-            c1=float(kw.get("c1", 1.0)), c2=float(kw.get("c2", 1.0)),
-            c3=float(kw.get("c3", 1.0)), c4=float(kw.get("c4", 1.0)),
-            ambient_dim=int(kw.get("dim", 2)),
+        model = StableEstimateModel(dim=int(kw.pop("dim")), alpha=float(kw.pop("alpha")), m=m)
+    elif family == "stretched_exponential":
+        d_w = float(kw.pop("d_w"))
+        model = StretchedExponentialModel(
+            d_f=float(kw.pop("d_f")), d_w=d_w, d_J=float(kw.pop("d_J", d_w)),
+            c1=float(kw.pop("c1", 1.0)), c2=float(kw.pop("c2", 1.0)),
+            c3=float(kw.pop("c3", 1.0)), c4=float(kw.pop("c4", 1.0)),
+            ambient_dim=int(kw.pop("dim", 2)),
         )
-    if family == "custom":
-        space = SpaceModel(ambient_dim=int(kw.get("dim", 1)),
-                           nu=float(kw["nu"]), beta=float(kw["beta"]))
-        return ScalingKernelModel(space, kw["profile"],
-                                  t0=float(kw.get("t0", INF)),
-                                  phi_lower=kw.get("phi_lower"),
-                                  phi_upper=kw.get("phi_upper"))
-    raise DomainError(f"unknown kernel family {family!r}")
+    elif family == "custom":
+        space = SpaceModel(ambient_dim=int(kw.pop("dim", 1)),
+                           nu=float(kw.pop("nu")), beta=float(kw.pop("beta")))
+        model = ScalingKernelModel(space, kw.pop("profile"),
+                                   t0=float(kw.pop("t0", INF)),
+                                   phi_lower=kw.pop("phi_lower", None),
+                                   phi_upper=kw.pop("phi_upper", None))
+    else:
+        raise DomainError(f"unknown kernel family {family!r}")
+    if kw:
+        raise TypeError(f"{family} kernel takes no key {', '.join(map(repr, sorted(kw)))}")
+    return model
 
 
 def synthetic_scaling_model(nu: float, beta: float, dim: int = 1) -> ScalingKernelModel:
@@ -651,7 +651,7 @@ def time_integrated_bounds(model: ScalingKernelModel, t: float, x, y) -> KernelB
             raise DomainError("regime guard violated: d < 1/e (log kernel domain)")
     elif d**beta >= t:
         raise DomainError("regime guard violated: d(x,y)^beta < t")
-    c_lo, c_hi = model.bound_constants()
+    c_lo, c_hi = model.bound_constants
     shape = _bound_shape(nu, beta, t, d)
     return KernelBounds(lower=c_lo * shape, upper=c_hi * shape, shape=shape)
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
-from .quadrature import INF, PASS, REASONS, dyadic_passes
+from .quadrature import INF, PASS, REASONS, FunctionalEstimate, dyadic_passes
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -69,24 +68,6 @@ def _orders(dim: int) -> tuple[int, ...]:
         left, n = left - size(n), 2 * n
     fits = [k for k in range(max(out, default=0) + 1, n) if size(k) <= left]
     return tuple(out + fits[-1:])
-
-
-@dataclass
-class FunctionalEstimate:
-    """A numerical integral value with an error bar and divergence flag."""
-
-    value: float
-    error: float = 0.0
-    stat_error: float = 0.0
-    diverged: bool = False
-    log_slope: float = 0.0
-    n_centers: int = 0
-    argmax_center: object = None
-    reason: str = ""  # why the deciding quadrature stopped (IntegralResult)
-    levels: int = 0  # panels it used
-
-    def __float__(self) -> float:
-        return INF if self.diverged else float(self.value)
 
 
 class MeasureRep:
@@ -461,7 +442,7 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     diverged, shown = head_div | out_div, res[np.where(out_div, out, head)]
     value = ball["value"] + atoms
     value = np.where(diverged, INF, np.where(whole, value + tail + beyond["value"], value))
-    error = ball["quad_error"] + np.where(whole & ~head_div, beyond["quad_error"], 0.0)
+    error = ball["error"] + np.where(whole & ~head_div, beyond["error"], 0.0)
     names = REASONS + ("",)  # "" for no pass
     # FunctionalEstimate's fields by position: keywords would double its cost
     ests = [None if miss else FunctionalEstimate(v, e, 0.0, d, s, 0, None, names[k], n)
@@ -498,26 +479,32 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable,
 
 
 def make_measure(kind: str, **kw) -> MeasureRep:
-    """Config-facing factory."""
+    """Config-facing factory; a keyword that kind does not read is a TypeError."""
     if kind == "lebesgue":
-        return lebesgue(int(kw["dim"]))
-    if kind == "density":
-        return Density(kw["f"], dim=int(kw["dim"]),
-                       support_radius=float(kw.get("support_radius", INF)))
-    if kind == "radial_density":
-        return RadialDensity(kw["profile"], dim=int(kw["dim"]),
-                             origin=kw.get("origin"),
-                             support_radius=float(kw.get("support_radius", INF)))
-    if kind == "point_masses":
-        return PointMasses(kw["atoms"], dim=kw.get("dim"))
-    if kind == "sphere_surface":
-        return SphereSurface(kw.get("center", np.zeros(3)),
-                             radius=float(kw.get("radius", 1.0)),
-                             total_mass=float(kw.get("total_mass", 1.0)))
-    if kind == "ahlfors":
-        return AhlforsAbstract(eta=float(kw["eta"]),
-                               c_lower=float(kw.get("c_lower", 1.0)),
-                               c_upper=float(kw.get("c_upper", 1.0)),
-                               r0=float(kw.get("r0", 1.0)),
-                               dim=int(kw.get("dim", 1)))
-    raise DomainError(f"unknown measure kind {kind!r}")
+        mu = lebesgue(int(kw.pop("dim")))
+    elif kind == "density":
+        mu = Density(kw.pop("f"), dim=int(kw.pop("dim")),
+                     support_radius=float(kw.pop("support_radius", INF)))
+    elif kind == "radial_density":
+        mu = RadialDensity(kw.pop("profile"), dim=int(kw.pop("dim")),
+                           origin=kw.pop("origin", None),
+                           support_radius=float(kw.pop("support_radius", INF)))
+    elif kind == "point_masses":
+        mu = PointMasses(kw.pop("atoms"), dim=kw.pop("dim", None))
+    elif kind == "sphere_surface":
+        if (dim := int(kw.pop("dim", 3))) != 3:
+            raise DomainError(f"sphere_surface lives in R^3, not in dimension {dim}")
+        mu = SphereSurface(kw.pop("center", np.zeros(3)),
+                           radius=float(kw.pop("radius", 1.0)),
+                           total_mass=float(kw.pop("total_mass", 1.0)))
+    elif kind == "ahlfors":
+        mu = AhlforsAbstract(eta=float(kw.pop("eta")),
+                             c_lower=float(kw.pop("c_lower", 1.0)),
+                             c_upper=float(kw.pop("c_upper", 1.0)),
+                             r0=float(kw.pop("r0", 1.0)),
+                             dim=int(kw.pop("dim", 1)))
+    else:
+        raise DomainError(f"unknown measure kind {kind!r}")
+    if kw:
+        raise TypeError(f"{kind} measure takes no key {', '.join(map(repr, sorted(kw)))}")
+    return mu

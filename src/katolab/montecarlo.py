@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -48,43 +49,47 @@ class PathConfig:
             raise DomainError("stable alpha must lie in ]0, 2]")
 
 
-def _increments(cfg: PathConfig, rng, chunk: int):
-    """One step of increments, shape (chunk, dim)."""
+def _increments(cfg: PathConfig, dt: float, rng):
+    """One step of dt of increments, shape (n_paths, dim)."""
+    size = (cfg.n_paths, cfg.dim)
     if cfg.process == "brownian":
-        return rng.normal(scale=math.sqrt(cfg.dt), size=(chunk, cfg.dim))
+        return rng.normal(scale=math.sqrt(dt), size=size)
     a = cfg.alpha
     if a == 2.0:
-        return rng.normal(scale=math.sqrt(2.0 * cfg.dt), size=(chunk, cfg.dim))
+        return rng.normal(scale=math.sqrt(2.0 * dt), size=size)
     # Chambers-Mallows-Stuck, symmetric case
-    U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(chunk, cfg.dim))
-    W = rng.exponential(size=(chunk, cfg.dim))
+    U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    W = rng.exponential(size=size)
     X = (np.sin(a * U) / np.cos(U) ** (1.0 / a)
          * (np.cos(U - a * U) / W) ** ((1.0 - a) / a))
-    return cfg.dt ** (1.0 / a) * X
+    return dt ** (1.0 / a) * X
+
+
+def _walk(cfg: PathConfig, dt: float, rng):
+    """The path ensemble, shape (n_paths, dim), at the times k dt for
+    k = 0, ..., t/dt; a step's increments are drawn when its state is asked for."""
+    x = np.tile(cfg.x0, (cfg.n_paths, 1))
+    for _ in range(int(round(cfg.t / dt))):
+        yield x
+        x = x + _increments(cfg, dt, rng)
+    yield x
 
 
 def simulate_paths(cfg: PathConfig) -> np.ndarray:
     """Full path ensemble, shape (n_paths, n_steps + 1, dim)."""
-    rng = np.random.default_rng(cfg.seed)
-    n_steps = int(round(cfg.t / cfg.dt))
-    out = np.empty((cfg.n_paths, n_steps + 1, cfg.dim))
-    out[:, 0, :] = cfg.x0
-    for k in range(n_steps):
-        out[:, k + 1, :] = out[:, k, :] + _increments(cfg, rng, cfg.n_paths)
+    out = np.empty((cfg.n_paths, int(round(cfg.t / cfg.dt)) + 1, cfg.dim))
+    for k, x in enumerate(_walk(cfg, cfg.dt, np.random.default_rng(cfg.seed))):
+        out[:, k] = x
     return out
 
 
 def _functional_once(cfg: PathConfig, V, dt: float, rng) -> tuple:
     """Streaming left-Riemann sum of V along paths; returns per-path sums
     and the clip count."""
-    n_steps = int(round(cfg.t / dt))
-    x = np.tile(cfg.x0, (cfg.n_paths, 1))
     acc = np.zeros(cfg.n_paths)
     clipped = 0
-    sub = PathConfig(process=cfg.process, alpha=cfg.alpha, t=cfg.t, dt=dt,
-                     n_paths=cfg.n_paths, seed=cfg.seed, x0=cfg.x0)
     rowwise = False
-    for _ in range(n_steps):
+    for x in islice(_walk(cfg, dt, rng), int(round(cfg.t / dt))):
         if not rowwise:
             try:
                 v = np.asarray(V(x), dtype=float)
@@ -97,7 +102,6 @@ def _functional_once(cfg: PathConfig, V, dt: float, rng) -> tuple:
         big = v > CLIP_BOUND
         clipped += int(big.sum())
         acc += dt * np.minimum(v, CLIP_BOUND)
-        x = x + _increments(sub, rng, cfg.n_paths)
     return acc, clipped
 
 

@@ -39,18 +39,24 @@ INF = float("inf")
 
 
 @dataclass
-class IntegralResult:
-    """Outcome of a dyadic quadrature pass."""
+class FunctionalEstimate:
+    """A numerical integral value with an error bar and divergence flag."""
 
     value: float
-    quad_error: float
-    diverged: bool
-    #: why the pass stopped: "geometric", "negligible", "nonfinite",
-    #: "growing" or "depth_cap"
-    reason: str
-    levels: int  # panels the pass used
+    error: float = 0.0
+    stat_error: float = 0.0
+    diverged: bool = False
     #: increment per unit of log(1/epsilon); meaningful only when diverged
     log_slope: float = 0.0
+    n_centers: int = 0
+    argmax_center: object = None
+    #: why the deciding quadrature pass stopped: "geometric", "negligible",
+    #: "nonfinite", "growing" or "depth_cap"
+    reason: str = ""
+    levels: int = 0  # panels it used
+
+    def __float__(self) -> float:
+        return INF if self.diverged else float(self.value)
 
 
 class RadiusSweep(list):
@@ -87,17 +93,19 @@ PANEL_BLOCK = 256  # the most panels (rows of 32 nodes) per gauss_panel call
 
 _WAIT, _RUN, _DONE = range(3)  # pass status in dyadic_passes
 
-#: dyadic_passes' result per pass: IntegralResult's fields (reason as an
-#: index into REASONS), and whether it ran (its `after` pass converged)
-PASS = np.dtype([("value", float), ("quad_error", float), ("diverged", bool),
+#: dyadic_passes' result per pass: FunctionalEstimate's quadrature fields
+#: (reason as an index into REASONS), and whether it ran (its `after` pass
+#: converged)
+PASS = np.dtype([("value", float), ("error", float), ("diverged", bool),
                  ("reason", int), ("levels", int), ("log_slope", float), ("ran", bool)])
 
 
-def _results(out: np.ndarray) -> list[IntegralResult]:
-    return [IntegralResult(v, e, d, REASONS[k], n, s) for v, e, d, k, n, s, _ in out.tolist()]
+def _results(out: np.ndarray) -> list[FunctionalEstimate]:
+    return [FunctionalEstimate(v, e, 0.0, d, s, 0, None, REASONS[k], n)
+            for v, e, d, k, n, s, _ in out.tolist()]
 
 
-def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
+def integrate_to_zero(h: Callable, r) -> FunctionalEstimate | RadiusSweep:
     """Integrate h over (0, r], resolving a possible singularity at 0, for
     one radius r or for each radius of a grid (then a RadiusSweep), as
     dyadic_passes of the one integrand h: h sees (n, 32) node arrays and
@@ -117,7 +125,7 @@ def integrate_to_zero(h: Callable, r) -> IntegralResult | RadiusSweep:
     return RadiusSweep(out) if np.ndim(r) else out[0]
 
 
-def integrate_outward(h: Callable, r0: float) -> IntegralResult:
+def integrate_outward(h: Callable, r0: float) -> FunctionalEstimate:
     """Integrate h over [r0, inf) by dyadic doubling with a decay check: it
     stops once two panels in a row add at most OUTWARD_REL_TOL of a finite
     sum, and diverges ("nonfinite") at a sum that is not.  The bar adds each
@@ -166,7 +174,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
             with np.errstate(invalid="ignore"):  # an inf panel of no stated error
                 angular = np.cumsum(Q * np.abs(P), axis=1)[np.arange(len(o)), got[o]]
             d = o[done]
-            out["value"][d], out["quad_error"][d] = acc[done], P[done, got[d]] + angular[done]
+            out["value"][d], out["error"][d] = acc[done], P[done, got[d]] + angular[done]
             out["levels"][d], status[d] = got[d], _DONE  # reason: NEGLIGIBLE
             if (last := ~done & ((got[o] == OUTWARD_MAX_LEVELS) | ~np.isfinite(acc))).any():
                 s = got[o[last]]
@@ -240,7 +248,7 @@ def _finish(out: np.ndarray, status, t, s, window, bar, inward: bool) -> None:
         error = np.where(geo, 0.5 * geo_tail + 1e-14 * total, 1e-16 * np.abs(total))
         error = error + (bar * np.abs(value) if inward else bar)
         slope = np.mean(tail[:, 1:], axis=1) / math.log(2.0)
-    out["value"][t], out["quad_error"][t] = np.where(diverged, INF, value), np.where(diverged, 0.0, error)
+    out["value"][t], out["error"][t] = np.where(diverged, INF, value), np.where(diverged, 0.0, error)
     out["diverged"][t], out["levels"][t], status[t] = diverged, s, _DONE
     out["reason"][t] = np.where(inward & (state == GROWING) & (s >= MIN_LEVELS + MAX_EXTRA_LEVELS),
                              DEPTH_CAP, state)

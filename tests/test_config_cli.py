@@ -69,6 +69,17 @@ def test_run_config_rejects_unknown_keys(line):
         RunConfig.from_dict(parse_config_text(MINIMAL + line + "\n"))
 
 
+@pytest.mark.parametrize("lines,key", [
+    ("measure.kind = sphere_surface\nmeasure.radious = 2.0", "radious"),
+    ("measure.kind = lebesgue\nmeasure.atoms = 0,0,0:1.0", "atoms"),
+    ("kernel.family = stable_estimate\nkernel.alpha = 1.2\nkernel.mass = 1", "mass"),
+    ("kernel.alpha = 1.5", "alpha"),  # the gaussian family has no alpha
+], ids=["sphere-radious", "lebesgue-atoms", "stable-mass", "gaussian-alpha"])
+def test_run_config_rejects_keys_the_kind_does_not_read(lines, key):
+    with pytest.raises(ConfigError, match=f"no key '{key}'"):
+        RunConfig.from_dict(parse_config_text("kernel.dim = 3\n" + lines + "\n"))
+
+
 def test_run_config_atoms_parse():
     run = RunConfig.from_dict(parse_config_text(
         "kernel.family = gaussian\nkernel.dim = 2\n"
@@ -84,8 +95,8 @@ def test_run_config_atoms_parse():
 ], ids=["sphere", "lebesgue-dim3"])
 def test_run_config_rejects_measure_of_other_dimension(measure):
     # a 3-d measure under a 2-d kernel would be classified against the
-    # wrong kernel; the sphere never reads measure.dim, so it is checked
-    # on the built measure
+    # wrong kernel; the sphere reads measure.dim (the kernel's, by default)
+    # and takes only 3, the built lebesgue measure is checked against it
     with pytest.raises(ConfigError, match="dimension"):
         RunConfig.from_dict(parse_config_text(
             "kernel.family = gaussian\nkernel.dim = 2\n" + measure + "sweep.p = 1\n"))
@@ -172,6 +183,21 @@ def test_cli_p_override(tmp_path: Path):
     with open(out / "classify.csv") as fh:
         ps = {row["p"] for row in csv.DictReader(fh)}
     assert len(ps) == 2
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_cli_p_flag_is_the_config_key(tmp_path: Path, how):
+    # --p sets sweep.p and is checked as the key is
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "brownian-d3-lebesgue.cfg"
+    if how == "file":
+        text = cfg.read_text().replace("sweep.p = 1, 2, 2.8, 3, 3.5", "sweep.p = 0.5, 1")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+    flags = ["--p", "0.5,1"] if how == "flag" else []
+    proc = _run_cli("sweep-p", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags)
+    assert proc.returncode == 1
+    assert "sweep.p entries must be >= 1" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_sweep_p(tmp_path: Path):

@@ -37,8 +37,10 @@ def _uncovered_rows(tmp_path, config: str, oracle) -> tuple[int, list]:
     for row in rows:
         p, scale = float(row["p"]), float(row["scale"])
         value, err = float(row["value"]), float(row["error"])
+        if not math.isfinite(value):
+            continue
         ref = oracle(row["criterion"], p, scale)
-        if ref is None or not math.isfinite(value):
+        if ref is None:
             continue
         checked += 1
         if abs(value - ref) > err:
@@ -110,38 +112,51 @@ def test_sphere_d3_green_and_localized_resolvent_bars_cover_the_error(tmp_path):
     # unit-sphere surface measure in R^3 under the d = 3 Gaussian kernel: seen
     # from a center at distance rho, its mass at distance s from it has the
     # density c s on [|rho - R|, rho + R], c = mass / (2 R rho); a row is the
-    # largest over the config's centers of int c s g(s)^p ds up to its radius,
-    # g(s) = 1/s (green) or e^{-sqrt(2 alpha) s} / (2 pi s), integrated by mpmath
+    # largest over the config's centers of int c s g(s)^p ds up to its radius
+    # (a global row: over the whole interval), g(s) = 1/s (green),
+    # e^{-sqrt(2 alpha) s} / (2 pi s) (resolvent) or erfc(s / sqrt(2 t)) / (2 pi s)
+    # (q_t), integrated by mpmath; sg_global is recorded at the scale t^(1/2),
+    # res_global at alpha^(-1/2)
     mpmath = pytest.importorskip("mpmath")
     run = RunConfig.from_file(str(ROOT / "configs" / "sphere-d3.cfg"))
     mu, cfg = run.measure, run.classify
     centers = cfg.centers.build(mu)  # the config's seed is the one classify runs with
-    a1, a2 = cfg.localized_alphas
+    (a1, a2), (t1, t2) = cfg.localized_alphas, cfg.localized_times
     radii = sorted(float(r) for r in cfg.r_grid)
+    resolvent = lambda a: lambda s: mpmath.exp(-mpmath.sqrt(2 * a) * s) / (2 * mpmath.pi * s)
+    heat = lambda t: lambda s: mpmath.erfc(s / mpmath.sqrt(2 * t)) / (2 * mpmath.pi * s)
+    localized = {"green": lambda s: 1 / s, "res_loc_a1": resolvent(a1),
+                 "res_loc_a*": resolvent(a2), "sg_loc_t1": heat(t1), "sg_loc_t*": heat(t2)}
     sums = {}
 
+    def largest_over_centers(g, p, ends):
+        """The largest over the centers of int c s g(s)^p ds up to each of
+        ends, once per distance rho of a center (six sit on the sphere)."""
+        f = lambda s: s * g(s) ** p
+        best = dict.fromkeys(ends, 0.0)
+        for rho in {float(math.dist(x, mu.center)) for x in centers}:
+            lo, hi, c = abs(rho - mu.R), rho + mu.R, mu.mass / (2.0 * mu.R * rho)
+            with mpmath.workdps(20):
+                cuts = [lo] + [r for r in ends if lo < r < hi] + [hi]
+                parts = accumulate(c * mpmath.quad(f, [a, b]) for a, b in zip(cuts, cuts[1:]))
+                upto = dict(zip(cuts[1:], map(float, parts)))
+            for r in ends:
+                best[r] = max(best[r], 0.0 if r <= lo else upto[min(r, hi)])
+        return best
+
     def oracle(key, p, scale):
-        if key not in ("green", "res_loc_a1", "res_loc_a*"):
+        if key in ("sg_global", "res_global"):
+            g = heat(scale**2) if key == "sg_global" else resolvent(scale**-2)
+            return largest_over_centers(g, p, [math.inf])[math.inf]
+        if key not in localized:
             return None
         if (key, p) not in sums:  # each center's integral up to every radius, then the sup
-            k = 0 if key == "green" else math.sqrt(2.0 * (a1 if key == "res_loc_a1" else a2))
-            f = (lambda s: s ** (1 - p)) if key == "green" else (
-                lambda s: s * (mpmath.exp(-k * s) / (2 * mpmath.pi * s)) ** p)
-            best = dict.fromkeys(radii, 0.0)
-            for x in centers:
-                rho = float(math.dist(x, mu.center))
-                lo, hi, c = abs(rho - mu.R), rho + mu.R, mu.mass / (2.0 * mu.R * rho)
-                with mpmath.workdps(20):
-                    cuts = [lo] + [r for r in radii if lo < r < hi] + [hi]
-                    parts = accumulate(c * mpmath.quad(f, [a, b]) for a, b in zip(cuts, cuts[1:]))
-                    upto = dict(zip(cuts[1:], map(float, parts)))
-                for r in radii:
-                    best[r] = max(best[r], 0.0 if r <= lo else upto[min(r, hi)])
-            sums[key, p] = best
+            sums[key, p] = largest_over_centers(localized[key], p, radii)
         return sums[key, p][scale]
 
     checked, uncovered = _uncovered_rows(tmp_path, "sphere-d3", oracle)
-    # p = 1.5: 10 green and 2 x 10 localized resolvent radii (p = 2.5 diverges
-    # at the centers on the sphere, and its rows are not finite)
-    assert checked == 30
+    # p = 1.5: 10 radii of each of the five localized criteria and 8 scales of
+    # each global one (p = 2.5 diverges at the centers on the sphere, and its
+    # rows are not finite)
+    assert checked == 5 * 10 + 2 * 8
     assert uncovered == []

@@ -19,7 +19,7 @@ from katolab.quadrature import (
     PANEL_BLOCK,
     REASONS,
     SETTLE_LEVELS,
-    IntegralResult,
+    FunctionalEstimate,
     dyadic_passes,
     gauss_panel,
     integrate_outward,
@@ -106,7 +106,7 @@ def test_power_integrals_match_closed_form(a):
 
 def test_quad_error_is_reported():
     res = integrate_to_zero(lambda s: np.ones_like(np.asarray(s, float)), 1.0)
-    assert res.quad_error >= 0.0
+    assert res.error >= 0.0
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_outward_nonfinite_sum_diverges(value):
     # as inward: a non-finite running sum ends the pass, at the first check
     # (three panels) or at the first panel after that where it turns up
     res = integrate_outward(lambda s: np.full_like(np.asarray(s, float), value), 1.0)
-    assert (res.value, res.quad_error, res.diverged, res.reason, res.levels) == (
+    assert (res.value, res.error, res.diverged, res.reason, res.levels) == (
         INF, 0.0, True, "nonfinite", 3)
     late = integrate_outward(
         lambda s: np.where(np.asarray(s) < 8.0, np.exp(-np.asarray(s, float)), value), 1.0)
@@ -214,17 +214,19 @@ def _analyze_panels(panels):
     state, ratios = _tail_window(panels)
     n = len(panels)
     if state == "nonfinite":
-        return IntegralResult(INF, 0.0, True, state, n, INF)
+        return FunctionalEstimate(value=INF, error=0.0, diverged=True, reason=state, levels=n,
+                                  log_slope=INF)
     total = sum(panels)
     if state == "negligible":
-        return IntegralResult(total, 1e-16 * abs(total), False, state, n)
+        return FunctionalEstimate(value=total, error=1e-16 * abs(total), reason=state, levels=n)
     if state == "geometric":
         rho = ratios[-1] if ratios else 0.0
         geo_tail = panels[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-        return IntegralResult(total + geo_tail, 0.5 * geo_tail + 1e-14 * total,
-                              False, state, n)
+        return FunctionalEstimate(value=total + geo_tail, error=0.5 * geo_tail + 1e-14 * total,
+                                  reason=state, levels=n)
     slope = float(np.mean(panels[-4:])) / math.log(2.0)
-    return IntegralResult(INF, 0.0, True, state, n, slope)
+    return FunctionalEstimate(value=INF, error=0.0, diverged=True, reason=state, levels=n,
+                              log_slope=slope)
 
 
 def _sequential_to_zero(h, r):
@@ -255,7 +257,7 @@ def _sequential_to_zero(h, r):
     if res.reason == "growing" and j >= MIN_LEVELS + MAX_EXTRA_LEVELS:
         res.reason = "depth_cap"
     if not res.diverged:
-        res.quad_error += max([0.0] + gaps) * abs(res.value)
+        res.error += max([0.0] + gaps) * abs(res.value)
     return res
 
 
@@ -298,7 +300,7 @@ def test_rounds_equal_the_sequential_rule_on_a_density():
     ref = _sequential_to_zero(_integrand(g, mu.radial_mass_density(center)), 0.5)
     n_ref, calls[0] = calls[0], 0
     got = integrate_to_zero(_integrand(g, mu.radial_mass_density(center)), 0.5)
-    assert got == ref and got.quad_error > 0.0
+    assert got == ref and got.error > 0.0
     assert calls[0] == n_ref
 
 
@@ -320,10 +322,10 @@ def _sequential_outward(h, r0):
             return _analyze_panels(panels)
         small = OUTWARD_REL_TOL * max(acc, 1e-300)
         if k >= 2 and p <= small and panels[k - 1] <= small:
-            return IntegralResult(acc, p + angular, False, "negligible", k + 1)
+            return FunctionalEstimate(value=acc, error=p + angular, reason="negligible", levels=k + 1)
     res = _analyze_panels(panels)
     if not res.diverged:
-        res.quad_error += angular
+        res.error += angular
     return res
 
 
@@ -396,7 +398,7 @@ def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     gapped = (c == 1) & ~got["diverged"] & (got["value"] > 0) & np.isfinite(got["value"])
     assert gapped.sum() >= 10
     assert np.array_equal(plain["value"][gapped], got["value"][gapped])
-    assert (got["quad_error"][gapped] > plain["quad_error"][gapped]).all()
+    assert (got["error"][gapped] > plain["error"][gapped]).all()
     assert repr(plain[c != 1].tolist()) == repr(got[c != 1].tolist())
 
 
