@@ -47,8 +47,17 @@ SWEEP_KEYS = ("p", "seed", "grid_depth", "centers_explicit", "centers_support",
               "centers_random", "center_window")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _number(key: str, text: str, kind: type):
+    """kind(text), or a ConfigError naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: {text.strip()!r} is not "
+                          f"{'an integer' if kind is int else 'a number'}") from None
+
+
+def _floats(text: str, key: str) -> list[float]:
+    return [_number(key, tok, float) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 @dataclass
@@ -91,7 +100,7 @@ class RunConfig:
             meas["atoms"] = _parse_atoms(meas["atoms"])
         for k in ("origin", "center"):
             if k in meas:
-                meas[k] = _floats(meas[k])
+                meas[k] = _floats(meas[k], f"measure.{k}")
         meas.setdefault("dim", str(model.space.ambient_dim))
         try:
             measure = make_measure(kind, **meas)
@@ -102,17 +111,17 @@ class RunConfig:
                               f"kernel's {model.space.ambient_dim}")
 
         sweep = sections.get("sweep", {})
-        p_list = _floats(sweep.get("p", "1"))
+        p_list = _floats(sweep.get("p", "1"), "sweep.p")
         if any(p < 1 for p in p_list):
             raise ConfigError("sweep.p entries must be >= 1")
-        seed = int(sweep.get("seed", "7"))
-        depth = int(sweep.get("grid_depth", "11"))
+        get = lambda key, default, kind: _number(f"sweep.{key}", sweep.get(key, default), kind)
+        seed, depth = get("seed", "7", int), get("grid_depth", "11", int)
         centers = CenterStrategy(
-            explicit=[_floats(tok) for tok in
+            explicit=[_floats(tok, "sweep.centers_explicit") for tok in
                       sweep.get("centers_explicit", "").split(";") if tok.strip()],
-            n_support=int(sweep.get("centers_support", "4")),
-            n_random=int(sweep.get("centers_random", "4")),
-            window=float(sweep.get("center_window", "2.0")),
+            n_support=get("centers_support", "4", int),
+            n_random=get("centers_random", "4", int),
+            window=get("center_window", "2.0", float),
             seed=seed)
         classify = ClassifyConfig(
             r_grid=2.0 ** -np.arange(2, depth + 1, dtype=float),
@@ -128,5 +137,5 @@ def _parse_atoms(text: str) -> list[tuple]:
         if ":" not in tok:
             raise ConfigError(f"atom {tok!r} must be 'x,y,...:weight'")
         pt, w = tok.rsplit(":", 1)
-        atoms.append((_floats(pt), float(w)))
+        atoms.append((_floats(pt, "measure.atoms"), _number("measure.atoms", w, float)))
     return atoms

@@ -16,10 +16,11 @@ from .measures import (
     R_SPLIT,
     FunctionalEstimate,
     MeasureRep,
-    check_hint,
+    check_hints,
     integrate_jobs,
 )
 from .profiles import GreenKernelSpec, green_power_profile
+from .quadrature import INF, ParamPower, estimate
 from .space import LOG_CAP
 
 
@@ -57,7 +58,8 @@ class CenterStrategy:
 
 
 def sup_over_centers(centers: list, objective) -> tuple:
-    """Max of objective(center) over the finite set, reduced in index order.
+    """Max of objective(center) over the finite set, reduced in index order
+    (sups applies the same rule to integrate_jobs' record arrays).
 
     objective returns a FunctionalEstimate, or a list of them (one per
     radius of a grid), and each radius is reduced on its own: the first
@@ -133,21 +135,20 @@ def semigroup_job(model: ScalingKernelModel, p: float, t: float, r) -> tuple:
     """semigroup_functional's (g, r, hint); r None for the whole space."""
     if not 0.0 < t < model.t0:
         raise DomainError("t must lie in ]0, t0[")
-    return _kernel_job(model, model.qt_radial(t), p, r)
+    return _kernel_job(model, ParamPower(model.qt_radial, t, p), r)
 
 
 def resolvent_job(model: ScalingKernelModel, p: float, alpha: float, r) -> tuple:
     """resolvent_functional's (g, r, hint); r None for the whole space."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return _kernel_job(model, model.resolvent_radial(alpha), p, r)
+    return _kernel_job(model, ParamPower(model.resolvent_radial, alpha, p), r)
 
 
-def _kernel_job(model: ScalingKernelModel, kernel, p: float, r) -> tuple:
+def _kernel_job(model: ScalingKernelModel, g: ParamPower, r) -> tuple:
     # steepest admissible local slope: the jump branch of an estimate
     # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime
-    hint = p * (model.space.nu + model.space.beta)
-    return (lambda s: np.asarray(kernel(s)) ** p), r, hint
+    return g, r, g.p * (model.space.nu + model.space.beta)
 
 
 def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
@@ -155,19 +156,36 @@ def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
     integral of g(d(x,y)) mu(dy) over the ball B_r(x) (a list over a grid r)
     or the whole space (r None); and each center's ball masses at mass_radii
     (float, inf where divergent; None for None).  All in one integrate_jobs
-    run, where the first center leads each sup."""
+    run, where the first center leads each sup; an estimate is built for
+    each sup's winner only."""
     radii = [None if r is None else [float(rk) for rk in np.atleast_1d(r)]
              for _, r, _ in jobs]
-    for (g, _, hint), rs in zip(jobs, radii):
-        check_hint(g, [R_SPLIT] if rs is None else rs, hint)
+    check_hints([(g, [R_SPLIT] if rs is None else rs, hint)
+                 for (g, _, hint), rs in zip(jobs, radii)])
     tasks = [(g, rs, True) for (g, _, _), rs in zip(jobs, radii)]
     if mass_radii is not None:
         tasks.append((np.ones_like, [float(rk) for rk in mass_radii], False))
+    if not centers:
+        raise ConfigError("empty center set")
     tables = integrate_jobs(mu, centers, tasks)
-    ests = [sup_over_centers(centers, lambda x, rows=iter(table): next(rows))[0]
-            for table in tables[:len(jobs)]]  # objective: the next center's row
-    masses = None if mass_radii is None else [[float(e) for e in row] for row in tables[-1]]
+    won = iter(_sup_records(centers, np.concatenate(tables[:len(jobs)], axis=1)))
+    ests = [[next(won) for _ in range(table.shape[1])] for table in tables[:len(jobs)]]
+    masses = None if mass_radii is None else np.where(
+        tables[-1]["diverged"], INF, tables[-1]["value"]).tolist()
     return [e if np.ndim(r) else e[0] for e, (_, r, _) in zip(ests, jobs)], masses
+
+
+def _sup_records(centers: list, rec: np.ndarray) -> list:
+    """sup_over_centers' rule on a (center, radius) record array, radius by
+    radius (column): the first diverged center wins, else the first center of
+    largest value, and a NaN first value stays.  Records that did not run
+    follow a diverged first center, so they never win.  One estimate per
+    column."""
+    div, v = rec["diverged"], rec["value"]
+    best = np.where(div.any(axis=0), div.argmax(axis=0),
+                    np.where(np.isnan(v[0]), 0, np.where(np.isnan(v), -INF, v).argmax(axis=0)))
+    won = rec[best, np.arange(rec.shape[1])].tolist()
+    return [estimate(r, len(centers), centers[c]) for r, c in zip(won, best.tolist())]
 
 
 def _require_kernel_support(mu: MeasureRep) -> None:

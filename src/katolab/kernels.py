@@ -121,6 +121,17 @@ def _log_panels(f: Callable, lo, hi, *rows) -> np.ndarray:
     return out.reshape(lo.shape)
 
 
+def _per_value(f: Callable, v):
+    """f of a scalar parameter v, or of each distinct element of an array v
+    (a column of t or alpha), in v's shape: f takes Python floats, so its
+    factors come from libm like a scalar call's, where numpy's vector exp
+    and pow may differ in the last bit."""
+    if np.ndim(v) == 0:
+        return f(float(v))
+    vals, inv = np.unique(np.ravel(v), return_inverse=True)
+    return np.array([f(x) for x in vals.tolist()])[inv].reshape(np.shape(v))
+
+
 # ---------------------------------------------------------------------------
 # kernel models
 
@@ -244,8 +255,9 @@ class ScalingKernelModel:
                 raise ValidationError("profile tail moment diverges")
         return edges, x, w
 
-    def qt_radial(self, t: float) -> Callable:
-        """q_t(r) = beta r^{beta-nu} W(log(r / t^{1/beta})), W(y) = int_y^inf w dx.
+    def qt_radial(self, t) -> Callable:
+        """q_t(r) = beta r^{beta-nu} W(log(r / t^{1/beta})), W(y) = int_y^inf w dx;
+        t one time or a column of times that broadcasts against r.
 
         W is exact on the r_1 panels: a suffix sum over the panels right of
         y, a 16-point rule from y to the right edge of its panel, and below
@@ -256,11 +268,14 @@ class ScalingKernelModel:
         suffix = np.append(np.cumsum(w.reshape(-1, 16).sum(axis=1)[::-1])[::-1], 0.0)
         phi0 = float(np.asarray(self.profile(np.array([0.0])))[0])
         x0, p = edges[0], nu - beta
+        shift = _per_value(lambda t: math.log(t) / beta, t)
+        at0 = INF if p >= 0.0 else _per_value(
+            lambda t: phi0 * t ** (1.0 - nu / beta) * beta / (beta - nu), t)
 
         def qt(r):
             r = np.asarray(r, dtype=float)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                y = np.log(r) - math.log(t) / beta
+                y = np.log(r) - shift
                 k = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, len(edges) - 2)
                 a, b = np.clip(y, x0, edges[-1])[..., None], edges[k + 1][..., None]
                 nodes = 0.5 * (b - a) * _GL16_NODES + 0.5 * (a + b)
@@ -268,7 +283,6 @@ class ScalingKernelModel:
                                      * np.exp(self._log_w(nodes))).sum(axis=-1)
                 below = phi0 * (x0 - y if p == 0.0 else (math.exp(p * x0) - np.exp(p * y)) / p)
                 out = beta * r ** (beta - nu) * (W + np.where(y < x0, below, 0.0))
-            at0 = INF if p >= 0.0 else phi0 * t ** (1.0 - nu / beta) * beta / (beta - nu)
             return np.where(r == 0.0, at0, out)
 
         return qt
@@ -320,13 +334,15 @@ class ScalingKernelModel:
                    + float(np.asarray(self.profile(np.array([0.0])))[0]) * below)
         return out.reshape(r.shape)
 
-    def resolvent_radial(self, alpha: float) -> Callable:
+    def resolvent_radial(self, alpha) -> Callable:
         """Vectorized r -> r_alpha(r) = alpha^{nu/beta - 1} r_1(alpha^{1/beta} r)
-        (s = u/alpha in int_0^inf e^{-alpha s} p_s ds), r_1 the panel sum `_r1`.
-        The panels are built here: a divergent tail moment raises at once."""
+        (s = u/alpha in int_0^inf e^{-alpha s} p_s ds), r_1 the panel sum `_r1`;
+        alpha one order or a column that broadcasts against r.  The panels are
+        built here: a divergent tail moment raises at once."""
         self._r1_chunks  # builds the panels
         nu, beta = self.space.nu, self.space.beta
-        scale, factor = alpha ** (1.0 / beta), alpha ** (nu / beta - 1.0)
+        scale = _per_value(lambda a: a ** (1.0 / beta), alpha)
+        factor = _per_value(lambda a: a ** (nu / beta - 1.0), alpha)
         return lambda r: factor * self._r1(scale * np.asarray(r, dtype=float))
 
     def resolvent_scalar(self, alpha: float, r: float) -> float:
@@ -336,7 +352,7 @@ class ScalingKernelModel:
 
 def _erfc(z: np.ndarray) -> np.ndarray:
     """math.erfc element-wise into a float array (no scipy.special)."""
-    return np.fromiter(map(math.erfc, z.ravel()), float, z.size).reshape(z.shape)
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 class GaussianKernelModel(ScalingKernelModel):
@@ -352,12 +368,12 @@ class GaussianKernelModel(ScalingKernelModel):
         super().__init__(space, profile)
         self.dim = dim
 
-    def _resolvent(self, alpha: float, r) -> np.ndarray:
+    def _resolvent(self, alpha, r) -> np.ndarray:
         """r_alpha(r) = 2 (2 pi)^{-d/2} (r/k)^{1-d/2} K_{d/2-1}(kr), k = sqrt(2 alpha):
         scipy's K for even d; for odd d, n = |d-2|//2, the finite sum
         K_{n+1/2}(z) = sqrt(pi/2z) e^{-z} sum_{j<=n} (n+j)!/(j!(n-j)!) (2z)^{-j};
-        1/k at r = 0 for d = 1."""
-        d, k = self.dim, math.sqrt(2.0 * alpha)
+        1/k at r = 0 for d = 1.  alpha may be a column against r."""
+        d, k = self.dim, _per_value(lambda a: math.sqrt(2.0 * a), alpha)
         n = abs(d - 2) // 2
         r = np.asarray(r, dtype=float)
         z = k * r
@@ -368,13 +384,16 @@ class GaussianKernelModel(ScalingKernelModel):
                         * special.kv(d / 2.0 - 1.0, z))
             terms = sum(math.factorial(n + j) / (math.factorial(j) * math.factorial(n - j))
                         * (2.0 * z) ** -j for j in range(n + 1))
-            return k ** (d - 2.0) * (2.0 * math.pi * z) ** ((1.0 - d) / 2.0) * np.exp(-z) * terms
+            kd = _per_value(lambda a: math.sqrt(2.0 * a) ** (d - 2.0), alpha)
+            return kd * (2.0 * math.pi * z) ** ((1.0 - d) / 2.0) * np.exp(-z) * terms
 
-    def resolvent_radial(self, alpha: float) -> Callable:
+    def resolvent_radial(self, alpha) -> Callable:
         return lambda r: self._resolvent(alpha, r)
 
-    def qt_radial(self, t: float) -> Callable:
+    def qt_radial(self, t) -> Callable:
         d = self.dim
+        # d = 1: sqrt(2t/pi), per time
+        head = _per_value(lambda t: math.sqrt(2.0 * t / math.pi), t) if d == 1 else None
 
         def qt(r):
             r = np.asarray(r, dtype=float)
@@ -385,14 +404,14 @@ class GaussianKernelModel(ScalingKernelModel):
                 # fraction, K = (1/2)/(z + 1/(z + (3/2)/(z + ...))), so the far
                 # tail does not cancel
                 z = np.sqrt(x.ravel())
-                out = math.sqrt(2.0 * t / math.pi) * np.exp(-x.ravel())
+                out = np.broadcast_to(head, x.shape).ravel() * np.exp(-x.ravel())
                 near = z < 2.0
-                out[near] -= r.ravel()[near] * _erfc(z[near])
+                out[near] -= np.broadcast_to(r, x.shape).ravel()[near] * _erfc(z[near])
                 zf, K = z[~near], 0.0
                 for j in range(60, 0, -1):
                     K = 0.5 * j / (zf + K)
                 out[~near] *= K / (zf + K)
-                return out.reshape(r.shape)
+                return out.reshape(x.shape)
             # Gamma(d/2 - 1, x) from Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) (odd d)
             # or Gamma(0, x) = E_1(x) (even d) by Gamma(b + 1, x) = b Gamma(b, x)
             # + x^b e^{-x}
@@ -454,13 +473,14 @@ class StableEstimateModel(ScalingKernelModel):
         expo = np.minimum(m ** (1.0 / a) * r, m ** (2.0 / a - 1.0) * r**2 / t)
         return m ** (d / a - d / 2.0) * t ** (-d / 2.0) * np.exp(-expo)
 
-    def _late_branch_integral(self, t1: float, t2, r, alpha: float):
+    def _late_branch_integral(self, t1: float, t2, r, alpha):
         """int_{t1}^{t2} e^{-alpha s} p_s(r) ds over the large-time branch,
-        vectorized in r, with a panel edge at s_c = m^{1/a-1} r where its
-        exponent switches from m^{1/a} r to m^{2/a-1} r^2/s."""
+        vectorized in r (t2 and alpha broadcast against it), with a panel edge
+        at s_c = m^{1/a-1} r where its exponent switches from m^{1/a} r to
+        m^{2/a-1} r^2/s."""
         s_c = np.clip(self.m ** (1.0 / self.alpha - 1.0) * r, t1, t2)
-        f = lambda s, r: np.exp(-alpha * s) * self._late_branch(s, r)
-        return _log_panels(f, t1, s_c, r) + _log_panels(f, s_c, t2, r)
+        f = lambda s, r, alpha: np.exp(-alpha * s) * self._late_branch(s, r)
+        return _log_panels(f, t1, s_c, r, alpha) + _log_panels(f, s_c, t2, r, alpha)
 
     def pt_radial(self, t: float, r):
         r = np.asarray(r, dtype=float)
@@ -487,35 +507,41 @@ class StableEstimateModel(ScalingKernelModel):
                                              * r ** (a - d), INF), Ju2)
         return s_star, Ju2
 
-    def qt_radial(self, t: float) -> Callable:
+    def qt_radial(self, t) -> Callable:
+        """q_t, t one time or a column of times that broadcasts against r; a t
+        past 1/m (m > 0) adds the late branch from 1/m to t."""
         d, a, m = self.dim, self.alpha, self.m
-        t_small = t if m == 0.0 else min(t, 1.0 / m)
+        p = 1.0 - d / a
+        t_small = t if m == 0.0 else _per_value(lambda t: min(t, 1.0 / m), t)
+        t_p = _per_value(lambda t: t ** p, t_small)
 
         def qt(r):
             r = np.asarray(r, dtype=float)
             s_star, Ju2 = self._head(r, t_small)
-            head, p = np.where(r > 0.0, 0.5 * Ju2, 0.0), 1.0 - d / a
+            head = np.where(r > 0.0, 0.5 * Ju2, 0.0)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 mid = (np.log(np.maximum(t_small, 1e-300) / np.maximum(s_star, 1e-300))
-                       if d == a else (t_small**p - s_star**p) / p)
-            out = np.where(r == 0.0, INF if d >= a else t_small**p / p,
+                       if d == a else (t_p - s_star**p) / p)
+            out = np.where(r == 0.0, INF if d >= a else t_p / p,
                            head + np.where(t_small > s_star, mid, 0.0))
-            if m > 0.0 and t > 1.0 / m:
-                out = out + self._late_branch_integral(1.0 / m, t, r, 0.0)
+            if m > 0.0 and (late := np.broadcast_to(t > 1.0 / m, out.shape)).any():
+                out[late] += self._late_branch_integral(1.0 / m, np.broadcast_to(t, out.shape)[late],
+                                                        np.broadcast_to(r, out.shape)[late], 0.0)
             return out
 
         return qt
 
-    def resolvent_radial(self, alpha: float) -> Callable:
+    def resolvent_radial(self, alpha) -> Callable:
         """r -> r_alpha(r), closed form up to T = 1/m (inf for m = 0): with u =
         min(s*, T) (`_head`), int_0^u e^{-alpha s} s J ds = J u^2 gamma(2, alpha
         u) / (alpha u)^2 plus int_u^T e^{-alpha s} s^{-d/a} ds = alpha^{d/a-1}
         (Gamma(1-d/a, alpha u) - Gamma(1-d/a, alpha T)); for m > 0 plus the late
         branch from T to past e^{-alpha s} and past the saddle sqrt(c/alpha) of
-        e^{-alpha s - c/s}, c = m^{2/a-1} r^2."""
+        e^{-alpha s - c/s}, c = m^{2/a-1} r^2.  alpha may be a column against r."""
         d, a, m = self.dim, self.alpha, self.m
         T, s = (INF if m == 0.0 else 1.0 / m), 1.0 - d / a
-        scale, past_T = alpha ** (d / a - 1.0), _upper_gamma(s, alpha * T)
+        scale = _per_value(lambda al: al ** (d / a - 1.0), alpha)
+        past_T = _per_value(lambda al: float(_upper_gamma(s, al * T)), alpha)
 
         def r_alpha(r):
             r = np.asarray(r, dtype=float)
@@ -529,7 +555,8 @@ class StableEstimateModel(ScalingKernelModel):
                 out = np.where(r > 0.0, Ju2 * g2, 0.0) + np.where(
                     y < alpha * T, scale * (_upper_gamma(s, y) - past_T), 0.0)
             if m > 0.0:
-                s_far = T + 50.0 / alpha + 4.0 * m ** (1.0 / a - 0.5) * r / math.sqrt(alpha)
+                s_far = (T + 50.0 / alpha + 4.0 * m ** (1.0 / a - 0.5) * r
+                         / _per_value(math.sqrt, alpha))
                 out = out + self._late_branch_integral(T, s_far, r, alpha)
             return out
 

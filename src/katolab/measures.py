@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
-from .quadrature import INF, PASS, REASONS, FunctionalEstimate, dyadic_passes
+from .quadrature import (INF, NO_PASS, PASS, FunctionalEstimate, call_key, call_rows, dyadic_passes,
+                         estimate)
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -369,33 +370,43 @@ def _atom_sums(g_radial: Callable, ds: np.ndarray, ws: np.ndarray,
             for far in (~at_center & (ds <= rk) for rk in radii)]
 
 
-def check_hint(g_radial: Callable, radii: list, hint: float | None) -> None:
-    """Compare the observed blow-up of g over each radius's cutoff grid with
-    the singularity hint (by default a RadialProfile's own), all probes in
-    one call of g; off by two orders of magnitude is an error, raised at the
-    first such radius."""
-    if hint is None and isinstance(g_radial, RadialProfile):
-        hint = g_radial.singularity
-    if hint is None:
-        return
-    probes = np.outer([2.0**-10, 2.0**-14], radii)  # (s_hi, s_lo) per radius
-    g = np.asarray(g_radial(probes.ravel()), dtype=float).reshape(2, -1)
-    expected = 16.0 ** hint  # (s_hi / s_lo) ** hint
-    for g_hi, g_lo in zip(*g):
-        if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
-            raise DiagnosticsError(
-                f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
-                f"s^-{hint} (expected <= {expected:.3g}) by more than 2 orders")
+def check_hints(jobs: list) -> None:
+    """For each job (g_radial, radii, hint), compare the observed blow-up of g
+    over each radius's cutoff grid with the singularity hint (by default a
+    RadialProfile's own); off by two orders of magnitude is an error, raised
+    at the first such job and radius.  The probes of the jobs of one
+    call_key and radius count come from one call_rows call."""
+    todo = []
+    for g, radii, hint in jobs:
+        if hint is None and isinstance(g, RadialProfile):
+            hint = g.singularity
+        if hint is not None:  # (s_hi, s_lo) per radius
+            todo.append((g, np.outer([2.0**-10, 2.0**-14], radii).ravel(), hint))
+    calls, values = {}, {}
+    for i, (g, s, _) in enumerate(todo):
+        calls.setdefault((call_key(g), len(s)), []).append(i)
+    for idx in calls.values():
+        params = np.array([getattr(todo[i][0], "param", np.nan) for i in idx])
+        rows = call_rows(todo[idx[0]][0], params, np.array([todo[i][1] for i in idx]))[0]
+        values.update(zip(idx, np.asarray(rows, dtype=float)))
+    for i, (_, _, hint) in enumerate(todo):
+        expected = 16.0 ** hint  # (s_hi / s_lo) ** hint
+        for g_hi, g_lo in zip(*values[i].reshape(2, -1)):
+            if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
+                raise DiagnosticsError(
+                    f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
+                    f"s^-{hint} (expected <= {expected:.3g}) by more than 2 orders")
 
 
 def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
-    """out[job][center]: FunctionalEstimates of each job (g_radial, radii,
-    led), one per radius (radii None: one for the whole space), every
-    diffuse pass in one dyadic_passes run.  A closed ball is an exact atom
-    sum plus the inner dyadic sweep; the whole space, B(x, R_SPLIT) and,
-    unless it diverged, the atoms beyond plus the outward pass.  A led job
-    integrates the centers after the first only where the first does not
-    diverge (elsewhere None: a sup is decided there)."""
+    """out[job]: a (center, radius) PASS record array of each job (g_radial,
+    radii, led), one column per radius (radii None: one for the whole space),
+    every diffuse pass in one dyadic_passes run.  A closed ball is an exact
+    atom sum plus the inner dyadic sweep; the whole space, B(x, R_SPLIT) and,
+    unless it diverged, the atoms beyond plus the outward pass; a diverged
+    record reads value inf and reason NO_PASS where no pass decided.  A led
+    job integrates the centers after the first only where the first does not
+    diverge (elsewhere "ran" is False: a sup is decided there)."""
     if any(rk <= 0 for _, radii, _ in jobs for rk in radii or ()):
         raise DomainError("ball radius must be positive")
     dens = [mu.radial_mass_density(x) for x in centers]
@@ -435,23 +446,21 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
         np.concatenate([after[has_head], head[has_out]]))
 
     # each entry's ball and outward pass; -1 (no pass) reads the record appended
-    res = np.append(res, np.array([(0.0, 0.0, False, len(REASONS), 0, 0.0, True)], PASS))
+    res = np.append(res, np.array([(0.0, 0.0, False, NO_PASS, 0, 0.0, True)], PASS))
     ball, beyond = res[head], res[out]
     head_div = ball["diverged"] | infinite
     out_div = whole & ~head_div & beyond["diverged"]
-    diverged, shown = head_div | out_div, res[np.where(out_div, out, head)]
+    shown = res[np.where(out_div, out, head)]
+    rec = np.zeros(len(job), PASS)
+    rec["diverged"] = diverged = head_div | out_div
     value = ball["value"] + atoms
-    value = np.where(diverged, INF, np.where(whole, value + tail + beyond["value"], value))
+    rec["value"] = np.where(diverged, INF, np.where(whole, value + tail + beyond["value"], value))
     error = ball["error"] + np.where(whole & ~head_div, beyond["error"], 0.0)
-    names = REASONS + ("",)  # "" for no pass
-    # FunctionalEstimate's fields by position: keywords would double its cost
-    ests = [None if miss else FunctionalEstimate(v, e, 0.0, d, s, 0, None, names[k], n)
-            for miss, v, e, d, s, k, n in zip(
-                (skip | ~ball["ran"]).tolist(), value.tolist(), np.where(out_div, 0.0, error).tolist(),
-                diverged.tolist(), shown["log_slope"].tolist(), shown["reason"].tolist(),
-                shown["levels"].tolist())]
-    return [[ests[start[j] + c * n:start[j] + (c + 1) * n] for c in range(n_c)]
-            for j, n in enumerate(lengths)]
+    rec["error"] = np.where(out_div, 0.0, error)
+    for name in ("reason", "levels", "log_slope"):
+        rec[name] = shown[name]
+    rec["ran"] = ~skip & ball["ran"]
+    return [rec[start[j]:start[j + 1]].reshape(n_c, n) for j, n in enumerate(lengths)]
 
 
 def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
@@ -465,8 +474,9 @@ def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
     observed growth.
     """
     radii = [float(rk) for rk in np.atleast_1d(r)]
-    check_hint(g_radial, radii, hint)
-    out = integrate_jobs(mu, [x], [(g_radial, radii, False)])[0][0]
+    check_hints([(g_radial, radii, hint)])
+    out = [estimate(rec, 0, None)
+           for rec in integrate_jobs(mu, [x], [(g_radial, radii, False)])[0][0].tolist()]
     return out if np.ndim(r) else out[0]
 
 
@@ -474,8 +484,8 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable,
                      hint: float | None = None) -> FunctionalEstimate:
     """Whole-space integral of g(d(x,y)) against mu (integrate_jobs): the
     closed ball B(x, R_SPLIT), then outward."""
-    check_hint(g_radial, [R_SPLIT], hint)
-    return integrate_jobs(mu, [x], [(g_radial, None, False)])[0][0][0]
+    check_hints([(g_radial, [R_SPLIT], hint)])
+    return estimate(integrate_jobs(mu, [x], [(g_radial, None, False)])[0][0, 0].tolist(), 0, None)
 
 
 def make_measure(kind: str, **kw) -> MeasureRep:

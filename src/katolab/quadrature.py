@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,13 +67,50 @@ class RadiusSweep(list):
         return any(res.diverged for res in self)
 
 
-def gauss_panel(h: Callable, a, b):
+@dataclass(frozen=True)
+class ParamPower:
+    """s -> family(param)(s) ** p, family a parametrized kernel such as a
+    model's qt_radial or resolvent_radial.  family must also take a column of
+    params that broadcasts against an (n, 32) node array, row i evaluated as
+    family(param_i) would: dyadic_passes then evaluates the rows of every
+    ParamPower of one (family, p) with one call."""
+
+    family: Callable
+    param: float
+    p: float
+
+    def __call__(self, s):
+        return np.asarray(self.family(self.param)(s)) ** self.p
+
+
+def call_key(f) -> object:
+    """Integrands whose rows one call evaluates share this key: a
+    ParamPower's (family, p), another function's identity."""
+    return (f.family, f.p) if isinstance(f, ParamPower) else id(f)
+
+
+def call_rows(f, params: np.ndarray, nodes: np.ndarray) -> tuple:
+    """(values, stated relative error) on the rows of nodes from one call, for
+    integrands of f's call_key: row i of a ParamPower's at params[i]."""
+    if isinstance(f, ParamPower):
+        return np.asarray(f.family(params[:, None])(nodes)) ** f.p, 0.0
+    return split_error(f(nodes))
+
+
+def panel_nodes(a, b) -> np.ndarray:
+    """The nodes of the 32-node rule on [a, b], a row per panel for arrays of edges."""
+    half = 0.5 * (np.asarray(b, dtype=float) - a)
+    return half[..., None] * _GL_NODES + (0.5 * (np.asarray(a, dtype=float) + b))[..., None]
+
+
+def gauss_panel(h, a, b):
     """32-node Gauss-Legendre rule on [a, b] for a vectorized integrand h; for
     arrays of edges, on every panel [a_i, b_i] from one call of h on an (n, 32)
     node array, one row per panel.  If h returns (values, relative error), as
-    inexact values do, the rule returns (integrals, those errors)."""
+    inexact values do, the rule returns (integrals, those errors).  h may also
+    be that output itself, the values already on the nodes."""
     half = 0.5 * (np.asarray(b, dtype=float) - a)
-    out = h(half[..., None] * _GL_NODES + (0.5 * (np.asarray(a, dtype=float) + b))[..., None])
+    out = h(panel_nodes(a, b)) if callable(h) else h
     y, gap = split_error(out)
     value = half * np.sum(_GL_WEIGHTS * np.asarray(y, dtype=float), axis=-1)
     value = value if np.ndim(value) else float(value)
@@ -88,21 +124,30 @@ def split_error(out) -> tuple:
 
 REASONS = ("geometric", "negligible", "nonfinite", "growing", "depth_cap")
 GEOMETRIC, NEGLIGIBLE, NONFINITE, GROWING, DEPTH_CAP = range(len(REASONS))
+NO_PASS = len(REASONS)  # the reason of a record that no pass decided: ""
 
 PANEL_BLOCK = 256  # the most panels (rows of 32 nodes) per gauss_panel call
 
 _WAIT, _RUN, _DONE = range(3)  # pass status in dyadic_passes
 
 #: dyadic_passes' result per pass: FunctionalEstimate's quadrature fields
-#: (reason as an index into REASONS), and whether it ran (its `after` pass
-#: converged)
+#: (reason as an index into REASONS, NO_PASS for none), and whether it ran
+#: (its `after` pass converged)
 PASS = np.dtype([("value", float), ("error", float), ("diverged", bool),
                  ("reason", int), ("levels", int), ("log_slope", float), ("ran", bool)])
+_NAMES = REASONS + ("",)
+
+
+def estimate(record: tuple, n_centers: int, center) -> FunctionalEstimate:
+    """The FunctionalEstimate of one PASS record (a tuple, as tolist gives),
+    the sup of n_centers centers at center (0 and None for no sup)."""
+    v, e, d, k, n, s, _ = record
+    # fields by position: keywords would double its cost
+    return FunctionalEstimate(v, e, 0.0, d, s, n_centers, center, _NAMES[k], n)
 
 
 def _results(out: np.ndarray) -> list[FunctionalEstimate]:
-    return [FunctionalEstimate(v, e, 0.0, d, s, 0, None, REASONS[k], n)
-            for v, e, d, k, n, s, _ in out.tolist()]
+    return [estimate(rec, 0, None) for rec in out.tolist()]
 
 
 def integrate_to_zero(h: Callable, r) -> FunctionalEstimate | RadiusSweep:
@@ -261,10 +306,12 @@ class _Panels:
     of its mantissa m, shared by the passes of one (kernel, center).  A value
     is gauss_panel's half * sum(w * g * m), from g evaluated once per panel
     for all centers and m once per panel for all kernels (m may state
-    (values, relative error), one error per row)."""
+    (values, relative error), one error per row): a round evaluates the rows
+    its new values miss, one call per density, per plain kernel and per
+    ParamPower (family, p), before its blocks gather them."""
 
     def __init__(self, gs, ms, kernel, center, r, outward):
-        self.gs, self.ms, (mant, top) = gs, ms, np.frexp(r)
+        self.g_calls, self.m_calls, (mant, top) = _calls(gs), _calls(ms), np.frexp(r)
         self.ladders = np.array(sorted(set(mant.tolist())))
         lad, nl = np.searchsorted(self.ladders, mant), len(self.ladders)
         # the exponents n within reach: [lo, lo + width)
@@ -285,7 +332,9 @@ class _Panels:
         self.m = _store(len(ms) * self.npid, len(_GL_NODES) + 1)
 
     def fetch(self, t: np.ndarray, first: np.ndarray, end: np.ndarray) -> None:
-        """Evaluate levels [first, end) of the passes t where no pass did."""
+        """Evaluate levels [first, end) of the passes t where no pass did: the
+        round's missing g and m rows first, then the values in blocks of
+        PANEL_BLOCK panels, each gathered, multiplied and summed by gauss_panel."""
         count = end - first
         j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
         key = self.key0[np.repeat(t, count)] + self.step[np.repeat(t, count)] * j
@@ -293,12 +342,13 @@ class _Panels:
         o, col = np.divmod(key, self.width)
         pid = self.o_lad[o] * self.width + col
         b = np.ldexp(self.ladders[self.o_lad[o]], col + self.lo)
-        g = _rows(self.g, self.gs, self.o_k[o], self.o_k[o] * self.npid + pid)
-        m = _rows(self.m, self.ms, self.o_c[o], self.o_c[o] * self.npid + pid)
+        g = _fill(self.g, self.g_calls, self.o_k[o], self.o_k[o] * self.npid + pid, b)
+        m = _fill(self.m, self.m_calls, self.o_c[o], self.o_c[o] * self.npid + pid, b)
         for i in range(0, len(key), PANEL_BLOCK):
             at = slice(i, i + PANEL_BLOCK)
-            h = partial(_product, partial(g, at), partial(m, at))
-            _add(self.value, key[at], *gauss_panel(h, 0.5 * b[at], b[at]))
+            gr, mr = self.g[1].take(g[at], 0), self.m[1].take(m[at], 0)
+            _add(self.value, key[at], *gauss_panel((gr[:, :-1] * mr[:, :-1], mr[:, -1]),
+                                                   0.5 * b[at], b[at]))
 
     def read(self, t: np.ndarray, s: np.ndarray) -> tuple:
         """(values, stated errors, running sums of the values) of the first
@@ -332,29 +382,35 @@ def _add(store: tuple, key: np.ndarray, value, err) -> None:
     used[0] = at.stop
 
 
-def _product(g: Callable, m: Callable, nodes) -> tuple:
-    m_rows = m(nodes)
-    return g(nodes)[:, :-1] * m_rows[:, :-1], m_rows[:, -1]
+def _calls(fns: list) -> tuple:
+    """Per owner (an index into fns) its call, an index into the calls'
+    call_keys; per owner its ParamPower param (else nan); and per call its
+    first function."""
+    keys = [call_key(f) for f in fns]
+    first = {}
+    for k, f in zip(keys, fns):
+        first.setdefault(k, f)
+    call = {k: i for i, k in enumerate(first)}
+    return (np.array([call[k] for k in keys], int),
+            np.array([f.param if isinstance(f, ParamPower) else np.nan for f in fns]),
+            list(first.values()))
 
 
-def _rows(store: tuple, fns: list, owner, key) -> Callable:
-    """(at, nodes) -> fns[owner[k]] at row k of nodes (its stated error last)
-    for each k in the block `at` of keys: a key is evaluated in the first
-    block that holds it, one call per owner there in ascending order, its
-    rows written straight into the store."""
-    new = (len(key) - 1 - _missing(store, key[::-1]))[::-1]  # first of repeats
-
-    def rows(at: slice, nodes):
-        slot, buf, used = store
-        i = new[new.searchsorted(at.start):new.searchsorted(at.stop)]
-        if len(i):
-            i = i[owner[i].argsort(kind="stable")]
-            cut = ((owner[i[1:]] != owner[i[:-1]]).nonzero()[0] + 1).tolist()
-            sub, n = nodes.take(i - at.start, 0), used[0]
-            for a, b in zip([0] + cut, cut + [len(i)]):
-                y, err = split_error(fns[owner[i[a]]](sub[a:b]))
-                buf[n + a:n + b, :-1], buf[n + a:n + b, -1] = y, err
-            slot[key[i]] = np.arange(n, n + len(i)) + 1
-            used[0] += len(i)
-        return buf.take(slot[key[at]] - 1, 0)
-    return rows
+def _fill(store: tuple, calls: tuple, owner, key, b) -> np.ndarray:
+    """The store rows of key, owner[k]'s function (see _calls) on the panel
+    [b[k]/2, b[k]] with its stated error last, each key not yet stored
+    evaluated first, one call_rows call per call of its owners, the rows
+    written straight into the store."""
+    slot, buf, used = store
+    new = _missing(store, key)
+    if len(new):
+        call, param, fns = calls
+        new = new[call[owner[new]].argsort(kind="stable")]
+        which, nodes, n = call[owner[new]], panel_nodes(0.5 * b[new], b[new]), used[0]
+        cut = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cut, cut + [len(new)]):
+            y, err = call_rows(fns[which[lo]], param[owner[new[lo:hi]]], nodes[lo:hi])
+            buf[n + lo:n + hi, :-1], buf[n + lo:n + hi, -1] = y, err
+        slot[key[new]] = np.arange(n, n + len(new)) + 1
+        used[0] += len(new)
+    return slot[key] - 1

@@ -80,6 +80,23 @@ def test_run_config_rejects_keys_the_kind_does_not_read(lines, key):
         RunConfig.from_dict(parse_config_text("kernel.dim = 3\n" + lines + "\n"))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sweep.p", "1, abc"),
+    ("sweep.seed", "x"),
+    ("sweep.grid_depth", "9.5"),
+    ("sweep.centers_random", "two"),
+    ("sweep.center_window", "wide"),
+    ("sweep.centers_explicit", "0; a"),
+    ("measure.atoms", "0:heavy"),  # the weight
+    ("measure.atoms", "zero:1.0"),
+])
+def test_run_config_rejects_values_that_are_not_numbers(key, value):
+    kv = parse_config_text(MINIMAL)
+    kv[key] = value
+    with pytest.raises(ConfigError, match=f"{key}: '.*' is not an? (number|integer)"):
+        RunConfig.from_dict(kv)
+
+
 def test_run_config_atoms_parse():
     run = RunConfig.from_dict(parse_config_text(
         "kernel.family = gaussian\nkernel.dim = 2\n"
@@ -197,6 +214,15 @@ def test_cli_p_flag_is_the_config_key(tmp_path: Path, how):
     proc = _run_cli("sweep-p", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags)
     assert proc.returncode == 1
     assert "sweep.p entries must be >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_p_flag_that_is_not_a_number_is_a_config_error(tmp_path: Path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "delta0-d1.cfg"
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--p", "1,abc")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: sweep.p: 'abc' is not a number\n"
     assert proc.stdout == ""
 
 

@@ -7,25 +7,32 @@ import threading
 import numpy as np
 import pytest
 
+from katolab import quadrature
 from katolab.errors import DomainError
 from katolab.functionals import (
     CenterStrategy,
     GreenKernelSpec,
+    _sup_records,
     green_power_profile,
+    kato_job,
     kato_functional,
     resolvent_functional,
+    resolvent_job,
     semigroup_functional,
+    semigroup_job,
     sup_over_centers,
+    sups,
 )
 from katolab.kernels import GaussianKernelModel, ScalingKernelModel
 from katolab.measures import (
     FunctionalEstimate,
     PointMasses,
+    RadialDensity,
     SphereSurface,
     lebesgue,
 )
-from katolab.profiles import green_value
-from katolab.quadrature import INF
+from katolab.profiles import green_value, power_profile
+from katolab.quadrature import INF, NO_PASS, PASS, REASONS
 from katolab.space import SpaceModel
 
 
@@ -315,3 +322,111 @@ def test_sup_over_centers_runs_on_calling_thread_in_center_order():
     me = threading.get_ident()
     assert calls == [(3, me), (1, me), (2, me)]
     assert arg == 3 and est.value == 3.0
+
+
+def _records(rows: list) -> np.ndarray:
+    """A (center, radius) PASS array from rows of (value, diverged, ran) per
+    radius; the other fields vary so that a wrong winner shows."""
+    rec = np.zeros((len(rows), len(rows[0])), PASS)
+    for c, row in enumerate(rows):
+        for k, (v, d, ran) in enumerate(row):
+            rec[c, k] = (INF if d else v, 0.1 * c + k, d, (c + k) % (NO_PASS + 1), 3 * c + k,
+                         -c if d else 0.0, ran)
+    return rec
+
+
+def _reference_sup(centers: list, rec: np.ndarray) -> list:
+    """sup_over_centers on the records as FunctionalEstimates, None where not run."""
+    rows = [[None if not r["ran"] else quadrature.estimate(r.tolist(), 0, None) for r in row]
+            for row in rec]
+    return sup_over_centers(centers, lambda x: rows[centers.index(x)])[0]
+
+
+N = float("nan")
+
+
+@pytest.mark.parametrize("rows", [
+    # ties: the first center of largest value wins
+    [[(1.0, False, True), (2.0, False, True)], [(3.0, False, True), (2.0, False, True)],
+     [(3.0, False, True), (1.0, False, True)]],
+    # NaN first stays, NaN later never wins, divergence wins over a NaN first
+    [[(N, False, True), (1.0, False, True), (N, False, True)],
+     [(5.0, False, True), (N, False, True), (2.0, False, True)],
+     [(7.0, False, True), (4.0, False, True), (0.0, True, True)]],
+    # the first diverged center wins; later ones are skipped behind a diverged first
+    [[(0.0, True, True), (1.0, False, True), (2.0, False, True)],
+     [(0.0, True, False), (0.0, True, True), (9.0, False, True)],
+     [(0.0, False, False), (3.0, False, True), (0.0, True, True)]],
+    # every value NaN, and one center
+    [[(N, False, True), (N, False, True)], [(N, False, True), (N, False, True)]],
+    [[(4.0, False, True), (0.0, True, True), (N, False, True)]],
+], ids=["ties", "nan", "diverged-and-skipped", "all-nan", "one-center"])
+def test_array_sup_equals_sup_over_centers(rows):
+    centers = [f"x{c}" for c in range(len(rows))]
+    rec = _records(rows)
+    assert repr(_sup_records(centers, rec)) == repr(_reference_sup(centers, rec))
+
+
+def test_array_sup_equals_sup_over_centers_on_random_records():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n_c, n_k = rng.integers(1, 6), rng.integers(1, 5)
+        vals = rng.choice([0.0, 1.0, 2.0, 2.0, N], size=(n_c, n_k))
+        div = rng.random((n_c, n_k)) < 0.15
+        # behind a diverged first center a led sup skips the others (or not)
+        ran = ~(div[0] & (rng.random((n_c, n_k)) < 0.5))
+        ran[0] = True
+        rec = _records([[(v, d, r) for v, d, r in zip(*row)] for row in zip(vals, div, ran)])
+        centers = [f"x{c}" for c in range(n_c)]
+        assert repr(_sup_records(centers, rec)) == repr(_reference_sup(centers, rec))
+
+
+def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
+    # semigroup and resolvent jobs at two powers, the Green kernel, and ball
+    # masses against a density seen from three centers: in each engine round
+    # q_t and r_alpha are called once per power, on a column of the round's
+    # t (alpha); the Green kernel, the mass integrand and each density once
+    model, spec = GaussianKernelModel(dim=3), GreenKernelSpec(nu=3.0, beta=2.0)
+    mu = RadialDensity(power_profile(-1.0), dim=3, support_radius=1.0)
+    centers = [np.zeros(3), np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.7, 0.2])]
+    r_grid = 2.0 ** -np.arange(2, 8)
+    rounds = []  # per round: (call, p, params) of each kernel and density call
+    fetch = quadrature._Panels.fetch
+    monkeypatch.setattr(quadrature._Panels, "fetch",
+                        lambda *args: (rounds.append([]), fetch(*args))[1])
+
+    def traced(name, fn):
+        return lambda s: (rounds[-1].append((name, np.ndim(s))) if rounds else None, fn(s))[1]
+
+    for kind in ("qt_radial", "resolvent_radial"):
+        family = getattr(model, kind)
+        monkeypatch.setattr(model, kind, lambda v, kind=kind, family=family: traced(
+            (kind, tuple(np.unique(v).tolist())), family(v)))
+    dens = mu.radial_mass_density
+    monkeypatch.setattr(mu, "radial_mass_density", lambda x: traced(("m", tuple(x)), dens(x)))
+    # (localized, global) parameters per power, none shared
+    times = {1.0: ((0.5, 0.125), (0.3, 0.03)), 2.0: ((0.25, 0.0625), (0.2, 0.02))}
+    orders = {1.0: ((1.0, 16.0), (3.0, 30.0)), 2.0: ((4.0, 64.0), (5.0, 50.0))}
+    jobs = [kato_job(spec, 1.5, r_grid)]
+    jobs[0] = (traced(("green", ()), jobs[0][0]), *jobs[0][1:])
+    for p in (1.0, 2.0):
+        jobs += [semigroup_job(model, p, t, r_grid) for t in times[p][0]]
+        jobs += [semigroup_job(model, p, t, None) for t in times[p][1]]
+        jobs += [resolvent_job(model, p, a, r_grid) for a in orders[p][0]]
+        jobs += [resolvent_job(model, p, a, None) for a in orders[p][1]]
+    got, masses = sups(mu, centers, jobs, r_grid[3:])
+    engine = [[call for call, ndim in calls if ndim == 2] for calls in rounds]  # rows of panels
+    assert len(engine) > 5 and all(len(set(calls)) == len(calls) for calls in engine)
+    assert any(len(set(calls)) >= 5 for calls in engine)  # kernels and densities in one round
+    for kind, grid in [("qt_radial", times), ("resolvent_radial", orders)]:
+        power = {v: p for p in grid for v in grid[p][0] + grid[p][1]}
+        for calls in engine:
+            # one call per power, on that power's parameters only
+            params = [params for (k, params) in calls if k == kind]
+            assert all(len({power[v] for v in call}) == 1 for call in params)
+            assert len({power[call[0]] for call in params}) == len(params)
+    assert any(len(params) > 1 for calls in engine for (k, params) in calls if k != "m")
+    assert any(("green", ()) in calls for calls in engine)
+    # and the values are those of each job run alone
+    for job, est in zip(jobs, got):
+        assert repr(est) == repr(sups(mu, centers, [job], None)[0][0])

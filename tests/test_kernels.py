@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from katolab import kernels
+from katolab import kernels, quadrature
 from katolab.classification import ClassifyConfig
 from katolab.errors import DomainError, ValidationError
 from katolab.kernels import (
@@ -205,6 +205,45 @@ def test_rescaled_resolvent_table_matches_scalar(model):
     for a in [0.5, 1.0, 7.9, 30.0]:
         radial = model.resolvent_radial(a)(rs)
         assert np.array_equal(radial, [model.resolvent_scalar(a, float(r)) for r in rs])
+
+
+# every family the engine batches, as configs name them
+COLUMN_FAMILIES = {
+    "gaussian-d1": lambda: GaussianKernelModel(dim=1),
+    "gaussian-d2": lambda: GaussianKernelModel(dim=2),
+    "gaussian-d3": lambda: GaussianKernelModel(dim=3),
+    "custom-exp": lambda: make_kernel_model("custom", dim=3, nu=3.0, beta=2.0,
+                                            profile=parse_profile("exp:2.0")),
+    "stable-m0": lambda: make_kernel_model("stable_estimate", dim=2, alpha=1.2),
+    "stable-m": lambda: make_kernel_model("stable_estimate", dim=2, alpha=1.2, m=0.5),
+    "relativistic": lambda: make_kernel_model("relativistic", dim=3, alpha=1.0, m=1.0),
+    "stretched": lambda: make_kernel_model("stretched_exponential", d_f=math.log2(3.0),
+                                           d_w=math.log2(5.0)),
+}
+
+
+@pytest.mark.parametrize("family", list(COLUMN_FAMILIES))
+def test_kernel_parameter_column_equals_per_parameter_calls(family):
+    # the engine evaluates the rows of many t (or alpha) with one call on a
+    # column of parameters; each row must be what that parameter's own call
+    # gives on the same nodes, bit for bit.  The nodes are dyadic panels
+    # [b/2, b] of three ladders; the times and orders those of classify (and,
+    # past t0 = 1/m of a massive family, t of the late branch) and random
+    # ones, on which numpy's vector exp and pow would differ from libm's
+    model = COLUMN_FAMILIES[family]()
+    cfg = ClassifyConfig()
+    b = np.ldexp(np.repeat([0.5, 0.75, 0.6], 44), np.tile(np.arange(-38, 6), 3))
+    nodes = quadrature.panel_nodes(0.5 * b, b)
+    rng = np.random.default_rng(5)
+    times = [*cfg.t_grid, *cfg.localized_times, 1.5, 3.0, *np.geomspace(1e-5, 3.0, 40) * rng.uniform(0.9, 1.1, 40)]
+    orders = [*cfg.alpha_grid, *cfg.localized_alphas, 0.3, *np.geomspace(0.3, 1e5, 40) * rng.uniform(0.9, 1.1, 40)]
+    for kernel, params in [(model.qt_radial, times), (model.resolvent_radial, orders)]:
+        pick = rng.choice(params, len(nodes))
+        got = np.asarray(kernel(pick[:, None])(nodes))
+        assert got.shape == nodes.shape
+        for v in set(pick.tolist()):
+            rows = pick == v
+            assert got[rows].tobytes() == np.asarray(kernel(v)(nodes[rows])).tobytes()
 
 
 def test_relativistic_model_builds_no_table():

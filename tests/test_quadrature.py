@@ -14,6 +14,7 @@ from katolab.quadrature import (
     INF,
     MAX_EXTRA_LEVELS,
     MIN_LEVELS,
+    NO_PASS,
     OUTWARD_MAX_LEVELS,
     OUTWARD_REL_TOL,
     PANEL_BLOCK,
@@ -359,7 +360,8 @@ def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     # a 2-d Density seen from an off-center point states a relative angular
     # gap per panel row, which must reach the bar of every undiverged pass;
     # with three densities a round's new panels cross a PANEL_BLOCK boundary
-    # and a block holds rows of several kernels and densities
+    # and the round evaluates rows of several kernels and densities, each
+    # kernel and density in one call
     mu = Density(lambda y: math.exp(-float(y @ y) - 0.5 * y[0]), dim=2)
     ms = [lambda s: np.ones_like(np.asarray(s, float)),
           mu.radial_mass_density(np.array([0.2, -0.1])),
@@ -370,22 +372,26 @@ def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     spec += [(k, c, r, True) for k in range(len(gs)) for c in range(len(ms))
              for r in grid[1:]]
     k, c, r, outward = map(np.array, zip(*spec))
-    blocks = []  # per gauss_panel call: panels, and the kernels and densities it evaluates
-    orig = quadrature.gauss_panel
+    rounds = []  # per round: the panels of each gauss_panel call, and the kernel and density calls
+    orig, fetch = quadrature.gauss_panel, quadrature._Panels.fetch
 
     def counted(h, a, b):
-        blocks.append((np.size(a), set(), set()))
+        rounds[-1][0].append(np.size(a))
         return orig(h, a, b)
 
     def traced(fns, side):
-        return [lambda s, i=i, f=f: (blocks[-1][side].add(i), f(s))[1] for i, f in enumerate(fns)]
+        return [lambda s, i=i, f=f: (rounds[-1][side].append(i), f(s))[1] for i, f in enumerate(fns)]
 
     monkeypatch.setattr(quadrature, "gauss_panel", counted)
+    monkeypatch.setattr(quadrature._Panels, "fetch",
+                        lambda *args: (rounds.append(([], [], [])), fetch(*args))[1])
     got = dyadic_passes(traced(gs, 1), traced(ms, 2), k, c, r, outward, np.full(len(r), -1))
     monkeypatch.undo()
     assert got["ran"].all()
-    assert max(n for n, _, _ in blocks) == PANEL_BLOCK
-    assert any(len(ks) > 1 and len(cs) > 1 for _, ks, cs in blocks)
+    assert max(n for blocks, _, _ in rounds for n in blocks) == PANEL_BLOCK
+    assert any(len(set(ks)) > 1 and len(set(cs)) > 1 and len(blocks) > 1
+               for blocks, ks, cs in rounds)
+    assert all(len(set(ks)) == len(ks) and len(set(cs)) == len(cs) for _, ks, cs in rounds)
     memo = [_rows_once(m) for m in ms]
     want = [(_sequential_outward if out else _sequential_to_zero)(
         _integrand(gs[kk], memo[cc]), rr) for kk, cc, rr, out in spec]
@@ -438,19 +444,20 @@ def test_jobs_sum_point_mass_atoms_exactly():
     radii = [1.0, 0.5, 0.25]
     balls, whole, led = integrate_jobs(
         mu, centers, [(g, radii, False), (g, None, False), (g, radii, True)])
+    assert balls.shape == led.shape == (3, 3) and whole.shape == (3, 1)
     for c, x in enumerate(centers):
         ds = [float(np.linalg.norm(np.array(p) - x)) for p, _ in atoms]
-        for rk, est, lead in zip(radii + [INF], balls[c] + whole[c], led[c] + [None]):
+        for rk, est, lead in zip(radii + [INF], [*balls[c], *whole[c]], [*led[c], None]):
             want = sum(w * (INF if d == 0 else d ** -1.5)
                        for d, (_, w) in zip(ds, atoms) if d <= rk)
-            assert est.diverged == math.isinf(want)
-            assert float(est) == pytest.approx(want, rel=1e-15)
-            assert (est.reason, est.levels) == ("", 0)  # no diffuse mass
+            assert est["diverged"] == math.isinf(want)
+            assert float(est["value"]) == pytest.approx(want, rel=1e-15)
+            assert (est["reason"], est["levels"]) == (NO_PASS, 0)  # no diffuse mass
             if lead is not None:
-                assert lead == est
+                assert lead.tolist() == est.tolist()
     # led by a center on an atom, the other centers are not integrated
     led = integrate_jobs(mu, centers[1:], [(g, radii, True)])[0]
-    assert all(est.diverged for est in led[0]) and led[1] == [None] * 3
+    assert led[0]["diverged"].all() and not led[1]["ran"].any()
 
 
 @pytest.mark.parametrize("r,calls", [(0.5, 269_568), (0.25, 209_920),
