@@ -3,10 +3,12 @@
 
     python scripts/snapshot_outputs.py DIR
 
-Runs `katolab classify`, `sweep-p` and `kernel-check` with `--seed 7` on
-each `configs/*.cfg`, and `classify` once more with every flag that sets a
-config key (`--p 1,1.5 --seed 3 --grid-depth 9 --centers 2`), one fresh
-interpreter per run, from the `src/` of the checkout this script sits in.
+Runs `katolab classify`, `sweep-p`, `kernel-check` and `mc-check` with
+`--seed 7` on each `configs/*.cfg`, and `classify` once more with every
+flag that sets a config key (`--p 1,1.5 --seed 3 --grid-depth 9
+--centers 2`), one fresh interpreter per run, from the `src/` of the
+checkout this script sits in.  mc-check exits 1 at once on the configs
+whose kernel is not Gaussian.
 Run k of config c writes its output files under DIR/c/k/, with stdout.txt
 and exit_code.txt beside them (stderr, whose warnings name source paths,
 passes through).  Two checkouts' outputs are byte-identical when
@@ -25,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = {"classify": ["classify", "--seed", "7"],
         "sweep-p": ["sweep-p", "--seed", "7"],
         "kernel-check": ["kernel-check", "--seed", "7"],
+        "mc-check": ["mc-check", "--seed", "7"],
         "classify-flags": ["classify", "--p", "1,1.5", "--seed", "3",
                            "--grid-depth", "9", "--centers", "2"]}
 

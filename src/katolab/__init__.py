@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
                              classify_limit, classify_measure, estimate_eta,
                              fit_order_delta, lq_sufficient, lq_unif_norm,
-                             schechter_norm, schechter_sufficient,
                              threshold_p_star)
 from .config import RunConfig, parse_config_text
 from .errors import (ConfigError, DiagnosticsError, DomainError,
@@ -13,14 +12,12 @@ from .errors import (ConfigError, DiagnosticsError, DomainError,
 from .functionals import (CenterStrategy, kato_functional,
                           resolvent_functional, semigroup_functional,
                           sup_over_centers)
-from .kernels import (GaussianKernelModel, KernelBounds, ScalingKernelModel,
+from .kernels import (GaussianKernelModel, ScalingKernelModel,
                       StableEstimateModel, StretchedExponentialModel,
-                      eval_heat_kernel, eval_resolvent_kernel,
-                      eval_time_integrated_kernel, kernel_invariant_suite,
+                      eval_heat_kernel, kernel_invariant_suite,
                       make_kernel_model, relativistic_psi,
-                      stable_jump_constant, synthetic_scaling_model,
-                      time_integrated_bounds)
-from .measures import (AhlforsAbstract, Density, FunctionalEstimate,
+                      stable_jump_constant, synthetic_scaling_model)
+from .measures import (AhlforsAbstract, Density, FunctionalEstimate, Lebesgue,
                        MeasureRep, PointMasses, RadialDensity, SphereSurface,
                        integrate_global, integrate_over_ball, lebesgue,
                        make_measure)

@@ -30,7 +30,7 @@ from .measures import (
     MeasureRep,
     RadialDensity,
 )
-from .profiles import GreenKernelSpec, RadialProfile, power_profile
+from .profiles import GreenKernelSpec, RadialProfile
 from .quadrature import INF
 
 SLOPE_CUTOFF = 0.05
@@ -158,6 +158,23 @@ def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
                              for x in centers])
 
 
+def _radii(cfg: ClassifyConfig, spec: GreenKernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(r_grid, r_eta): the config's radii (those <= LOG_CAP in the log
+    regime) and their finest half, where estimate_eta fits."""
+    r_grid = np.asarray(cfg.r_grid, dtype=float)
+    if spec.regime == "log":
+        r_grid = r_grid[r_grid <= LOG_CAP]
+    return r_grid, r_grid[len(r_grid) // 2:]
+
+
+def fitted_eta(mu: MeasureRep, model: ScalingKernelModel,
+               cfg: ClassifyConfig) -> float | None:
+    """classify_measure's eta_hat, alone: estimate_eta over the config's
+    centers on r_eta."""
+    r_eta = _radii(cfg, GreenKernelSpec.from_space(model.space))[1]
+    return estimate_eta(mu, _resolve_centers(mu, cfg.centers), r_eta)
+
+
 def _fit_eta(r_grid, masses: list) -> float | None:
     """estimate_eta's fit from each center's ball masses on r_grid."""
     slopes = []
@@ -200,9 +217,7 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
                        for sc, est in sweep]
         fits[key] = classify_limit(sweeps[key])
 
-    r_grid = np.asarray(cfg.r_grid, dtype=float)
-    if spec.regime == "log":
-        r_grid = r_grid[r_grid <= LOG_CAP]
+    r_grid, r_eta = _radii(cfg, spec)
 
     # criterion 1: Green-kernel ball integrals (always available; ball
     # masses, G^0 = 1, when nu < beta).  All criteria run in one engine
@@ -228,7 +243,6 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
         findings.append("measure supports ball-mass tests only; kernel "
                         "criteria skipped")
     # estimate_eta's ball masses join the engine call where they are integrals
-    r_eta = r_grid[len(r_grid) // 2:]
     integrated = not (hasattr(mu, "eta") or mu.closed_ball_mass)
     found, masses = sups(mu, centers, [job for *_, job in runs], r_eta if integrated else None)
     # (an empty t grid still records sg_global, which then fails its fit)
@@ -321,18 +335,9 @@ def _as_power_measure(f, q: float, dim: int) -> MeasureRep:
     """|f|^q dm as a measure representation."""
     if isinstance(f, RadialProfile):
         prof = RadialProfile(lambda s: np.abs(np.asarray(f(s))) ** q,
-                             singularity=f.singularity * q,
-                             label=f"|{f.label}|^{q}")
+                             singularity=f.singularity * q)
         return RadialDensity(prof, dim=dim)
     return Density(lambda y: abs(float(f(y))) ** q, dim=dim)
-
-
-def _unit_ball_sup(f, q: float, dim: int, centers, weight: RadialProfile
-                   ) -> FunctionalEstimate:
-    """sup_x int_{B_1(x)} weight(d(x,y)) |f(y)|^q dm."""
-    mu_q = _as_power_measure(f, q, dim)
-    return sups(mu_q, _resolve_centers(mu_q, centers), [(weight, 1.0, None)],
-                None)[0][0]
 
 
 def lq_unif_norm(f, q: float, dim: int,
@@ -341,20 +346,9 @@ def lq_unif_norm(f, q: float, dim: int,
     """sup_x int_{B_1(x)} |f|^q dm, the uniform-local L^q norm (to power q)."""
     if q < 1:
         raise DomainError("q must be >= 1")
-    return _unit_ball_sup(f, q, dim, centers, RadialProfile(
-        lambda s: np.ones_like(np.asarray(s, float))))
-
-
-def schechter_norm(f, alpha_exponent: float, q: float, dim: int,
-                   centers: CenterStrategy | list | None = None) -> FunctionalEstimate:
-    """sup_x int_{B_1(x)} |f(y)|^q d(x,y)^{-(nu - alpha)} dm, nu = dim: dm is
-    Lebesgue measure on R^dim."""
-    nu = float(dim)
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    if nu < alpha_exponent and q <= alpha_exponent / nu:
-        raise DomainError("when nu < alpha the norm needs q > alpha/nu")
-    return _unit_ball_sup(f, q, dim, centers, power_profile(alpha_exponent - nu))
+    mu_q = _as_power_measure(f, q, dim)
+    one = RadialProfile(lambda s: np.ones_like(np.asarray(s, float)))
+    return sups(mu_q, _resolve_centers(mu_q, centers), [(one, 1.0, None)], None)[0][0]
 
 
 def lq_sufficient(q: float, p: float, nu: float, beta: float) -> bool:
@@ -365,8 +359,3 @@ def lq_sufficient(q: float, p: float, nu: float, beta: float) -> bool:
     gap = nu - p * (nu - beta)
     return gap > 0.0 and q > nu / gap
 
-
-def schechter_sufficient(q: float, alpha_exponent: float, p: float,
-                         nu: float, beta: float) -> bool:
-    gap = nu - p * (nu - beta)
-    return gap > 0.0 and q > alpha_exponent / gap

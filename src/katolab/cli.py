@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classification import classify_measure, fit_order_delta
+from .classification import classify_measure, fit_order_delta, fitted_eta
 from .config import RunConfig, parse_config_text
 from .errors import KatolabError
 from .kernels import kernel_invariant_suite
@@ -70,9 +70,11 @@ def cmd_sweep_p(run: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     space = run.model.space
     nu, beta = space.nu, space.beta
+    # the decay order that eta = min(eta_hat, nu) predicts, as for classify's p*
+    eta_hat = fitted_eta(run.measure, run.model, run.classify)
+    eta = math.nan if eta_hat is None else min(eta_hat, nu)
     rows = []
     for p in run.p_list:
-        eta = getattr(run.measure, "eta", nu)
         bound = (eta - p * (nu - beta)) / (p * beta)
         try:
             delta, ci = fit_order_delta(run.measure, run.model, p,

@@ -1,5 +1,4 @@
-"""Heat-kernel families: pointwise evaluation, time integrals, resolvents,
-and closed-form two-sided bounds on the time-integrated kernel.
+"""Heat-kernel families: pointwise evaluation, time integrals and resolvents.
 
 Every family exposes the same radial interface: the kernel depends on
 (t, distance) only.  Families are either in exact scaling form
@@ -9,16 +8,14 @@ family with positive mass, a two-branch global estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .profiles import GreenKernelSpec, green_value
 from .quadrature import INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges
-from .space import LOG_CAP, SpaceModel
+from .space import SpaceModel
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: radius range that a scaling model's r_1 panels resolve
@@ -136,18 +133,6 @@ def _per_value(f: Callable, v):
 # kernel models
 
 
-def _bound_shape(nu: float, beta: float, t: float, d: float) -> float:
-    """The Green kernel G(d) where nu >= beta, else t^{1 - nu/beta}."""
-    return green_value(GreenKernelSpec(nu, beta), d) if nu >= beta else t ** (1.0 - nu / beta)
-
-
-@dataclass
-class KernelBounds:
-    lower: float
-    upper: float
-    shape: float
-
-
 class ScalingKernelModel:
     """Kernel of exact scaling form p_t(r) = t^{-nu/beta} profile(r/t^{1/beta})
     over a SpaceModel, with profile sandwich Phi1 <= t^{nu/beta} p_t <= Phi2
@@ -184,28 +169,6 @@ class ScalingKernelModel:
                              edges[:-1], edges[1:])
         if outward_diverges(panels):
             raise ValidationError("Phi2 fails the integrability condition H(Phi2)")
-
-    # -- closed-form bound shapes ------------------------------------------
-
-    @cached_property
-    def bound_constants(self) -> tuple[float, float]:
-        nu, beta = self.space.nu, self.space.beta
-        t_hi = min(self.t0, 0.4 if nu == beta else 1.0)
-        ratios = []
-        for t in np.geomspace(1e-3 * t_hi, 0.9 * t_hi, 8):
-            for frac in np.geomspace(1e-4, 0.95, 10):
-                d = (frac * t) ** (1.0 / beta)
-                if nu == beta:
-                    d = min(d, (0.9 * t) ** (2.0 / beta))
-                    if d >= LOG_CAP:
-                        continue
-                q = float(self.qt_radial(t)(np.array([d]))[0])
-                shape = _bound_shape(nu, beta, t, d)
-                if math.isfinite(q) and shape > 0:
-                    ratios.append(q / shape)
-        if not ratios:
-            raise ValidationError("no admissible (t, d) pairs to fit bound constants")
-        return min(ratios), max(ratios)
 
     # -- radial kernel interface ------------------------------------------
 
@@ -648,39 +611,6 @@ def eval_heat_kernel(model: ScalingKernelModel, t: float, x, y) -> float:
         raise AccuracyError(f"heat kernel evaluation overflowed at t={t}, r={r}",
                             best_estimate=val)
     return val
-
-
-def eval_time_integrated_kernel(model: ScalingKernelModel, t: float, x, y) -> float:
-    """int_0^t p_s(x, y) ds; +inf sentinel when the integral diverges."""
-    _check_t(model, t)
-    r = _distance(x, y)
-    return float(np.asarray(model.qt_radial(t)(np.array([r])))[0])
-
-
-def eval_resolvent_kernel(model: ScalingKernelModel, alpha: float, x, y) -> float:
-    """r_alpha(x, y) = int_0^inf e^{-alpha s} p_s(x, y) ds."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    r = _distance(x, y)
-    return model.resolvent_scalar(alpha, r)
-
-
-def time_integrated_bounds(model: ScalingKernelModel, t: float, x, y) -> KernelBounds:
-    """Two-sided closed-form bounds on int_0^t p_s ds with fitted constants."""
-    nu, beta = model.space.nu, model.space.beta
-    d = _distance(x, y)
-    if t <= 0 or t > model.t0:
-        raise DomainError("need 0 < t <= t0")
-    if nu == beta:
-        if max(d**beta, t) >= 0.5:
-            raise DomainError("regime guard violated: d^beta v t < 1/2 (nu = beta)")
-        if d >= LOG_CAP:
-            raise DomainError("regime guard violated: d < 1/e (log kernel domain)")
-    elif d**beta >= t:
-        raise DomainError("regime guard violated: d(x,y)^beta < t")
-    c_lo, c_hi = model.bound_constants
-    shape = _bound_shape(nu, beta, t, d)
-    return KernelBounds(lower=c_lo * shape, upper=c_hi * shape, shape=shape)
 
 
 # ---------------------------------------------------------------------------

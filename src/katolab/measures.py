@@ -93,11 +93,6 @@ class MeasureRep:
         """(distances, weights) of the mass sitting at exact distances from x."""
         return np.zeros(0), np.zeros(0)
 
-    def atom_at(self, x) -> float:
-        """Mass of the atom located exactly at x (0 for diffuse measures)."""
-        ds, ws = self.radial_atoms(x)
-        return float(ws[ds == 0.0].sum())
-
     def ball_mass(self, x, r: float) -> float:
         """mu of the closed ball of radius r about x: the ball integral of
         g = 1, inf where the dyadic sweep diverges."""
@@ -121,22 +116,14 @@ class Density(MeasureRep):
     the finer serves, paired with the last pair's relative gap on that batch
     of radii (1 if only one order fits)."""
 
-    def __init__(self, f: Callable, dim: int, support_radius: float = INF,
-                 constant: float | None = None):
+    def __init__(self, f: Callable, dim: int, support_radius: float = INF):
         self.f = f
         self.dim = dim
         self.support_radius = support_radius
-        self.constant = constant
-        # a constant density on all of R^dim
-        self.closed_ball_mass = constant is not None and math.isinf(support_radius)
 
     def radial_mass_density(self, x) -> Callable:
         d = self.dim
         area = sphere_surface_area(d)
-        if self.closed_ball_mass:
-            c = self.constant
-            return lambda s: c * area * np.asarray(s, dtype=float) ** (d - 1)
-
         x = np.asarray(x, dtype=float)
         f, sup, orders = self.f, self.support_radius, _orders(d)
 
@@ -164,21 +151,33 @@ class Density(MeasureRep):
 
         return m
 
+    def support_points(self, n: int, rng) -> list:
+        scale = self.support_radius if math.isfinite(self.support_radius) else 1.0
+        return [np.zeros(self.dim)] + list(rng.normal(scale=scale, size=(n - 1, self.dim)))
+
+
+class Lebesgue(Density):
+    """Lebesgue measure on R^dim: the density 1, with its radial mass density
+    and ball mass in closed form; translation invariant, so one center."""
+
+    closed_ball_mass = True
+
+    def __init__(self, dim: int):
+        super().__init__(lambda y: 1.0, dim)
+
+    def radial_mass_density(self, x) -> Callable:
+        d, area = self.dim, sphere_surface_area(self.dim)
+        return lambda s: area * np.asarray(s, dtype=float) ** (d - 1)
+
     def ball_mass(self, x, r: float) -> float:
-        if self.closed_ball_mass:
-            return self.constant * unit_ball_volume(self.dim) * r**self.dim
-        return super().ball_mass(x, r)
+        return unit_ball_volume(self.dim) * r**self.dim
 
     def support_points(self, n: int, rng) -> list:
-        origin = np.zeros(self.dim)
-        if self.closed_ball_mass:
-            return [origin]  # translation invariant
-        scale = self.support_radius if math.isfinite(self.support_radius) else 1.0
-        return [origin] + list(rng.normal(scale=scale, size=(n - 1, self.dim)))
+        return [np.zeros(self.dim)]
 
 
-def lebesgue(dim: int) -> Density:
-    return Density(lambda y: 1.0, dim=dim, constant=1.0)
+def lebesgue(dim: int) -> Lebesgue:
+    return Lebesgue(dim)
 
 
 class RadialDensity(MeasureRep):
@@ -226,10 +225,10 @@ class PointMasses(MeasureRep):
         ws = [float(w) for _, w in atoms]
         if any(w < 0 for w in ws):
             raise ValidationError("atom weights must be nonnegative")
-        self.points = (np.stack(pts) if pts
-                       else np.zeros((0, dim if dim else 1)))
+        dim = None if dim is None else int(dim)  # a config's dim is a string
+        self.points = np.stack(pts) if pts else np.zeros((0, dim or 1))
         self.weights = np.asarray(ws)
-        self.dim = int(dim) if dim is not None else (self.points.shape[1] or 1)
+        self.dim = dim if dim is not None else (self.points.shape[1] or 1)
         if pts and self.points.shape[1] != self.dim:
             raise ValidationError("atom coordinates do not match dim")
 
@@ -463,28 +462,25 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     return [rec[start[j]:start[j + 1]].reshape(n_c, n) for j, n in enumerate(lengths)]
 
 
-def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable,
-                        hint: float | None = None):
+def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable):
     """int_{B_r(x)} g(d(x,y)) mu(dy) over the closed ball (integrate_jobs);
     r is one radius, or a grid of radii that share one panel store: then one
     estimate per radius.
 
-    g_radial is vectorized in the distance s; hint, if given, is the expected
-    blow-up exponent of g at 0 (g ~ s^-hint) and is cross-checked against the
-    observed growth.
+    g_radial is vectorized in the distance s; a RadialProfile's singularity
+    is cross-checked against the observed growth (check_hints).
     """
     radii = [float(rk) for rk in np.atleast_1d(r)]
-    check_hints([(g_radial, radii, hint)])
+    check_hints([(g_radial, radii, None)])
     out = [estimate(rec, 0, None)
            for rec in integrate_jobs(mu, [x], [(g_radial, radii, False)])[0][0].tolist()]
     return out if np.ndim(r) else out[0]
 
 
-def integrate_global(mu: MeasureRep, x, g_radial: Callable,
-                     hint: float | None = None) -> FunctionalEstimate:
+def integrate_global(mu: MeasureRep, x, g_radial: Callable) -> FunctionalEstimate:
     """Whole-space integral of g(d(x,y)) against mu (integrate_jobs): the
     closed ball B(x, R_SPLIT), then outward."""
-    check_hints([(g_radial, [R_SPLIT], hint)])
+    check_hints([(g_radial, [R_SPLIT], None)])
     return estimate(integrate_jobs(mu, [x], [(g_radial, None, False)])[0][0, 0].tolist(), 0, None)
 
 

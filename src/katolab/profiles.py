@@ -17,12 +17,11 @@ class RadialProfile:
     """A nonnegative function of radius with known behavior at 0 and inf.
 
     singularity: growth exponent a with f(s) ~ s^{-a} as s -> 0 (0 if bounded);
-    used as the default hint for singular quadrature.
+    the hint that measures.check_hints holds the observed blow-up to.
     """
 
     fn: Callable
     singularity: float = 0.0
-    label: str = "custom"
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
@@ -71,16 +70,15 @@ def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:
             with np.errstate(divide="ignore"):
                 return np.asarray(s, dtype=float) ** (-a)
 
-        return RadialProfile(f, singularity=a, label=f"green^{p}")
+        return RadialProfile(f, singularity=a)
     if spec.regime == "log":
 
         def f(s):
             with np.errstate(divide="ignore"):
                 return np.maximum(np.log(1.0 / np.asarray(s, dtype=float)), 0.0) ** p
 
-        return RadialProfile(f, singularity=0.0, label=f"green^{p}")
-    return RadialProfile(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                         singularity=0.0, label="green^0")
+        return RadialProfile(f)
+    return RadialProfile(lambda s: np.ones_like(np.asarray(s, dtype=float)))
 
 
 def power_profile(exponent: float, coeff: float = 1.0) -> RadialProfile:
@@ -90,8 +88,7 @@ def power_profile(exponent: float, coeff: float = 1.0) -> RadialProfile:
         with np.errstate(divide="ignore"):
             return coeff * s**exponent
 
-    return RadialProfile(f, singularity=max(0.0, -exponent),
-                         label=f"power({exponent})")
+    return RadialProfile(f, singularity=max(0.0, -exponent))
 
 
 def log_profile(coeff: float = 1.0) -> RadialProfile:
@@ -101,41 +98,20 @@ def log_profile(coeff: float = 1.0) -> RadialProfile:
         with np.errstate(divide="ignore"):
             return coeff * np.maximum(np.log(1.0 / s), 0.0)
 
-    return RadialProfile(f, singularity=0.0, label="log")
+    return RadialProfile(f)
 
 
 def exp_profile(rate: float, coeff: float = 1.0) -> RadialProfile:
     """coeff * exp(-rate * s)."""
     if rate <= 0:
         raise DomainError("exp profile rate must be positive")
-    return RadialProfile(lambda s: coeff * np.exp(-rate * s),
-                         singularity=0.0, label=f"exp({rate})")
+    return RadialProfile(lambda s: coeff * np.exp(-rate * s))
 
 
 def constant_profile(value: float) -> RadialProfile:
     if value < 0:
         raise DomainError("profile values must be nonnegative")
-    return RadialProfile(lambda s: np.full_like(s, value, dtype=float),
-                         singularity=0.0, label=f"const({value})")
-
-
-def tabulated_profile(radii, values) -> RadialProfile:
-    """Monotone (PCHIP) interpolation of tabulated radial data; constant
-    extrapolation on the left, zero on the right."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
-        raise ConfigError("tabulated profile needs strictly increasing radii")
-    if values.shape != radii.shape:
-        raise ConfigError("tabulated profile needs one value per radius")
-    if np.any(values < 0):
-        raise ConfigError("tabulated profile values must be nonnegative")
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(radii, values)
-    return RadialProfile(
-        lambda s: np.where(s >= radii[-1], 0.0, interp(s.clip(radii[0], radii[-1]))),
-        singularity=0.0, label="tabulated")
+    return RadialProfile(lambda s: np.full_like(s, value, dtype=float))
 
 
 def parse_profile(text: str) -> RadialProfile:

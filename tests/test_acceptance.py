@@ -15,8 +15,8 @@ from katolab.classification import (ClassifyConfig, classify_measure,
                                     fit_order_delta, lq_sufficient)
 from katolab.functionals import (CenterStrategy, GreenKernelSpec,
                                  kato_functional)
-from katolab.kernels import (GaussianKernelModel, eval_resolvent_kernel,
-                             relativistic_psi, synthetic_scaling_model)
+from katolab.kernels import (GaussianKernelModel, relativistic_psi,
+                             synthetic_scaling_model)
 from katolab.measures import (AhlforsAbstract, PointMasses, RadialDensity,
                               SphereSurface, lebesgue)
 from katolab.montecarlo import (PathConfig, expected_additive_functional,
@@ -124,8 +124,7 @@ def test_criterion_04_resolvent_closed_form_d1():
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0, 4.0, 8.0):
         for r in (0.1, 0.5, 1.0, 2.0, 4.0):
-            got = eval_resolvent_kernel(model, alpha, np.zeros(1),
-                                        np.array([r]))
+            got = model.resolvent_scalar(alpha, r)
             want = math.exp(-math.sqrt(2.0 * alpha) * r) / math.sqrt(
                 2.0 * alpha)
             worst = max(worst, abs(got - want) / want)

@@ -15,8 +15,6 @@ from katolab.classification import (
     fit_order_delta,
     lq_sufficient,
     lq_unif_norm,
-    schechter_norm,
-    schechter_sufficient,
     threshold_p_star,
 )
 from katolab.config import RunConfig
@@ -263,40 +261,9 @@ def test_lq_unif_norm_indicator_oracle():
     assert est.value == pytest.approx(4 * math.pi / 3, rel=1e-9)
 
 
-def test_schechter_norm_oracle():
-    # f = 1, weight |y|^{alpha - nu} with alpha = 2, nu = 3:
-    # int_{B_1} |y|^-1 dy = 2 pi
-    f = power_profile(0.0)
-    est = schechter_norm(f, 2.0, 1.0, dim=3, centers=[np.zeros(3)])
-    assert est.value == pytest.approx(2 * math.pi, rel=1e-9)
-
-
-def test_schechter_norm_divergence():
-    # f = |y|^-1, q = 2: integrand |y|^{-2 - 1} is critical in R^3
-    f = power_profile(-1.0)
-    est = schechter_norm(f, 2.0, 2.0, dim=3, centers=[np.zeros(3)])
-    assert est.diverged
-
-
 def test_sufficiency_predicates():
     # nu = 3, beta = 2: gap = 3 - p; L^q works iff q > 3 / (3 - p)
     assert lq_sufficient(4.0, 2.0, 3.0, 2.0)
     assert not lq_sufficient(3.0, 2.0, 3.0, 2.0)
     assert not lq_sufficient(2.0, 3.0, 3.0, 2.0)  # gap closed at p = 3
     assert lq_sufficient(1.0, 5.0, 1.0, 2.0)  # nu < beta: any q >= 1
-    # Schechter scale: q > alpha / gap
-    assert schechter_sufficient(3.0, 2.0, 2.0, 3.0, 2.0)
-    assert not schechter_sufficient(2.0, 2.0, 2.0, 3.0, 2.0)
-
-
-def test_lq_containment_in_schechter_scale():
-    # whenever the L^q condition is sufficient, the Schechter condition at
-    # alpha = nu - (nu - beta) p ... is weaker; check the predicate ordering
-    nu, beta = 3.0, 2.0
-    for p in [1.0, 1.5, 2.0, 2.5]:
-        for q in [1.5, 2.0, 4.0, 8.0]:
-            if lq_sufficient(q, p, nu, beta):
-                assert schechter_sufficient(q * nu / nu, nu, p, nu, beta) or True
-                # the uniform-local L^q norm dominates the Schechter norm
-                # with alpha = nu (weight identically 1 on the unit ball)
-                assert schechter_sufficient(q, nu, p, nu, beta)

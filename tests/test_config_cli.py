@@ -1,4 +1,5 @@
 import csv
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -261,3 +262,40 @@ def test_cli_classify_exits_2_when_any_verdict_undecided(tmp_path: Path):
     assert "p = 1.5: Kato in, Dynkin in" in proc.stdout
     assert "p = 1.955: Kato undecided" in proc.stdout
     assert proc.returncode == 2, proc.stderr
+
+
+def test_zero_measure_config_builds_and_classifies_in(tmp_path: Path):
+    # an empty atom list is the zero measure: its dim comes from the kernel
+    text = MINIMAL.replace("measure.atoms = 0:1.0", "measure.atoms =")
+    run = RunConfig.from_dict(parse_config_text(text))
+    assert run.measure.dim == 1 and run.measure.points.shape == (0, 1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("sweep.centers_random = 0", "sweep.centers_random = 2"))
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert "p = 1: Kato in, Dynkin in" in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("measure,p,bound", [
+    # eta_hat = 2 on the unit sphere in R^3 (nu = 3, beta = 2): not nu
+    ("kernel.dim = 3\nmeasure.kind = sphere_surface\nmeasure.center = 0,0,0\n"
+     "sweep.centers_explicit = 1,0,0\n", "1.5, 2.5", [1.0 / 6.0, -0.1]),
+    # eta_hat = 0 for a point mass on the line (nu = 1, beta = 2)
+    ("kernel.dim = 1\nmeasure.kind = point_masses\nmeasure.atoms = 0:1.0\n"
+     "sweep.centers_explicit = 0\n", "1", [0.5]),
+    # the zero measure has no ball-mass growth to fit
+    ("kernel.dim = 1\nmeasure.kind = point_masses\nmeasure.atoms =\n"
+     "sweep.centers_explicit = 0\n", "1", [math.nan]),
+], ids=["sphere-d3", "delta0-d1", "zero-d1"])
+def test_cli_sweep_p_bound_reads_the_fitted_eta(tmp_path: Path, measure, p, bound):
+    # bound = (eta - p (nu - beta)) / (p beta), eta = min(eta_hat, nu) as
+    # classify's p* reads it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kernel.family = gaussian\n{measure}sweep.p = {p}\n"
+                   "sweep.centers_support = 0\nsweep.centers_random = 0\n")
+    out = tmp_path / "out"
+    proc = _run_cli("sweep-p", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "sweep_p.csv") as fh:
+        got = [float(r["bound"]) for r in csv.DictReader(fh)]
+    assert got == pytest.approx(bound, rel=1e-9, abs=1e-12, nan_ok=True)

@@ -15,14 +15,11 @@ from katolab.kernels import (
     StableEstimateModel,
     StretchedExponentialModel,
     eval_heat_kernel,
-    eval_resolvent_kernel,
-    eval_time_integrated_kernel,
     kernel_invariant_suite,
     make_kernel_model,
     relativistic_psi,
     stable_jump_constant,
     synthetic_scaling_model,
-    time_integrated_bounds,
 )
 from katolab.profiles import parse_profile
 from katolab.space import SpaceModel
@@ -660,52 +657,7 @@ def test_relativistic_psi_exponential_envelope():
 
 
 # --------------------------------------------------------------------------
-# two-sided bound evaluation and regime guards
-
-
-def test_time_integrated_bounds_shape_power_regime():
-    m = synthetic_scaling_model(nu=3.0, beta=2.0, dim=3)
-    x, y = np.zeros(3), np.array([0.05, 0.0, 0.0])
-    b = time_integrated_bounds(m, 0.25, x, y)
-    assert b.lower <= b.upper
-    assert b.shape == pytest.approx(0.05 ** (2.0 - 3.0), rel=1e-12)
-
-
-def test_time_integrated_bounds_regime_guard():
-    m = synthetic_scaling_model(nu=3.0, beta=2.0, dim=3)
-    x, y = np.zeros(3), np.array([2.0, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        time_integrated_bounds(m, 0.25, x, y)  # needs d(x,y)^beta < t
-
-
-def test_time_integrated_bounds_log_regime_guard():
-    m = synthetic_scaling_model(nu=2.0, beta=2.0, dim=2)
-    x = np.zeros(2)
-    with pytest.raises(DomainError):
-        time_integrated_bounds(m, 0.25, x, np.array([0.5, 0.0]))  # d >= 1/e
-
-
-@pytest.mark.parametrize("make", [lambda: GaussianKernelModel(dim=3),
-                                  lambda: synthetic_scaling_model(nu=2.0, beta=2.0, dim=2)],
-                         ids=["power", "log"])
-def test_time_integrated_bounds_reject_zero_distance(make):
-    # the Green-kernel shape G(d) is defined for d > 0 only
-    m = make()
-    x = np.zeros(m.space.ambient_dim)
-    with pytest.raises(DomainError, match="r must be positive"):
-        time_integrated_bounds(m, 0.25, x, x)
-
-
-def test_bounds_sandwich_heat_kernel_integral():
-    # c_lo * shape <= int_0^t p_s(r) ds <= c_hi * shape on the guarded region
-    m = GaussianKernelModel(dim=3)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        t = float(rng.uniform(0.05, 0.9))
-        r = float(rng.uniform(0.01, 0.95)) * math.sqrt(t)
-        q = float(np.asarray(m.qt_radial(t)(np.array([r])))[0])
-        b = time_integrated_bounds(m, t, np.zeros(3), np.array([r, 0.0, 0.0]))
-        assert b.lower * (1 - 1e-9) <= q <= b.upper * (1 + 1e-9)
+# pointwise evaluation
 
 
 def test_eval_wrappers_agree_with_model():
@@ -713,10 +665,6 @@ def test_eval_wrappers_agree_with_model():
     x, y = np.array([0.2]), np.array([-0.3])
     assert eval_heat_kernel(m, 0.7, x, y) == pytest.approx(
         float(np.asarray(m.pt_radial(0.7, np.array([0.5])))[0]), rel=1e-13)
-    assert eval_time_integrated_kernel(m, 0.7, x, y) == pytest.approx(
-        float(np.asarray(m.qt_radial(0.7)(np.array([0.5])))[0]), rel=1e-13)
-    assert eval_resolvent_kernel(m, 2.0, x, y) == pytest.approx(
-        m.resolvent_scalar(2.0, 0.5), rel=1e-6)
 
 
 def test_misordered_profiles_rejected():

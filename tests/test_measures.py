@@ -19,7 +19,7 @@ from katolab.measures import (
 )
 from katolab.profiles import RadialProfile, power_profile
 from katolab.quadrature import INF
-from katolab.space import unit_ball_volume
+from katolab.space import sphere_surface_area, unit_ball_volume
 
 
 def _ones(s):
@@ -43,8 +43,6 @@ def test_point_mass_ball_and_atom():
     assert mu.ball_mass(np.zeros(1), 1.0) == pytest.approx(2.0)
     assert mu.ball_mass(np.array([3.0]), 0.1) == pytest.approx(1.5)
     assert mu.ball_mass(np.array([1.5]), 10.0) == pytest.approx(3.5)
-    assert mu.atom_at(np.zeros(1)) == pytest.approx(2.0)
-    assert mu.atom_at(np.array([1.0])) == 0.0
 
 
 def test_point_mass_negative_weight_rejected():
@@ -100,9 +98,29 @@ def test_radial_density_ball_mass_off_origin():
 
 
 def test_density_constant_infinite_support_is_lebesgue_multiple():
-    mu = Density(lambda y: 2.0, dim=2, constant=2.0)
+    mu = Density(lambda y: 2.0, dim=2)
     assert mu.ball_mass(np.array([4.0, 4.0]), 1.5) == pytest.approx(
         2.0 * math.pi * 1.5**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lebesgue_closed_forms_are_exact(d):
+    mu, s = lebesgue(d), np.geomspace(1e-6, 10.0, 33)
+    assert isinstance(mu, Density) and mu.closed_ball_mass
+    got = mu.radial_mass_density(np.full(d, 0.7))(s)
+    assert np.array_equal(got, sphere_surface_area(d) * s ** (d - 1))
+    for r in (1e-6, 0.3, 1.0, 7.5):
+        assert mu.ball_mass(np.zeros(d), r) == unit_ball_volume(d) * r**d
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_constant_density_matches_lebesgue_within_its_error_bar(d):
+    # the general Density path, where lebesgue is a closed form
+    c, x, r = 2.5, np.array([0.4, -1.0, 0.2])[:d], 0.75
+    est = integrate_over_ball(Density(lambda y: c, dim=d), x, r, _ones)
+    want = c * lebesgue(d).ball_mass(x, r)
+    assert not est.diverged
+    assert abs(est.value - want) <= est.error + est.stat_error
 
 
 # --------------------------------------------------------------------------
@@ -339,22 +357,23 @@ def test_hint_mismatch_raises_diagnostics_error():
     bad = RadialProfile(lambda s: np.asarray(s, float) ** -1.9,
                         singularity=0.0)  # claims bounded, is ~ s^-1.9
     with pytest.raises(DiagnosticsError):
-        integrate_over_ball(mu, np.zeros(1), 1.0, bad, hint=0.0)
+        integrate_over_ball(mu, np.zeros(1), 1.0, bad)
 
 
 def test_hint_check_of_a_grid_raises_at_its_first_failing_radius():
     # flat above 1e-4, ~ s^-1.9 / log(1/s) below: bounded as probed at r = 1,
     # steeper than the hint at r = 0.1 and 0.01, by a different factor at each
-    def g(s):
+    def f(s):
         s = np.minimum(np.asarray(s, float), 1e-4)
         return s ** -1.9 / np.log(1.0 / s)
 
+    g = RadialProfile(f, singularity=0.0)
     mu, x = lebesgue(1), np.zeros(1)
-    integrate_over_ball(mu, x, 1.0, g, hint=0.0)
+    integrate_over_ball(mu, x, 1.0, g)
     messages = []
     for r in (0.1, 0.01, [1.0, 0.1, 0.01]):
         with pytest.raises(DiagnosticsError) as err:
-            integrate_over_ball(mu, x, r, g, hint=0.0)
+            integrate_over_ball(mu, x, r, g)
         messages.append(str(err.value))
     assert messages[2] == messages[0] != messages[1]
 

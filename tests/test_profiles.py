@@ -10,7 +10,6 @@ from katolab.profiles import (
     log_profile,
     parse_profile,
     power_profile,
-    tabulated_profile,
 )
 
 
@@ -31,19 +30,6 @@ def test_exp_and_constant_profiles():
     g = constant_profile(4.2)
     assert float(g(np.array([100.0]))[0]) == pytest.approx(4.2)
     assert g.singularity == 0.0
-
-
-def test_tabulated_profile_interpolates_monotone():
-    radii = np.geomspace(0.01, 10.0, 30)
-    vals = 1.0 / (1.0 + radii)
-    f = tabulated_profile(radii, vals)
-    probe = np.geomspace(0.02, 8.0, 50)
-    assert np.allclose(np.asarray(f(probe)), 1.0 / (1.0 + probe), rtol=5e-3)
-
-
-def test_tabulated_profile_rejects_mismatched_lengths():
-    with pytest.raises(ConfigError):
-        tabulated_profile([1.0, 2.0], [1.0])
 
 
 @pytest.mark.parametrize("text,probe,expected", [
@@ -74,12 +60,3 @@ def test_parse_power_matches_constructor(a, c):
     s = np.array([0.3, 1.0, 2.7])
     assert np.allclose(np.asarray(parsed(s)), np.asarray(direct(s)),
                        rtol=1e-12)
-
-
-def test_tabulated_profile_is_constant_left_and_zero_right():
-    radii, vals = np.array([0.5, 1.0, 2.0, 4.0]), np.array([3.0, 2.0, 2.0, 0.5])
-    f = tabulated_profile(radii, vals)
-    assert np.array_equal(f(np.array([0.0, 0.1, 0.5])), [3.0, 3.0, 3.0])
-    assert np.array_equal(f(np.array([4.0, 4.5, 1e6])), [0.0, 0.0, 0.0])
-    # the flat run between 1 and 2 stays flat
-    assert np.array_equal(f(np.array([1.0, 1.3, 1.7, 2.0])), [2.0] * 4)
