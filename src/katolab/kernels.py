@@ -592,20 +592,12 @@ def synthetic_scaling_model(nu: float, beta: float, dim: int = 1) -> ScalingKern
     return ScalingKernelModel(space, profile)
 
 
-def _check_t(model: ScalingKernelModel, t: float) -> None:
+def eval_heat_kernel(model: ScalingKernelModel, t: float, x, y) -> float:
     if t <= 0:
         raise DomainError("t must be positive")
     if model.estimate_only and t >= model.t0:
         raise DomainError(f"t={t} is outside the estimate window ]0, {model.t0}[")
-
-
-def _distance(x, y) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-
-
-def eval_heat_kernel(model: ScalingKernelModel, t: float, x, y) -> float:
-    _check_t(model, t)
-    r = _distance(x, y)
+    r = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     val = float(np.asarray(model.pt_radial(t, np.array([r])))[0])
     if not math.isfinite(val) or val < 0:
         raise AccuracyError(f"heat kernel evaluation overflowed at t={t}, r={r}",
