@@ -1,5 +1,9 @@
 """Numerical classification of positive measures into L^p Kato and Dynkin
-classes for symmetric Markov processes with two-sided heat kernel estimates."""
+classes for symmetric Markov processes with two-sided heat kernel estimates.
+
+The names of `montecarlo` and `rearrangement`, which classify never runs,
+are resolved on first access: `import katolab` loads neither module."""
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
@@ -21,18 +25,36 @@ from .measures import (AhlforsAbstract, Density, FunctionalEstimate, Lebesgue,
                        MeasureRep, PointMasses, RadialDensity, SphereSurface,
                        integrate_global, integrate_over_ball, lebesgue,
                        make_measure)
-from .montecarlo import (PathConfig, expected_additive_functional,
-                         quadrature_additive_functional, simulate_paths)
 from .profiles import (GreenKernelSpec, RadialProfile, green_value, log_profile,
                        parse_profile, power_profile)
 from .quadrature import integrate_outward, integrate_to_zero
-from .rearrangement import (DistributionFunction, g_criterion,
-                            layer_cake_criterion, radial_criterion,
-                            right_continuous_inverse)
 from .space import SpaceModel, sphere_surface_area, unit_ball_volume
 
 __version__ = "0.1.0"
 
-#: every public name imported above
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+#: module -> the public names it gives on first access
+_LAZY = {"montecarlo": ("PathConfig", "expected_additive_functional",
+                        "quadrature_additive_functional", "simulate_paths"),
+         "rearrangement": ("DistributionFunction", "g_criterion",
+                           "layer_cake_criterion", "radial_criterion",
+                           "right_continuous_inverse")}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+#: every public name imported above, and the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_LAZY_NAMES))
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        _import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_NAMES))

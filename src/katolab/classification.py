@@ -154,8 +154,7 @@ def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
     from the centers with at least 4 finite positive masses on the grid."""
     if hasattr(mu, "eta"):
         return float(mu.eta)
-    return _fit_eta(r_grid, [[mu.ball_mass(x, float(r)) for r in r_grid]
-                             for x in centers])
+    return _fit_eta(r_grid, [mu.ball_mass(x, r_grid) for x in centers])
 
 
 def _radii(cfg: ClassifyConfig, spec: GreenKernelSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,6 @@ from .classification import classify_measure, fit_order_delta, fitted_eta
 from .config import RunConfig, parse_config_text
 from .errors import KatolabError
 from .kernels import kernel_invariant_suite
-from .montecarlo import (
-    PathConfig,
-    expected_additive_functional,
-    quadrature_additive_functional,
-)
 from .profiles import RadialProfile
 
 
@@ -117,6 +112,10 @@ _MC_POTENTIALS = [
 
 
 def cmd_mc_check(run: RunConfig, out_dir: Path) -> int:
+    # classify never runs montecarlo: it loads here, not with the CLI
+    from .montecarlo import (PathConfig, expected_additive_functional,
+                             quadrature_additive_functional)
+
     model = run.model
     dim = model.space.ambient_dim
     if model.family != "gaussian":

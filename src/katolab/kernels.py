@@ -14,10 +14,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .quadrature import INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges
+from .quadrature import (INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges,
+                         symmetric_rule)
 from .space import SpaceModel
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: the 16-node rule, leggauss(16)
+_GL16_NODES, _GL16_WEIGHTS = symmetric_rule(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 #: radius range that a scaling model's r_1 panels resolve
 _R1_LO, _R1_CAP = 1e-12, 1e12
 #: `_r1`: nodes per chunk; eps where its Taylor tail takes over; its terms

@@ -56,6 +56,12 @@ def sphere_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([np.repeat(u, len(w))[:, None], ring]), np.outer(wu, w).ravel()
 
 
+def _per_radius(r, mass: Callable):
+    """mass(r) for one radius r; for a grid of radii, an array of mass(r_k),
+    each r_k a Python float as a single radius would be."""
+    return np.array([mass(float(rk)) for rk in r]) if np.ndim(r) else mass(float(r))
+
+
 @functools.lru_cache(maxsize=None)
 def _orders(dim: int) -> tuple[int, ...]:
     """sphere_rule orders Density tries at a radius, with MAX_ANGULAR_POINTS
@@ -93,10 +99,12 @@ class MeasureRep:
         """(distances, weights) of the mass sitting at exact distances from x."""
         return np.zeros(0), np.zeros(0)
 
-    def ball_mass(self, x, r: float) -> float:
+    def ball_mass(self, x, r):
         """mu of the closed ball of radius r about x: the ball integral of
-        g = 1, inf where the dyadic sweep diverges."""
-        return float(integrate_over_ball(self, x, r, np.ones_like))
+        g = 1, inf where the dyadic sweep diverges.  r is one radius, or a
+        grid of radii: then an array, one mass per radius, from one pass."""
+        est = integrate_over_ball(self, x, r, np.ones_like)
+        return np.array([float(e) for e in est]) if np.ndim(r) else float(est)
 
     def support_points(self, n: int, rng) -> list:
         """Representative centers on or near the support, for sup sweeps."""
@@ -130,9 +138,10 @@ class Density(MeasureRep):
         def mean(s, order):  # of f over the spheres of radii s about x
             omega, w = sphere_rule(d, order)
             pts = (x + s[:, None, None] * omega).reshape(-1, d)
-            vals = np.fromiter(map(f, pts), float, len(pts))
-            if math.isfinite(sup):
-                vals = vals * (np.linalg.norm(pts, axis=1) <= sup)
+            # f is called inside its support only: outside, it may be undefined
+            inside = np.linalg.norm(pts, axis=1) <= sup if math.isfinite(sup) else slice(None)
+            vals, at = np.zeros(len(pts)), pts[inside]
+            vals[inside] = np.fromiter(map(f, at), float, len(at))
             return vals.reshape(len(s), -1) @ w
 
         def m(s):
@@ -169,8 +178,8 @@ class Lebesgue(Density):
         d, area = self.dim, sphere_surface_area(self.dim)
         return lambda s: area * np.asarray(s, dtype=float) ** (d - 1)
 
-    def ball_mass(self, x, r: float) -> float:
-        return unit_ball_volume(self.dim) * r**self.dim
+    def ball_mass(self, x, r):
+        return _per_radius(r, lambda rk: unit_ball_volume(self.dim) * rk**self.dim)
 
     def support_points(self, n: int, rng) -> list:
         return [np.zeros(self.dim)]
@@ -203,8 +212,8 @@ class RadialDensity(MeasureRep):
             rad = s[..., None] if rho == 0.0 else np.sqrt(np.maximum(
                 rho**2 + s[..., None] ** 2 + 2.0 * rho * s[..., None] * us, 0.0))
             vals = f(rad)
-            if math.isfinite(sup):
-                vals = vals * (rad <= sup)
+            if math.isfinite(sup):  # f may be NaN outside its support
+                vals = np.where(rad <= sup, vals, 0.0)
             return vals @ ws * area * s ** (d - 1)
 
         return m
@@ -280,15 +289,17 @@ class SphereSurface(MeasureRep):
             return np.array([self.R]), np.array([self.mass])
         return super().radial_atoms(x)
 
-    def ball_mass(self, x, r: float) -> float:
+    def ball_mass(self, x, r):
         rho = float(np.linalg.norm(np.asarray(x, float) - self.center))
-        if rho == 0.0:
-            return self.mass if r >= self.R else 0.0
         lo, hi = abs(rho - self.R), rho + self.R
-        a, b = lo, min(r, hi)
-        if b <= a:
-            return 0.0
-        return self.mass / (4.0 * self.R * rho) * (b**2 - a**2)
+
+        def mass(rk):
+            if rho == 0.0:
+                return self.mass if rk >= self.R else 0.0
+            b = min(rk, hi)
+            return 0.0 if b <= lo else self.mass / (4.0 * self.R * rho) * (b**2 - lo**2)
+
+        return _per_radius(r, mass)
 
     def mc_ball_mass(self, x, r: float, n: int = 100_000, seed: int = 0):
         """Monte Carlo check of ball_mass: uniform surface sampling.
@@ -332,8 +343,8 @@ class AhlforsAbstract(MeasureRep):
         self.c_mid = math.sqrt(c_lower * c_upper)
         self.dim = dim
 
-    def ball_mass(self, x, r: float) -> float:
-        return self.c_mid * min(r, self.r0) ** self.eta
+    def ball_mass(self, x, r):
+        return _per_radius(r, lambda rk: self.c_mid * min(rk, self.r0) ** self.eta)
 
     def radial_mass_density(self, x) -> Callable:
         eta, c, r0 = self.eta, self.c_mid, self.r0

@@ -23,12 +23,13 @@ from katolab import functionals
 from katolab.functionals import CenterStrategy, semigroup_functional
 from katolab.kernels import GaussianKernelModel, StableEstimateModel
 from katolab.measures import (
+    Density,
     PointMasses,
     RadialDensity,
     SphereSurface,
     lebesgue,
 )
-from katolab.profiles import power_profile
+from katolab.profiles import RadialProfile, power_profile
 from katolab.quadrature import INF
 
 
@@ -126,6 +127,40 @@ def test_estimate_eta_skips_non_finite_ball_masses():
     assert all(mu.ball_mass(origin, r) == INF for r in grid)
     assert estimate_eta(mu, [origin], grid) is None
     assert estimate_eta(mu, [origin, off], grid) == pytest.approx(3.0, abs=1e-3)
+
+
+def test_estimate_eta_calls_ball_mass_once_per_center(monkeypatch):
+    # each center's whole radius grid in one call; the same eta bit for bit
+    mu = SphereSurface(np.zeros(3), 1.0, 4.0 * math.pi)
+    centers = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), np.zeros(3)]
+    grid = 2.0 ** -np.arange(7, 12)
+    want = estimate_eta(mu, centers, grid)
+    calls, ball_mass = [], SphereSurface.ball_mass
+    monkeypatch.setattr(SphereSurface, "ball_mass",
+                        lambda self, x, r: calls.append(np.shape(r)) or ball_mass(self, x, r))
+    assert estimate_eta(mu, centers, grid) == want == pytest.approx(2.0, abs=1e-9)
+    assert calls == [grid.shape] * len(centers)
+
+
+@pytest.mark.parametrize("form", ["radial", "density"])
+def test_compact_density_undefined_outside_its_support_is_in(form):
+    # f(y) = sqrt(1 - |y|^2) is NaN beyond |y| = 1, where mu has no mass:
+    # mu(B(0, 2)) = int_0^1 4 pi s^2 sqrt(1 - s^2) ds = pi^2 / 4, and a
+    # bounded density with compact support is in both classes
+    if form == "radial":
+        mu = RadialDensity(RadialProfile(lambda s: np.sqrt(1 - np.asarray(s) ** 2)),
+                           dim=3, support_radius=1)
+    else:
+        mu = Density(lambda y: np.sqrt(1 - y @ y), dim=3, support_radius=1)
+    with np.errstate(invalid="ignore"):  # the radial form still sees |y| > 1
+        mass = mu.ball_mass(np.zeros(3), 2.0)
+        edge = mu.ball_mass(np.array([0.9, 0.0, 0.0]), 0.25)
+        rep = classify_measure(mu, GaussianKernelModel(dim=3), 1.0, ClassifyConfig(
+            centers=CenterStrategy(n_support=3, n_random=2, seed=1)))
+    assert mass == pytest.approx(math.pi**2 / 4, rel=1e-4)
+    assert 0.0 < edge < mass
+    assert (rep.verdict_K, rep.verdict_D) == ("in", "in")
+    assert set(rep.criteria.values()) == {"in"}
 
 
 def test_green_below_beta_is_the_ball_mass():

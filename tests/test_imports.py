@@ -1,11 +1,13 @@
 """Every name a katolab module imports is used in that module, and the
 cold paths load only the scipy modules they need."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "katolab"
@@ -39,17 +41,77 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _loaded_scipy_modules(code: str) -> set[str]:
-    """scipy modules in sys.modules after running code in a fresh interpreter."""
+def _loaded_modules(code: str, prefix: str) -> set[str]:
+    """Modules named prefix... in sys.modules after running code in a fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    code += ("\nimport sys; print('\\nscipy:', "
-             "*(m for m in sys.modules if m.startswith('scipy')))")
+    code += ("\nimport sys; print('\\nloaded:', "
+             f"*(m for m in sys.modules if m.startswith({prefix!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     # the last line, after whatever the code itself printed
     return set(out.splitlines()[-1].split()[1:])
+
+
+def _loaded_scipy_modules(code: str) -> set[str]:
+    """scipy modules in sys.modules after running code in a fresh interpreter."""
+    return _loaded_modules(code, "scipy")
+
+
+#: modules that no classify process needs: katolab's two not on its path, and
+#: numpy.polynomial, once imported only to rebuild two fixed Gauss rules
+UNUSED_BY_CLASSIFY = {"katolab.montecarlo", "katolab.rearrangement", "numpy.polynomial"}
+CONFIGS = sorted(p.stem for p in (SRC.parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_classify_loads_no_module_it_does_not_run(tmp_path, name):
+    cfg = SRC.parents[1] / "configs" / f"{name}.cfg"
+    loaded = _loaded_modules(
+        "import katolab.cli\n"
+        f"assert katolab.cli.main(['classify', '--config', {str(cfg)!r}, "
+        f"'--seed', '7', '--out', {str(tmp_path)!r}]) in (0, 2)", "")
+    assert (tmp_path / "classify.csv").exists()
+    # scipy.special imports numpy.polynomial itself (relativistic-d3's Psi)
+    expected = {"numpy.polynomial"} if "scipy.special" in loaded else set()
+    assert loaded & UNUSED_BY_CLASSIFY == expected
+
+
+def test_import_katolab_loads_no_module_classify_does_not_run():
+    assert not _loaded_modules("import katolab", "") & UNUSED_BY_CLASSIFY
+
+
+def test_every_public_name_resolves_and_star_import_works():
+    loaded = _loaded_modules(
+        "import katolab\n"
+        "inverse = katolab.rearrangement.right_continuous_inverse\n"
+        "assert inverse is katolab.right_continuous_inverse\n"
+        "values = {n: getattr(katolab, n) for n in katolab.__all__}\n"
+        "assert set(katolab.__all__) <= set(dir(katolab))\n"
+        "assert {'simulate_paths', 'DistributionFunction'} <= set(values)\n"
+        "from katolab import *\n"
+        "from katolab.montecarlo import simulate_paths as sp\n"
+        "assert sp is simulate_paths is values['simulate_paths']\n"
+        "assert katolab.rearrangement.DistributionFunction is DistributionFunction",
+        "katolab.")
+    assert {"katolab.montecarlo", "katolab.rearrangement"} <= loaded
+
+
+def test_unknown_katolab_attribute_is_an_attribute_error():
+    import katolab
+    with pytest.raises(AttributeError, match="no_such_name"):
+        katolab.no_such_name
+
+
+@pytest.mark.parametrize("module, n", [("quadrature", 32), ("kernels", 16)])
+def test_literal_gauss_legendre_rules_equal_leggauss(module, n):
+    mod = importlib.import_module(f"katolab.{module}")
+    prefix = "_GL" if n == 32 else "_GL16"
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(getattr(mod, f"{prefix}_NODES"), nodes)
+    assert np.array_equal(getattr(mod, f"{prefix}_WEIGHTS"), weights)
 
 
 def test_import_katolab_loads_no_scipy():
