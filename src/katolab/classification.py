@@ -333,9 +333,7 @@ def fit_order_delta(mu: MeasureRep, model: ScalingKernelModel, p: float,
 def _as_power_measure(f, q: float, dim: int) -> MeasureRep:
     """|f|^q dm as a measure representation."""
     if isinstance(f, RadialProfile):
-        prof = RadialProfile(lambda s: np.abs(np.asarray(f(s))) ** q,
-                             singularity=f.singularity * q)
-        return RadialDensity(prof, dim=dim)
+        return RadialDensity(RadialProfile(lambda s: np.abs(np.asarray(f(s))) ** q), dim=dim)
     return Density(lambda y: abs(float(f(y))) ** q, dim=dim)
 
 
@@ -346,8 +344,7 @@ def lq_unif_norm(f, q: float, dim: int,
     if q < 1:
         raise DomainError("q must be >= 1")
     mu_q = _as_power_measure(f, q, dim)
-    one = RadialProfile(lambda s: np.ones_like(np.asarray(s, float)))
-    return sups(mu_q, _resolve_centers(mu_q, centers), [(one, 1.0, None)], None)[0][0]
+    return sups(mu_q, _resolve_centers(mu_q, centers), [(np.ones_like, 1.0)], None)[0][0]
 
 
 def lq_sufficient(q: float, p: float, nu: float, beta: float) -> bool:

@@ -90,7 +90,7 @@ def cmd_sweep_p(run: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_kernel_check(run: RunConfig, out_dir: Path) -> int:
-    rows = kernel_invariant_suite(run.model, seed=run.seed)
+    rows = kernel_invariant_suite(run.model, seed=run.classify.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "kernel_check.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -125,7 +125,7 @@ def cmd_mc_check(run: RunConfig, out_dir: Path) -> int:
     rows, n_pass = [], 0
     for name, prof in _MC_POTENTIALS:
         for x0 in starts:
-            cfg = PathConfig(process="brownian", t=0.5, seed=run.seed, x0=x0)
+            cfg = PathConfig(process="brownian", t=0.5, seed=run.classify.seed, x0=x0)
             mc, se = expected_additive_functional(
                 cfg, lambda y: prof(np.linalg.norm(np.atleast_2d(y), axis=-1)))
             quad = quadrature_additive_functional(model, cfg, prof,

@@ -66,7 +66,6 @@ class RunConfig:
     measure: MeasureRep
     p_list: list[float]
     classify: ClassifyConfig
-    seed: int = 7
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -127,8 +126,7 @@ class RunConfig:
             r_grid=2.0 ** -np.arange(2, depth + 1, dtype=float),
             centers=centers,
             seed=seed)
-        return cls(model=model, measure=measure, p_list=p_list,
-                   classify=classify, seed=seed)
+        return cls(model=model, measure=measure, p_list=p_list, classify=classify)
 
 
 def _parse_atoms(text: str) -> list[tuple]:

@@ -12,13 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kernels import ScalingKernelModel
-from .measures import (
-    R_SPLIT,
-    FunctionalEstimate,
-    MeasureRep,
-    check_hints,
-    integrate_jobs,
-)
+from .measures import FunctionalEstimate, MeasureRep, integrate_jobs
 from .profiles import GreenKernelSpec, green_power_profile
 from .quadrature import INF, ParamPower, estimate
 from .space import LOG_CAP
@@ -122,47 +116,38 @@ def resolvent_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
 
 
 def kato_job(spec: GreenKernelSpec, p: float, r) -> tuple:
-    """kato_functional's (g, r, hint): G^p over the ball (or each ball of a grid) r."""
+    """kato_functional's (g, r): G^p over the ball (or each ball of a grid) r."""
     if p < 1:
         raise DomainError("p must be >= 1")
     if spec.regime == "log" and np.any(np.asarray(r) > LOG_CAP):
         raise DomainError("log-regime radius must satisfy r <= 1/e")
-    g = green_power_profile(spec, p)
-    return g, r, g.singularity
+    return green_power_profile(spec, p), r
 
 
 def semigroup_job(model: ScalingKernelModel, p: float, t: float, r) -> tuple:
-    """semigroup_functional's (g, r, hint); r None for the whole space."""
+    """semigroup_functional's (g, r); r None for the whole space."""
     if not 0.0 < t < model.t0:
         raise DomainError("t must lie in ]0, t0[")
-    return _kernel_job(model, ParamPower(model.qt_radial, t, p), r)
+    return ParamPower(model.qt_radial, t, p), r
 
 
 def resolvent_job(model: ScalingKernelModel, p: float, alpha: float, r) -> tuple:
-    """resolvent_functional's (g, r, hint); r None for the whole space."""
+    """resolvent_functional's (g, r); r None for the whole space."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return _kernel_job(model, ParamPower(model.resolvent_radial, alpha, p), r)
-
-
-def _kernel_job(model: ScalingKernelModel, g: ParamPower, r) -> tuple:
-    # steepest admissible local slope: the jump branch of an estimate
-    # kernel decays like s^-(nu+beta) before the s^-(nu-beta) regime
-    return g, r, g.p * (model.space.nu + model.space.beta)
+    return ParamPower(model.resolvent_radial, alpha, p), r
 
 
 def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
-    """(sups, masses): the sup over the centers of each job (g, r, hint), the
+    """(sups, masses): the sup over the centers of each job (g, r), the
     integral of g(d(x,y)) mu(dy) over the ball B_r(x) (a list over a grid r)
     or the whole space (r None); and each center's ball masses at mass_radii
     (float, inf where divergent; None for None).  All in one integrate_jobs
     run, where the first center leads each sup; an estimate is built for
     each sup's winner only."""
     radii = [None if r is None else [float(rk) for rk in np.atleast_1d(r)]
-             for _, r, _ in jobs]
-    check_hints([(g, [R_SPLIT] if rs is None else rs, hint)
-                 for (g, _, hint), rs in zip(jobs, radii)])
-    tasks = [(g, rs, True) for (g, _, _), rs in zip(jobs, radii)]
+             for _, r in jobs]
+    tasks = [(g, rs, True) for (g, _), rs in zip(jobs, radii)]
     if mass_radii is not None:
         tasks.append((np.ones_like, [float(rk) for rk in mass_radii], False))
     if not centers:
@@ -172,7 +157,7 @@ def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
     ests = [[next(won) for _ in range(table.shape[1])] for table in tables[:len(jobs)]]
     masses = None if mass_radii is None else np.where(
         tables[-1]["diverged"], INF, tables[-1]["value"]).tolist()
-    return [e if np.ndim(r) else e[0] for e, (_, r, _) in zip(ests, jobs)], masses
+    return [e if np.ndim(r) else e[0] for e, (_, r) in zip(ests, jobs)], masses
 
 
 def _sup_records(centers: list, rec: np.ndarray) -> list:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
-from .quadrature import (INF, NO_PASS, PASS, FunctionalEstimate, call_key, call_rows, dyadic_passes,
-                         estimate)
+from .quadrature import (INF, NO_PASS, PASS, FunctionalEstimate, dyadic_passes, estimate,
+                         split_error)
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -380,32 +380,20 @@ def _atom_sums(g_radial: Callable, ds: np.ndarray, ws: np.ndarray,
             for far in (~at_center & (ds <= rk) for rk in radii)]
 
 
-def check_hints(jobs: list) -> None:
-    """For each job (g_radial, radii, hint), compare the observed blow-up of g
-    over each radius's cutoff grid with the singularity hint (by default a
-    RadialProfile's own); off by two orders of magnitude is an error, raised
-    at the first such job and radius.  The probes of the jobs of one
-    call_key and radius count come from one call_rows call."""
-    todo = []
-    for g, radii, hint in jobs:
-        if hint is None and isinstance(g, RadialProfile):
-            hint = g.singularity
-        if hint is not None:  # (s_hi, s_lo) per radius
-            todo.append((g, np.outer([2.0**-10, 2.0**-14], radii).ravel(), hint))
-    calls, values = {}, {}
-    for i, (g, s, _) in enumerate(todo):
-        calls.setdefault((call_key(g), len(s)), []).append(i)
-    for idx in calls.values():
-        params = np.array([getattr(todo[i][0], "param", np.nan) for i in idx])
-        rows = call_rows(todo[idx[0]][0], params, np.array([todo[i][1] for i in idx]))[0]
-        values.update(zip(idx, np.asarray(rows, dtype=float)))
-    for i, (_, _, hint) in enumerate(todo):
-        expected = 16.0 ** hint  # (s_hi / s_lo) ** hint
-        for g_hi, g_lo in zip(*values[i].reshape(2, -1)):
-            if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
-                raise DiagnosticsError(
-                    f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
-                    f"s^-{hint} (expected <= {expected:.3g}) by more than 2 orders")
+def check_hints(g: Callable, radii: list) -> None:
+    """Compare the observed blow-up of a caller's RadialProfile g over each
+    radius's cutoff grid with its singularity hint (another g states none);
+    off by two orders of magnitude is an error, raised at the first such
+    radius."""
+    if not isinstance(g, RadialProfile):
+        return
+    s = np.outer([2.0**-10, 2.0**-14], radii).ravel()  # (s_hi, s_lo) per radius
+    expected = 16.0 ** g.singularity  # (s_hi / s_lo) ** hint
+    for g_hi, g_lo in zip(*np.asarray(split_error(g(s))[0], dtype=float).reshape(2, -1)):
+        if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
+            raise DiagnosticsError(
+                f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
+                f"s^-{g.singularity} (expected <= {expected:.3g}) by more than 2 orders")
 
 
 def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
@@ -482,7 +470,7 @@ def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable):
     is cross-checked against the observed growth (check_hints).
     """
     radii = [float(rk) for rk in np.atleast_1d(r)]
-    check_hints([(g_radial, radii, None)])
+    check_hints(g_radial, radii)
     out = [estimate(rec, 0, None)
            for rec in integrate_jobs(mu, [x], [(g_radial, radii, False)])[0][0].tolist()]
     return out if np.ndim(r) else out[0]
@@ -491,7 +479,7 @@ def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable):
 def integrate_global(mu: MeasureRep, x, g_radial: Callable) -> FunctionalEstimate:
     """Whole-space integral of g(d(x,y)) against mu (integrate_jobs): the
     closed ball B(x, R_SPLIT), then outward."""
-    check_hints([(g_radial, [R_SPLIT], None)])
+    check_hints(g_radial, [R_SPLIT])
     return estimate(integrate_jobs(mu, [x], [(g_radial, None, False)])[0][0, 0].tolist(), 0, None)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from katolab import quadrature
+from katolab.classification import classify_measure
 from katolab.errors import DomainError
 from katolab.functionals import (
     CenterStrategy,
@@ -82,6 +83,21 @@ def test_kato_functional_divergence_at_critical_p():
     spec = GreenKernelSpec(nu=3.0, beta=2.0)
     est = kato_functional(mu, spec, 3.0, 1.0, centers=[np.zeros(3)])
     assert est.diverged
+
+
+def test_log_regime_at_high_p_raises_no_hint_error():
+    # nu = beta = 2: G = log(1/s), and int_{B(0,1/4)} log(1/|y|)^20 dy in R^2
+    # = 2 pi Gamma(21, 2 ln 4) / 2^21 (s = e^-u); Gamma(n + 1, x) =
+    # n! e^-x sum_{k <= n} x^k / k!.  Nothing here is a caller's hint
+    x = 2 * math.log(4)
+    exact = (2 * math.pi * math.factorial(20) * math.exp(-x)
+             * sum(x ** k / math.factorial(k) for k in range(21)) / 2 ** 21)
+    est = kato_functional(lebesgue(2), GreenKernelSpec(2, 2), 20.0, 0.25,
+                          centers=[0])
+    assert not est.diverged
+    assert abs(est.value - exact) <= est.error
+    report = classify_measure(lebesgue(2), GaussianKernelModel(2), 20.0)
+    assert report.p == 20.0
 
 
 def test_kato_functional_monotone_in_r():

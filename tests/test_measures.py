@@ -392,6 +392,8 @@ def test_hint_mismatch_raises_diagnostics_error():
                         singularity=0.0)  # claims bounded, is ~ s^-1.9
     with pytest.raises(DiagnosticsError):
         integrate_over_ball(mu, np.zeros(1), 1.0, bad)
+    with pytest.raises(DiagnosticsError):
+        integrate_global(mu, np.zeros(1), bad)
 
 
 def test_hint_check_of_a_grid_raises_at_its_first_failing_radius():
