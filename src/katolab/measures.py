@@ -18,13 +18,16 @@ import numpy as np
 
 from .errors import DiagnosticsError, DomainError, ValidationError
 from .profiles import RadialProfile
-from .quadrature import (INF, NO_PASS, PASS, FunctionalEstimate, dyadic_passes, estimate,
-                         split_error)
+from .quadrature import (INF, NO_PASS, PASS, ZERO_INWARD, ZERO_OUTWARD, FunctionalEstimate,
+                         dyadic_passes, estimate, split_error)
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
 MAX_ANGULAR_POINTS = 512  # the most f calls one radius takes, all orders tried
 R_SPLIT = 1.0  # integrate_global: the ball B(x, R_SPLIT), then outward
+#: radial_support's margin for a support tested node by node, relative to
+#: (rho + radius)^2 / radius: far above the rounding of those tests
+SUPPORT_MARGIN = 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,6 +65,16 @@ def _per_radius(r, mass: Callable):
     return np.array([mass(float(rk)) for rk in r]) if np.ndim(r) else mass(float(r))
 
 
+def _band(rho: float, radius: float) -> tuple[float, float]:
+    """radial_support about a point at distance rho from the center of a
+    ball of that radius, for a support tested node by node: (rho - radius,
+    rho + radius) widened by SUPPORT_MARGIN."""
+    if not 0.0 < radius < INF:
+        return 0.0, INF
+    tol = SUPPORT_MARGIN * (rho + radius) ** 2 / radius
+    return max(rho - radius - tol, 0.0), rho + radius + tol
+
+
 @functools.lru_cache(maxsize=None)
 def _orders(dim: int) -> tuple[int, ...]:
     """sphere_rule orders Density tries at a radius, with MAX_ANGULAR_POINTS
@@ -88,6 +101,7 @@ class MeasureRep:
     dim: int
     supports_kernel_criteria = True
     closed_ball_mass = False  # ball_mass is a closed form, not an integral
+    costly_density = False  # a density row calls f per node: read no panel ahead
 
     def radial_mass_density(self, x) -> Callable | None:
         """Vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or None
@@ -98,6 +112,11 @@ class MeasureRep:
     def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(distances, weights) of the mass sitting at exact distances from x."""
         return np.zeros(0), np.zeros(0)
+
+    def radial_support(self, x) -> tuple[float, float]:
+        """(lo, hi): the radial mass density about x is exactly 0.0 at every
+        distance s < lo and s > hi, as evaluated; (0, inf) if not known."""
+        return 0.0, INF
 
     def ball_mass(self, x, r):
         """mu of the closed ball of radius r about x: the ball integral of
@@ -123,6 +142,8 @@ class Density(MeasureRep):
     of _orders(dim), lowest first, until two in a row agree to ANGULAR_TOL;
     the finer serves, paired with the last pair's relative gap on that batch
     of radii (1 if only one order fits)."""
+
+    costly_density = True
 
     def __init__(self, f: Callable, dim: int, support_radius: float = INF):
         self.f = f
@@ -160,6 +181,9 @@ class Density(MeasureRep):
 
         return m
 
+    def radial_support(self, x) -> tuple[float, float]:
+        return _band(float(np.linalg.norm(np.asarray(x, float))), self.support_radius)
+
     def support_points(self, n: int, rng) -> list:
         scale = self.support_radius if math.isfinite(self.support_radius) else 1.0
         return [np.zeros(self.dim)] + list(rng.normal(scale=scale, size=(n - 1, self.dim)))
@@ -170,6 +194,7 @@ class Lebesgue(Density):
     and ball mass in closed form; translation invariant, so one center."""
 
     closed_ball_mass = True
+    costly_density = False
 
     def __init__(self, dim: int):
         super().__init__(lambda y: 1.0, dim)
@@ -204,7 +229,7 @@ class RadialDensity(MeasureRep):
         # S^{dim-1}, rho = |x - o|; seen from o, that is f(s) itself
         d, f, sup = self.dim, self.profile, self.support_radius
         area = sphere_surface_area(d)
-        rho = float(np.linalg.norm(np.asarray(x, float) - self.origin))
+        rho = self._rho(x)
         us, ws = _cos_rule(d, 64) if rho > 0.0 else (None, np.ones(1))
 
         def m(s):
@@ -217,6 +242,13 @@ class RadialDensity(MeasureRep):
             return vals @ ws * area * s ** (d - 1)
 
         return m
+
+    def _rho(self, x) -> float:
+        return float(np.linalg.norm(np.asarray(x, float) - self.origin))
+
+    def radial_support(self, x) -> tuple[float, float]:
+        rho = self._rho(x)  # seen from o, f's argument is s itself: no margin
+        return (0.0, self.support_radius) if rho == 0.0 else _band(rho, self.support_radius)
 
     def support_points(self, n: int, rng) -> list:
         pts = [self.origin.copy()]
@@ -270,13 +302,21 @@ class SphereSurface(MeasureRep):
         self.mass = float(total_mass)
         self.dim = 3
 
+    def _rho(self, x) -> float:
+        return float(np.linalg.norm(np.asarray(x, float) - self.center))
+
+    def _shell(self, rho: float) -> tuple[float, float]:
+        """The distances from a point at rho from the center where the sphere lies."""
+        return abs(rho - self.R), rho + self.R
+
+    def radial_support(self, x) -> tuple[float, float]:
+        return self._shell(self._rho(x))
+
     def radial_mass_density(self, x) -> Callable | None:
-        rho = float(np.linalg.norm(np.asarray(x, float) - self.center))
-        R, mass = self.R, self.mass
+        rho = self._rho(x)
         if rho == 0.0:
             return None  # all mass at distance exactly R: see radial_atoms
-        lo, hi = abs(rho - R), rho + R
-        c = mass / (2.0 * R * rho)
+        (lo, hi), c = self._shell(rho), self.mass / (2.0 * self.R * rho)
 
         def m(s):
             s = np.asarray(s, dtype=float)
@@ -285,13 +325,13 @@ class SphereSurface(MeasureRep):
         return m
 
     def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
-        if np.linalg.norm(np.asarray(x, float) - self.center) == 0.0:
+        if self._rho(x) == 0.0:
             return np.array([self.R]), np.array([self.mass])
         return super().radial_atoms(x)
 
     def ball_mass(self, x, r):
-        rho = float(np.linalg.norm(np.asarray(x, float) - self.center))
-        lo, hi = abs(rho - self.R), rho + self.R
+        rho = self._rho(x)
+        lo, hi = self._shell(rho)
 
         def mass(rk):
             if rho == 0.0:
@@ -355,6 +395,9 @@ class AhlforsAbstract(MeasureRep):
 
         return m
 
+    def radial_support(self, x) -> tuple[float, float]:
+        return 0.0, self.r0
+
     def support_points(self, n: int, rng) -> list:
         return [np.zeros(self.dim)]
 
@@ -363,21 +406,30 @@ class AhlforsAbstract(MeasureRep):
 # integration operations
 
 
-def _atom_sums(g_radial: Callable, ds: np.ndarray, ws: np.ndarray,
-               radii: list) -> list[float]:
-    """sum_i w_i g(d_i) over the atoms at distance <= r, for each r of radii,
-    exact, from one call of g; +inf when an atom of positive weight at
-    distance 0 meets a kernel that is infinite at 0."""
-    keep = (ws != 0.0) & (ds <= max(radii))
-    ds, ws = ds[keep], ws[keep]
-    gs = np.asarray(g_radial(ds)) if len(ds) else ds
-    at_center = ds == 0.0
-    g0 = float(gs[at_center][0]) if np.any(at_center) else 0.0
-    if not math.isfinite(g0):
-        return [INF] * len(radii)
-    center = float(ws[at_center].sum()) * g0
-    return [center + float(np.dot(ws[far], gs[far]))
-            for far in (~at_center & (ds <= rk) for rk in radii)]
+def _atom_sums(g_radial: Callable, atoms: list, radii: list, whole: bool) -> tuple:
+    """Per center of atoms (its (distances, weights)) and radius r of radii,
+    sum_i w_i g(d_i) over the atoms at distance <= r, exact; +inf when an
+    atom of positive weight at distance 0 meets a kernel that is infinite at
+    0.  For the whole space (whole) also each center's sum over the atoms
+    beyond R_SPLIT.  One call of g on every center's atoms within reach."""
+    reach = INF if whole else max(radii)
+    kept = [(ds[keep], ws[keep]) for ds, ws in atoms for keep in [(ws != 0.0) & (ds <= reach)]]
+    flat = np.concatenate([ds for ds, _ in kept])
+    values = np.asarray(g_radial(flat)) if len(flat) else flat
+    ball, beyond = np.zeros((len(kept), len(radii))), np.zeros(len(kept))
+    for c, ((ds, ws), gs) in enumerate(zip(kept, np.split(values, np.cumsum(
+            [len(ds) for ds, _ in kept])[:-1]))):
+        at_center = ds == 0.0
+        g0 = float(gs[at_center][0]) if np.any(at_center) else 0.0
+        if not math.isfinite(g0):
+            ball[c] = INF
+            continue
+        center = float(ws[at_center].sum()) * g0
+        ball[c] = [center + float(np.dot(ws[far], gs[far]))
+                   for far in (~at_center & (ds <= rk) for rk in radii)]
+        if whole:
+            beyond[c] = 0.0 + float(np.dot(ws[ds > R_SPLIT], gs[ds > R_SPLIT]))
+    return ball, beyond
 
 
 def check_hints(g: Callable, radii: list) -> None:
@@ -401,13 +453,28 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     radii, led), one column per radius (radii None: one for the whole space),
     every diffuse pass in one dyadic_passes run.  A closed ball is an exact
     atom sum plus the inner dyadic sweep; the whole space, B(x, R_SPLIT) and,
-    unless it diverged, the atoms beyond plus the outward pass; a diverged
-    record reads value inf and reason NO_PASS where no pass decided.  A led
-    job integrates the centers after the first only where the first does not
-    diverge (elsewhere "ran" is False: a sup is decided there)."""
+    unless it diverged, the atoms beyond plus the outward pass, which counts
+    only where the ball converged; a diverged record reads value inf and
+    reason NO_PASS where no pass decided.  A pass outside mu's radial_support
+    (a ball of r <= lo, the outward pass where R_SPLIT >= hi) reads only
+    zeros of the density: it is not run, and gets the record of an all-zero
+    pass (ZERO_INWARD, ZERO_OUTWARD).  A led job integrates the centers after
+    the first only where the first center's ball does not diverge (elsewhere
+    "ran" is False: a sup is decided there; where the first center's outward
+    pass diverges, the first center wins the sup all the same).
+
+    Passes start before they are known to be needed: an outward pass with
+    its ball, a led job's later centers with the first center's outward
+    pass, and a growing window reads to the depth cap at once (dyadic_passes'
+    ahead).  Where mu.costly_density, no pass starts before it is needed
+    (an outward pass after its ball, later centers only where every pass of
+    the first center ended undiverged) and a growing window reads
+    GROWING_CHUNK levels a round: f is called only for panels a needed pass
+    reads, up to a growing window's last chunk."""
     if any(rk <= 0 for _, radii, _ in jobs for rk in radii or ()):
         raise DomainError("ball radius must be positive")
     dens = [mu.radial_mass_density(x) for x in centers]
+    lo, hi = np.array([mu.radial_support(x) for x in centers], float).reshape(-1, 2).T
     n_c, radii = len(centers), [[R_SPLIT] if rs is None else rs for _, rs, _ in jobs]
     # one entry per (job, center, radius), job by job, center by center
     sizes, lengths = [n_c * len(rs) for rs in radii], [len(rs) for rs in radii]
@@ -415,36 +482,42 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     job, whole, led = (np.repeat(col, sizes) for col in zip(
         *((j, rs is None, bool(ld)) for j, (_, rs, ld) in enumerate(jobs))))
     center = np.concatenate([np.repeat(np.arange(n_c), len(rs)) for rs in radii])
+    r = np.concatenate([np.tile(rs, n_c) for rs in radii])
     first = np.arange(len(job)) - center * np.repeat(lengths, sizes)  # first center's
     atoms, tail = np.zeros(len(job)), np.zeros(len(job))
-    for c, x in enumerate(centers):
-        ds, ws = mu.radial_atoms(x)
-        if not np.any(ws != 0.0):
-            continue
+    held = [(c, at) for c, at in enumerate(map(mu.radial_atoms, centers)) if np.any(at[1] != 0.0)]
+    if held:  # the centers with atoms, and their atoms
+        rows, held = map(list, zip(*held))
         for j, (g, rs, _) in enumerate(jobs):
-            at = slice(start[j] + c * lengths[j], start[j] + (c + 1) * lengths[j])
-            atoms[at] = _atom_sums(g, ds, ws, radii[j])
-            if rs is None:
-                tail[at] = _atom_sums(g, ds[ds > R_SPLIT], ws[ds > R_SPLIT], [INF])[0]
-    # each entry's ball pass, then (whole space, finite atoms) an outward one;
-    # a led job's later centers start after the first center's last pass
+            ball, beyond = _atom_sums(g, held, radii[j], rs is None)
+            atoms[start[j]:start[j + 1]].reshape(n_c, -1)[rows] = ball
+            tail[start[j]:start[j + 1]].reshape(n_c, -1)[rows] = beyond[:, None]
+    # each entry's ball pass and (whole space, finite atoms) its outward one
+    # from r = R_SPLIT, run where each reads some density
     infinite = np.isinf(atoms)
     skip = led & (center > 0) & infinite[first]
     has_head = np.array([m is not None for m in dens], bool)[center] & ~skip
     has_out = whole & has_head & ~infinite
-    head = np.where(has_head, np.cumsum(has_head) - 1, -1)
-    out = np.where(has_out, np.cumsum(has_out) - 1 + has_head.sum(), -1)
-    after = np.where(led & (center > 0), np.maximum(head, out)[first], -1)
+    run_head, run_out = has_head & (r > lo[center]), has_out & (r < hi[center])
+    head = np.where(run_head, np.cumsum(run_head) - 1, -1)
+    out = np.where(run_out, np.cumsum(run_out) - 1 + run_head.sum(), -1)
+    # a led job's later centers wait for the first center's ball (ahead) or
+    # every pass of it; an outward pass waits for its ball unless ahead
+    ahead = not mu.costly_density
+    after = np.where(led & (center > 0), (head if ahead else np.maximum(head, out))[first], -1)
+    after_out = after if ahead else np.where(run_head, head, after)
     res = dyadic_passes(
-        [g for g, _, _ in jobs], dens, np.concatenate([job[has_head], job[has_out]]),
-        np.concatenate([center[has_head], center[has_out]]),
-        np.concatenate([np.concatenate([np.tile(rs, n_c) for rs in radii])[has_head],
-                        np.full(has_out.sum(), R_SPLIT)]),
-        np.repeat([False, True], [has_head.sum(), has_out.sum()]),
-        np.concatenate([after[has_head], head[has_out]]))
+        [g for g, _, _ in jobs], dens, np.concatenate([job[run_head], job[run_out]]),
+        np.concatenate([center[run_head], center[run_out]]),
+        np.concatenate([r[run_head], r[run_out]]),
+        np.repeat([False, True], [run_head.sum(), run_out.sum()]),
+        np.concatenate([after[run_head], after_out[run_out]]), ahead)
 
-    # each entry's ball and outward pass; -1 (no pass) reads the record appended
-    res = np.append(res, np.array([(0.0, 0.0, False, NO_PASS, 0, 0.0, True)], PASS))
+    # each entry's ball and outward pass; -3, -2, -1 (not run, no pass) read
+    # the records appended
+    res = np.append(res, np.array([ZERO_INWARD, ZERO_OUTWARD,
+                                   (0.0, 0.0, False, NO_PASS, 0, 0.0, True)], PASS))
+    head, out = np.where(has_head & ~run_head, -3, head), np.where(has_out & ~run_out, -2, out)
     ball, beyond = res[head], res[out]
     head_div = ball["diverged"] | infinite
     out_div = whole & ~head_div & beyond["diverged"]

@@ -41,7 +41,7 @@ GEOMETRIC_RATIO_MAX = 0.97
 #: integrate_to_zero's levels before the first tail-window check, the levels
 #: it adds after the first geometric window, the further levels it may add
 #: before it stops at the depth cap, and the most levels one round evaluates
-#: for a radius whose window still grows
+#: for a radius whose window still grows where no panel is read ahead
 MIN_LEVELS = 16
 SETTLE_LEVELS = 9
 MAX_EXTRA_LEVELS = 32
@@ -154,6 +154,10 @@ _WAIT, _RUN, _DONE = range(3)  # pass status in dyadic_passes
 PASS = np.dtype([("value", float), ("error", float), ("diverged", bool),
                  ("reason", int), ("levels", int), ("log_slope", float), ("ran", bool)])
 _NAMES = REASONS + ("",)
+#: the records the stopping rule gives a pass whose panels are all 0.0, at
+#: its first window (inward) or its first three panels (outward)
+ZERO_INWARD = (0.0, 0.0, False, NEGLIGIBLE, MIN_LEVELS, 0.0, True)
+ZERO_OUTWARD = (0.0, 0.0, False, NEGLIGIBLE, 3, 0.0, True)
 
 
 def estimate(record: tuple, n_centers: int, center) -> FunctionalEstimate:
@@ -184,7 +188,7 @@ def integrate_to_zero(h: Callable, r) -> FunctionalEstimate | RadiusSweep:
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     zero = np.zeros(len(radii), int)
-    out = _results(dyadic_passes([np.ones_like], [h], zero, zero, radii, zero > 0, zero - 1))
+    out = _results(dyadic_passes([np.ones_like], [h], zero, zero, radii, zero > 0, zero - 1, True))
     return RadiusSweep(out) if np.ndim(r) else out[0]
 
 
@@ -194,10 +198,11 @@ def integrate_outward(h: Callable, r0: float) -> FunctionalEstimate:
     sum, and diverges ("nonfinite") at a sum that is not.  The bar adds each
     panel's stated relative error times the panel.  The three panels it
     always reads come from one call of h."""
-    return _results(dyadic_passes([np.ones_like], [h], [0], [0], [r0], [True], [-1]))[0]
+    return _results(dyadic_passes([np.ones_like], [h], [0], [0], [r0], [True], [-1], True))[0]
 
 
-def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.ndarray:
+def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after,
+                  ahead: bool) -> np.ndarray:
     """Run many dyadic passes together, in rounds; one PASS record each.
     Pass i integrates gs[kernel[i]](s) * ms[center[i]](s) over (0, r[i]] by
     integrate_to_zero's rule or, where outward[i], over [r[i], inf) by
@@ -205,12 +210,16 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
     has ended undiverged, and never if that one diverged or never ran.
 
     A round asks each running pass for its next levels (the MIN_LEVELS, the
-    SETTLE_LEVELS after a geometric window, up to GROWING_CHUNK while it
-    grows; outward three, then one), evaluates the panels no pass has read
-    (_Panels) and runs the stopping rule on (pass, stop) arrays, so each
-    pass ends exactly as it would alone."""
+    SETTLE_LEVELS after a geometric window; while it grows, every level up to
+    the depth cap where panels may be read ahead of a stop (ahead), else
+    GROWING_CHUNK; outward three, then one), evaluates the panels no pass
+    has read (_Panels) and runs the stopping rule on (pass, stop) arrays at
+    every stop a pass has reached, so each pass ends exactly as it would
+    alone: ahead changes the rounds a pass takes and the panels evaluated
+    past its stop, not its record."""
     r, outward, after = np.asarray(r, float), np.asarray(outward, bool), np.asarray(after)
     n, cap = len(r), MIN_LEVELS + MAX_EXTRA_LEVELS
+    grow = cap if ahead else GROWING_CHUNK
     panels = _Panels(gs, ms, np.asarray(kernel, int), np.asarray(center, int), r, outward)
     out = np.zeros(n, PASS)
     out["reason"] = NEGLIGIBLE
@@ -228,7 +237,7 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after) -> np.n
         got[run] = np.where(outward[run], np.where(first == 0, 3, first + 1),
                             np.where(settling[run] | (first < MIN_LEVELS),
                                      np.maximum(stop[run], first),  # no new level past a read stop
-                                     np.minimum(first + GROWING_CHUNK, cap)))
+                                     np.minimum(first + grow, cap)))
         panels.fetch(run, first, got[run])
         o = run[outward[run]]
         if len(o):  # stop once the last two panels add <= OUTWARD_REL_TOL of the sum

@@ -398,10 +398,11 @@ def test_array_sup_equals_sup_over_centers_on_random_records():
 
 
 def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
-    # semigroup and resolvent jobs at two powers, the Green kernel, and ball
-    # masses against a density seen from three centers: in each engine round
-    # q_t and r_alpha are called once per power, on a column of the round's
-    # t (alpha); the Green kernel, the mass integrand and each density once
+    # semigroup and resolvent jobs at two powers, the Green kernel at two
+    # powers, and ball masses against a density seen from three centers: in
+    # each engine round q_t and r_alpha are called once per power, on a
+    # column of the round's t (alpha); each Green kernel, the mass integrand
+    # and each density once
     model, spec = GaussianKernelModel(dim=3), GreenKernelSpec(nu=3.0, beta=2.0)
     mu = RadialDensity(power_profile(-1.0), dim=3, support_radius=1.0)
     centers = [np.zeros(3), np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.7, 0.2])]
@@ -423,8 +424,9 @@ def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
     # (localized, global) parameters per power, none shared
     times = {1.0: ((0.5, 0.125), (0.3, 0.03)), 2.0: ((0.25, 0.0625), (0.2, 0.02))}
     orders = {1.0: ((1.0, 16.0), (3.0, 30.0)), 2.0: ((4.0, 64.0), (5.0, 50.0))}
-    jobs = [kato_job(spec, 1.5, r_grid)]
+    jobs = [kato_job(spec, 1.5, r_grid), kato_job(spec, 2.5, r_grid)]
     jobs[0] = (traced(("green", ()), jobs[0][0]), *jobs[0][1:])
+    jobs[1] = (traced(("green-cap", ()), jobs[1][0]), *jobs[1][1:])
     for p in (1.0, 2.0):
         jobs += [semigroup_job(model, p, t, r_grid) for t in times[p][0]]
         jobs += [semigroup_job(model, p, t, None) for t in times[p][1]]
@@ -432,7 +434,12 @@ def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
         jobs += [resolvent_job(model, p, a, None) for a in orders[p][1]]
     got, masses = sups(mu, centers, jobs, r_grid[3:])
     engine = [[call for call, ndim in calls if ndim == 2] for calls in rounds]  # rows of panels
-    assert len(engine) > 5 and all(len(set(calls)) == len(calls) for calls in engine)
+    # G^2.5 against the density ~ s diverges: its window grows to the depth
+    # cap, the first MIN_LEVELS levels in one round and the rest in a later
+    # one, so the rounds checked below are several by construction
+    assert got[1][0].reason == "depth_cap"
+    assert sum(("green-cap", ()) in calls for calls in engine) >= 2
+    assert all(len(set(calls)) == len(calls) for calls in engine)
     assert any(len(set(calls)) >= 5 for calls in engine)  # kernels and densities in one round
     for kind, grid in [("qt_radial", times), ("resolvent_radial", orders)]:
         power = {v: p for p in grid for v in grid[p][0] + grid[p][1]}

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab.functionals import GreenKernelSpec, kato_functional
-from katolab.measures import Density, PointMasses, RadialDensity, integrate_jobs
+from katolab.classification import ClassifyConfig, classify_measure
+from katolab.functionals import CenterStrategy, GreenKernelSpec, kato_functional
+from katolab.kernels import GaussianKernelModel, StableEstimateModel
+from katolab.measures import (R_SPLIT, Density, PointMasses, RadialDensity, SphereSurface,
+                              integrate_global, integrate_jobs, integrate_over_ball, lebesgue)
 from katolab.profiles import power_profile
 from katolab import quadrature
 from katolab.quadrature import (
+    DEPTH_CAP,
+    GEOMETRIC,
     GEOMETRIC_RATIO_MAX,
     INF,
     MAX_EXTRA_LEVELS,
@@ -20,6 +25,8 @@ from katolab.quadrature import (
     PANEL_BLOCK,
     REASONS,
     SETTLE_LEVELS,
+    ZERO_INWARD,
+    ZERO_OUTWARD,
     FunctionalEstimate,
     dyadic_passes,
     gauss_panel,
@@ -385,7 +392,7 @@ def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     monkeypatch.setattr(quadrature, "gauss_panel", counted)
     monkeypatch.setattr(quadrature._Panels, "fetch",
                         lambda *args: (rounds.append(([], [], [])), fetch(*args))[1])
-    got = dyadic_passes(traced(gs, 1), traced(ms, 2), k, c, r, outward, np.full(len(r), -1))
+    got = dyadic_passes(traced(gs, 1), traced(ms, 2), k, c, r, outward, np.full(len(r), -1), True)
     monkeypatch.undo()
     assert got["ran"].all()
     assert max(n for blocks, _, _ in rounds for n in blocks) == PANEL_BLOCK
@@ -400,7 +407,7 @@ def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     assert {res.reason for res in want} == set(REASONS)
     # the same passes with the Density's values but no stated gap
     plain = dyadic_passes(gs, [ms[0], lambda s: memo[1](s)[0], ms[2]], k, c, r, outward,
-                          np.full(len(r), -1))
+                          np.full(len(r), -1), True)
     gapped = (c == 1) & ~got["diverged"] & (got["value"] > 0) & np.isfinite(got["value"])
     assert gapped.sum() >= 10
     assert np.array_equal(plain["value"][gapped], got["value"][gapped])
@@ -414,7 +421,7 @@ def test_engine_starts_a_pass_after_its_prior_pass_converged():
     gs = [lambda s: np.asarray(s, dtype=float) ** -0.5, lambda s: 1.0 / np.asarray(s)]
     ms = [lambda s: np.ones_like(np.asarray(s, float))]
     got = dyadic_passes(gs, ms, [0, 0, 1, 1, 0], [0] * 5, [1.0, 0.5, 1.0, 0.5, 0.5],
-                        [False] * 5, [-1, 0, -1, 2, 3])
+                        [False] * 5, [-1, 0, -1, 2, 3], True)
     assert got["ran"].tolist() == [True, True, True, False, False]
     assert quadrature._results(got)[1] == integrate_to_zero(gs[0], 0.5)
 
@@ -460,6 +467,140 @@ def test_jobs_sum_point_mass_atoms_exactly():
     assert led[0]["diverged"].all() and not led[1]["ran"].any()
 
 
+def _rounds(monkeypatch) -> list:
+    """Per engine round, the step of each pass it fetches (-1 inward, 1 outward)."""
+    rounds, fetch = [], quadrature._Panels.fetch
+    monkeypatch.setattr(quadrature._Panels, "fetch", lambda self, t, *args: (
+        rounds.append(self.step[t].tolist()), fetch(self, t, *args))[1])
+    return rounds
+
+
+def test_a_sup_whose_first_ball_diverges_ends_in_two_rounds(monkeypatch):
+    # the sphere at p = 2.5: G^p ~ s^-2.5 against the chord density ~ s seen
+    # from a first center on the sphere; its window grows, then reads every
+    # level to the depth cap at once, and no later center starts
+    sphere = SphereSurface(np.zeros(3), 1.0, 4.0 * math.pi)
+    centers = sphere.support_points(3, np.random.default_rng(5)) + [np.array([0.3, 0.5, 0.0])]
+    rounds = _rounds(monkeypatch)
+    grid = 2.0 ** -np.arange(2, 8)
+    got = kato_functional(sphere, GreenKernelSpec(nu=3.0, beta=2.0), 2.5, grid, centers=centers)
+    assert all(est.diverged and est.reason == "depth_cap" for est in got)
+    assert rounds == [[-1] * len(grid)] * 2
+
+
+def test_the_outward_pass_starts_in_its_balls_first_round(monkeypatch):
+    rounds = _rounds(monkeypatch)
+    got = integrate_global(lebesgue(3), np.zeros(3), lambda s: np.exp(-np.asarray(s, float) ** 2))
+    assert got.value == pytest.approx(math.pi ** 1.5, rel=1e-12)
+    assert sorted(rounds[0]) == [-1, 1]
+
+
+def test_reading_ahead_changes_the_rounds_not_the_records(monkeypatch):
+    # a window that grows, then settles at 33 levels, and one that grows to
+    # the depth cap: read ahead, both reach the cap in the second round
+    gs = [lambda s: np.asarray(s, float) ** -3 * np.exp(-1e-6 / np.asarray(s, float)),
+          lambda s: np.asarray(s, float) ** -2.5]
+    ms = [lambda s: np.asarray(s, float)]
+    levels, fetch = [], quadrature._Panels.fetch
+    monkeypatch.setattr(quadrature._Panels, "fetch", lambda self, t, first, got: (
+        levels[-1].append(got.tolist()), fetch(self, t, first, got))[1])
+    got = []
+    for ahead in (False, True):
+        levels.append([])
+        got.append(dyadic_passes(gs, ms, [0, 1], [0, 0], [1.0, 1.0], [False, False], [-1, -1],
+                                 ahead).tolist())
+    assert got[0] == got[1]
+    cap = MIN_LEVELS + MAX_EXTRA_LEVELS
+    assert [rec[3:5] for rec in got[0]] == [(GEOMETRIC, 33), (DEPTH_CAP, cap)]
+    assert levels[0] == [[16, 16], [24, 24], [33, 32], [40], [48]]
+    assert levels[1] == [[16, 16], [48, 48], [48]]
+
+
+def test_the_zero_records_are_the_engines_on_zero_panels():
+    zero = lambda s: np.zeros_like(np.asarray(s, float))
+    got = dyadic_passes([lambda s: 1.0 / np.asarray(s)], [zero], [0, 0], [0, 0], [0.5, 1.0],
+                        [False, True], [-1, -1], True)
+    assert got.tolist() == [ZERO_INWARD, ZERO_OUTWARD]
+
+
+def _nan_outside(s):
+    """sqrt(1 - s^2): NaN beyond the unit support."""
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(1.0 - np.asarray(s, float) ** 2)
+
+
+def _traced_density(mu, monkeypatch) -> list:
+    """The distances each radial mass density of mu is called at, per call."""
+    seen, dens = [], mu.radial_mass_density
+
+    def traced(x):
+        m = dens(x)
+        return None if m is None else lambda s: (seen.append(np.asarray(s)), m(s))[1]
+
+    monkeypatch.setattr(mu, "radial_mass_density", traced)
+    return seen
+
+
+def test_a_sphere_seen_from_afar_reads_no_density_inside_its_gap(monkeypatch):
+    # seen from distance 3 the unit sphere has mass at distances [2, 4] only:
+    # the balls of radius <= 2 are not run and read the all-zero record
+    sphere = SphereSurface(np.zeros(3), 1.0, 2.0)
+    x = np.array([0.0, 3.0, 0.0])
+    assert sphere.radial_support(x) == (2.0, 4.0)
+    seen = _traced_density(sphere, monkeypatch)
+    g = lambda s: np.asarray(s, dtype=float) ** -1.5
+    got = integrate_jobs(sphere, [x], [(g, [2.0, 1.0, 0.5], False)])[0][0]
+    assert seen == []
+    assert got.tolist() == [ZERO_INWARD] * 3
+    assert [est.levels for est in integrate_over_ball(sphere, x, [2.0, 1.0], g)] == [MIN_LEVELS] * 2
+
+
+@pytest.mark.parametrize("mu,x", [
+    (SphereSurface(np.zeros(3), 1.0, 2.0), [0.0, 3.0, 0.0]),
+    (SphereSurface(np.zeros(3), 0.25, 1.0), [0.5, 0.0, 0.0]),
+    (RadialDensity(power_profile(-1.0), dim=3, support_radius=1.0), [0.0, 0.0, 0.0]),
+    (RadialDensity(power_profile(-1.0), dim=3, origin=[0.1, 0, 0], support_radius=0.3),
+     [1.9, 0.0, 0.0]),
+    (RadialDensity(_nan_outside, dim=2, support_radius=1.0), [0.0, 2.5]),
+    (Density(lambda y: 1.0 + y[0], dim=2, support_radius=0.5), [0.0, 1.75]),
+], ids=["sphere-far", "sphere-inside-split", "radial-origin", "radial-far", "radial-nan-outside",
+        "density-far"])
+def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch):
+    # every ball of a grid and the whole space, with the passes outside the
+    # support skipped and with every pass run: the same records, bit for bit,
+    # from fewer density rows
+    x, grid = np.asarray(x, float), [2.0, 1.5, 1.0, 0.75, 0.5, 0.125]
+    lo, hi = mu.radial_support(x)
+    assert lo >= grid[-1] or hi <= R_SPLIT
+    g = lambda s: np.exp(-np.asarray(s, float)) / np.asarray(s, float)
+    jobs = [(g, grid, False), (g, None, False)]
+    seen = _traced_density(mu, monkeypatch)
+    got = integrate_jobs(mu, [x], jobs)
+    rows, seen[:] = sum(map(len, seen)), []
+    monkeypatch.setattr(mu, "radial_support", lambda x: (0.0, INF))
+    want = integrate_jobs(mu, [x], jobs)
+    assert repr([rec.tolist() for rec in got]) == repr([rec.tolist() for rec in want])
+    assert rows < sum(map(len, seen))
+
+
+def test_atom_sums_call_each_kernel_once_per_job():
+    atoms = [((0.0,), 1.0), ((0.4,), 2.0), ((1.5,), 0.5), ((3.0,), 0.0)]
+    mu = PointMasses(atoms)
+    centers = [np.array([0.0]), np.array([0.3]), np.array([1.2]), np.array([2.5])]
+    calls = []
+
+    def g(s):
+        calls.append(len(s))
+        return np.exp(-np.asarray(s, float))
+
+    jobs = [(g, [1.0, 0.5], True), (g, None, False), (g, [0.25], False)]
+    got = integrate_jobs(mu, centers, jobs)
+    assert len(calls) == len(jobs)
+    for c, x in enumerate(centers):
+        one = integrate_jobs(mu, [x], [(g, rs, False) for g, rs, _ in jobs])
+        assert [rec[c].tolist() for rec in got] == [rec[0].tolist() for rec in one]
+
+
 @pytest.mark.parametrize("r,calls", [(0.5, 269_568), (0.25, 209_920),
                                      (0.125, 193_536)])
 def test_density_offcenter_calls_f_as_often_as_one_pass_per_center(r, calls):
@@ -477,6 +618,40 @@ def test_density_offcenter_calls_f_as_often_as_one_pass_per_center(r, calls):
     kato_functional(Density(bump, dim=3), GreenKernelSpec(nu=3.0, beta=2.0), 1.5,
                     r, centers=centers)
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("model,p,calls", [
+    (GaussianKernelModel(3), 1.5, 529_472),  # every pass converges
+    (GaussianKernelModel(3), 3.0, 208_256),  # balls diverge: no outward pass runs
+    (StableEstimateModel(3, 1.0), 1.0, 561_856),  # windows grow, then settle
+], ids=["gauss-converges", "gauss-diverges", "stable-grows"])
+def test_a_density_classify_evaluates_no_speculative_panel(model, p, calls):
+    # every criterion of a classify of the off-center bump: a Density's
+    # passes wait until they are needed and a growing window reads
+    # GROWING_CHUNK levels a round, so f is called as often as when each
+    # pass waited for every pass that could make it unneeded
+    x0, count = np.array([0.8, 0.0, 0.0]), [0]
+
+    def bump(y):
+        count[0] += 1
+        d = np.asarray(y, dtype=float) - x0
+        return math.exp(-float(d @ d))
+
+    cfg = ClassifyConfig(centers=CenterStrategy(n_support=2, n_random=1))
+    classify_measure(Density(bump, dim=3), model, p, cfg)
+    assert count[0] == calls
+
+
+@pytest.mark.parametrize("mu", [
+    Density(lambda y: 1.0, dim=2, support_radius=0.0),
+    RadialDensity(power_profile(-1.0), dim=2, origin=[0.5, 0.0], support_radius=0.0),
+], ids=["density", "radial-density"])
+def test_a_support_of_radius_zero_integrates_to_zero(mu):
+    g = lambda s: np.exp(-np.asarray(s, float))
+    x = np.array([0.0, 0.3])
+    assert mu.radial_support(x) == (0.0, INF)
+    got = [integrate_global(mu, x, g), *integrate_over_ball(mu, x, [1.0, 0.25], g)]
+    assert [(est.value, est.diverged) for est in got] == [(0.0, False)] * 3
 
 
 def test_gauss_panel_takes_edge_arrays():
