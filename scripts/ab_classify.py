@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time sweep-warm's classify calls under two checkouts in one process.
 
-    python scripts/ab_classify.py PARENT_CHECKOUT
+    python scripts/ab_classify.py PARENT_CHECKOUT [--fresh]
 
 Loads the `katolab` of PARENT_CHECKOUT/src as the module `katolab_parent`
 and the one of this checkout's src/ as `katolab_this`, and builds for each
@@ -14,6 +14,10 @@ ROUNDS rounds; in each, op by op, both versions make the same call, in an
 order that alternates from op to op and from round to round.  It prints,
 per op and per pass (the nine ops), the median CPU time of each version
 and the median and quartiles of the per-round ratios this / parent.
+With --fresh, each round first builds both versions' model and measures
+anew, outside the timing: a round then times one sweep on a fresh model,
+where without it every round after the first reuses one warm model, as
+the workload does.
 Interleaving puts both versions in the same moment of a
 host whose speed swings, which separate benchmark runs do not.  It also
 checks that both versions return the same verdicts and sweeps.  The nine
@@ -82,9 +86,12 @@ def cpu(call) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the checkout to compare against")
+    parser.add_argument("--fresh", action="store_true",
+                        help="a new model and new measures for every round")
     args = parser.parse_args()
-    sides = [ops(load(args.parent.resolve() / "src", "katolab_parent")),
-             ops(load(ROOT / "src", "katolab_this"))]
+    versions = [load(args.parent.resolve() / "src", "katolab_parent"),
+                load(ROOT / "src", "katolab_this")]
+    sides = [ops(kl) for kl in versions]
     names = [name for name, _ in sides[0]]
     for k, name in enumerate(names):  # the untimed round, and the outputs
         parent, this = (call() for call in (sides[0][k][1], sides[1][k][1]))
@@ -93,6 +100,8 @@ def main() -> None:
             print(f"{name}: the outputs differ")
     times = np.zeros((ROUNDS, len(names), 2))
     for i in range(ROUNDS):
+        if args.fresh:
+            sides = [ops(kl) for kl in versions]
         for k in range(len(names)):
             order = (0, 1) if (i + k) % 2 == 0 else (1, 0)
             for side in order:

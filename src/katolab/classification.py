@@ -150,9 +150,10 @@ def _verdicts(fit: LimitFit) -> tuple[str, str]:
 
 
 def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
-    """Fitted ball-mass growth exponent at small radii (Ahlfors exponent),
-    from the centers with at least 4 finite positive masses on the grid."""
-    if hasattr(mu, "eta"):
+    """Ball-mass growth exponent at small radii (Ahlfors exponent): the one
+    mu states (mu.eta), else fitted from the centers with at least 4 finite
+    positive masses on the grid."""
+    if mu.eta is not None:
         return float(mu.eta)
     return _fit_eta(r_grid, [mu.ball_mass(x, r_grid) for x in centers])
 
@@ -242,7 +243,7 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
         findings.append("measure supports ball-mass tests only; kernel "
                         "criteria skipped")
     # estimate_eta's ball masses join the engine call where they are integrals
-    integrated = not (hasattr(mu, "eta") or mu.closed_ball_mass)
+    integrated = mu.eta is None and not mu.closed_ball_mass
     found, masses = sups(mu, centers, [job for *_, job in runs], r_eta if integrated else None)
     # (an empty t grid still records sg_global, which then fails its fit)
     rows: dict[str, list] = {key: [] for key, *_ in runs + [("sg_global",)] * kernel_ok}

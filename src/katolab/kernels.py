@@ -8,6 +8,7 @@ family with positive mass, a two-branch global estimate.
 from __future__ import annotations
 
 import math
+import threading
 from functools import cached_property
 from typing import Callable
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .quadrature import (INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges,
-                         symmetric_rule)
+                         panel_nodes, symmetric_rule)
 from .space import SpaceModel
 
 #: the 16-node rule, leggauss(16)
@@ -30,6 +31,9 @@ _R1_LO, _R1_CAP = 1e-12, 1e12
 _R1_CHUNK, _R1_EPS, _R1_TERMS = 64, 0.5, 16
 #: widest panel of `_log_panels`, in log s
 _LOG_PANEL_WIDTH = 0.5
+#: the most raw rows a model's KernelRows keeps (32 floats each: 4 MiB); a
+#: store that would grow past it is emptied first
+KERNEL_ROW_CAP = 1 << 14
 
 # ---------------------------------------------------------------------------
 # special functions
@@ -135,6 +139,68 @@ def _per_value(f: Callable, v):
     return np.array([f(x) for x in vals.tolist()])[inv].reshape(np.shape(v))
 
 
+class KernelRows:
+    """The raw rows family(param)(panel_nodes(b/2, b)) of one model's
+    parametrized kernels (its qt_radial and resolvent_radial, the families of
+    quadrature.ParamPower) that the engine has read, by (family name, param,
+    b).  Only the power of a row changes with p, so a p-sweep on one model
+    evaluates each (family, param, panel) row once.  A row is what
+    family(param) gives alone (the ParamPower contract), so a stored row
+    equals a fresh one bit for bit, as long as the model is not changed
+    after its first use.  At most KERNEL_ROW_CAP rows; a call may be made
+    from several threads."""
+
+    _NONE = np.zeros(0, complex), np.zeros(0, int)  # a family's keys and rows before any
+
+    def __init__(self):
+        # per family name, its keys param + i b in sorted order (complex
+        # numbers sort by real part, then imaginary) and each key's row of _buf
+        self._keys: dict = {}
+        self._buf = np.empty((0, 32))  # a row per panel of the engine's 32-node rule
+        self._used = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._used
+
+    def __call__(self, family: Callable, params: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row i: family(params[i]) on the panel [b[i]/2, b[i]].  The rows not
+        stored are evaluated in one family call and stored (a key the call
+        repeats, once per repeat: the engine asks for each once)."""
+        q = params.astype(complex)
+        q.imag = b
+        with self._lock:
+            keys, at = self._keys.get(family.__name__, self._NONE)
+            pos = keys.searchsorted(q)
+            hit = keys.take(pos, mode="clip") == q if len(keys) else np.zeros(len(q), bool)
+            if hit.all():
+                return self._buf[at[pos]]
+            new = q[~hit]
+            rows = np.asarray(family(new.real[:, None])(panel_nodes(0.5 * new.imag, new.imag)),
+                              dtype=float)
+            out = np.empty((len(q), rows.shape[1]))
+            out[hit], out[~hit] = self._buf[at[pos[hit]]], rows
+            self._keep(family.__name__, new, rows)
+            return out
+
+    def _keep(self, name: str, new: np.ndarray, rows: np.ndarray) -> None:
+        if self._used + len(new) > KERNEL_ROW_CAP:
+            self._keys, self._used = {}, 0
+        end = self._used + len(new)
+        if end > KERNEL_ROW_CAP:  # more than a store holds: served, not kept
+            return
+        if end > len(self._buf):
+            grown = np.empty((min(max(end, 2 * len(self._buf)), KERNEL_ROW_CAP), rows.shape[1]))
+            grown[:self._used] = self._buf[:self._used]
+            self._buf = grown
+        self._buf[self._used:end] = rows
+        keys, at = self._keys.get(name, self._NONE)
+        keys = np.concatenate([keys, new])
+        order = keys.argsort(kind="stable")
+        self._keys[name] = keys[order], np.append(at, np.arange(self._used, end))[order]
+        self._used = end
+
+
 # ---------------------------------------------------------------------------
 # kernel models
 
@@ -142,7 +208,9 @@ def _per_value(f: Callable, v):
 class ScalingKernelModel:
     """Kernel of exact scaling form p_t(r) = t^{-nu/beta} profile(r/t^{1/beta})
     over a SpaceModel, with profile sandwich Phi1 <= t^{nu/beta} p_t <= Phi2
-    valid for t < t0; Phi1 and Phi2 default to the profile."""
+    valid for t < t0; Phi1 and Phi2 default to the profile.  Its kernel rows
+    are kept for the engine (kernel_rows), so a model must not be changed
+    after its first use."""
 
     family = "custom"
     estimate_only = False
@@ -155,6 +223,7 @@ class ScalingKernelModel:
         self.space = space
         self.profile = profile
         self.t0 = t0
+        self.kernel_rows = KernelRows()
         self.phi1 = phi_lower if phi_lower is not None else profile
         self.phi2 = phi_upper if phi_upper is not None else profile
         self._check_profile_order()

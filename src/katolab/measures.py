@@ -99,6 +99,9 @@ class MeasureRep:
     """
 
     dim: int
+    #: the Ahlfors exponent the representation states (mu(B_r(x)) ~ r^eta as
+    #: r -> 0, at its worst x); None where estimate_eta fits it
+    eta = None
     supports_kernel_criteria = True
     closed_ball_mass = False  # ball_mass is a closed form, not an integral
     costly_density = False  # a density row calls f per node: read no panel ahead
@@ -198,6 +201,7 @@ class Lebesgue(Density):
 
     def __init__(self, dim: int):
         super().__init__(lambda y: 1.0, dim)
+        self.eta = dim
 
     def radial_mass_density(self, x) -> Callable:
         d, area = self.dim, sphere_surface_area(self.dim)
@@ -269,6 +273,7 @@ class PointMasses(MeasureRep):
         dim = None if dim is None else int(dim)  # a config's dim is a string
         self.points = np.stack(pts) if pts else np.zeros((0, dim or 1))
         self.weights = np.asarray(ws)
+        self.eta = 0.0 if any(w > 0 for w in ws) else None  # the zero measure has none
         self.dim = dim if dim is not None else (self.points.shape[1] or 1)
         if pts and self.points.shape[1] != self.dim:
             raise ValidationError("atom coordinates do not match dim")
@@ -301,6 +306,7 @@ class SphereSurface(MeasureRep):
         self.R = float(radius)
         self.mass = float(total_mass)
         self.dim = 3
+        self.eta = 2.0 if self.mass > 0 else None
 
     def _rho(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - self.center))

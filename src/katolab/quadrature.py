@@ -107,11 +107,15 @@ def call_key(f) -> object:
     return (f.family, f.p) if isinstance(f, ParamPower) else id(f)
 
 
-def call_rows(f, params: np.ndarray, nodes: np.ndarray) -> tuple:
-    """(values, stated relative error) on the rows of nodes from one call, for
-    integrands of f's call_key: row i of a ParamPower's at params[i]."""
+def call_rows(f, params: np.ndarray, nodes: np.ndarray, b: np.ndarray) -> tuple:
+    """(values, stated relative error) on the rows of nodes, panel i's nodes
+    on [b[i]/2, b[i]], from one call, for integrands of f's call_key: row i of
+    a ParamPower's at params[i], its raw row read from the store of the model
+    whose method family is (kernels.KernelRows) where it has one."""
     if isinstance(f, ParamPower):
-        return np.asarray(f.family(params[:, None])(nodes)) ** f.p, 0.0
+        rows = getattr(getattr(f.family, "__self__", None), "kernel_rows", None)
+        raw = rows(f.family, params, b) if rows is not None else f.family(params[:, None])(nodes)
+        return np.asarray(raw) ** f.p, 0.0
     return split_error(f(nodes))
 
 
@@ -333,12 +337,18 @@ class _Panels:
     of its mantissa m, shared by the passes of one (kernel, center).  A value
     is gauss_panel's half * sum(w * g * m), from g evaluated once per panel
     for all centers and m once per panel for all kernels (m may state
-    (values, relative error), one error per row): a round evaluates the rows
+    (values, relative error), one error per row), where a node at which m is
+    exactly 0 adds 0 even if g overflowed there: a round evaluates the rows
     its new values miss, one call per density, per plain kernel and per
-    ParamPower (family, p), before its blocks gather them."""
+    ParamPower (family, p), before its blocks gather them.  Equal kernels
+    share their rows, and a ParamPower reads its raw rows through its
+    model's store (call_rows), so only rows no earlier call read are
+    evaluated."""
 
     def __init__(self, gs, ms, kernel, center, r, outward):
         self.g_calls, self.m_calls, (mant, top) = _calls(gs), _calls(ms), np.frexp(r)
+        self.g_row = _first_equal(gs)  # equal kernels (a ParamPower by value) share rows
+        self.g_finite = True  # every g row evaluated so far is finite
         self.ladders = np.array(sorted(set(mant.tolist())))
         lad, nl = np.searchsorted(self.ladders, mant), len(self.ladders)
         # the exponents n within reach: [lo, lo + width)
@@ -369,13 +379,18 @@ class _Panels:
         o, col = np.divmod(key, self.width)
         pid = self.o_lad[o] * self.width + col
         b = np.ldexp(self.ladders[self.o_lad[o]], col + self.lo)
-        g = _fill(self.g, self.g_calls, self.o_k[o], self.o_k[o] * self.npid + pid, b)
+        k, (_, rows, used) = self.g_row[self.o_k[o]], self.g
+        before = used[0]
+        g = _fill(self.g, self.g_calls, k, k * self.npid + pid, b)
+        self.g_finite = self.g_finite and np.isfinite(rows[before:used[0], :-1]).all()
         m = _fill(self.m, self.m_calls, self.o_c[o], self.o_c[o] * self.npid + pid, b)
         for i in range(0, len(key), PANEL_BLOCK):
             at = slice(i, i + PANEL_BLOCK)
             gr, mr = self.g[1].take(g[at], 0), self.m[1].take(m[at], 0)
-            _add(self.value, key[at], *gauss_panel((gr[:, :-1] * mr[:, :-1], mr[:, -1]),
-                                                   0.5 * b[at], b[at]))
+            y = gr[:, :-1] * mr[:, :-1]
+            if not self.g_finite:  # a node where m is exactly 0 adds 0, not inf * 0
+                y[mr[:, :-1] == 0.0] = 0.0
+            _add(self.value, key[at], *gauss_panel((y, mr[:, -1]), 0.5 * b[at], b[at]))
 
     def read(self, t: np.ndarray, s: np.ndarray) -> tuple:
         """(values, stated errors, running sums of the values) of the first
@@ -423,6 +438,14 @@ def _calls(fns: list) -> tuple:
             list(first.values()))
 
 
+def _first_equal(fns: list) -> np.ndarray:
+    """Per function, the index of the first equal one: a ParamPower's equal by
+    value, another function only to itself."""
+    first: dict = {}
+    return np.array([first.setdefault(f if isinstance(f, ParamPower) else id(f), i)
+                     for i, f in enumerate(fns)], int)
+
+
 def _fill(store: tuple, calls: tuple, owner, key, b) -> np.ndarray:
     """The store rows of key, owner[k]'s function (see _calls) on the panel
     [b[k]/2, b[k]] with its stated error last, each key not yet stored
@@ -433,10 +456,11 @@ def _fill(store: tuple, calls: tuple, owner, key, b) -> np.ndarray:
     if len(new):
         call, param, fns = calls
         new = new[call[owner[new]].argsort(kind="stable")]
-        which, nodes, n = call[owner[new]], panel_nodes(0.5 * b[new], b[new]), used[0]
+        which, edge, n = call[owner[new]], b[new], used[0]
+        nodes = panel_nodes(0.5 * edge, edge)
         cut = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
         for lo, hi in zip([0] + cut, cut + [len(new)]):
-            y, err = call_rows(fns[which[lo]], param[owner[new[lo:hi]]], nodes[lo:hi])
+            y, err = call_rows(fns[which[lo]], param[owner[new[lo:hi]]], nodes[lo:hi], edge[lo:hi])
             buf[n + lo:n + hi, :-1], buf[n + lo:n + hi, -1] = y, err
         slot[key[new]] = np.arange(n, n + len(new)) + 1
         used[0] += len(new)

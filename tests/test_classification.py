@@ -130,16 +130,31 @@ def test_estimate_eta_skips_non_finite_ball_masses():
 
 
 def test_estimate_eta_calls_ball_mass_once_per_center(monkeypatch):
-    # each center's whole radius grid in one call; the same eta bit for bit
-    mu = SphereSurface(np.zeros(3), 1.0, 4.0 * math.pi)
+    # each center's whole radius grid in one call; the same eta bit for bit.
+    # The density |y|^-1 of R^3 states no eta: its ball masses 2 pi r^2 about
+    # the origin give the fitted 2
+    mu = RadialDensity(power_profile(-1.0), dim=3)
+    assert mu.eta is None
     centers = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), np.zeros(3)]
     grid = 2.0 ** -np.arange(7, 12)
     want = estimate_eta(mu, centers, grid)
-    calls, ball_mass = [], SphereSurface.ball_mass
-    monkeypatch.setattr(SphereSurface, "ball_mass",
+    calls, ball_mass = [], RadialDensity.ball_mass
+    monkeypatch.setattr(RadialDensity, "ball_mass",
                         lambda self, x, r: calls.append(np.shape(r)) or ball_mass(self, x, r))
     assert estimate_eta(mu, centers, grid) == want == pytest.approx(2.0, abs=1e-9)
     assert calls == [grid.shape] * len(centers)
+
+
+@pytest.mark.parametrize("mu, eta", [
+    (lebesgue(3), 3.0),
+    (SphereSurface(np.zeros(3), 1.0, 4.0 * math.pi), 2.0),
+    (PointMasses([(np.zeros(2), 1.0), (np.ones(2), 0.5)]), 0.0),
+])
+def test_estimate_eta_reads_a_stated_eta_without_ball_masses(mu, eta, monkeypatch):
+    # Lebesgue, the sphere and atoms state their exponent: nothing is fitted
+    monkeypatch.setattr(type(mu), "ball_mass", lambda *a: pytest.fail("ball_mass called"))
+    assert estimate_eta(mu, [np.zeros(mu.dim), np.full(mu.dim, 0.3)], 2.0 ** -np.arange(7, 12)) == eta
+    assert PointMasses([], dim=2).eta is None and SphereSurface(np.zeros(3), 1.0, 0.0).eta is None
 
 
 @pytest.mark.parametrize("form", ["radial", "density"])

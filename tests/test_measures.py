@@ -17,7 +17,7 @@ from katolab.measures import (
     lebesgue,
     make_measure,
 )
-from katolab.profiles import RadialProfile, power_profile
+from katolab.profiles import GreenKernelSpec, RadialProfile, green_power_profile, power_profile
 from katolab.quadrature import INF
 from katolab.space import sphere_surface_area, unit_ball_volume
 
@@ -175,6 +175,17 @@ def test_ball_integral_divergence_certified():
     assert est.diverged
     assert float(est) == INF
     assert est.error == 0.0
+
+
+def test_a_kernel_that_overflows_where_the_density_is_zero_adds_zero():
+    # seen from (0, 1.5, 0) the unit sphere lies at distances [0.5, 2.5]; in
+    # the ball r = 1, G^200 = s^-200 overflows on inner panels where the radial
+    # density is exactly 0, and there each node adds 0, not inf * 0 = nan
+    mu = SphereSurface(np.zeros(3), 1.0, 1.0)
+    est = integrate_over_ball(mu, (0.0, 1.5, 0.0), 1.0,
+                              green_power_profile(GreenKernelSpec(3, 2), 200))
+    assert not est.diverged and est.reason != "nonfinite"
+    assert 0.0 < est.value < INF
 
 
 def test_atom_at_center_sentinel():

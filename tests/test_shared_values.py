@@ -106,7 +106,8 @@ def test_classify_serves_each_radial_density_once_per_panel(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# safety: nothing stored on the inputs, nothing kept between calls
+# safety: nothing stored on the inputs, nothing kept between calls but a
+# model's kernel rows (tests/test_kernel_rows.py)
 
 
 def _small_config():
