@@ -1,8 +1,9 @@
 """Numerical classification of positive measures into L^p Kato and Dynkin
 classes for symmetric Markov processes with two-sided heat kernel estimates.
 
-The names of `montecarlo` and `rearrangement`, which classify never runs,
-are resolved on first access: `import katolab` loads neither module."""
+The names of `kernelcheck`, `montecarlo` and `rearrangement`, which
+classify never runs, are resolved on first access: `import katolab` loads
+none of these modules."""
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
@@ -11,14 +12,13 @@ from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
                              fit_order_delta, lq_sufficient, lq_unif_norm,
                              threshold_p_star)
 from .config import RunConfig, parse_config_text
-from .errors import (ConfigError, DiagnosticsError, DomainError,
-                     InsufficientDataError, KatolabError, ValidationError)
+from .errors import (ConfigError, DomainError, InsufficientDataError,
+                     KatolabError, ValidationError)
 from .functionals import (CenterStrategy, kato_functional,
                           resolvent_functional, semigroup_functional,
                           sup_over_centers)
 from .kernels import (GaussianKernelModel, ScalingKernelModel,
                       StableEstimateModel, StretchedExponentialModel,
-                      eval_heat_kernel, kernel_invariant_suite,
                       make_kernel_model, relativistic_psi,
                       stable_jump_constant, synthetic_scaling_model)
 from .measures import (AhlforsAbstract, Density, FunctionalEstimate, Lebesgue,
@@ -33,7 +33,8 @@ from .space import SpaceModel, sphere_surface_area, unit_ball_volume
 __version__ = "0.1.0"
 
 #: module -> the public names it gives on first access
-_LAZY = {"montecarlo": ("PathConfig", "expected_additive_functional",
+_LAZY = {"kernelcheck": ("eval_heat_kernel", "kernel_invariant_suite"),
+         "montecarlo": ("PathConfig", "expected_additive_functional",
                         "quadrature_additive_functional", "simulate_paths"),
          "rearrangement": ("DistributionFunction", "g_criterion",
                            "layer_cake_criterion", "radial_criterion",

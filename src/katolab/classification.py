@@ -29,6 +29,7 @@ from .measures import (
     FunctionalEstimate,
     MeasureRep,
     RadialDensity,
+    integrate_jobs,
 )
 from .profiles import GreenKernelSpec, RadialProfile
 from .quadrature import INF
@@ -152,10 +153,12 @@ def _verdicts(fit: LimitFit) -> tuple[str, str]:
 def estimate_eta(mu: MeasureRep, centers: list, r_grid) -> float | None:
     """Ball-mass growth exponent at small radii (Ahlfors exponent): the one
     mu states (mu.eta), else fitted from the centers with at least 4 finite
-    positive masses on the grid."""
+    positive masses on the grid, all from one engine run (a diverged ball
+    mass reads inf)."""
     if mu.eta is not None:
         return float(mu.eta)
-    return _fit_eta(r_grid, [mu.ball_mass(x, r_grid) for x in centers])
+    masses = integrate_jobs(mu, centers, [(np.ones_like, [float(r) for r in r_grid], False)])[0]
+    return _fit_eta(r_grid, masses["value"].tolist())
 
 
 def _radii(cfg: ClassifyConfig, spec: GreenKernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +245,8 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
     else:
         findings.append("measure supports ball-mass tests only; kernel "
                         "criteria skipped")
-    # estimate_eta's ball masses join the engine call where they are integrals
-    integrated = mu.eta is None and not mu.closed_ball_mass
-    found, masses = sups(mu, centers, [job for *_, job in runs], r_eta if integrated else None)
+    # where mu states no eta, estimate_eta's ball masses join the engine call
+    found, masses = sups(mu, centers, [job for *_, job in runs], r_eta if mu.eta is None else None)
     # (an empty t grid still records sg_global, which then fails its fit)
     rows: dict[str, list] = {key: [] for key, *_ in runs + [("sg_global",)] * kernel_ok}
     for (key, scale, _), est in zip(runs, found):
@@ -281,7 +283,7 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
             # from the global semigroup sweep
             verdict_D = _verdicts(fits.get("sg_global", fits["green"]))[1]
 
-    eta_hat = estimate_eta(mu, centers, r_eta) if masses is None else _fit_eta(r_eta, masses)
+    eta_hat = float(mu.eta) if masses is None else _fit_eta(r_eta, masses)
     p_star = (threshold_p_star(min(eta_hat, nu), nu, beta)
               if eta_hat is not None and eta_hat > 1e-6 else INF)
 

@@ -18,7 +18,6 @@ import numpy as np
 from .classification import classify_measure, fit_order_delta, fitted_eta
 from .config import RunConfig, parse_config_text
 from .errors import KatolabError
-from .kernels import kernel_invariant_suite
 from .profiles import RadialProfile
 
 
@@ -90,6 +89,8 @@ def cmd_sweep_p(run: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_kernel_check(run: RunConfig, out_dir: Path) -> int:
+    # classify never runs kernel-check: it loads here, not with the CLI
+    from .kernelcheck import kernel_invariant_suite
     rows = kernel_invariant_suite(run.model, seed=run.classify.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "kernel_check.csv", "w", newline="") as fh:

@@ -28,7 +28,3 @@ class ConfigError(KatolabError, ValueError):
 
 class InsufficientDataError(KatolabError, ValueError):
     """Too few finite samples to fit a limit verdict."""
-
-
-class DiagnosticsError(KatolabError):
-    """Observed behaviour contradicts a caller-supplied hint."""

@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DiagnosticsError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .profiles import RadialProfile
 from .quadrature import (INF, NO_PASS, PASS, ZERO_INWARD, ZERO_OUTWARD, FunctionalEstimate,
-                         dyadic_passes, estimate, split_error)
+                         dyadic_passes, estimate)
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -103,7 +103,6 @@ class MeasureRep:
     #: r -> 0, at its worst x); None where estimate_eta fits it
     eta = None
     supports_kernel_criteria = True
-    closed_ball_mass = False  # ball_mass is a closed form, not an integral
     costly_density = False  # a density row calls f per node: read no panel ahead
 
     def radial_mass_density(self, x) -> Callable | None:
@@ -196,7 +195,6 @@ class Lebesgue(Density):
     """Lebesgue measure on R^dim: the density 1, with its radial mass density
     and ball mass in closed form; translation invariant, so one center."""
 
-    closed_ball_mass = True
     costly_density = False
 
     def __init__(self, dim: int):
@@ -294,7 +292,6 @@ class SphereSurface(MeasureRep):
     mass density (mass / 4 pi R^2) * 2 pi R s / rho on |rho - R| <= s <= rho + R.
     """
 
-    closed_ball_mass = True
 
     def __init__(self, center, radius: float, total_mass: float):
         self.center = np.asarray(center, dtype=float)
@@ -376,7 +373,6 @@ class AhlforsAbstract(MeasureRep):
     """
 
     supports_kernel_criteria = False
-    closed_ball_mass = True
 
     def __init__(self, eta: float, c_lower: float, c_upper: float, r0: float,
                  dim: int = 1):
@@ -436,22 +432,6 @@ def _atom_sums(g_radial: Callable, atoms: list, radii: list, whole: bool) -> tup
         if whole:
             beyond[c] = 0.0 + float(np.dot(ws[ds > R_SPLIT], gs[ds > R_SPLIT]))
     return ball, beyond
-
-
-def check_hints(g: Callable, radii: list) -> None:
-    """Compare the observed blow-up of a caller's RadialProfile g over each
-    radius's cutoff grid with its singularity hint (another g states none);
-    off by two orders of magnitude is an error, raised at the first such
-    radius."""
-    if not isinstance(g, RadialProfile):
-        return
-    s = np.outer([2.0**-10, 2.0**-14], radii).ravel()  # (s_hi, s_lo) per radius
-    expected = 16.0 ** g.singularity  # (s_hi / s_lo) ** hint
-    for g_hi, g_lo in zip(*np.asarray(split_error(g(s))[0], dtype=float).reshape(2, -1)):
-        if g_hi > 0 and math.isfinite(g_lo) and g_lo / g_hi > 100.0 * max(expected, 1.0):
-            raise DiagnosticsError(
-                f"observed singular growth {g_lo / g_hi:.3g} exceeds hint "
-                f"s^-{g.singularity} (expected <= {expected:.3g}) by more than 2 orders")
 
 
 def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
@@ -543,13 +523,8 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
 def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable):
     """int_{B_r(x)} g(d(x,y)) mu(dy) over the closed ball (integrate_jobs);
     r is one radius, or a grid of radii that share one panel store: then one
-    estimate per radius.
-
-    g_radial is vectorized in the distance s; a RadialProfile's singularity
-    is cross-checked against the observed growth (check_hints).
-    """
+    estimate per radius; g_radial is vectorized in the distance s."""
     radii = [float(rk) for rk in np.atleast_1d(r)]
-    check_hints(g_radial, radii)
     out = [estimate(rec, 0, None)
            for rec in integrate_jobs(mu, [x], [(g_radial, radii, False)])[0][0].tolist()]
     return out if np.ndim(r) else out[0]
@@ -558,7 +533,6 @@ def integrate_over_ball(mu: MeasureRep, x, r, g_radial: Callable):
 def integrate_global(mu: MeasureRep, x, g_radial: Callable) -> FunctionalEstimate:
     """Whole-space integral of g(d(x,y)) against mu (integrate_jobs): the
     closed ball B(x, R_SPLIT), then outward."""
-    check_hints(g_radial, [R_SPLIT])
     return estimate(integrate_jobs(mu, [x], [(g_radial, None, False)])[0][0, 0].tolist(), 0, None)
 
 

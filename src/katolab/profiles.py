@@ -17,7 +17,7 @@ class RadialProfile:
     """A nonnegative function of radius with known behavior at 0 and inf.
 
     singularity: growth exponent a with f(s) ~ s^{-a} as s -> 0 (0 if bounded);
-    the hint that measures.check_hints holds the observed blow-up to.
+    a description only: no quadrature reads or checks it.
     """
 
     fn: Callable
@@ -62,7 +62,7 @@ def green_value(spec: GreenKernelSpec, r: float) -> float:
 
 
 def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:
-    """Vectorized s -> G(s)^p with its singularity exponent as quadrature hint."""
+    """Vectorized s -> G(s)^p, with its singularity exponent."""
     if spec.regime == "power":
         a = p * (spec.nu - spec.beta)
 

@@ -19,7 +19,7 @@ from katolab.classification import (
 )
 from katolab.config import RunConfig
 from katolab.errors import DomainError, InsufficientDataError
-from katolab import functionals
+from katolab import classification, functionals
 from katolab.functionals import CenterStrategy, semigroup_functional
 from katolab.kernels import GaussianKernelModel, StableEstimateModel
 from katolab.measures import (
@@ -129,20 +129,32 @@ def test_estimate_eta_skips_non_finite_ball_masses():
     assert estimate_eta(mu, [origin, off], grid) == pytest.approx(3.0, abs=1e-3)
 
 
-def test_estimate_eta_calls_ball_mass_once_per_center(monkeypatch):
-    # each center's whole radius grid in one call; the same eta bit for bit.
-    # The density |y|^-1 of R^3 states no eta: its ball masses 2 pi r^2 about
-    # the origin give the fitted 2
-    mu = RadialDensity(power_profile(-1.0), dim=3)
-    assert mu.eta is None
-    centers = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), np.zeros(3)]
+def test_estimate_eta_makes_one_engine_call_for_all_centers(monkeypatch):
+    # every center's whole radius grid in one integrate_jobs call; the same
+    # eta bit for bit as the fit of each center's own ball_mass.  The density
+    # |y|^-1 of R^3 states no eta: its ball masses 2 pi r^2 about the origin
+    # give the fitted 2; a bump seen off its center gives 3 (pinned to what
+    # the per-center ball_mass fit reads); the zero measures give None
     grid = 2.0 ** -np.arange(7, 12)
-    want = estimate_eta(mu, centers, grid)
-    calls, ball_mass = [], RadialDensity.ball_mass
-    monkeypatch.setattr(RadialDensity, "ball_mass",
-                        lambda self, x, r: calls.append(np.shape(r)) or ball_mass(self, x, r))
-    assert estimate_eta(mu, centers, grid) == want == pytest.approx(2.0, abs=1e-9)
-    assert calls == [grid.shape] * len(centers)
+    cases = [
+        (RadialDensity(power_profile(-1.0), dim=3),
+         [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), np.zeros(3)],
+         pytest.approx(2.0, abs=1e-9)),
+        (Density(lambda y: 1.0 - y @ y, dim=3, support_radius=1.0),
+         [np.array([0.3, 0.2, 0.0]), np.array([0.0, 0.5, 0.0])], 2.9999843148275644),
+        (PointMasses([], dim=2), [np.zeros(2), np.ones(2)], None),
+        (SphereSurface(np.zeros(3), 1.0, 0.0), [np.zeros(3), np.array([0.0, 1.0, 0.0])], None),
+    ]
+    calls, engine = [], classification.integrate_jobs
+    monkeypatch.setattr(classification, "integrate_jobs",
+                        lambda mu, centers, jobs: calls.append(len(centers)) or engine(mu, centers, jobs))
+    for mu, centers, want in cases:
+        assert mu.eta is None
+        calls.clear()
+        eta = estimate_eta(mu, centers, grid)
+        assert calls == [len(centers)]
+        assert eta == classification._fit_eta(grid, [mu.ball_mass(x, grid) for x in centers])
+        assert eta == want
 
 
 @pytest.mark.parametrize("mu, eta", [

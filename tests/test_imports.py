@@ -41,6 +41,31 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions that `raise` statements in source raise."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_raised_names_scan_reads_calls_and_bare_names():
+    source = ("def f(x):\n    if x:\n        raise A('no')\n    try:\n        g()\n"
+              "    except B as e:\n        raise C from e\n    raise\n")
+    assert raised_names(source) == {"A", "C"}
+
+
+def test_every_katolab_error_is_raised_somewhere():
+    # an exception class that no module raises is dead code
+    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
+    assert errors - {"KatolabError"} - raised == set()
+
+
 def _loaded_modules(code: str, prefix: str) -> set[str]:
     """Modules named prefix... in sys.modules after running code in a fresh
     interpreter."""
@@ -60,9 +85,10 @@ def _loaded_scipy_modules(code: str) -> set[str]:
     return _loaded_modules(code, "scipy")
 
 
-#: modules that no classify process needs: katolab's two not on its path, and
-#: numpy.polynomial, once imported only to rebuild two fixed Gauss rules
-UNUSED_BY_CLASSIFY = {"katolab.montecarlo", "katolab.rearrangement", "numpy.polynomial"}
+#: modules that no classify process needs: katolab's three not on its path,
+#: and numpy.polynomial, once imported only to rebuild two fixed Gauss rules
+UNUSED_BY_CLASSIFY = {"katolab.kernelcheck", "katolab.montecarlo", "katolab.rearrangement",
+                      "numpy.polynomial"}
 CONFIGS = sorted(p.stem for p in (SRC.parents[1] / "configs").glob("*.cfg"))
 
 
@@ -94,9 +120,12 @@ def test_every_public_name_resolves_and_star_import_works():
         "from katolab import *\n"
         "from katolab.montecarlo import simulate_paths as sp\n"
         "assert sp is simulate_paths is values['simulate_paths']\n"
-        "assert katolab.rearrangement.DistributionFunction is DistributionFunction",
+        "assert katolab.rearrangement.DistributionFunction is DistributionFunction\n"
+        "from katolab.kernelcheck import eval_heat_kernel as ek, kernel_invariant_suite as ks\n"
+        "assert ek is eval_heat_kernel is values['eval_heat_kernel']\n"
+        "assert ks is kernel_invariant_suite is katolab.kernel_invariant_suite",
         "katolab.")
-    assert {"katolab.montecarlo", "katolab.rearrangement"} <= loaded
+    assert {"katolab.kernelcheck", "katolab.montecarlo", "katolab.rearrangement"} <= loaded
 
 
 def test_unknown_katolab_attribute_is_an_attribute_error():

@@ -9,13 +9,12 @@ from scipy import integrate, special
 from katolab import kernels, quadrature
 from katolab.classification import ClassifyConfig
 from katolab.errors import DomainError, ValidationError
+from katolab.kernelcheck import eval_heat_kernel, kernel_invariant_suite
 from katolab.kernels import (
     GaussianKernelModel,
     ScalingKernelModel,
     StableEstimateModel,
     StretchedExponentialModel,
-    eval_heat_kernel,
-    kernel_invariant_suite,
     make_kernel_model,
     relativistic_psi,
     stable_jump_constant,
