@@ -25,8 +25,8 @@ from .measures import (AhlforsAbstract, Density, FunctionalEstimate, Lebesgue,
                        MeasureRep, PointMasses, RadialDensity, SphereSurface,
                        integrate_global, integrate_over_ball, lebesgue,
                        make_measure)
-from .profiles import (GreenKernelSpec, RadialProfile, green_value, log_profile,
-                       parse_profile, power_profile)
+from .profiles import (GreenKernelSpec, RadialProfile, log_profile, parse_profile,
+                       power_profile)
 from .quadrature import integrate_outward, integrate_to_zero
 from .space import SpaceModel, sphere_surface_area, unit_ball_volume
 
@@ -35,10 +35,9 @@ __version__ = "0.1.0"
 #: module -> the public names it gives on first access
 _LAZY = {"kernelcheck": ("eval_heat_kernel", "kernel_invariant_suite"),
          "montecarlo": ("PathConfig", "expected_additive_functional",
-                        "quadrature_additive_functional", "simulate_paths"),
-         "rearrangement": ("DistributionFunction", "g_criterion",
-                           "layer_cake_criterion", "radial_criterion",
-                           "right_continuous_inverse")}
+                        "quadrature_additive_functional"),
+         "rearrangement": ("DistributionFunction", "layer_cake_criterion",
+                           "radial_criterion", "right_continuous_inverse")}
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 
 #: every public name imported above, and the lazy ones

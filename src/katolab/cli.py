@@ -126,7 +126,7 @@ def cmd_mc_check(run: RunConfig, out_dir: Path) -> int:
     rows, n_pass = [], 0
     for name, prof in _MC_POTENTIALS:
         for x0 in starts:
-            cfg = PathConfig(process="brownian", t=0.5, seed=run.classify.seed, x0=x0)
+            cfg = PathConfig(t=0.5, seed=run.classify.seed, x0=x0)
             mc, se = expected_additive_functional(
                 cfg, lambda y: prof(np.linalg.norm(np.atleast_2d(y), axis=-1)))
             quad = quadrature_additive_functional(model, cfg, prof,

@@ -483,7 +483,6 @@ class StableEstimateModel(ScalingKernelModel):
         self.alpha = alpha
         self.m = m
         self.A = A = stable_jump_constant(dim, alpha)
-        self.profile_kinks = (A ** (1.0 / (dim + alpha)),)
         space = SpaceModel(ambient_dim=dim, nu=float(dim), beta=alpha)
         t0 = INF if m == 0.0 else 1.0 / m
 

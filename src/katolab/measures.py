@@ -59,12 +59,6 @@ def sphere_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([np.repeat(u, len(w))[:, None], ring]), np.outer(wu, w).ravel()
 
 
-def _per_radius(r, mass: Callable):
-    """mass(r) for one radius r; for a grid of radii, an array of mass(r_k),
-    each r_k a Python float as a single radius would be."""
-    return np.array([mass(float(rk)) for rk in r]) if np.ndim(r) else mass(float(r))
-
-
 def _band(rho: float, radius: float) -> tuple[float, float]:
     """radial_support about a point at distance rho from the center of a
     ball of that radius, for a support tested node by node: (rho - radius,
@@ -122,10 +116,8 @@ class MeasureRep:
 
     def ball_mass(self, x, r):
         """mu of the closed ball of radius r about x: the ball integral of
-        g = 1, inf where the dyadic sweep diverges.  r is one radius, or a
-        grid of radii: then an array, one mass per radius, from one pass."""
-        est = integrate_over_ball(self, x, r, np.ones_like)
-        return np.array([float(e) for e in est]) if np.ndim(r) else float(est)
+        g = 1, inf where the dyadic sweep diverges."""
+        return float(integrate_over_ball(self, x, r, np.ones_like))
 
     def support_points(self, n: int, rng) -> list:
         """Representative centers on or near the support, for sup sweeps."""
@@ -206,7 +198,7 @@ class Lebesgue(Density):
         return lambda s: area * np.asarray(s, dtype=float) ** (d - 1)
 
     def ball_mass(self, x, r):
-        return _per_radius(r, lambda rk: unit_ball_volume(self.dim) * rk**self.dim)
+        return unit_ball_volume(self.dim) * float(r) ** self.dim
 
     def support_points(self, n: int, rng) -> list:
         return [np.zeros(self.dim)]
@@ -336,13 +328,10 @@ class SphereSurface(MeasureRep):
         rho = self._rho(x)
         lo, hi = self._shell(rho)
 
-        def mass(rk):
-            if rho == 0.0:
-                return self.mass if rk >= self.R else 0.0
-            b = min(rk, hi)
-            return 0.0 if b <= lo else self.mass / (4.0 * self.R * rho) * (b**2 - lo**2)
-
-        return _per_radius(r, mass)
+        if rho == 0.0:
+            return self.mass if r >= self.R else 0.0
+        b = min(float(r), hi)
+        return 0.0 if b <= lo else self.mass / (4.0 * self.R * rho) * (b**2 - lo**2)
 
     def mc_ball_mass(self, x, r: float, n: int = 100_000, seed: int = 0):
         """Monte Carlo check of ball_mass: uniform surface sampling.
@@ -386,7 +375,7 @@ class AhlforsAbstract(MeasureRep):
         self.dim = dim
 
     def ball_mass(self, x, r):
-        return _per_radius(r, lambda rk: self.c_mid * min(rk, self.r0) ** self.eta)
+        return self.c_mid * min(float(r), self.r0) ** self.eta
 
     def radial_mass_density(self, x) -> Callable:
         eta, c, r0 = self.eta, self.c_mid, self.r0
@@ -540,9 +529,6 @@ def make_measure(kind: str, **kw) -> MeasureRep:
     """Config-facing factory; a keyword that kind does not read is a TypeError."""
     if kind == "lebesgue":
         mu = lebesgue(int(kw.pop("dim")))
-    elif kind == "density":
-        mu = Density(kw.pop("f"), dim=int(kw.pop("dim")),
-                     support_radius=float(kw.pop("support_radius", INF)))
     elif kind == "radial_density":
         mu = RadialDensity(kw.pop("profile"), dim=int(kw.pop("dim")),
                            origin=kw.pop("origin", None),

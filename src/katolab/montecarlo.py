@@ -1,29 +1,25 @@
 """Path-simulation oracle: expected additive functionals
-E_x[int_0^t V(X_s) ds] cross-checked against kernel quadrature.
+E_x[int_0^t V(X_s) ds] of Brownian motion, cross-checked against kernel
+quadrature.
 
-Brownian increments have variance dt per coordinate, matching the kernel
-normalization exp(-|x-y|^2/2t); symmetric stable increments use the
-Chambers-Mallows-Stuck sampler with scale dt^{1/alpha}, so alpha = 2
-degenerates to a Brownian motion with variance 2t.
+Increments have variance dt per coordinate, matching the kernel
+normalization exp(-|x-y|^2/2t).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 CLIP_BOUND = 1e12
 
 
 @dataclass
 class PathConfig:
-    process: str = "brownian"  # brownian | stable
-    alpha: float = 2.0
     t: float = 1.0
     dt: float | None = None  # default t/1000
     n_paths: int = 10_000
@@ -43,64 +39,31 @@ class PathConfig:
             raise ValidationError("need 0 < dt < t")
         if self.n_paths < 100:
             raise ValidationError("need n_paths >= 100")
-        if self.process not in ("brownian", "stable"):
-            raise DomainError(f"unknown process {self.process!r}")
-        if self.process == "stable" and not 0.0 < self.alpha <= 2.0:
-            raise DomainError("stable alpha must lie in ]0, 2]")
-
-
-def _increments(cfg: PathConfig, dt: float, rng):
-    """One step of dt of increments, shape (n_paths, dim)."""
-    size = (cfg.n_paths, cfg.dim)
-    if cfg.process == "brownian":
-        return rng.normal(scale=math.sqrt(dt), size=size)
-    a = cfg.alpha
-    if a == 2.0:
-        return rng.normal(scale=math.sqrt(2.0 * dt), size=size)
-    # Chambers-Mallows-Stuck, symmetric case
-    U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    W = rng.exponential(size=size)
-    X = (np.sin(a * U) / np.cos(U) ** (1.0 / a)
-         * (np.cos(U - a * U) / W) ** ((1.0 - a) / a))
-    return dt ** (1.0 / a) * X
 
 
 def _walk(cfg: PathConfig, dt: float, rng):
-    """The path ensemble, shape (n_paths, dim), at the times k dt for
-    k = 0, ..., t/dt; a step's increments are drawn when its state is asked for."""
+    """The Brownian path ensemble, shape (n_paths, dim), at the left ends
+    k dt of the steps, k = 0, ..., t/dt - 1; a step's increments are drawn
+    when its state is asked for."""
     x = np.tile(cfg.x0, (cfg.n_paths, 1))
-    for _ in range(int(round(cfg.t / dt))):
-        yield x
-        x = x + _increments(cfg, dt, rng)
     yield x
-
-
-def simulate_paths(cfg: PathConfig) -> np.ndarray:
-    """Full path ensemble, shape (n_paths, n_steps + 1, dim)."""
-    out = np.empty((cfg.n_paths, int(round(cfg.t / cfg.dt)) + 1, cfg.dim))
-    for k, x in enumerate(_walk(cfg, cfg.dt, np.random.default_rng(cfg.seed))):
-        out[:, k] = x
-    return out
+    for _ in range(int(round(cfg.t / dt)) - 1):
+        x = x + rng.normal(scale=math.sqrt(dt), size=x.shape)
+        yield x
 
 
 def _functional_once(cfg: PathConfig, V, dt: float, rng) -> tuple:
     """Streaming left-Riemann sum of V along paths; returns per-path sums
-    and the clip count."""
+    and the clip count.  V maps the (n_paths, dim) states of a step to
+    their n_paths values."""
     acc = np.zeros(cfg.n_paths)
     clipped = 0
-    rowwise = False
-    for x in islice(_walk(cfg, dt, rng), int(round(cfg.t / dt))):
-        if not rowwise:
-            try:
-                v = np.asarray(V(x), dtype=float)
-            except Exception:
-                rowwise = True
-            else:
-                rowwise = v.shape != (cfg.n_paths,)
-        if rowwise:
-            v = np.asarray([float(V(p)) for p in x], dtype=float)
-        big = v > CLIP_BOUND
-        clipped += int(big.sum())
+    for x in _walk(cfg, dt, rng):
+        v = np.asarray(V(x), dtype=float)
+        if v.shape != acc.shape:
+            raise ValidationError(f"V maps the ({cfg.n_paths}, {cfg.dim}) states of a "
+                                  f"step to shape {v.shape}, not ({cfg.n_paths},)")
+        clipped += int((v > CLIP_BOUND).sum())
         acc += dt * np.minimum(v, CLIP_BOUND)
     return acc, clipped
 
@@ -134,13 +97,12 @@ def quadrature_additive_functional(model, cfg: PathConfig, V_radial,
                                    center=None) -> float:
     """Deterministic oracle E_x[int_0^t V(X_s) ds] = int_0^t P_s V(x) ds
     computed by Fubini against the time-integrated kernel, for V radial
-    about `center` (default: the start point)."""
+    about `center` (default: the start point); V_radial is vectorized in
+    the distance, as a RadialDensity profile is."""
     from .measures import RadialDensity, integrate_global
-    from .profiles import RadialProfile
 
     c = cfg.x0 if center is None else np.atleast_1d(np.asarray(center, float))
-    prof = V_radial if isinstance(V_radial, RadialProfile) else RadialProfile(V_radial)
-    mu = RadialDensity(prof, dim=cfg.dim, origin=c)
+    mu = RadialDensity(V_radial, dim=cfg.dim, origin=c)
     qt = model.qt_radial(cfg.t)
     est = integrate_global(mu, cfg.x0, lambda s: qt(s))
     return float(est)

@@ -2,14 +2,12 @@
 radial densities, and the Green kernel G of the (nu, beta) regime."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .space import LOG_CAP
 
 
 @dataclass(frozen=True)
@@ -47,18 +45,6 @@ class GreenKernelSpec:
     @classmethod
     def from_space(cls, space) -> "GreenKernelSpec":
         return cls(nu=space.nu, beta=space.beta)
-
-
-def green_value(spec: GreenKernelSpec, r: float) -> float:
-    if r <= 0:
-        raise DomainError("r must be positive")
-    if spec.regime == "power":
-        return r ** (spec.beta - spec.nu)
-    if spec.regime == "log":
-        if r > LOG_CAP:
-            raise DomainError("log-regime Green kernel is defined for r <= 1/e")
-        return math.log(1.0 / r)
-    return 1.0
 
 
 def green_power_profile(spec: GreenKernelSpec, p: float) -> RadialProfile:

@@ -1,10 +1,8 @@
 """Rearrangement-based sufficient conditions for potentials V(x) = f(|x|):
-centered radial integrals, layer-cake tail integrals over the distribution
-function, and the moment-weighted tail criterion."""
+centered radial integrals and layer-cake tail integrals over the
+distribution function."""
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +16,6 @@ from .space import LOG_CAP, unit_ball_volume
 DECREASING_TOL = 1e-9  # relative rise check_decreasing forgives
 INVERSE_TOL = 1e-12  # relative bracket width of right_continuous_inverse
 TINY = np.finfo(float).tiny  # the smallest normal float
-DENSITY_WINDOW = 4.0  # from_density samples the cube [-4, 4]^d
 
 
 def check_decreasing(f: Callable) -> None:
@@ -71,7 +68,7 @@ def right_continuous_inverse(f: Callable) -> Callable:
 
 @dataclass
 class DistributionFunction:
-    """Tabulated decreasing t -> m(|V| >= t)."""
+    """The decreasing distribution function t -> m(|V| >= t)."""
 
     fn: Callable
 
@@ -85,30 +82,6 @@ class DistributionFunction:
         inv = right_continuous_inverse(profile)
         vol = unit_ball_volume(d)
         return cls(lambda t: vol * np.asarray(inv(t), dtype=float) ** d)
-
-    @classmethod
-    def from_density(cls, V: Callable, d: int,
-                     n_samples: int = 100_000, seed: int = 0,
-                     t_grid=None) -> "DistributionFunction":
-        """Monte Carlo threshold counting on the cube window [-4, 4]^d,
-        with isotonic post-processing to enforce decrease."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-DENSITY_WINDOW, DENSITY_WINDOW, size=(n_samples, d))
-        vals = np.abs(np.fromiter(map(V, pts), float, n_samples))
-        vol = (2.0 * DENSITY_WINDOW) ** d
-        ts = (np.geomspace(max(vals.min(), 1e-8), vals.max() + 1e-8, 200)
-              if t_grid is None else np.asarray(t_grid, dtype=float))
-        m = np.array([vol * np.mean(vals >= t) for t in ts])
-        m = np.minimum.accumulate(m)  # isotonic: decreasing in t
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            idx = np.searchsorted(ts, t, side="left")
-            out = np.where(idx >= len(ts), 0.0,
-                           m[np.minimum(idx, len(m) - 1)])
-            return np.where(t <= ts[0], m[0], out)
-
-        return cls(fn)
 
 
 def radial_criterion(profile: Callable, d: int, alpha_exponent: float,
@@ -140,19 +113,3 @@ def layer_cake_criterion(dist: DistributionFunction, d: int,
     res = integrate_outward(lambda t: np.asarray(dist(t)) ** expo, a)
     return (INF if res.diverged else res.value), not res.diverged
 
-
-def g_criterion(G_prime: Callable, d: int, alpha_exponent: float, p: float,
-                a: float = 1.0,
-                moment: float | None = None) -> tuple[float, bool]:
-    """Tail test int_a^inf (G'(s))^{1 - d/(p(d-alpha))} ds for an increasing
-    convex weight G with finite moment int G(|V|) dm."""
-    if d <= alpha_exponent:
-        raise DomainError("criterion requires d > alpha")
-    if moment is not None and not math.isfinite(moment):
-        raise DomainError("the G-moment must be finite")
-    q = 1.0 - d / (p * (d - alpha_exponent))
-    if q >= 0.0:
-        warnings.warn("exponent 1 - d/(p(d-alpha)) >= 0: the tail criterion "
-                      "is vacuous for this (d, alpha, p)", stacklevel=2)
-    res = integrate_outward(lambda s: np.asarray(G_prime(s)) ** q, a)
-    return (INF if res.diverged else res.value), not res.diverged

@@ -195,8 +195,7 @@ def test_criterion_07_mc_vs_quadrature():
     n_pass = 0
     for name, prof in MC_POTENTIALS:
         for x0 in starts:
-            cfg = PathConfig(process="brownian", t=0.5, n_paths=10_000,
-                             seed=7, x0=x0)
+            cfg = PathConfig(t=0.5, n_paths=10_000, seed=7, x0=x0)
             mc, se = expected_additive_functional(
                 cfg, lambda y: prof(np.linalg.norm(np.atleast_2d(y), axis=-1)))
             quad = quadrature_additive_functional(model, cfg, prof,

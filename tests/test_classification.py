@@ -153,7 +153,8 @@ def test_estimate_eta_makes_one_engine_call_for_all_centers(monkeypatch):
         calls.clear()
         eta = estimate_eta(mu, centers, grid)
         assert calls == [len(centers)]
-        assert eta == classification._fit_eta(grid, [mu.ball_mass(x, grid) for x in centers])
+        assert eta == classification._fit_eta(
+            grid, [[mu.ball_mass(x, r) for r in grid] for x in centers])
         assert eta == want
 
 

@@ -276,6 +276,21 @@ def test_zero_measure_config_builds_and_classifies_in(tmp_path: Path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_density_config_is_an_unknown_measure_kind(tmp_path: Path):
+    # a config cannot give a callable f: the density kind would have kept the
+    # string and failed at the first f call with an uncaught TypeError
+    text = MINIMAL.replace("measure.kind = point_masses\nmeasure.atoms = 0:1.0",
+                           "measure.kind = density\nmeasure.f = power:-1")
+    with pytest.raises(ConfigError, match="bad measure block: unknown measure kind 'density'"):
+        RunConfig.from_dict(parse_config_text(text))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bad measure block: unknown measure kind 'density'")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("measure,p,bound", [
     # eta_hat = 2 on the unit sphere in R^3 (nu = 3, beta = 2): not nu
     ("kernel.dim = 3\nmeasure.kind = sphere_surface\nmeasure.center = 0,0,0\n"

@@ -32,7 +32,7 @@ from katolab.measures import (
     SphereSurface,
     lebesgue,
 )
-from katolab.profiles import green_value, power_profile
+from katolab.profiles import power_profile
 from katolab.quadrature import INF, NO_PASS, PASS, REASONS
 from katolab.space import SpaceModel
 
@@ -47,13 +47,21 @@ def test_green_regimes():
     assert GreenKernelSpec(nu=1.0, beta=2.0).regime == "trivial"
 
 
-def test_green_value_power_and_log():
-    spec = GreenKernelSpec(nu=3.0, beta=2.0)
-    assert green_value(spec, 0.1) == pytest.approx(10.0, rel=1e-12)
-    log_spec = GreenKernelSpec(nu=2.0, beta=2.0)
-    assert green_value(log_spec, math.exp(-3.0)) == pytest.approx(3.0)
-    with pytest.raises(DomainError):
-        green_value(log_spec, 0.5)  # log kernel only defined on ]0, 1/e]
+def test_green_power_profile_values():
+    # G = r^{beta - nu} in the power regime, log(1/r) on ]0, 1/e] in the log
+    # regime, 1 in the trivial one
+    s = np.array([0.1, math.exp(-3.0)])
+    for spec, want in [(GreenKernelSpec(3.0, 2.0), 1.0 / s),
+                       (GreenKernelSpec(2.0, 2.0), np.log(1.0 / s)),
+                       (GreenKernelSpec(1.0, 2.0), np.ones(2))]:
+        assert np.allclose(green_power_profile(spec, 1.0)(s), want, rtol=1e-12, atol=0.0)
+
+
+def test_log_regime_ball_beyond_one_over_e_is_a_domain_error():
+    # the log kernel is defined on ]0, 1/e] only
+    with pytest.raises(DomainError, match="1/e"):
+        kato_functional(lebesgue(2), GreenKernelSpec(2, 2), 1.0, 0.5,
+                        centers=[np.zeros(2)])
 
 
 def test_green_power_profile_hint():

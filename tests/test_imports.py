@@ -116,16 +116,30 @@ def test_every_public_name_resolves_and_star_import_works():
         "assert inverse is katolab.right_continuous_inverse\n"
         "values = {n: getattr(katolab, n) for n in katolab.__all__}\n"
         "assert set(katolab.__all__) <= set(dir(katolab))\n"
-        "assert {'simulate_paths', 'DistributionFunction'} <= set(values)\n"
+        "assert {'expected_additive_functional', 'DistributionFunction'} <= set(values)\n"
         "from katolab import *\n"
-        "from katolab.montecarlo import simulate_paths as sp\n"
-        "assert sp is simulate_paths is values['simulate_paths']\n"
+        "from katolab.montecarlo import expected_additive_functional as ea\n"
+        "assert ea is expected_additive_functional is values['expected_additive_functional']\n"
         "assert katolab.rearrangement.DistributionFunction is DistributionFunction\n"
         "from katolab.kernelcheck import eval_heat_kernel as ek, kernel_invariant_suite as ks\n"
         "assert ek is eval_heat_kernel is values['eval_heat_kernel']\n"
         "assert ks is kernel_invariant_suite is katolab.kernel_invariant_suite",
         "katolab.")
     assert {"katolab.kernelcheck", "katolab.montecarlo", "katolab.rearrangement"} <= loaded
+
+
+def test_every_function_perfbench_traces_exists():
+    # Tracer.install calls getattr on each (module, name) of perfbench's
+    # FUNCTIONS and on functionals.sup_over_centers: a deleted one breaks
+    # every traced benchmark run
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "spans.py").read_text())
+    listed = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["FUNCTIONS"])
+    names = [tuple(ast.literal_eval(elt))[:2] for elt in listed.elts]
+    assert ("cli", "main") in names
+    for module, name in names + [("functionals", "sup_over_centers")]:
+        assert callable(getattr(importlib.import_module(f"katolab.{module}"), name, None)), \
+            f"katolab.{module}.{name}"
 
 
 def test_unknown_katolab_attribute_is_an_attribute_error():

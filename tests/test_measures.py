@@ -114,29 +114,6 @@ def test_density_calls_f_inside_its_support_only():
                                 rel=1e-3)
 
 
-_BALL_MASS_CASES = {
-    "radial-origin": (RadialDensity(power_profile(-1.0), dim=3), np.zeros(3)),
-    "radial-support": (RadialDensity(power_profile(-1.0), dim=3, support_radius=0.01),
-                       np.array([0.005, 0.0, 0.0])),
-    "density": (Density(lambda y: math.exp(-float(y @ y)), dim=2), np.array([0.3, 0.1])),
-    "point-masses": (PointMasses([([0.0, 0.0], 1.0), ([0.01, 0.0], 2.0)]), np.zeros(2)),
-    "lebesgue": (lebesgue(3), np.array([5.0, -2.0, 0.3])),
-    "sphere-center": (SphereSurface(np.zeros(3), 0.01, 2.0), np.zeros(3)),
-    "sphere-off": (SphereSurface(np.zeros(3), 1.0, 2.0), np.array([0.0, 0.0, 1.002])),
-    "ahlfors": (AhlforsAbstract(1.5, 1.0, 2.0, 0.005, dim=2), np.zeros(2)),
-}
-
-
-@pytest.mark.parametrize("name", list(_BALL_MASS_CASES))
-def test_ball_mass_on_a_grid_equals_one_radius_at_a_time(name):
-    mu, x = _BALL_MASS_CASES[name]
-    radii = 2.0 ** -np.arange(5, 10)
-    got = mu.ball_mass(x, radii)
-    assert isinstance(got, np.ndarray) and got.shape == radii.shape
-    assert got.tobytes() == np.array([mu.ball_mass(x, float(r)) for r in radii]).tobytes()
-    assert isinstance(mu.ball_mass(x, 0.25), float)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_lebesgue_closed_forms_are_exact(d):
     mu, s = lebesgue(d), np.geomspace(1e-6, 10.0, 33)

@@ -11,7 +11,6 @@ from katolab.rearrangement import (
     TINY,
     DistributionFunction,
     check_decreasing,
-    g_criterion,
     layer_cake_criterion,
     radial_criterion,
     right_continuous_inverse,
@@ -131,17 +130,6 @@ def test_distribution_from_radial_power():
             unit_ball_volume(3) * t**-3.0, rel=1e-7)
 
 
-def test_distribution_from_density_matches_radial():
-    f = lambda s: np.exp(-np.asarray(s, dtype=float) ** 2)
-    exact = DistributionFunction.from_radial(f, d=2)
-    sampled = DistributionFunction.from_density(
-        lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1)), d=2,
-        n_samples=200_000, seed=3, t_grid=np.linspace(0.05, 1.0, 800))
-    for t in [0.2, 0.5, 0.8]:
-        assert float(np.asarray(sampled(t))) == pytest.approx(
-            float(np.asarray(exact(t))), rel=5e-2)
-
-
 # --------------------------------------------------------------------------
 # criteria agreement: centered radial test vs layer-cake test
 
@@ -202,42 +190,6 @@ def test_log_profile_borderline():
     for p in [1.0, 2.0]:
         val, ok = radial_criterion(f, d=3, alpha_exponent=2.0, p=p)
         assert ok and math.isfinite(val)
-
-
-# --------------------------------------------------------------------------
-# moment-weighted tail criterion
-
-
-def test_g_criterion_power_oracle():
-    # G(s) = s^2, d = 3, alpha = 2, p = 2: exponent 1 - 3/2 = -1/2 applied
-    # to G'(s) = 2s gives int_1^inf (2s)^{-1/2} ds = divergent; with
-    # G(s) = s^4, G' = 4 s^3, exponent -1/2: int_1^inf (4 s^3)^{-1/2}
-    # = (1/2) * int s^{-3/2} = 1/2 * 2 / 2 = 0.5... compute directly
-    val, ok = g_criterion(lambda s: 4.0 * np.asarray(s, float) ** 3,
-                          d=3, alpha_exponent=2.0, p=2.0)
-    exact = 0.5 * 2.0 / 2.0 / 2.0  # 4^{-1/2} * int_1^inf s^{-3/2} ds = 1/2 * 2
-    assert ok
-    assert val == pytest.approx(0.5 * 2.0, rel=1e-8)
-
-
-def test_g_criterion_requires_singular_regime():
-    with pytest.raises(DomainError):
-        g_criterion(lambda s: np.asarray(s, float), d=2, alpha_exponent=2.0,
-                    p=2.0)
-
-
-def test_g_criterion_warns_when_vacuous():
-    # p small enough that 1 - d/(p(d-alpha)) >= 0 never happens for p >= 1
-    # with d=3, alpha=2: q = 1 - 3/p >= 0 iff p >= 3
-    with pytest.warns(UserWarning):
-        g_criterion(lambda s: np.asarray(s, float), d=3, alpha_exponent=2.0,
-                    p=4.0)
-
-
-def test_g_criterion_rejects_infinite_moment():
-    with pytest.raises(DomainError):
-        g_criterion(lambda s: np.asarray(s, float), d=3, alpha_exponent=2.0,
-                    p=2.0, moment=math.inf)
 
 
 def test_check_decreasing_passes_constants():
