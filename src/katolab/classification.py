@@ -136,7 +136,7 @@ class ClassificationReport:
     predicted_threshold: float
     eta_hat: float | None
     findings: list
-    provenance: dict
+    n_centers: int  # the centers each sup ran over
 
 
 def _verdicts(fit: LimitFit) -> tuple[str, str]:
@@ -301,13 +301,7 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
         p=p, verdict_K=verdict_K, verdict_D=verdict_D, criteria=criteria,
         fits=fits, sweeps=sweeps, fitted_slope=primary.slope, slope_ci=primary.slope_ci,
         predicted_threshold=p_star, eta_hat=eta_hat, findings=findings,
-        provenance={
-            "r_grid": list(map(float, r_grid)),
-            "t_grid": list(cfg.t_grid),
-            "alpha_grid": list(cfg.alpha_grid),
-            "n_centers": len(centers), "seed": cfg.seed,
-            "sup_is_lower_bound": True,
-        })
+        n_centers=len(centers))
 
 
 def fit_order_delta(mu: MeasureRep, model: ScalingKernelModel, p: float,

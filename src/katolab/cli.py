@@ -25,19 +25,23 @@ def _fmt(v: float) -> str:
     return f"{float(v):.16e}"
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write header and rows to the CSV file path, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def cmd_classify(run: RunConfig, out_dir: Path) -> int:
     reports = [classify_measure(run.measure, run.model, p, run.classify)
                for p in run.p_list]
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "classify.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "criterion", "scale", "value", "error", "verdict"])
-        for rep in reports:
-            for key, rows in rep.sweeps.items():
-                for scale, value, err in rows:
-                    w.writerow([_fmt(rep.p), key, _fmt(scale), _fmt(value),
-                                _fmt(err), rep.criteria[key]])
+    _write_csv(out_dir / "classify.csv",
+               ["p", "criterion", "scale", "value", "error", "verdict"],
+               ([_fmt(rep.p), key, _fmt(scale), _fmt(value), _fmt(err), rep.criteria[key]]
+                for rep in reports for key, rows in rep.sweeps.items()
+                for scale, value, err in rows))
 
     lines = ["classification report", "====================="]
     for rep in reports:
@@ -51,7 +55,7 @@ def cmd_classify(run: RunConfig, out_dir: Path) -> int:
         for note in rep.findings:
             lines.append(f"  note: {note}")
         lines.append("  sup over finite center set "
-                     f"({rep.provenance['n_centers']} centers): verdicts are "
+                     f"({rep.n_centers} centers): verdicts are "
                      "lower-bound certificates for divergence only")
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -61,7 +65,6 @@ def cmd_classify(run: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sweep_p(run: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     space = run.model.space
     nu, beta = space.nu, space.beta
     # the decay order that eta = min(eta_hat, nu) predicts, as for classify's p*
@@ -77,11 +80,8 @@ def cmd_sweep_p(run: RunConfig, out_dir: Path) -> int:
         except KatolabError as exc:
             rows.append((p, math.nan, math.nan, math.nan, bound,
                          f"no-fit: {exc}"))
-    with open(out_dir / "sweep_p.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "delta_hat", "ci_lo", "ci_hi", "bound", "status"])
-        for p, d, lo, hi, b, status in rows:
-            w.writerow([_fmt(p), _fmt(d), _fmt(lo), _fmt(hi), _fmt(b), status])
+    _write_csv(out_dir / "sweep_p.csv", ["p", "delta_hat", "ci_lo", "ci_hi", "bound", "status"],
+               ([*map(_fmt, row[:-1]), row[-1]] for row in rows))
     for p, d, lo, hi, b, status in rows:
         print(f"p={p:g}: delta_hat={d:.4f} ci=[{lo:.4f},{hi:.4f}] "
               f"bound={b:.4f} {status}")
@@ -92,12 +92,7 @@ def cmd_kernel_check(run: RunConfig, out_dir: Path) -> int:
     # classify never runs kernel-check: it loads here, not with the CLI
     from .kernelcheck import kernel_invariant_suite
     rows = kernel_invariant_suite(run.model, seed=run.classify.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "kernel_check.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["invariant", "samples", "failures"])
-        for name, n, fails in rows:
-            w.writerow([name, n, fails])
+    _write_csv(out_dir / "kernel_check.csv", ["invariant", "samples", "failures"], rows)
     for name, n, fails in rows:
         print(f"{'pass' if fails == 0 else 'FAIL':4s}  {name:32s} {fails}/{n} failures")
     return 0 if all(fails == 0 for *_, fails in rows) else 1
@@ -134,13 +129,8 @@ def cmd_mc_check(run: RunConfig, out_dir: Path) -> int:
             ok = abs(mc - quad) <= 3.0 * max(se, 1e-12)
             n_pass += ok
             rows.append((name, x0[0], mc, se, quad, ok))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "mc_check.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["potential", "x0", "mc", "se", "quadrature", "pass"])
-        for name, x0, mc, se, quad, ok in rows:
-            w.writerow([name, _fmt(x0), _fmt(mc), _fmt(se), _fmt(quad),
-                        str(ok)])
+    _write_csv(out_dir / "mc_check.csv", ["potential", "x0", "mc", "se", "quadrature", "pass"],
+               ([name, *map(_fmt, vals), str(ok)] for name, *vals, ok in rows))
     for name, x0, mc, se, quad, ok in rows:
         print(f"{'pass' if ok else 'FAIL'}  {name:14s} x0={x0:+.2f} "
               f"mc={mc:.5f}+-{se:.5f} quad={quad:.5f}")

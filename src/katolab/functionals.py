@@ -155,8 +155,7 @@ def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
     tables = integrate_jobs(mu, centers, tasks)
     won = iter(_sup_records(centers, np.concatenate(tables[:len(jobs)], axis=1)))
     ests = [[next(won) for _ in range(table.shape[1])] for table in tables[:len(jobs)]]
-    masses = None if mass_radii is None else np.where(
-        tables[-1]["diverged"], INF, tables[-1]["value"]).tolist()
+    masses = None if mass_radii is None else tables[-1]["value"].tolist()
     return [e if np.ndim(r) else e[0] for e, (_, r) in zip(ests, jobs)], masses
 
 
@@ -184,8 +183,12 @@ def _resolve_centers(mu: MeasureRep, centers) -> list:
     if centers is None:
         centers = CenterStrategy()
     if isinstance(centers, CenterStrategy):
-        return centers.build(mu)
-    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in centers]
+        pts = centers.build(mu)
+    else:
+        pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in centers]
     if not pts:
         raise ConfigError("empty center set")
+    for p in pts:
+        if p.shape != (mu.dim,):
+            raise ConfigError(f"center {p.tolist()} needs {mu.dim} coordinates")
     return pts

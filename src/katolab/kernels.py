@@ -8,15 +8,14 @@ family with positive mass, a two-branch global estimate.
 from __future__ import annotations
 
 import math
-import threading
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .quadrature import (INF, OUTWARD_MAX_LEVELS, gauss_panel, outward_diverges,
-                         panel_nodes, symmetric_rule)
+from .quadrature import (INF, OUTWARD_MAX_LEVELS, KernelRows, gauss_panel,
+                         outward_diverges, symmetric_rule)
 from .space import SpaceModel
 
 #: the 16-node rule, leggauss(16)
@@ -31,9 +30,6 @@ _R1_LO, _R1_CAP = 1e-12, 1e12
 _R1_CHUNK, _R1_EPS, _R1_TERMS = 64, 0.5, 16
 #: widest panel of `_log_panels`, in log s
 _LOG_PANEL_WIDTH = 0.5
-#: the most raw rows a model's KernelRows keeps (32 floats each: 4 MiB); a
-#: store that would grow past it is emptied first
-KERNEL_ROW_CAP = 1 << 14
 
 # ---------------------------------------------------------------------------
 # special functions
@@ -137,68 +133,6 @@ def _per_value(f: Callable, v):
         return f(float(v))
     vals, inv = np.unique(np.ravel(v), return_inverse=True)
     return np.array([f(x) for x in vals.tolist()])[inv].reshape(np.shape(v))
-
-
-class KernelRows:
-    """The raw rows family(param)(panel_nodes(b/2, b)) of one model's
-    parametrized kernels (its qt_radial and resolvent_radial, the families of
-    quadrature.ParamPower) that the engine has read, by (family name, param,
-    b).  Only the power of a row changes with p, so a p-sweep on one model
-    evaluates each (family, param, panel) row once.  A row is what
-    family(param) gives alone (the ParamPower contract), so a stored row
-    equals a fresh one bit for bit, as long as the model is not changed
-    after its first use.  At most KERNEL_ROW_CAP rows; a call may be made
-    from several threads."""
-
-    _NONE = np.zeros(0, complex), np.zeros(0, int)  # a family's keys and rows before any
-
-    def __init__(self):
-        # per family name, its keys param + i b in sorted order (complex
-        # numbers sort by real part, then imaginary) and each key's row of _buf
-        self._keys: dict = {}
-        self._buf = np.empty((0, 32))  # a row per panel of the engine's 32-node rule
-        self._used = 0
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return self._used
-
-    def __call__(self, family: Callable, params: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row i: family(params[i]) on the panel [b[i]/2, b[i]].  The rows not
-        stored are evaluated in one family call and stored (a key the call
-        repeats, once per repeat: the engine asks for each once)."""
-        q = params.astype(complex)
-        q.imag = b
-        with self._lock:
-            keys, at = self._keys.get(family.__name__, self._NONE)
-            pos = keys.searchsorted(q)
-            hit = keys.take(pos, mode="clip") == q if len(keys) else np.zeros(len(q), bool)
-            if hit.all():
-                return self._buf[at[pos]]
-            new = q[~hit]
-            rows = np.asarray(family(new.real[:, None])(panel_nodes(0.5 * new.imag, new.imag)),
-                              dtype=float)
-            out = np.empty((len(q), rows.shape[1]))
-            out[hit], out[~hit] = self._buf[at[pos[hit]]], rows
-            self._keep(family.__name__, new, rows)
-            return out
-
-    def _keep(self, name: str, new: np.ndarray, rows: np.ndarray) -> None:
-        if self._used + len(new) > KERNEL_ROW_CAP:
-            self._keys, self._used = {}, 0
-        end = self._used + len(new)
-        if end > KERNEL_ROW_CAP:  # more than a store holds: served, not kept
-            return
-        if end > len(self._buf):
-            grown = np.empty((min(max(end, 2 * len(self._buf)), KERNEL_ROW_CAP), rows.shape[1]))
-            grown[:self._used] = self._buf[:self._used]
-            self._buf = grown
-        self._buf[self._used:end] = rows
-        keys, at = self._keys.get(name, self._NONE)
-        keys = np.concatenate([keys, new])
-        order = keys.argsort(kind="stable")
-        self._keys[name] = keys[order], np.append(at, np.arange(self._used, end))[order]
-        self._used = end
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +413,8 @@ class StableEstimateModel(ScalingKernelModel):
     def __init__(self, dim: int, alpha: float, m: float = 0.0):
         if not 0.0 < alpha < 2.0:
             raise DomainError("alpha must lie in ]0, 2[")
+        if not m >= 0.0:
+            raise DomainError("m must be >= 0")
         self.dim = dim
         self.alpha = alpha
         self.m = m

@@ -140,6 +140,8 @@ class Density(MeasureRep):
     costly_density = True
 
     def __init__(self, f: Callable, dim: int, support_radius: float = INF):
+        if not support_radius >= 0:
+            raise ValidationError("support_radius must be >= 0")
         self.f = f
         self.dim = dim
         self.support_radius = support_radius
@@ -216,6 +218,10 @@ class RadialDensity(MeasureRep):
         self.profile = profile
         self.dim = dim
         self.origin = np.zeros(dim) if origin is None else np.asarray(origin, float)
+        if self.origin.shape != (dim,):
+            raise ValidationError(f"origin needs {dim} coordinates")
+        if not support_radius >= 0:
+            raise ValidationError("support_radius must be >= 0")
         self.support_radius = support_radius
 
     def radial_mass_density(self, x) -> Callable:
@@ -402,8 +408,9 @@ def _atom_sums(g_radial: Callable, atoms: list, radii: list, whole: bool) -> tup
     sum_i w_i g(d_i) over the atoms at distance <= r, exact; +inf when an
     atom of positive weight at distance 0 meets a kernel that is infinite at
     0.  For the whole space (whole) also each center's sum over the atoms
-    beyond R_SPLIT.  One call of g on every center's atoms within reach."""
-    reach = INF if whole else max(radii)
+    beyond R_SPLIT.  One call of g on every center's atoms within reach (none
+    for no radii)."""
+    reach = INF if whole else max(radii, default=-INF)
     kept = [(ds[keep], ws[keep]) for ds, ws in atoms for keep in [(ws != 0.0) & (ds <= reach)]]
     flat = np.concatenate([ds for ds, _ in kept])
     values = np.asarray(g_radial(flat)) if len(flat) else flat

@@ -10,6 +10,7 @@ returned together with a flag and the observed growth rate.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,6 +54,10 @@ OUTWARD_REL_TOL = 1e-9
 OUTWARD_MAX_LEVELS = 60
 
 INF = float("inf")
+
+#: the most raw rows a KernelRows keeps (32 floats each: 4 MiB); a store
+#: that would grow past it is emptied first
+KERNEL_ROW_CAP = 1 << 14
 
 
 @dataclass
@@ -110,8 +115,8 @@ def call_key(f) -> object:
 def call_rows(f, params: np.ndarray, nodes: np.ndarray, b: np.ndarray) -> tuple:
     """(values, stated relative error) on the rows of nodes, panel i's nodes
     on [b[i]/2, b[i]], from one call, for integrands of f's call_key: row i of
-    a ParamPower's at params[i], its raw row read from the store of the model
-    whose method family is (kernels.KernelRows) where it has one."""
+    a ParamPower's at params[i], its raw row read from the KernelRows of the
+    model whose method family is, where it has one."""
     if isinstance(f, ParamPower):
         rows = getattr(getattr(f.family, "__self__", None), "kernel_rows", None)
         raw = rows(f.family, params, b) if rows is not None else f.family(params[:, None])(nodes)
@@ -123,6 +128,68 @@ def panel_nodes(a, b) -> np.ndarray:
     """The nodes of the 32-node rule on [a, b], a row per panel for arrays of edges."""
     half = 0.5 * (np.asarray(b, dtype=float) - a)
     return half[..., None] * _GL_NODES + (0.5 * (np.asarray(a, dtype=float) + b))[..., None]
+
+
+class KernelRows:
+    """The raw rows family(param)(panel_nodes(b/2, b)) of one model's
+    parametrized kernels (the families of its ParamPowers: qt_radial and
+    resolvent_radial) that the engine has read, by (family name, param, b).
+    It is the one place where equal kernels share rows: only the power of a
+    row changes with p, so a p-sweep on one model, and every ParamPower of
+    one (family, param) in one run, evaluates each panel's row once.  A row
+    is what family(param) gives alone (the ParamPower contract), so a stored
+    row equals a fresh one bit for bit, as long as the model is not changed
+    after its first use.  At most KERNEL_ROW_CAP rows; a call may be made
+    from several threads."""
+
+    _NONE = np.zeros(0, complex), np.zeros(0, int)  # a family's keys and rows before any
+
+    def __init__(self):
+        # per family name, its keys param + i b in sorted order (complex
+        # numbers sort by real part, then imaginary) and each key's row of _buf
+        self._keys: dict = {}
+        self._buf = np.empty((0, len(_GL_NODES)))
+        self._used = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._used
+
+    def __call__(self, family: Callable, params: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row i: family(params[i]) on the panel [b[i]/2, b[i]].  The distinct
+        keys not stored are evaluated in one family call and stored."""
+        q = params.astype(complex)
+        q.imag = b
+        with self._lock:
+            keys, at = self._keys.get(family.__name__, self._NONE)
+            pos = keys.searchsorted(q)
+            hit = keys.take(pos, mode="clip") == q if len(keys) else np.zeros(len(q), bool)
+            if hit.all():
+                return self._buf[at[pos]]
+            new, inv = np.unique(q[~hit], return_inverse=True)
+            rows = np.asarray(family(new.real[:, None])(panel_nodes(0.5 * new.imag, new.imag)),
+                              dtype=float)
+            out = np.empty((len(q), rows.shape[1]))
+            out[hit], out[~hit] = self._buf[at[pos[hit]]], rows[inv]
+            self._keep(family.__name__, new, rows)
+            return out
+
+    def _keep(self, name: str, new: np.ndarray, rows: np.ndarray) -> None:
+        if self._used + len(new) > KERNEL_ROW_CAP:
+            self._keys, self._used = {}, 0
+        end = self._used + len(new)
+        if end > KERNEL_ROW_CAP:  # more than a store holds: served, not kept
+            return
+        if end > len(self._buf):
+            grown = np.empty((min(max(end, 2 * len(self._buf)), KERNEL_ROW_CAP), rows.shape[1]))
+            grown[:self._used] = self._buf[:self._used]
+            self._buf = grown
+        self._buf[self._used:end] = rows
+        keys, at = self._keys.get(name, self._NONE)
+        keys = np.concatenate([keys, new])
+        order = keys.argsort(kind="stable")
+        self._keys[name] = keys[order], np.append(at, np.arange(self._used, end))[order]
+        self._used = end
 
 
 def gauss_panel(h, a, b):
@@ -340,14 +407,12 @@ class _Panels:
     (values, relative error), one error per row), where a node at which m is
     exactly 0 adds 0 even if g overflowed there: a round evaluates the rows
     its new values miss, one call per density, per plain kernel and per
-    ParamPower (family, p), before its blocks gather them.  Equal kernels
-    share their rows, and a ParamPower reads its raw rows through its
-    model's store (call_rows), so only rows no earlier call read are
-    evaluated."""
+    ParamPower (family, p), before its blocks gather them.  A ParamPower
+    reads its raw rows through its model's KernelRows (call_rows), so equal
+    ones share them and only rows no earlier call read are evaluated."""
 
     def __init__(self, gs, ms, kernel, center, r, outward):
         self.g_calls, self.m_calls, (mant, top) = _calls(gs), _calls(ms), np.frexp(r)
-        self.g_row = _first_equal(gs)  # equal kernels (a ParamPower by value) share rows
         self.g_finite = True  # every g row evaluated so far is finite
         self.ladders = np.array(sorted(set(mant.tolist())))
         lad, nl = np.searchsorted(self.ladders, mant), len(self.ladders)
@@ -379,7 +444,7 @@ class _Panels:
         o, col = np.divmod(key, self.width)
         pid = self.o_lad[o] * self.width + col
         b = np.ldexp(self.ladders[self.o_lad[o]], col + self.lo)
-        k, (_, rows, used) = self.g_row[self.o_k[o]], self.g
+        k, (_, rows, used) = self.o_k[o], self.g
         before = used[0]
         g = _fill(self.g, self.g_calls, k, k * self.npid + pid, b)
         self.g_finite = self.g_finite and np.isfinite(rows[before:used[0], :-1]).all()
@@ -436,14 +501,6 @@ def _calls(fns: list) -> tuple:
     return (np.array([call[k] for k in keys], int),
             np.array([f.param if isinstance(f, ParamPower) else np.nan for f in fns]),
             list(first.values()))
-
-
-def _first_equal(fns: list) -> np.ndarray:
-    """Per function, the index of the first equal one: a ParamPower's equal by
-    value, another function only to itself."""
-    first: dict = {}
-    return np.array([first.setdefault(f if isinstance(f, ParamPower) else id(f), i)
-                     for i, f in enumerate(fns)], int)
 
 
 def _fill(store: tuple, calls: tuple, owner, key, b) -> np.ndarray:

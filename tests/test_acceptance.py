@@ -9,10 +9,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from katolab.classification import (ClassifyConfig, classify_measure,
-                                    fit_order_delta, lq_sufficient)
+from katolab.classification import ClassifyConfig, classify_measure, fit_order_delta
 from katolab.functionals import (CenterStrategy, GreenKernelSpec,
                                  kato_functional)
 from katolab.kernels import (GaussianKernelModel, relativistic_psi,

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from katolab.config import RunConfig, parse_config_text
@@ -289,6 +288,36 @@ def test_density_config_is_an_unknown_measure_kind(tmp_path: Path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: bad measure block: unknown measure kind 'density'")
     assert "Traceback" not in proc.stderr
+
+
+def test_an_empty_radius_grid_on_atoms_is_an_error_not_a_traceback(tmp_path: Path):
+    # grid depth 1 leaves no radius; on atoms that raised ValueError from max()
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "delta0-d1.cfg"
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--grid-depth", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: need >= 6 positive finite samples, got 0\n"
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("measure.kind = lebesgue\nsweep.centers_explicit = 1,2\n",
+     "center [1.0, 2.0] needs 3 coordinates"),
+    ("measure.kind = sphere_surface\nsweep.centers_explicit = 0,0,0; 1,2\n",
+     "center [1.0, 2.0] needs 3 coordinates"),
+    ("measure.kind = radial_density\nmeasure.profile = power:-1\nmeasure.origin = 1,2\n",
+     "bad measure block: origin needs 3 coordinates"),
+    ("measure.kind = radial_density\nmeasure.profile = power:-1\n"
+     "measure.support_radius = -1\n", "bad measure block: support_radius must be >= 0"),
+    ("kernel.family = stable_estimate\nkernel.alpha = 1\nkernel.m = -1\n",
+     "bad kernel block: m must be >= 0"),
+], ids=["lebesgue-center", "sphere-center", "origin", "support-radius", "stable-m"])
+def test_a_malformed_config_value_is_an_error_not_a_verdict(tmp_path: Path, lines, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel.dim = 3\n" + lines + "sweep.p = 1\nsweep.centers_support = 0\n"
+                   "sweep.centers_random = 0\n")
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
 
 
 @pytest.mark.parametrize("measure,p,bound", [

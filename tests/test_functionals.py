@@ -9,7 +9,7 @@ import pytest
 
 from katolab import quadrature
 from katolab.classification import classify_measure
-from katolab.errors import DomainError
+from katolab.errors import ConfigError, DomainError
 from katolab.functionals import (
     CenterStrategy,
     GreenKernelSpec,
@@ -33,8 +33,7 @@ from katolab.measures import (
     lebesgue,
 )
 from katolab.profiles import power_profile
-from katolab.quadrature import INF, NO_PASS, PASS, REASONS
-from katolab.space import SpaceModel
+from katolab.quadrature import INF, NO_PASS, PASS
 
 
 # --------------------------------------------------------------------------
@@ -93,6 +92,14 @@ def test_kato_functional_divergence_at_critical_p():
     assert est.diverged
 
 
+@pytest.mark.parametrize("centers", [[[1.0, 2.0]], CenterStrategy(explicit=[[1.0, 2.0]])],
+                         ids=["list", "strategy"])
+def test_a_center_of_another_dimension_is_a_config_error(centers):
+    # a 2-d center in R^3 once ran on lebesgue and failed to broadcast elsewhere
+    with pytest.raises(ConfigError, match=r"center \[1.0, 2.0\] needs 3 coordinates"):
+        kato_functional(lebesgue(3), GreenKernelSpec(3, 2), 1.0, 0.5, centers=centers)
+
+
 def test_log_regime_at_high_p_raises_no_hint_error():
     # nu = beta = 2: G = log(1/s), and int_{B(0,1/4)} log(1/|y|)^20 dy in R^2
     # = 2 pi Gamma(21, 2 ln 4) / 2^21 (s = e^-u); Gamma(n + 1, x) =
@@ -101,7 +108,7 @@ def test_log_regime_at_high_p_raises_no_hint_error():
     exact = (2 * math.pi * math.factorial(20) * math.exp(-x)
              * sum(x ** k / math.factorial(k) for k in range(21)) / 2 ** 21)
     est = kato_functional(lebesgue(2), GreenKernelSpec(2, 2), 20.0, 0.25,
-                          centers=[0])
+                          centers=[np.zeros(2)])
     assert not est.diverged
     assert abs(est.value - exact) <= est.error
     report = classify_measure(lebesgue(2), GaussianKernelModel(2), 20.0)

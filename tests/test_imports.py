@@ -1,4 +1,4 @@
-"""Every name a katolab module imports is used in that module, and the
+"""Every name a katolab or test module imports is used in that module, and the
 cold paths load only the scipy modules they need."""
 import ast
 import importlib
@@ -12,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "katolab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +37,7 @@ def test_unused_import_scan_flags_only_unused_names():
     assert unused_imports(source) == ["a (line 3)", "json (line 5)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,5 +1,5 @@
 """A kernel model keeps the raw q_t and r_alpha rows the engine has read
-(kernels.KernelRows): a p-sweep on one model evaluates each (family,
+(quadrature.KernelRows): a p-sweep on one model evaluates each (family,
 parameter, panel) row once, and every report is what a fresh model gives."""
 import math
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from katolab import kernels
+from katolab import quadrature
 from katolab.classification import ClassifyConfig, classify_measure
 from katolab.config import RunConfig, parse_config_text
 from katolab.functionals import CenterStrategy
@@ -122,7 +122,7 @@ def test_a_second_p_evaluates_only_the_rows_the_model_lacks():
 def test_filling_past_the_cap_keeps_every_value(monkeypatch, cap):
     ps = [1.25, 2.25, 1.5, 2.75]
     want = [repr(classify_measure(SPHERE, GaussianKernelModel(3), p, CFG)) for p in ps]
-    monkeypatch.setattr(kernels, "KERNEL_ROW_CAP", cap)
+    monkeypatch.setattr(quadrature, "KERNEL_ROW_CAP", cap)
     model, got = CountedModel(3), []
     for p in ps:
         got.append(repr(classify_measure(SPHERE, model, p, CFG)))
@@ -134,7 +134,7 @@ def test_filling_past_the_cap_keeps_every_value(monkeypatch, cap):
 def test_threads_sharing_a_model_get_a_fresh_models_reports(monkeypatch):
     ps = [1.25, 1.5, 2.25, 2.5, 1.75, 2.75]
     want = {p: repr(classify_measure(SPHERE, GaussianKernelModel(3), p, CFG)) for p in ps}
-    monkeypatch.setattr(kernels, "KERNEL_ROW_CAP", 400)  # the store empties often
+    monkeypatch.setattr(quadrature, "KERNEL_ROW_CAP", 400)  # the store empties often
     model, got, errors = GaussianKernelModel(3), {}, []
 
     def work(p):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from katolab import kernels, quadrature
 from katolab.classification import ClassifyConfig
@@ -323,6 +323,13 @@ def test_shared_panels_guard_both_tables_against_divergent_tail():
 
 # --------------------------------------------------------------------------
 # stable estimate model
+
+
+def test_a_negative_mass_is_rejected():
+    # t0 = 1/m would be -1, and classify would fail with "t must lie in ]0, t0["
+    with pytest.raises(DomainError, match="m must be >= 0"):
+        StableEstimateModel(dim=3, alpha=1.0, m=-1.0)
+    assert StableEstimateModel(dim=3, alpha=1.0, m=0.0).t0 == math.inf
 
 
 def test_stable_jump_constant_d1_cauchy():

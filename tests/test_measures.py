@@ -13,6 +13,7 @@ from katolab.measures import (
     RadialDensity,
     SphereSurface,
     integrate_global,
+    integrate_jobs,
     integrate_over_ball,
     lebesgue,
     make_measure,
@@ -81,6 +82,21 @@ def test_sphere_ball_mass_matches_monte_carlo():
 def test_sphere_requires_d3():
     with pytest.raises(DomainError):
         SphereSurface(center=np.zeros(2), radius=1.0, total_mass=1.0)
+
+
+def test_radial_density_origin_needs_dim_coordinates():
+    with pytest.raises(ValidationError, match="origin needs 3 coordinates"):
+        RadialDensity(power_profile(-1.0), dim=3, origin=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda r: Density(lambda y: 1.0, dim=2, support_radius=r),
+    lambda r: RadialDensity(power_profile(-1.0), dim=2, support_radius=r),
+], ids=["density", "radial_density"])
+def test_a_negative_support_radius_is_rejected(make):
+    with pytest.raises(ValidationError, match="support_radius must be >= 0"):
+        make(-1.0)
+    assert make(0.0).support_radius == 0.0  # a support of radius 0 stays valid
 
 
 def test_radial_density_ball_mass_off_origin():
@@ -181,6 +197,14 @@ def test_zero_weight_atom_at_center_is_not_a_blowup():
     est = integrate_over_ball(mu, [0.0], 1.0, power_profile(-0.5))
     assert not est.diverged
     assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_atoms_on_an_empty_radius_list_give_no_records():
+    # an empty grid (a --grid-depth below its first radius) once raised
+    # ValueError: max() arg is an empty sequence
+    mu = PointMasses([(np.zeros(1), 1.0)])
+    rec, = integrate_jobs(mu, [np.zeros(1), np.ones(1)], [(power_profile(-0.5), [], False)])
+    assert rec.shape == (2, 0)
 
 
 def test_point_mass_sum_is_exact():
