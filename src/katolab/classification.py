@@ -205,8 +205,8 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
       res_global   global resolvent, alpha -> inf (scale 1/alpha -> 0)
     """
     cfg = config or ClassifyConfig()
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    if not 1 <= p < INF:
+        raise DomainError("p must be finite and >= 1")
     space = model.space
     nu, beta = space.nu, space.beta
     spec = GreenKernelSpec.from_space(space)

@@ -11,6 +11,7 @@ ignored.  Example:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,15 @@ SWEEP_KEYS = ("p", "seed", "grid_depth", "centers_explicit", "centers_support",
 
 
 def _number(key: str, text: str, kind: type):
-    """kind(text), or a ConfigError naming the key."""
+    """kind(text), finite, or a ConfigError naming the key."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError(f"{key}: {text.strip()!r} is not "
                           f"{'an integer' if kind is int else 'a number'}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {text.strip()!r} is not finite")
+    return value
 
 
 def _floats(text: str, key: str) -> list[float]:

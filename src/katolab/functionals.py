@@ -191,4 +191,6 @@ def _resolve_centers(mu: MeasureRep, centers) -> list:
     for p in pts:
         if p.shape != (mu.dim,):
             raise ConfigError(f"center {p.tolist()} needs {mu.dim} coordinates")
+        if not np.isfinite(p).all():
+            raise ConfigError(f"center {p.tolist()} is not finite")
     return pts

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import quadrature
 from .errors import DomainError, ValidationError
 from .profiles import RadialProfile
 from .quadrature import (INF, NO_PASS, PASS, ZERO_INWARD, ZERO_OUTWARD, FunctionalEstimate,
@@ -211,7 +212,15 @@ def lebesgue(dim: int) -> Lebesgue:
 
 
 class RadialDensity(MeasureRep):
-    """mu = f(|y - o|) dy with a radial profile f about origin o."""
+    """mu = f(|y - o|) dy with a radial profile f about origin o.
+
+    The measure keeps the rows of its radial mass densities that the engine
+    has read, by (rho, the row's nodes): a row depends on the center x only
+    through rho = |x - o|, so a p-sweep, and centers at one rho, evaluate
+    each row once.  A stored row is what the density gives for that row
+    alone, so it equals a fresh one bit for bit, as long as the measure is
+    not changed after its first use.  At most quadrature.KERNEL_ROW_CAP rows;
+    the store is a dict, so threads may share it."""
 
     def __init__(self, profile: RadialProfile, dim: int, origin=None,
                  support_radius: float = INF):
@@ -223,23 +232,41 @@ class RadialDensity(MeasureRep):
         if not support_radius >= 0:
             raise ValidationError("support_radius must be >= 0")
         self.support_radius = support_radius
+        self.rows: dict = {}  # (rho, a row's node bytes) -> its values' bytes
 
     def radial_mass_density(self, x) -> Callable:
         # mean of f(sqrt(rho^2 + s^2 + 2 rho s u)) over u = cos(theta) on
         # S^{dim-1}, rho = |x - o|; seen from o, that is f(s) itself
-        d, f, sup = self.dim, self.profile, self.support_radius
+        d, f, sup, rows = self.dim, self.profile, self.support_radius, self.rows
         area = sphere_surface_area(d)
         rho = self._rho(x)
         us, ws = _cos_rule(d, 64) if rho > 0.0 else (None, np.ones(1))
 
-        def m(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
+        def mean(s):
             rad = s[..., None] if rho == 0.0 else np.sqrt(np.maximum(
                 rho**2 + s[..., None] ** 2 + 2.0 * rho * s[..., None] * us, 0.0))
             vals = f(rad)
             if math.isfinite(sup):  # f may be NaN outside its support
                 vals = np.where(rad <= sup, vals, 0.0)
             return vals @ ws * area * s ** (d - 1)
+
+        def m(s):
+            s = np.atleast_1d(np.asarray(s, dtype=float))
+            if s.ndim != 2 or not s.size:  # not rows of nodes: nothing kept
+                return mean(s)
+            raw, w = s.tobytes(), s.itemsize * s.shape[1]
+            keys = [(rho, raw[i:i + w]) for i in range(0, len(raw), w)]
+            got = list(map(rows.get, keys))
+            new = {k: i for i, (k, v) in enumerate(zip(keys, got)) if v is None}
+            if new:  # the rows not stored, each evaluated once, in one call
+                vals = mean(s[list(new.values())]).tobytes()
+                done = dict(zip(new, (vals[i:i + w] for i in range(0, len(vals), w))))
+                got = [v if v is not None else done[k] for k, v in zip(keys, got)]
+                if len(rows) + len(done) > quadrature.KERNEL_ROW_CAP:
+                    rows.clear()
+                if len(done) <= quadrature.KERNEL_ROW_CAP:  # else served, not kept
+                    rows.update(done)
+            return np.frombuffer(bytearray().join(got)).reshape(s.shape)
 
         return m
 
@@ -338,20 +365,6 @@ class SphereSurface(MeasureRep):
             return self.mass if r >= self.R else 0.0
         b = min(float(r), hi)
         return 0.0 if b <= lo else self.mass / (4.0 * self.R * rho) * (b**2 - lo**2)
-
-    def mc_ball_mass(self, x, r: float, n: int = 100_000, seed: int = 0):
-        """Monte Carlo check of ball_mass: uniform surface sampling.
-        Returns (estimate, two_sigma_error)."""
-        rng = np.random.default_rng(seed)
-        z = rng.uniform(-1.0, 1.0, size=n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        s = np.sqrt(1.0 - z**2)
-        pts = self.center + self.R * np.stack(
-            [s * np.cos(phi), s * np.sin(phi), z], axis=1)
-        hit = np.linalg.norm(pts - np.asarray(x, float), axis=1) <= r
-        p = hit.mean()
-        se = math.sqrt(max(p * (1 - p), 1e-300) / n)
-        return self.mass * p, 2.0 * self.mass * se
 
     def support_points(self, n: int, rng) -> list:
         return [self.center + self.R * u / np.linalg.norm(u)

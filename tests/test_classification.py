@@ -279,6 +279,14 @@ def test_classify_rejects_p_below_one():
         classify_measure(lebesgue(1), model, 0.5, _fast_config(dim=1))
 
 
+@pytest.mark.parametrize("p", [math.nan, INF])
+def test_classify_rejects_a_p_that_is_not_finite(p):
+    # p = nan passed `p < 1` and read "in" on every criterion
+    model = GaussianKernelModel(dim=1)
+    with pytest.raises(DomainError, match="p must be finite"):
+        classify_measure(lebesgue(1), model, p, _fast_config(dim=1))
+
+
 def test_fit_order_delta_lebesgue():
     # |S(t)|^{1/p} = O(t^delta) with delta = (d - p(d-2)) / (2p) for Lebesgue
     model = GaussianKernelModel(dim=3)

@@ -320,6 +320,27 @@ def test_a_malformed_config_value_is_an_error_not_a_verdict(tmp_path: Path, line
     assert proc.stderr.startswith(f"error: {message}"), proc.stderr
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("kernel.dim = 1\nmeasure.kind = lebesgue\nsweep.centers_explicit = 0\nsweep.p = nan\n",
+     "sweep.p: 'nan' is not finite"),
+    ("kernel.dim = 1\nmeasure.kind = lebesgue\nsweep.centers_explicit = 0\nsweep.p = inf\n",
+     "sweep.p: 'inf' is not finite"),
+    ("kernel.dim = 3\nmeasure.kind = sphere_surface\nsweep.centers_explicit = nan,0,0\n"
+     "sweep.p = 1.5\n", "sweep.centers_explicit: 'nan' is not finite"),
+    ("kernel.dim = 1\nmeasure.kind = lebesgue\nsweep.centers_random = 2\n"
+     "sweep.center_window = nan\nsweep.p = 1\n", "sweep.center_window: 'nan' is not finite"),
+], ids=["p-nan", "p-inf", "center-nan", "window-nan"])
+def test_a_config_value_that_is_not_finite_is_an_error_not_a_verdict(tmp_path: Path, lines,
+                                                                      message):
+    # each read verdicts and exited 0, or (the window) ended in a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + "sweep.centers_support = 0\n")
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("measure,p,bound", [
     # eta_hat = 2 on the unit sphere in R^3 (nu = 3, beta = 2): not nu
     ("kernel.dim = 3\nmeasure.kind = sphere_surface\nmeasure.center = 0,0,0\n"

@@ -100,6 +100,13 @@ def test_a_center_of_another_dimension_is_a_config_error(centers):
         kato_functional(lebesgue(3), GreenKernelSpec(3, 2), 1.0, 0.5, centers=centers)
 
 
+def test_a_center_that_is_not_finite_is_a_config_error():
+    # a nan coordinate once read a verdict, with slope inf, on the sphere
+    sphere = SphereSurface(np.zeros(3), 1.0, 1.0)
+    with pytest.raises(ConfigError, match=r"center \[nan, 0.0, 0.0\] is not finite"):
+        kato_functional(sphere, GreenKernelSpec(3, 2), 1.0, 0.5, centers=[[math.nan, 0, 0]])
+
+
 def test_log_regime_at_high_p_raises_no_hint_error():
     # nu = beta = 2: G = log(1/s), and int_{B(0,1/4)} log(1/|y|)^20 dy in R^2
     # = 2 pi Gamma(21, 2 ln 4) / 2^21 (s = e^-u); Gamma(n + 1, x) =
