@@ -8,12 +8,10 @@ Runs `katolab classify`, `sweep-p`, `kernel-check` and `mc-check` with
 flag that sets a config key (`--p 1,1.5 --seed 3 --grid-depth 9
 --centers 2`), one fresh interpreter per run, from the `src/` of the
 checkout this script sits in.  mc-check exits 1 at once on the configs
-whose kernel is not Gaussian.  No shipped config has a radial density, so
-`classify` and `sweep-p` also run on RADIAL, written to DIR/radial-density.cfg.
-Run k of config c writes its output files under DIR/c/k/, with stdout.txt
-and exit_code.txt beside them (stderr, whose warnings name source paths,
-passes through).  Two checkouts' outputs are byte-identical when
-`diff -r DIR1 DIR2` is empty.
+whose kernel is not Gaussian.  Run k of config c writes its output files
+under DIR/c/k/, with stdout.txt and exit_code.txt beside them (stderr,
+whose warnings name source paths, passes through).  Two checkouts'
+outputs are byte-identical when `diff -r DIR1 DIR2` is empty.
 """
 from __future__ import annotations
 
@@ -31,15 +29,6 @@ RUNS = {"classify": ["classify", "--seed", "7"],
         "mc-check": ["mc-check", "--seed", "7"],
         "classify-flags": ["classify", "--p", "1,1.5", "--seed", "3",
                            "--grid-depth", "9", "--centers", "2"]}
-#: |y|^-1.5 on the unit ball in R^3 under the Gaussian kernel: in, in, out
-RADIAL = """\
-kernel.family = gaussian
-kernel.dim = 3
-measure.kind = radial_density
-measure.profile = power:-1.5
-measure.support_radius = 1
-sweep.p = 1, 1.25, 2
-"""
 
 
 def main() -> None:
@@ -47,12 +36,8 @@ def main() -> None:
     parser.add_argument("dir", type=Path, help="output directory")
     out = parser.parse_args().dir.resolve()
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    radial = out / "radial-density.cfg"
-    out.mkdir(parents=True, exist_ok=True)
-    radial.write_text(RADIAL)
-    runs = [(cfg, RUNS) for cfg in sorted((ROOT / "configs").glob("*.cfg"))]
-    for cfg, names in runs + [(radial, {k: RUNS[k] for k in ("classify", "sweep-p")})]:
-        for name, (cmd, *flags) in names.items():
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        for name, (cmd, *flags) in RUNS.items():
             run_dir = out / cfg.stem / name
             run_dir.mkdir(parents=True, exist_ok=True)
             proc = subprocess.run(

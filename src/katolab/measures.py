@@ -16,11 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import quadrature
 from .errors import DomainError, ValidationError
 from .profiles import RadialProfile
 from .quadrature import (INF, NO_PASS, PASS, ZERO_INWARD, ZERO_OUTWARD, FunctionalEstimate,
-                         dyadic_passes, estimate)
+                         KernelRows, ParamPower, dyadic_passes, estimate, symmetric_rule)
 from .space import sphere_surface_area, unit_ball_volume
 
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
@@ -29,6 +28,25 @@ R_SPLIT = 1.0  # integrate_global: the ball B(x, R_SPLIT), then outward
 #: radial_support's margin for a support tested node by node, relative to
 #: (rho + radius)^2 / radius: far above the rounding of those tests
 SUPPORT_MARGIN = 1e-9
+ROW_BLOCK = 8  # RadialDensity's rows of nodes per angular batch
+#: the 64-node rule, leggauss(64): RadialDensity's u-rule in dimension 3
+_GL64_NODES, _GL64_WEIGHTS = symmetric_rule(
+    [0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+     0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+     0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+     0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+     0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+     0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+     0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+     0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722],
+    [0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+     0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+     0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+     0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+     0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+     0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+     0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+     0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414])
 
 
 @functools.lru_cache(maxsize=None)
@@ -40,7 +58,7 @@ def _cos_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     if dim == 2:
         return np.cos(np.pi * (np.arange(n) + 0.5) / n), np.full(n, 1.0 / n)
     if dim == 3:
-        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = (_GL64_NODES, _GL64_WEIGHTS) if n == 64 else np.polynomial.legendre.leggauss(n)
         return u, w / w.sum()
     k, lam = np.arange(1.0, n), (dim - 2) / 2.0
     off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
@@ -214,13 +232,12 @@ def lebesgue(dim: int) -> Lebesgue:
 class RadialDensity(MeasureRep):
     """mu = f(|y - o|) dy with a radial profile f about origin o.
 
-    The measure keeps the rows of its radial mass densities that the engine
-    has read, by (rho, the row's nodes): a row depends on the center x only
-    through rho = |x - o|, so a p-sweep, and centers at one rho, evaluate
-    each row once.  A stored row is what the density gives for that row
-    alone, so it equals a fresh one bit for bit, as long as the measure is
-    not changed after its first use.  At most quadrature.KERNEL_ROW_CAP rows;
-    the store is a dict, so threads may share it."""
+    Its radial mass density about x depends on x only through rho = |x - o|:
+    it is ParamPower(family, rho, 1.0), family at_origin or off_origin, so the
+    engine reads its rows through the measure's KernelRows (kernel_rows), as
+    it reads a model's kernel rows: a p-sweep, and centers at one rho,
+    evaluate each (rho, panel) row once.  The measure must not be changed
+    after its first use."""
 
     def __init__(self, profile: RadialProfile, dim: int, origin=None,
                  support_radius: float = INF):
@@ -232,43 +249,38 @@ class RadialDensity(MeasureRep):
         if not support_radius >= 0:
             raise ValidationError("support_radius must be >= 0")
         self.support_radius = support_radius
-        self.rows: dict = {}  # (rho, a row's node bytes) -> its values' bytes
+        self.kernel_rows = KernelRows()
 
     def radial_mass_density(self, x) -> Callable:
-        # mean of f(sqrt(rho^2 + s^2 + 2 rho s u)) over u = cos(theta) on
-        # S^{dim-1}, rho = |x - o|; seen from o, that is f(s) itself
-        d, f, sup, rows = self.dim, self.profile, self.support_radius, self.rows
-        area = sphere_surface_area(d)
         rho = self._rho(x)
-        us, ws = _cos_rule(d, 64) if rho > 0.0 else (None, np.ones(1))
+        return ParamPower(self.off_origin if rho > 0.0 else self.at_origin, rho, 1.0)
 
-        def mean(s):
-            rad = s[..., None] if rho == 0.0 else np.sqrt(np.maximum(
-                rho**2 + s[..., None] ** 2 + 2.0 * rho * s[..., None] * us, 0.0))
-            vals = f(rad)
-            if math.isfinite(sup):  # f may be NaN outside its support
-                vals = np.where(rad <= sup, vals, 0.0)
-            return vals @ ws * area * s ** (d - 1)
+    def at_origin(self, rho) -> Callable:
+        """s -> the radial mass density about o (rho is 0): f(s) itself."""
+        return lambda s: self._mean(s, None, None, np.ones(1))
 
-        def m(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            if s.ndim != 2 or not s.size:  # not rows of nodes: nothing kept
-                return mean(s)
-            raw, w = s.tobytes(), s.itemsize * s.shape[1]
-            keys = [(rho, raw[i:i + w]) for i in range(0, len(raw), w)]
-            got = list(map(rows.get, keys))
-            new = {k: i for i, (k, v) in enumerate(zip(keys, got)) if v is None}
-            if new:  # the rows not stored, each evaluated once, in one call
-                vals = mean(s[list(new.values())]).tobytes()
-                done = dict(zip(new, (vals[i:i + w] for i in range(0, len(vals), w))))
-                got = [v if v is not None else done[k] for k, v in zip(keys, got)]
-                if len(rows) + len(done) > quadrature.KERNEL_ROW_CAP:
-                    rows.clear()
-                if len(done) <= quadrature.KERNEL_ROW_CAP:  # else served, not kept
-                    rows.update(done)
-            return np.frombuffer(bytearray().join(got)).reshape(s.shape)
+    def off_origin(self, rho) -> Callable:
+        """s -> the radial mass density about a point at distance rho > 0 from
+        o, by the 64-node u-rule; rho may also be a column against (n, 32)
+        nodes, row i as for rho_i alone."""
+        return lambda s: self._mean(s, rho, *_cos_rule(self.dim, 64))
 
-        return m
+    def _mean(self, s, rho, us, ws) -> np.ndarray:
+        """area s^(dim-1) times the ws-weighted mean of f(sqrt(rho^2 + s^2 +
+        2 rho s u)) over u = cos(theta) on S^{dim-1} (seen from o, rho None:
+        f(s)), ROW_BLOCK rows of s a batch."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if rho is not None:  # a scalar or column: one rho per row
+            rho = np.broadcast_to(rho, s.shape[:1] + (1,) * (s.ndim - 1))[..., None]
+        out = np.empty(s.shape)
+        for at in (slice(i, i + ROW_BLOCK) for i in range(0, len(s), ROW_BLOCK)):
+            rad = s[at][..., None] if rho is None else np.sqrt(np.maximum(
+                rho[at] ** 2 + s[at][..., None] ** 2 + 2.0 * rho[at] * s[at][..., None] * us, 0.0))
+            vals = self.profile(rad)
+            if math.isfinite(self.support_radius):  # f may be NaN outside its support
+                vals = np.where(rad <= self.support_radius, vals, 0.0)
+            out[at] = vals @ ws * sphere_surface_area(self.dim) * s[at] ** (self.dim - 1)
+        return out
 
     def _rho(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - self.origin))

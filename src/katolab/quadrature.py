@@ -92,11 +92,11 @@ class RadiusSweep(list):
 
 @dataclass(frozen=True)
 class ParamPower:
-    """s -> family(param)(s) ** p, family a parametrized kernel such as a
-    model's qt_radial or resolvent_radial.  family must also take a column of
-    params that broadcasts against an (n, 32) node array, row i evaluated as
-    family(param_i) would: dyadic_passes then evaluates the rows of every
-    ParamPower of one (family, p) with one call."""
+    """s -> family(param)(s) ** p, family a model's or a measure's family,
+    such as qt_radial or RadialDensity.off_origin.  family must also take a
+    column of params that broadcasts against an (n, 32) node array, row i as
+    family(param_i) would give it: dyadic_passes then evaluates the rows of
+    every ParamPower of one (family, p) with one call."""
 
     family: Callable
     param: float
@@ -116,7 +116,7 @@ def call_rows(f, params: np.ndarray, nodes: np.ndarray, b: np.ndarray) -> tuple:
     """(values, stated relative error) on the rows of nodes, panel i's nodes
     on [b[i]/2, b[i]], from one call, for integrands of f's call_key: row i of
     a ParamPower's at params[i], its raw row read from the KernelRows of the
-    model whose method family is, where it has one."""
+    model or measure whose method family is, where it has one."""
     if isinstance(f, ParamPower):
         rows = getattr(getattr(f.family, "__self__", None), "kernel_rows", None)
         raw = rows(f.family, params, b) if rows is not None else f.family(params[:, None])(nodes)
@@ -131,16 +131,16 @@ def panel_nodes(a, b) -> np.ndarray:
 
 
 class KernelRows:
-    """The raw rows family(param)(panel_nodes(b/2, b)) of one model's
-    parametrized kernels (the families of its ParamPowers: qt_radial and
-    resolvent_radial) that the engine has read, by (family name, param, b).
-    It is the one place where equal kernels share rows: only the power of a
-    row changes with p, so a p-sweep on one model, and every ParamPower of
-    one (family, param) in one run, evaluates each panel's row once.  A row
-    is what family(param) gives alone (the ParamPower contract), so a stored
-    row equals a fresh one bit for bit, as long as the model is not changed
-    after its first use.  At most KERNEL_ROW_CAP rows; a call may be made
-    from several threads."""
+    """The raw rows family(param)(panel_nodes(b/2, b)) of a model's or a
+    measure's families (of its ParamPowers: qt_radial and resolvent_radial,
+    RadialDensity's at_origin and off_origin) that the engine has read, by
+    (family name, param, b).  It is the one place where equal rows are
+    shared: only the power of a row changes with p, so a p-sweep on one
+    model or measure, and every ParamPower of one (family, param) in one
+    run, evaluates each panel's row once.  A row is what family(param) gives
+    alone (the ParamPower contract), so a stored row equals a fresh one bit
+    for bit, as long as its owner is not changed after its first use.  At
+    most KERNEL_ROW_CAP rows; a call may be made from several threads."""
 
     _NONE = np.zeros(0, complex), np.zeros(0, int)  # a family's keys and rows before any
 
@@ -408,7 +408,7 @@ class _Panels:
     exactly 0 adds 0 even if g overflowed there: a round evaluates the rows
     its new values miss, one call per density, per plain kernel and per
     ParamPower (family, p), before its blocks gather them.  A ParamPower
-    reads its raw rows through its model's KernelRows (call_rows), so equal
+    reads its raw rows through its owner's KernelRows (call_rows), so equal
     ones share them and only rows no earlier call read are evaluated."""
 
     def __init__(self, gs, ms, kernel, center, r, outward):

@@ -121,7 +121,7 @@ def test_run_config_rejects_measure_of_other_dimension(measure):
 
 def test_shipped_configs_load():
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
-    assert len(configs) == 6
+    assert len(configs) == 7
     for cfg in configs:
         run = RunConfig.from_file(str(cfg))
         assert run.measure.dim == run.model.space.ambient_dim
@@ -336,6 +336,25 @@ def test_a_config_value_that_is_not_finite_is_an_error_not_a_verdict(tmp_path: P
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines + "sweep.centers_support = 0\n")
     proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("lines,flags,message", [
+    ("sweep.centers_support = -1\n", [], "sweep.centers_support: '-1' is negative"),
+    ("sweep.centers_random = -3\n", [], "sweep.centers_random: '-3' is negative"),
+    ("", ["--centers", "-3"], "sweep.centers_random: '-3' is negative"),
+    ("sweep.centers_random = 2\nsweep.center_window = -2\n", [],
+     "sweep.center_window: '-2' is negative"),
+], ids=["support", "random", "centers-flag", "window"])
+def test_a_negative_center_setting_is_an_error_not_a_verdict(tmp_path: Path, lines, flags,
+                                                             message):
+    # a negative count read as no centers and classify exited 0; a negative
+    # window ended in numpy's traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel.dim = 1\nmeasure.kind = lebesgue\nsweep.p = 1\n" + lines)
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""

@@ -149,10 +149,10 @@ def test_unknown_katolab_attribute_is_an_attribute_error():
         katolab.no_such_name
 
 
-@pytest.mark.parametrize("module, n", [("quadrature", 32), ("kernels", 16)])
+@pytest.mark.parametrize("module, n", [("quadrature", 32), ("kernels", 16), ("measures", 64)])
 def test_literal_gauss_legendre_rules_equal_leggauss(module, n):
     mod = importlib.import_module(f"katolab.{module}")
-    prefix = "_GL" if n == 32 else "_GL16"
+    prefix = "_GL" if n == 32 else f"_GL{n}"
     nodes, weights = np.polynomial.legendre.leggauss(n)
     assert np.array_equal(getattr(mod, f"{prefix}_NODES"), nodes)
     assert np.array_equal(getattr(mod, f"{prefix}_WEIGHTS"), weights)

@@ -1,7 +1,7 @@
 """A RadialDensity keeps the rows of its radial mass densities that the
-engine has read, by (rho, node row): a p-sweep on one measure evaluates each
-(rho, panel) angular mean once, and every report is what a fresh measure
-gives."""
+engine has read in its KernelRows (kernel_rows), by (rho, panel): a p-sweep
+on one measure evaluates each (rho, panel) angular mean once, and every
+report is what a fresh measure gives."""
 import sys
 import threading
 
@@ -12,7 +12,7 @@ from katolab import quadrature
 from katolab.classification import ClassifyConfig, classify_measure
 from katolab.functionals import CenterStrategy
 from katolab.kernels import GaussianKernelModel
-from katolab.measures import RadialDensity
+from katolab.measures import ROW_BLOCK, RadialDensity
 from katolab.profiles import RadialProfile
 from katolab.quadrature import panel_nodes
 
@@ -52,17 +52,29 @@ def fresh(p) -> str:
 
 
 def test_stored_rows_are_the_density_on_each_row_alone():
-    mu = radial()
-    b = np.ldexp(0.75, -np.arange(40))
-    s = panel_nodes(0.5 * b, b)
-    for x in (np.zeros(3), np.array([0.25, 0.0, 0.0])):
-        alone = np.array([radial().radial_mass_density(x)(row[None])[0] for row in s])
-        half = mu.radial_mass_density(x)(s[::2])
-        rows = mu.radial_mass_density(x)(s)  # half held, half new
+    n = 2 * ROW_BLOCK + 5  # panels per rho: batches that cross the block size
+    for name, rhos in [("off_origin", [0.25, 0.5]), ("at_origin", [0.0])]:
+        mu = radial()
+        family = getattr(mu, name)
+        params = np.repeat(rhos, n)  # a column of the rho's
+        b = np.tile(np.ldexp(0.75, -np.arange(n)), len(rhos))
+        alone = np.array([getattr(radial(), name)(a)(panel_nodes(0.5 * e, e)[None])[0]
+                          for a, e in zip(params, b)])
+        half = mu.kernel_rows(family, params[::2], b[::2])
+        rows = mu.kernel_rows(family, params, b)  # half held, half new
         assert np.array_equal(rows, alone) and np.array_equal(half, alone[::2])
-    assert len(mu.rows) == 2 * len(s)
-    same_rho = mu.radial_mass_density(np.array([0.0, 0.0, -0.25]))
-    assert np.array_equal(same_rho(s[::-1]), alone[::-1]) and len(mu.rows) == 2 * len(s)
+        assert len(mu.kernel_rows) == len(params)
+        assert np.array_equal(mu.kernel_rows(family, params[::-1], b[::-1]), alone[::-1])
+        # every row in one call, as a fresh measure's first round makes it
+        fresh_rows = getattr(radial(), name)(params[:, None])(panel_nodes(0.5 * b, b))
+        assert np.array_equal(fresh_rows, alone)
+
+
+def test_centers_at_one_rho_read_one_density():
+    mu = radial()
+    at = [mu.radial_mass_density(np.array(x)) for x in ([0.25, 0.0, 0.0], [0.0, 0.0, -0.25])]
+    assert at[0] == at[1] and at[0].family == mu.off_origin and at[0].param == 0.25
+    assert mu.radial_mass_density(np.zeros(3)).family == mu.at_origin
 
 
 def test_a_second_p_evaluates_no_row_the_measure_holds():
@@ -99,7 +111,7 @@ def test_filling_past_the_cap_keeps_every_value(monkeypatch, cap):
     mu, got = radial(f), []
     for p in ps:
         got.append(repr(classify_measure(mu, MODEL, p, CFG)))
-        assert len(mu.rows) <= cap
+        assert len(mu.kernel_rows) <= cap
     assert got == want
     assert len(set(f.blocks)) > cap  # the store was emptied on the way
 
