@@ -20,7 +20,9 @@ where without it every round after the first reuses one warm model, as
 the workload does.
 Interleaving puts both versions in the same moment of a
 host whose speed swings, which separate benchmark runs do not.  It also
-checks that both versions return the same verdicts and sweeps.  The nine
+checks, on the untimed round, that both versions return the same report
+(its whole repr: verdicts, sweeps, fits, findings, n_centers and eta_hat),
+names each op where they differ, and then exits 1 after the timing.  The nine
 calls are a copy of the workload's set-up: the script imports nothing from
 the benchmark harness, so the two checkouts may differ there.
 """
@@ -83,7 +85,7 @@ def cpu(call) -> float:
     return time.process_time() - t
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the checkout to compare against")
     parser.add_argument("--fresh", action="store_true",
@@ -93,11 +95,12 @@ def main() -> None:
                 load(ROOT / "src", "katolab_this")]
     sides = [ops(kl) for kl in versions]
     names = [name for name, _ in sides[0]]
+    differ = []
     for k, name in enumerate(names):  # the untimed round, and the outputs
         parent, this = (call() for call in (sides[0][k][1], sides[1][k][1]))
-        same = [(r.verdict_K, r.verdict_D, r.sweeps) for r in (parent, this)]
-        if repr(same[0]) != repr(same[1]):
-            print(f"{name}: the outputs differ")
+        if repr(parent) != repr(this):
+            print(f"{name}: the reports differ")
+            differ.append(name)
     times = np.zeros((ROUNDS, len(names), 2))
     for i in range(ROUNDS):
         if args.fresh:
@@ -112,7 +115,10 @@ def main() -> None:
         q1, ratio, q3 = statistics.quantiles(t[:, 1] / t[:, 0], n=4, method="inclusive")
         print(f"{name:<14}{1e3 * np.median(t[:, 0]):>11.2f}{1e3 * np.median(t[:, 1]):>10.2f}"
               f"{ratio:>8.3f}{q1:>8.3f}{q3:>8.3f}")
+    if differ:
+        print(f"the reports differ on {len(differ)} of {len(names)} ops")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -118,11 +118,11 @@ class RunConfig:
         if any(p < 1 for p in p_list):
             raise ConfigError("sweep.p entries must be >= 1")
         get = lambda key, default, kind: _number(f"sweep.{key}", sweep.get(key, default), kind)
-        def size(key, default, kind):  # a center count or the window: not below 0
+        def size(key, default, kind):  # a center count, the window or the seed: not below 0
             if (value := get(key, default, kind)) < 0:
                 raise ConfigError(f"sweep.{key}: {sweep[key].strip()!r} is negative")
             return value
-        seed, depth = get("seed", "7", int), get("grid_depth", "11", int)
+        seed, depth = size("seed", "7", int), get("grid_depth", "11", int)
         centers = CenterStrategy(
             explicit=[_floats(tok, "sweep.centers_explicit") for tok in
                       sweep.get("centers_explicit", "").split(";") if tok.strip()],

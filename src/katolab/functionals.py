@@ -14,8 +14,10 @@ from .errors import ConfigError, DomainError
 from .kernels import ScalingKernelModel
 from .measures import FunctionalEstimate, MeasureRep, integrate_jobs
 from .profiles import GreenKernelSpec, green_power_profile
-from .quadrature import INF, ParamPower, estimate
+from .quadrature import INF, PASS, ParamPower, estimate
 from .space import LOG_CAP
+
+_RAW = np.dtype((np.void, PASS.itemsize))  # a PASS record as raw bytes
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,10 @@ def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
     integral of g(d(x,y)) mu(dy) over the ball B_r(x) (a list over a grid r)
     or the whole space (r None); and each center's ball masses at mass_radii
     (float, inf where divergent; None for None).  All in one integrate_jobs
-    run, where the first center leads each sup; an estimate is built for
-    each sup's winner only."""
+    run over the first center of each distinct view of mu (mu.view_key),
+    where the first center leads each sup; every center then reads its
+    view's records, so the sup is the one over all centers.  An estimate is
+    built for each sup's winner only."""
     radii = [None if r is None else [float(rk) for rk in np.atleast_1d(r)]
              for _, r in jobs]
     tasks = [(g, rs, True) for (g, _), rs in zip(jobs, radii)]
@@ -152,10 +156,16 @@ def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
         tasks.append((np.ones_like, [float(rk) for rk in mass_radii], False))
     if not centers:
         raise ConfigError("empty center set")
-    tables = integrate_jobs(mu, centers, tasks)
-    won = iter(_sup_records(centers, np.concatenate(tables[:len(jobs)], axis=1)))
+    views: dict = {}  # a key per distinct view; a center of no key is its own
+    view = [views.setdefault(object() if key is None else key, len(views))
+            for key in map(mu.view_key, centers)]
+    tables = integrate_jobs(mu, [centers[view.index(v)] for v in range(len(views))], tasks)
+    # the sup tables joined as raw records (no structured field promotion),
+    # then each center's row is its view's
+    rec = np.concatenate([table.view(_RAW) for table in tables[:len(jobs)]], axis=1)
+    won = iter(_sup_records(centers, rec.view(PASS)[view]))
     ests = [[next(won) for _ in range(table.shape[1])] for table in tables[:len(jobs)]]
-    masses = None if mass_radii is None else tables[-1]["value"].tolist()
+    masses = None if mass_radii is None else tables[-1]["value"][view].tolist()
     return [e if np.ndim(r) else e[0] for e, (_, r) in zip(ests, jobs)], masses
 
 

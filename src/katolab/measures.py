@@ -133,6 +133,12 @@ class MeasureRep:
         distance s < lo and s > hi, as evaluated; (0, inf) if not known."""
         return 0.0, INF
 
+    def view_key(self, x):
+        """A hashable key of mu as seen from x: two points of equal keys see
+        the same radial atoms, radial mass density and radial support, bit
+        for bit; None where mu states none (each point its own view)."""
+        return None
+
     def ball_mass(self, x, r):
         """mu of the closed ball of radius r about x: the ball integral of
         g = 1, inf where the dyadic sweep diverges."""
@@ -221,6 +227,9 @@ class Lebesgue(Density):
     def ball_mass(self, x, r):
         return unit_ball_volume(self.dim) * float(r) ** self.dim
 
+    def view_key(self, x):
+        return ()  # the same from every x
+
     def support_points(self, n: int, rng) -> list:
         return [np.zeros(self.dim)]
 
@@ -285,6 +294,8 @@ class RadialDensity(MeasureRep):
     def _rho(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - self.origin))
 
+    view_key = _rho  # the view from x depends on x only through rho
+
     def radial_support(self, x) -> tuple[float, float]:
         rho = self._rho(x)  # seen from o, f's argument is s itself: no margin
         return (0.0, self.support_radius) if rho == 0.0 else _band(rho, self.support_radius)
@@ -344,6 +355,8 @@ class SphereSurface(MeasureRep):
 
     def _rho(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - self.center))
+
+    view_key = _rho  # the view from x depends on x only through rho
 
     def _shell(self, rho: float) -> tuple[float, float]:
         """The distances from a point at rho from the center where the sphere lies."""
@@ -419,6 +432,9 @@ class AhlforsAbstract(MeasureRep):
 
     def radial_support(self, x) -> tuple[float, float]:
         return 0.0, self.r0
+
+    def view_key(self, x):
+        return ()  # the same from every x
 
     def support_points(self, n: int, rng) -> list:
         return [np.zeros(self.dim)]

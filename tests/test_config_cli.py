@@ -360,6 +360,18 @@ def test_a_negative_center_setting_is_an_error_not_a_verdict(tmp_path: Path, lin
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("lines,flags", [("sweep.seed = -1\n", []), ("", ["--seed", "-1"])],
+                         ids=["key", "flag"])
+def test_a_negative_seed_is_an_error_not_a_traceback(tmp_path: Path, lines, flags):
+    # numpy's "expected non-negative integer" ended the run in a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel.dim = 1\nmeasure.kind = lebesgue\nsweep.p = 1\n" + lines)
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: sweep.seed: '-1' is negative\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("measure,p,bound", [
     # eta_hat = 2 on the unit sphere in R^3 (nu = 3, beta = 2): not nu
     ("kernel.dim = 3\nmeasure.kind = sphere_surface\nmeasure.center = 0,0,0\n"

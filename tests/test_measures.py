@@ -310,6 +310,17 @@ def test_radial_density_off_center_mean_is_exact(d):
     assert np.allclose(mu.radial_mass_density(x)(s), exact, rtol=1e-13, atol=0)
 
 
+def test_radial_density_off_center_mean_is_exact_in_three_dimensions():
+    # the density-offcenter twin's geometry, through the 64-node u-rule:
+    # e^{-|y|^2} seen from rho = 0.8 has m(s) = (pi s / rho)(e^{-(rho - s)^2}
+    # - e^{-(rho + s)^2})
+    mu = RadialDensity(RadialProfile(lambda s: np.exp(-np.asarray(s, dtype=float) ** 2)), dim=3)
+    rho, s = 0.8, np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+    exact = math.pi * s / rho * (np.exp(-(rho - s) ** 2) - np.exp(-(rho + s) ** 2))
+    got = mu.radial_mass_density(np.array([0.0, rho, 0.0]))(s)
+    assert np.allclose(got, exact, rtol=1e-13, atol=0)
+
+
 # Gaussian bump about X0, seen from a center at distance 0.8 (the
 # density-offcenter benchmark geometry)
 X0 = np.array([0.8, 0.0, 0.0])
