@@ -11,7 +11,7 @@ from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
                              classify_limit, classify_measure, estimate_eta,
                              fit_order_delta, lq_sufficient, lq_unif_norm,
                              threshold_p_star)
-from .config import RunConfig, parse_config_text
+from .config import RunConfig, parse_config_text, parse_profile
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      KatolabError, ValidationError)
 from .functionals import (CenterStrategy, kato_functional,
@@ -25,8 +25,7 @@ from .measures import (AhlforsAbstract, Density, FunctionalEstimate, Lebesgue,
                        MeasureRep, PointMasses, RadialDensity, SphereSurface,
                        integrate_global, integrate_over_ball, lebesgue,
                        make_measure)
-from .profiles import (GreenKernelSpec, RadialProfile, log_profile, parse_profile,
-                       power_profile)
+from .profiles import GreenKernelSpec, RadialProfile, log_profile, power_profile
 from .quadrature import integrate_outward, integrate_to_zero
 from .space import SpaceModel, sphere_surface_area, unit_ball_volume
 

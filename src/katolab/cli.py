@@ -149,19 +149,20 @@ def main(argv=None) -> int:
                                  "mc-check"])
     parser.add_argument("--config", required=True, help="run config path")
     parser.add_argument("--out", default="out", help="output directory")
-    # each flag below sets the config key of its dest
-    parser.add_argument("--seed", type=int, dest="sweep.seed")
+    # each flag below sets the config key of its dest, as text that
+    # RunConfig.from_dict reads as it reads the file's
+    parser.add_argument("--seed", dest="sweep.seed")
     parser.add_argument("--p", dest="sweep.p", help="comma-separated p list")
-    parser.add_argument("--grid-depth", type=int, dest="sweep.grid_depth",
+    parser.add_argument("--grid-depth", dest="sweep.grid_depth",
                         help="finest dyadic level j of the r grid")
-    parser.add_argument("--centers", type=int, dest="sweep.centers_random",
+    parser.add_argument("--centers", dest="sweep.centers_random",
                         help="number of random centers")
     args = parser.parse_args(argv)
 
     try:
         with open(args.config) as fh:
             kv = parse_config_text(fh.read())
-        kv.update((key, str(val)) for key, val in vars(args).items()
+        kv.update((key, val) for key, val in vars(args).items()
                   if key.startswith("sweep.") and val not in (None, ""))
         run = RunConfig.from_dict(kv)
         out_dir = Path(args.out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import ConfigError
 from .functionals import CenterStrategy
 from .kernels import ScalingKernelModel, make_kernel_model
 from .measures import MeasureRep, make_measure
-from .profiles import parse_profile
+from .profiles import RadialProfile, constant_profile, exp_profile, log_profile, power_profile
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -48,7 +49,7 @@ SWEEP_KEYS = ("p", "seed", "grid_depth", "centers_explicit", "centers_support",
               "centers_random", "center_window")
 
 
-def _number(key: str, text: str, kind: type):
+def _number(text: str, key: str, kind: type):
     """kind(text), finite, or a ConfigError naming the key."""
     try:
         value = kind(text)
@@ -61,7 +62,42 @@ def _number(key: str, text: str, kind: type):
 
 
 def _floats(text: str, key: str) -> list[float]:
-    return [_number(key, tok, float) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return [_number(tok, key, float) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _atoms(text: str, key: str) -> list[tuple]:
+    atoms = []
+    for tok in filter(None, (t.strip() for t in text.split(";"))):
+        if ":" not in tok:
+            raise ConfigError(f"atom {tok!r} must be 'x,y,...:weight'")
+        pt, w = tok.rsplit(":", 1)
+        atoms.append((_floats(pt, key), _number(w, key, float)))
+    return atoms
+
+
+PROFILES = {"power": power_profile, "log": log_profile, "exp": exp_profile,
+            "const": constant_profile}
+
+
+def parse_profile(text: str, key: str = "profile") -> RadialProfile:
+    """Parse 'power:<a>[:<c>]', 'log[:<c>]', 'exp:<rate>[:<c>]', 'const:<v>'."""
+    kind, *args = text.split(":")
+    if kind not in PROFILES:
+        raise ConfigError(f"{key}: unknown profile kind {kind!r}")
+    try:
+        return PROFILES[kind](*(_number(a, key, float) for a in args))
+    except TypeError:
+        raise ConfigError(f"{key}: {text!r} has the wrong number of arguments") from None
+
+
+#: reader(text, key) of each kernel and measure key from_dict knows; any
+#: other key reaches make_kernel_model or make_measure as text, which names it
+READERS = {"dim": partial(_number, kind=int),
+           "profile": parse_profile, "phi_lower": parse_profile, "phi_upper": parse_profile,
+           "atoms": _atoms, "origin": _floats, "center": _floats,
+           **dict.fromkeys(("m", "alpha", "nu", "beta", "t0", "d_f", "d_w", "d_J", "c1", "c2",
+                            "c3", "c4", "support_radius", "radius", "total_mass", "eta",
+                            "c_lower", "c_upper", "r0"), partial(_number, kind=float))}
 
 
 @dataclass
@@ -85,28 +121,18 @@ class RunConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             sections.setdefault(sect, {})[name] = val
 
-        kernel = dict(sections.get("kernel", {}))
-        family = kernel.pop("family", "gaussian")
-        for k in ("profile", "phi_lower", "phi_upper"):
-            if k in kernel:
-                kernel[k] = parse_profile(kernel[k])
+        def read(sect):  # each key READERS knows through its reader; any other stays text
+            return {name: READERS[name](text, f"{sect}.{name}") if name in READERS else text
+                    for name, text in sections.get(sect, {}).items()}
+        kernel, meas = read("kernel"), read("measure")
         try:
-            model = make_kernel_model(family, **kernel)
+            model = make_kernel_model(kernel.pop("family", "gaussian"), **kernel)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad kernel block: {exc}") from exc
 
-        meas = dict(sections.get("measure", {}))
-        kind = meas.pop("kind", "lebesgue")
-        if "profile" in meas:
-            meas["profile"] = parse_profile(meas["profile"])
-        if "atoms" in meas:
-            meas["atoms"] = _parse_atoms(meas["atoms"])
-        for k in ("origin", "center"):
-            if k in meas:
-                meas[k] = _floats(meas[k], f"measure.{k}")
-        meas.setdefault("dim", str(model.space.ambient_dim))
+        meas.setdefault("dim", model.space.ambient_dim)
         try:
-            measure = make_measure(kind, **meas)
+            measure = make_measure(meas.pop("kind", "lebesgue"), **meas)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad measure block: {exc}") from exc
         if measure.dim != model.space.ambient_dim:
@@ -117,7 +143,7 @@ class RunConfig:
         p_list = _floats(sweep.get("p", "1"), "sweep.p")
         if any(p < 1 for p in p_list):
             raise ConfigError("sweep.p entries must be >= 1")
-        get = lambda key, default, kind: _number(f"sweep.{key}", sweep.get(key, default), kind)
+        get = lambda key, default, kind: _number(sweep.get(key, default), f"sweep.{key}", kind)
         def size(key, default, kind):  # a center count, the window or the seed: not below 0
             if (value := get(key, default, kind)) < 0:
                 raise ConfigError(f"sweep.{key}: {sweep[key].strip()!r} is negative")
@@ -135,13 +161,3 @@ class RunConfig:
             centers=centers,
             seed=seed)
         return cls(model=model, measure=measure, p_list=p_list, classify=classify)
-
-
-def _parse_atoms(text: str) -> list[tuple]:
-    atoms = []
-    for tok in filter(None, (t.strip() for t in text.split(";"))):
-        if ":" not in tok:
-            raise ConfigError(f"atom {tok!r} must be 'x,y,...:weight'")
-        pt, w = tok.rsplit(":", 1)
-        atoms.append((_floats(pt, "measure.atoms"), _number("measure.atoms", w, float)))
-    return atoms

@@ -214,8 +214,9 @@ class ScalingKernelModel:
                                               * np.diff(probe))])
         edges = np.interp(np.arange(0.0, xi[-1], 1.0), xi, probe)
         kinks = [math.log(u) for u in self.profile_kinks]
-        edges = np.union1d(np.append(edges, probe[-1]),
-                           [k for k in kinks if probe[0] < k < probe[-1]])
+        edges = np.sort(np.concatenate([edges, [probe[-1]],
+                                        [k for k in kinks if probe[0] < k < probe[-1]]]))
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]  # np.union1d loads numpy.ma
         a, b = edges[:-1, None], edges[1:, None]
         x = (0.5 * (b - a) * _GL16_NODES + 0.5 * (a + b)).ravel()
         w = (0.5 * (b - a) * _GL16_WEIGHTS).ravel() * np.exp(self._log_w(x))
@@ -413,8 +414,8 @@ class StableEstimateModel(ScalingKernelModel):
     def __init__(self, dim: int, alpha: float, m: float = 0.0):
         if not 0.0 < alpha < 2.0:
             raise DomainError("alpha must lie in ]0, 2[")
-        if not m >= 0.0:
-            raise DomainError("m must be >= 0")
+        if not 0.0 <= m < INF:
+            raise DomainError("m must be >= 0 and finite")
         self.dim = dim
         self.alpha = alpha
         self.m = m
@@ -567,25 +568,21 @@ class StretchedExponentialModel(ScalingKernelModel):
 def make_kernel_model(family: str, **kw) -> ScalingKernelModel:
     """Config-facing factory; a keyword that family does not read is a TypeError."""
     if family == "gaussian":
-        model = GaussianKernelModel(dim=int(kw.pop("dim")))
+        model = GaussianKernelModel(dim=kw.pop("dim"))
     elif family in ("stable_estimate", "relativistic"):
-        m = float(kw.pop("m", 0.0))
+        m = kw.pop("m", 0.0)
         if family == "relativistic" and m <= 0.0:
             raise DomainError("relativistic family requires m > 0")
-        model = StableEstimateModel(dim=int(kw.pop("dim")), alpha=float(kw.pop("alpha")), m=m)
+        model = StableEstimateModel(dim=kw.pop("dim"), alpha=kw.pop("alpha"), m=m)
     elif family == "stretched_exponential":
-        d_w = float(kw.pop("d_w"))
+        d_w = kw.pop("d_w")
         model = StretchedExponentialModel(
-            d_f=float(kw.pop("d_f")), d_w=d_w, d_J=float(kw.pop("d_J", d_w)),
-            c1=float(kw.pop("c1", 1.0)), c2=float(kw.pop("c2", 1.0)),
-            c3=float(kw.pop("c3", 1.0)), c4=float(kw.pop("c4", 1.0)),
-            ambient_dim=int(kw.pop("dim", 2)),
-        )
+            d_f=kw.pop("d_f"), d_w=d_w, d_J=kw.pop("d_J", d_w),
+            c1=kw.pop("c1", 1.0), c2=kw.pop("c2", 1.0), c3=kw.pop("c3", 1.0),
+            c4=kw.pop("c4", 1.0), ambient_dim=kw.pop("dim", 2))
     elif family == "custom":
-        space = SpaceModel(ambient_dim=int(kw.pop("dim", 1)),
-                           nu=float(kw.pop("nu")), beta=float(kw.pop("beta")))
-        model = ScalingKernelModel(space, kw.pop("profile"),
-                                   t0=float(kw.pop("t0", INF)),
+        space = SpaceModel(ambient_dim=kw.pop("dim", 1), nu=kw.pop("nu"), beta=kw.pop("beta"))
+        model = ScalingKernelModel(space, kw.pop("profile"), t0=kw.pop("t0", INF),
                                    phi_lower=kw.pop("phi_lower", None),
                                    phi_upper=kw.pop("phi_upper", None))
     else:

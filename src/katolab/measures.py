@@ -316,7 +316,6 @@ class PointMasses(MeasureRep):
         ws = [float(w) for _, w in atoms]
         if any(w < 0 for w in ws):
             raise ValidationError("atom weights must be nonnegative")
-        dim = None if dim is None else int(dim)  # a config's dim is a string
         self.points = np.stack(pts) if pts else np.zeros((0, dim or 1))
         self.weights = np.asarray(ws)
         self.eta = 0.0 if any(w > 0 for w in ws) else None  # the zero measure has none
@@ -346,8 +345,8 @@ class SphereSurface(MeasureRep):
         if self.center.shape != (3,):
             raise DomainError("surface measure is implemented in R^3 only: "
                               "the center needs 3 coordinates")
-        if radius <= 0 or total_mass < 0:
-            raise ValidationError("need radius > 0 and total_mass >= 0")
+        if not (0 < radius < INF and 0 <= total_mass < INF):
+            raise ValidationError("need finite radius > 0 and total_mass >= 0")
         self.R = float(radius)
         self.mass = float(total_mass)
         self.dim = 3
@@ -407,10 +406,9 @@ class AhlforsAbstract(MeasureRep):
 
     supports_kernel_criteria = False
 
-    def __init__(self, eta: float, c_lower: float, c_upper: float, r0: float,
-                 dim: int = 1):
-        if eta <= 0 or c_lower <= 0 or c_upper < c_lower or r0 <= 0:
-            raise ValidationError("need eta > 0, 0 < C1 <= C2, r0 > 0")
+    def __init__(self, eta: float, c_lower: float, c_upper: float, r0: float, dim: int):
+        if not (0 < eta < INF and 0 < c_lower <= c_upper < INF and r0 > 0):
+            raise ValidationError("need finite eta > 0 and 0 < C1 <= C2, r0 > 0")
         self.eta = eta
         self.c_lower = c_lower
         self.c_upper = c_upper
@@ -576,25 +574,21 @@ def integrate_global(mu: MeasureRep, x, g_radial: Callable) -> FunctionalEstimat
 def make_measure(kind: str, **kw) -> MeasureRep:
     """Config-facing factory; a keyword that kind does not read is a TypeError."""
     if kind == "lebesgue":
-        mu = lebesgue(int(kw.pop("dim")))
+        mu = lebesgue(kw.pop("dim"))
     elif kind == "radial_density":
-        mu = RadialDensity(kw.pop("profile"), dim=int(kw.pop("dim")),
-                           origin=kw.pop("origin", None),
-                           support_radius=float(kw.pop("support_radius", INF)))
+        mu = RadialDensity(kw.pop("profile"), dim=kw.pop("dim"), origin=kw.pop("origin", None),
+                           support_radius=kw.pop("support_radius", INF))
     elif kind == "point_masses":
         mu = PointMasses(kw.pop("atoms"), dim=kw.pop("dim", None))
     elif kind == "sphere_surface":
-        if (dim := int(kw.pop("dim", 3))) != 3:
+        if (dim := kw.pop("dim", 3)) != 3:
             raise DomainError(f"sphere_surface lives in R^3, not in dimension {dim}")
-        mu = SphereSurface(kw.pop("center", np.zeros(3)),
-                           radius=float(kw.pop("radius", 1.0)),
-                           total_mass=float(kw.pop("total_mass", 1.0)))
+        mu = SphereSurface(kw.pop("center", np.zeros(3)), radius=kw.pop("radius", 1.0),
+                           total_mass=kw.pop("total_mass", 1.0))
     elif kind == "ahlfors":
-        mu = AhlforsAbstract(eta=float(kw.pop("eta")),
-                             c_lower=float(kw.pop("c_lower", 1.0)),
-                             c_upper=float(kw.pop("c_upper", 1.0)),
-                             r0=float(kw.pop("r0", 1.0)),
-                             dim=int(kw.pop("dim", 1)))
+        mu = AhlforsAbstract(eta=kw.pop("eta"), c_lower=kw.pop("c_lower", 1.0),
+                             c_upper=kw.pop("c_upper", 1.0), r0=kw.pop("r0", 1.0),
+                             dim=kw.pop("dim", 1))
     else:
         raise DomainError(f"unknown measure kind {kind!r}")
     if kw:

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -89,33 +89,13 @@ def log_profile(coeff: float = 1.0) -> RadialProfile:
 
 def exp_profile(rate: float, coeff: float = 1.0) -> RadialProfile:
     """coeff * exp(-rate * s)."""
-    if rate <= 0:
+    if not rate > 0:
         raise DomainError("exp profile rate must be positive")
     return RadialProfile(lambda s: coeff * np.exp(-rate * s))
 
 
 def constant_profile(value: float) -> RadialProfile:
-    if value < 0:
+    if not value >= 0:
         raise DomainError("profile values must be nonnegative")
     return RadialProfile(lambda s: np.full_like(s, value, dtype=float))
 
-
-def parse_profile(text: str) -> RadialProfile:
-    """Parse 'power:<a>[:<c>]', 'log[:<c>]', 'exp:<rate>[:<c>]', 'const:<v>'."""
-    parts = text.split(":")
-    try:
-        kind, args = parts[0], [float(p) for p in parts[1:]]
-    except ValueError:
-        raise ConfigError(f"profile {text!r} has non-numeric arguments") from None
-    try:
-        if kind == "power":
-            return power_profile(args[0], *(args[1:2]))
-        if kind == "log":
-            return log_profile(*(args[:1]))
-        if kind == "exp":
-            return exp_profile(args[0], *(args[1:2]))
-        if kind == "const":
-            return constant_profile(args[0])
-    except IndexError:
-        raise ConfigError(f"profile {text!r} is missing arguments") from None
-    raise ConfigError(f"unknown profile kind {kind!r}")

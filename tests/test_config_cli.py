@@ -89,6 +89,8 @@ def test_run_config_rejects_keys_the_kind_does_not_read(lines, key):
     ("sweep.centers_explicit", "0; a"),
     ("measure.atoms", "0:heavy"),  # the weight
     ("measure.atoms", "zero:1.0"),
+    ("kernel.alpha", "x"),
+    ("measure.dim", "3.0"),
 ])
 def test_run_config_rejects_values_that_are_not_numbers(key, value):
     kv = parse_config_text(MINIMAL)
@@ -226,6 +228,18 @@ def test_cli_p_flag_that_is_not_a_number_is_a_config_error(tmp_path: Path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag,key", [("--seed", "seed"), ("--grid-depth", "grid_depth"),
+                                      ("--centers", "centers_random")])
+def test_a_flag_that_is_not_an_integer_is_a_config_error(tmp_path: Path, flag, key):
+    # argparse read these flags and exited 2 with its usage text
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "delta0-d1.cfg"
+    proc = _run_cli("classify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    flag, "2.5")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: sweep.{key}: '2.5' is not an integer\n"
+    assert proc.stdout == ""
+
+
 def test_cli_sweep_p(tmp_path: Path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -329,7 +343,23 @@ def test_a_malformed_config_value_is_an_error_not_a_verdict(tmp_path: Path, line
      "sweep.p = 1.5\n", "sweep.centers_explicit: 'nan' is not finite"),
     ("kernel.dim = 1\nmeasure.kind = lebesgue\nsweep.centers_random = 2\n"
      "sweep.center_window = nan\nsweep.p = 1\n", "sweep.center_window: 'nan' is not finite"),
-], ids=["p-nan", "p-inf", "center-nan", "window-nan"])
+    ("kernel.dim = 3\nmeasure.kind = ahlfors\nmeasure.eta = nan\nsweep.p = 1.5\n",
+     "measure.eta: 'nan' is not finite"),
+    ("kernel.dim = 3\nmeasure.kind = ahlfors\nmeasure.eta = 2\nmeasure.r0 = nan\nsweep.p = 2.5\n",
+     "measure.r0: 'nan' is not finite"),
+    ("kernel.dim = 3\nmeasure.kind = ahlfors\nmeasure.eta = 2\nmeasure.c_upper = inf\n"
+     "sweep.p = 1.5\n", "measure.c_upper: 'inf' is not finite"),
+    ("kernel.dim = 3\nmeasure.kind = sphere_surface\nmeasure.total_mass = inf\nsweep.p = 1.5\n",
+     "measure.total_mass: 'inf' is not finite"),
+    ("kernel.dim = 3\nmeasure.kind = sphere_surface\nmeasure.radius = nan\nsweep.p = 1.5\n",
+     "measure.radius: 'nan' is not finite"),
+    ("kernel.dim = 3\nmeasure.kind = radial_density\nmeasure.profile = power:nan\nsweep.p = 1\n",
+     "measure.profile: 'nan' is not finite"),
+    ("kernel.family = stable_estimate\nkernel.dim = 1\nkernel.alpha = 1\nkernel.m = inf\n"
+     "measure.kind = lebesgue\nsweep.centers_explicit = 0\nsweep.p = 1\n",
+     "kernel.m: 'inf' is not finite"),
+], ids=["p-nan", "p-inf", "center-nan", "window-nan", "eta-nan", "r0-nan", "c-upper-inf",
+        "total-mass-inf", "radius-nan", "profile-nan", "m-inf"])
 def test_a_config_value_that_is_not_finite_is_an_error_not_a_verdict(tmp_path: Path, lines,
                                                                       message):
     # each read verdicts and exited 0, or (the window) ended in a traceback

@@ -87,22 +87,30 @@ def _loaded_scipy_modules(code: str) -> set[str]:
 
 
 #: modules that no classify process needs: katolab's three not on its path,
-#: and numpy.polynomial, once imported only to rebuild two fixed Gauss rules
+#: numpy.polynomial, once imported only to rebuild two fixed Gauss rules, and
+#: numpy.ma, once imported by np.union1d to join a custom kernel's panel edges
 UNUSED_BY_CLASSIFY = {"katolab.kernelcheck", "katolab.montecarlo", "katolab.rearrangement",
-                      "numpy.polynomial"}
+                      "numpy.polynomial", "numpy.ma"}
 CONFIGS = sorted(p.stem for p in (SRC.parents[1] / "configs").glob("*.cfg"))
+#: a classify on a custom kernel's panels, which no shipped config's classify reaches
+CUSTOM_LEBESGUE = ("kernel.family = custom\nkernel.dim = 3\nkernel.nu = 3\nkernel.beta = 2\n"
+                   "kernel.profile = exp:2.0\nmeasure.kind = lebesgue\nsweep.p = 1.5\n"
+                   "sweep.centers_explicit = 0,0,0\nsweep.centers_support = 0\n"
+                   "sweep.centers_random = 0\n")
 
 
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("name", CONFIGS + ["custom-lebesgue"])
 def test_classify_loads_no_module_it_does_not_run(tmp_path, name):
     cfg = SRC.parents[1] / "configs" / f"{name}.cfg"
+    if name == "custom-lebesgue":
+        (cfg := tmp_path / "run.cfg").write_text(CUSTOM_LEBESGUE)
     loaded = _loaded_modules(
         "import katolab.cli\n"
         f"assert katolab.cli.main(['classify', '--config', {str(cfg)!r}, "
         f"'--seed', '7', '--out', {str(tmp_path)!r}]) in (0, 2)", "")
     assert (tmp_path / "classify.csv").exists()
-    # scipy.special imports numpy.polynomial itself (relativistic-d3's Psi)
-    expected = {"numpy.polynomial"} if "scipy.special" in loaded else set()
+    # scipy.special imports numpy.polynomial and numpy.ma itself (relativistic-d3's Psi)
+    expected = {"numpy.polynomial", "numpy.ma"} if "scipy.special" in loaded else set()
     assert loaded & UNUSED_BY_CLASSIFY == expected
 
 

@@ -20,7 +20,7 @@ from katolab.kernels import (
     stable_jump_constant,
     synthetic_scaling_model,
 )
-from katolab.profiles import parse_profile
+from katolab.config import parse_profile
 from katolab.space import SpaceModel
 
 
@@ -330,6 +330,12 @@ def test_a_negative_mass_is_rejected():
     with pytest.raises(DomainError, match="m must be >= 0"):
         StableEstimateModel(dim=3, alpha=1.0, m=-1.0)
     assert StableEstimateModel(dim=3, alpha=1.0, m=0.0).t0 == math.inf
+
+
+def test_an_infinite_mass_is_rejected():
+    # t0 = 1/m would be 0, and classify would fail with "t must lie in ]0, t0["
+    with pytest.raises(DomainError, match="m must be >= 0 and finite"):
+        StableEstimateModel(dim=3, alpha=1.0, m=math.inf)
 
 
 def test_stable_jump_constant_d1_cauchy():

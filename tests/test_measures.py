@@ -97,6 +97,27 @@ def test_sphere_requires_d3():
         SphereSurface(center=np.zeros(2), radius=1.0, total_mass=1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: SphereSurface(np.zeros(3), radius=v, total_mass=1.0),
+    lambda v: SphereSurface(np.zeros(3), radius=1.0, total_mass=v),
+    lambda v: AhlforsAbstract(eta=v, c_lower=1.0, c_upper=1.0, r0=1.0, dim=3),
+    lambda v: AhlforsAbstract(eta=2.0, c_lower=v, c_upper=v, r0=1.0, dim=3),
+    lambda v: AhlforsAbstract(eta=2.0, c_lower=1.0, c_upper=v, r0=1.0, dim=3),
+], ids=["sphere-radius", "sphere-mass", "ahlfors-eta", "ahlfors-c1", "ahlfors-c2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_measure_rejects_a_size_that_is_not_finite(make, value):
+    # each was accepted and read verdicts: NaN fails no `<= 0` test
+    with pytest.raises(ValidationError, match="need finite"):
+        make(value)
+
+
+def test_an_ahlfors_radius_that_is_nan_is_rejected():
+    # r0 = inf is a measure with c r^eta at every radius; NaN is none
+    with pytest.raises(ValidationError):
+        AhlforsAbstract(eta=2.0, c_lower=1.0, c_upper=1.0, r0=math.nan, dim=3)
+    assert AhlforsAbstract(eta=2.0, c_lower=1.0, c_upper=1.0, r0=math.inf, dim=3).r0 == math.inf
+
+
 def test_radial_density_origin_needs_dim_coordinates():
     with pytest.raises(ValidationError, match="origin needs 3 coordinates"):
         RadialDensity(power_profile(-1.0), dim=3, origin=[1.0, 2.0])
@@ -500,7 +521,7 @@ def test_radial_mass_densities_map_panel_arrays_row_by_row():
         (RadialDensity(power_profile(-1.5), dim=3, support_radius=1.0), np.zeros(3)),
         (RadialDensity(power_profile(-1.5), dim=3, support_radius=1.0), x3),
         (SphereSurface(np.zeros(3), 1.0, 2.0), x3),
-        (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5), np.zeros(1)),
+        (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5, dim=1), np.zeros(1)),
     ]
     for mu, x in cases:
         m = mu.radial_mass_density(x)

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab.errors import ConfigError
+from katolab.config import parse_profile
+from katolab.errors import ConfigError, DomainError
 from katolab.profiles import (
     constant_profile,
     exp_profile,
     log_profile,
-    parse_profile,
     power_profile,
 )
 
@@ -22,6 +24,13 @@ def test_power_profile_values():
 def test_log_profile_values():
     f = log_profile()
     assert float(f(np.array([np.exp(-2.0)]))[0]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("make", [exp_profile, constant_profile], ids=["exp", "const"])
+def test_a_nan_profile_argument_is_rejected(make):
+    # NaN fails no `<= 0` or `< 0` test, so both built a NaN profile
+    with pytest.raises(DomainError):
+        make(math.nan)
 
 
 def test_exp_and_constant_profiles():
@@ -46,7 +55,7 @@ def test_parse_profile_round_trip(text, probe, expected):
 
 
 def test_parse_profile_rejects_garbage():
-    for text in ["", "power", "nope:1", "power:a"]:
+    for text in ["", "power", "nope:1", "power:a", "power:nan", "power:-1:inf", "const:nan"]:
         with pytest.raises(ConfigError):
             parse_profile(text)
 
