@@ -12,8 +12,10 @@ Gaussian kernel in R^3 with the resolvents of the classify alphas built
 first, centers drawn with seed SEED.  After one untimed round it runs
 ROUNDS rounds; in each, op by op, both versions make the same call, in an
 order that alternates from op to op and from round to round.  It prints,
-per op and per pass (the nine ops), the median CPU time of each version
-and the median and quartiles of the per-round ratios this / parent.
+per op and per pass (the nine ops), the median CPU time of each version,
+the median and quartiles of the per-round ratios this / parent, and each
+version's engine rounds (`quadrature._Panels.fetch` calls, counted on the
+untimed round), so that a schedule change shows its mechanism.
 With --fresh, each round first builds both versions' model and measures
 anew, outside the timing: a round then times one sweep on a fresh model,
 where without it every round after the first reuses one warm model, as
@@ -79,6 +81,18 @@ def ops(kl) -> list:
             for name, mu, cfg, p in cases]
 
 
+def rounds(kl, call) -> int:
+    """The engine rounds (_Panels.fetch calls) of one call under kl."""
+    panels = kl.quadrature._Panels
+    fetch, count = panels.fetch, []
+    panels.fetch = lambda *args: (count.append(1), fetch(*args))[1]
+    try:
+        call()
+    finally:
+        panels.fetch = fetch
+    return len(count)
+
+
 def cpu(call) -> float:
     t = time.process_time()
     call()
@@ -95,12 +109,13 @@ def main() -> int:
                 load(ROOT / "src", "katolab_this")]
     sides = [ops(kl) for kl in versions]
     names = [name for name, _ in sides[0]]
-    differ = []
-    for k, name in enumerate(names):  # the untimed round, and the outputs
+    differ, engine = [], np.zeros((len(names), 2), int)
+    for k, name in enumerate(names):  # the untimed round: the outputs and the rounds
         parent, this = (call() for call in (sides[0][k][1], sides[1][k][1]))
         if repr(parent) != repr(this):
             print(f"{name}: the reports differ")
             differ.append(name)
+        engine[k] = [rounds(kl, side[k][1]) for kl, side in zip(versions, sides)]
     times = np.zeros((ROUNDS, len(names), 2))
     for i in range(ROUNDS):
         if args.fresh:
@@ -109,12 +124,13 @@ def main() -> int:
             order = (0, 1) if (i + k) % 2 == 0 else (1, 0)
             for side in order:
                 times[i, k, side] = cpu(sides[side][k][1])
-    print(f"{'op':<14}{'parent ms':>11}{'this ms':>10}{'ratio':>8}{'quartiles':>16}")
-    rows = [(name, times[:, k]) for k, name in enumerate(names)] + [("pass", times.sum(axis=1))]
-    for name, t in rows:
+    print(f"{'op':<14}{'parent ms':>11}{'this ms':>10}{'ratio':>8}{'quartiles':>16}"
+          f"{'rounds':>12}")
+    rows = [(name, times[:, k], engine[k]) for k, name in enumerate(names)]
+    for name, t, (r0, r1) in rows + [("pass", times.sum(axis=1), engine.sum(axis=0))]:
         q1, ratio, q3 = statistics.quantiles(t[:, 1] / t[:, 0], n=4, method="inclusive")
         print(f"{name:<14}{1e3 * np.median(t[:, 0]):>11.2f}{1e3 * np.median(t[:, 1]):>10.2f}"
-              f"{ratio:>8.3f}{q1:>8.3f}{q3:>8.3f}")
+              f"{ratio:>8.3f}{q1:>8.3f}{q3:>8.3f}{r0:>7d} -> {r1}")
     if differ:
         print(f"the reports differ on {len(differ)} of {len(names)} ops")
     return 1 if differ else 0

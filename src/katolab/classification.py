@@ -245,8 +245,12 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
     else:
         findings.append("measure supports ball-mass tests only; kernel "
                         "criteria skipped")
-    # where mu states no eta, estimate_eta's ball masses join the engine call
-    found, masses = sups(mu, centers, [job for *_, job in runs], r_eta if mu.eta is None else None)
+    # where mu states no eta, estimate_eta's ball masses join the engine call;
+    # below p* = eta / (nu - beta) every ball integral of a measure of stated
+    # eta > 0 converges at every center, so no center waits for the first
+    lead = mu.eta is None or not (mu.eta > 0.0 and p * (nu - beta) < mu.eta)
+    found, masses = sups(mu, centers, [job for *_, job in runs],
+                         r_eta if mu.eta is None else None, lead)
     # (an empty t grid still records sg_global, which then fails its fit)
     rows: dict[str, list] = {key: [] for key, *_ in runs + [("sg_global",)] * kernel_ok}
     for (key, scale, _), est in zip(runs, found):
@@ -314,7 +318,8 @@ def fit_order_delta(mu: MeasureRep, model: ScalingKernelModel, p: float,
     if not t_grid:
         raise InsufficientDataError("no t of the grid lies below t0")
     _require_kernel_support(mu)
-    found, _ = sups(mu, centers, [semigroup_job(model, p, t, None) for t in t_grid], None)
+    found, _ = sups(mu, centers, [semigroup_job(model, p, t, None) for t in t_grid], None,
+                    True)
     if any(est.diverged for est in found):
         raise InsufficientDataError("semigroup functional diverges; no "
                                     "decay order to fit")
@@ -341,7 +346,7 @@ def lq_unif_norm(f, q: float, dim: int,
     if q < 1:
         raise DomainError("q must be >= 1")
     mu_q = _as_power_measure(f, q, dim)
-    return sups(mu_q, _resolve_centers(mu_q, centers), [(np.ones_like, 1.0)], None)[0][0]
+    return sups(mu_q, _resolve_centers(mu_q, centers), [(np.ones_like, 1.0)], None, True)[0][0]
 
 
 def lq_sufficient(q: float, p: float, nu: float, beta: float) -> bool:

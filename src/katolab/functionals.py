@@ -47,9 +47,10 @@ class CenterStrategy:
         if not pts:
             raise ConfigError("center strategy produced an empty center set")
         # dedupe while keeping first-seen order (deterministic argmax tie-break)
+        keys = np.round(_checked(pts, mu.dim), 12).tolist()
         first: dict = {}
-        for p in pts:
-            first.setdefault(tuple(np.round(p, 12)), p)
+        for key, p in zip(keys, pts):
+            first.setdefault(tuple(key), p)
         return list(first.values())
 
 
@@ -93,7 +94,7 @@ def kato_functional(mu: MeasureRep, spec: GreenKernelSpec, p: float, r,
                     centers: CenterStrategy | list | None = None):
     """sup_x int_{d(x,y) < r} G(d(x,y))^p mu(dy); for a grid of radii r, one
     estimate per radius."""
-    return sups(mu, _resolve_centers(mu, centers), [kato_job(spec, p, r)], None)[0][0]
+    return sups(mu, _resolve_centers(mu, centers), [kato_job(spec, p, r)], None, True)[0][0]
 
 
 def semigroup_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
@@ -103,7 +104,7 @@ def semigroup_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
     int (int_0^t p_s(x,y) ds)^p mu(dy); localized_radius as kato_functional's r."""
     _require_kernel_support(mu)
     job = semigroup_job(model, p, t, localized_radius)
-    return sups(mu, _resolve_centers(mu, centers), [job], None)[0][0]
+    return sups(mu, _resolve_centers(mu, centers), [job], None, True)[0][0]
 
 
 def resolvent_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
@@ -114,7 +115,7 @@ def resolvent_functional(mu: MeasureRep, model: ScalingKernelModel, p: float,
     int r_alpha(x,y)^p mu(dy); localized_radius as kato_functional's r."""
     _require_kernel_support(mu)
     job = resolvent_job(model, p, alpha, localized_radius)
-    return sups(mu, _resolve_centers(mu, centers), [job], None)[0][0]
+    return sups(mu, _resolve_centers(mu, centers), [job], None, True)[0][0]
 
 
 def kato_job(spec: GreenKernelSpec, p: float, r) -> tuple:
@@ -140,18 +141,22 @@ def resolvent_job(model: ScalingKernelModel, p: float, alpha: float, r) -> tuple
     return ParamPower(model.resolvent_radial, alpha, p), r
 
 
-def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii) -> tuple:
+def sups(mu: MeasureRep, centers: list, jobs: list, mass_radii, lead: bool) -> tuple:
     """(sups, masses): the sup over the centers of each job (g, r), the
     integral of g(d(x,y)) mu(dy) over the ball B_r(x) (a list over a grid r)
     or the whole space (r None); and each center's ball masses at mass_radii
     (float, inf where divergent; None for None).  All in one integrate_jobs
-    run over the first center of each distinct view of mu (mu.view_key),
-    where the first center leads each sup; every center then reads its
-    view's records, so the sup is the one over all centers.  An estimate is
-    built for each sup's winner only."""
+    run over the first center of each distinct view of mu (mu.view_key);
+    every center then reads its view's records, so the sup is the one over
+    all centers.  Where lead, the first center leads each sup: the later
+    views wait for its ball (integrate_jobs' led), which saves their passes
+    where it diverges; pass lead False where no center can diverge, and
+    every view starts at once.  Either way the first diverged center wins,
+    so lead changes when passes start, not the sups.  An estimate is built
+    for each sup's winner only."""
     radii = [None if r is None else [float(rk) for rk in np.atleast_1d(r)]
              for _, r in jobs]
-    tasks = [(g, rs, True) for (g, _), rs in zip(jobs, radii)]
+    tasks = [(g, rs, lead) for (g, _), rs in zip(jobs, radii)]
     if mass_radii is not None:
         tasks.append((np.ones_like, [float(rk) for rk in mass_radii], False))
     if not centers:
@@ -193,14 +198,22 @@ def _resolve_centers(mu: MeasureRep, centers) -> list:
     if centers is None:
         centers = CenterStrategy()
     if isinstance(centers, CenterStrategy):
-        pts = centers.build(mu)
-    else:
-        pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in centers]
+        return centers.build(mu)
+    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in centers]
     if not pts:
         raise ConfigError("empty center set")
-    for p in pts:
-        if p.shape != (mu.dim,):
-            raise ConfigError(f"center {p.tolist()} needs {mu.dim} coordinates")
-        if not np.isfinite(p).all():
-            raise ConfigError(f"center {p.tolist()} is not finite")
+    _checked(pts, mu.dim)
     return pts
+
+
+def _checked(pts: list, dim: int) -> np.ndarray:
+    """The centers pts as the rows of one array, once each has dim
+    coordinates, all finite; else the first that fails is a ConfigError."""
+    shaped = [p.shape == (dim,) for p in pts]
+    n = shaped.index(False) if False in shaped else len(pts)
+    rows = np.array(pts[:n]).reshape(n, dim)
+    if not (finite := np.isfinite(rows).all(axis=1)).all():
+        raise ConfigError(f"center {pts[int(finite.argmin())].tolist()} is not finite")
+    if n < len(pts):
+        raise ConfigError(f"center {pts[n].tolist()} needs {dim} coordinates")
+    return rows

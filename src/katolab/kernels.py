@@ -154,6 +154,8 @@ class ScalingKernelModel:
     def __init__(self, space: SpaceModel, profile: Callable, t0: float = INF,
                  phi_lower: Callable | None = None,
                  phi_upper: Callable | None = None):
+        if not t0 > 0.0:
+            raise DomainError(f"t0 must be > 0, not {t0}")
         self.space = space
         self.profile = profile
         self.t0 = t0
@@ -553,6 +555,8 @@ class StretchedExponentialModel(ScalingKernelModel):
                  ambient_dim: int = 2):
         if c1 < c2 or c3 > c4:
             raise ValidationError("need c1 >= c2 and c3 <= c4 for Phi1 <= Phi2")
+        if d_J == 1.0:
+            raise DomainError("d_J must differ from 1: kappa = d_w / (d_J - 1)")
         kappa = d_w / (d_J - 1.0)
         self.kappa = kappa
         space = SpaceModel(ambient_dim=ambient_dim, nu=d_f, beta=d_w)

@@ -108,7 +108,8 @@ class MeasureRep:
 
     A measure states its mass about a point x as atoms at exact distances
     from x (radial_atoms) plus a diffuse part (radial_mass_density); ball
-    masses and all ball and global integrals derive from these two.
+    masses and all ball and global integrals derive from these two, read
+    together with radial_support through radial_view.
     """
 
     dim: int
@@ -138,6 +139,11 @@ class MeasureRep:
         the same radial atoms, radial mass density and radial support, bit
         for bit; None where mu states none (each point its own view)."""
         return None
+
+    def radial_view(self, x) -> tuple:
+        """(radial_atoms, radial_mass_density, radial_support) about x: what
+        the engine (integrate_jobs) reads of mu about a center, in one call."""
+        return self.radial_atoms(x), self.radial_mass_density(x), self.radial_support(x)
 
     def ball_mass(self, x, r):
         """mu of the closed ball of radius r about x: the ball integral of
@@ -238,7 +244,28 @@ def lebesgue(dim: int) -> Lebesgue:
     return Lebesgue(dim)
 
 
-class RadialDensity(MeasureRep):
+class _SeenByRho(MeasureRep):
+    """A measure seen from x only through the distance rho = _rho(x) from
+    its center: rho is its view_key, and radial_view computes rho once and
+    builds the whole view from it (_view)."""
+
+    def view_key(self, x):
+        return self._rho(x)
+
+    def radial_view(self, x) -> tuple:
+        return self._view(self._rho(x))
+
+    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.radial_view(x)[0]
+
+    def radial_mass_density(self, x) -> Callable | None:
+        return self.radial_view(x)[1]
+
+    def radial_support(self, x) -> tuple[float, float]:
+        return self.radial_view(x)[2]
+
+
+class RadialDensity(_SeenByRho):
     """mu = f(|y - o|) dy with a radial profile f about origin o.
 
     Its radial mass density about x depends on x only through rho = |x - o|:
@@ -260,9 +287,11 @@ class RadialDensity(MeasureRep):
         self.support_radius = support_radius
         self.kernel_rows = KernelRows()
 
-    def radial_mass_density(self, x) -> Callable:
-        rho = self._rho(x)
-        return ParamPower(self.off_origin if rho > 0.0 else self.at_origin, rho, 1.0)
+    def _view(self, rho: float) -> tuple:
+        # seen from o, f's argument is s itself: no support margin
+        support = (0.0, self.support_radius) if rho == 0.0 else _band(rho, self.support_radius)
+        density = ParamPower(self.off_origin if rho > 0.0 else self.at_origin, rho, 1.0)
+        return (np.zeros(0), np.zeros(0)), density, support
 
     def at_origin(self, rho) -> Callable:
         """s -> the radial mass density about o (rho is 0): f(s) itself."""
@@ -294,18 +323,13 @@ class RadialDensity(MeasureRep):
     def _rho(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - self.origin))
 
-    view_key = _rho  # the view from x depends on x only through rho
-
-    def radial_support(self, x) -> tuple[float, float]:
-        rho = self._rho(x)  # seen from o, f's argument is s itself: no margin
-        return (0.0, self.support_radius) if rho == 0.0 else _band(rho, self.support_radius)
-
     def support_points(self, n: int, rng) -> list:
-        pts = [self.origin.copy()]
-        for rad in np.geomspace(1e-2, 1.0, max(n - 1, 1)):
-            u = rng.normal(size=self.dim)
-            pts.append(self.origin + rad * u / np.linalg.norm(u))
-        return pts[:n]
+        # one block of draws, as many as one draw per radius; each row's
+        # norm as np.linalg.norm gives it
+        rad = np.geomspace(1e-2, 1.0, max(n - 1, 1))[:, None]
+        u = rng.normal(size=(len(rad), self.dim))
+        rows = self.origin + rad * u / np.sqrt(np.vecdot(u, u))[:, None]
+        return ([self.origin.copy()] + list(rows))[:n]
 
 
 class PointMasses(MeasureRep):
@@ -332,7 +356,7 @@ class PointMasses(MeasureRep):
         return [p for p in self.points[:n]]
 
 
-class SphereSurface(MeasureRep):
+class SphereSurface(_SeenByRho):
     """Uniform surface measure on a sphere of radius R in R^3, with given
     total mass.  All reductions below are exact: a sphere intersected with a
     ball centered at distance rho from its center has linear chord-length
@@ -355,31 +379,21 @@ class SphereSurface(MeasureRep):
     def _rho(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, float) - self.center))
 
-    view_key = _rho  # the view from x depends on x only through rho
-
     def _shell(self, rho: float) -> tuple[float, float]:
         """The distances from a point at rho from the center where the sphere lies."""
         return abs(rho - self.R), rho + self.R
 
-    def radial_support(self, x) -> tuple[float, float]:
-        return self._shell(self._rho(x))
-
-    def radial_mass_density(self, x) -> Callable | None:
-        rho = self._rho(x)
-        if rho == 0.0:
-            return None  # all mass at distance exactly R: see radial_atoms
-        (lo, hi), c = self._shell(rho), self.mass / (2.0 * self.R * rho)
+    def _view(self, rho: float) -> tuple:
+        lo, hi = shell = self._shell(rho)
+        if rho == 0.0:  # all mass at distance exactly R
+            return (np.array([self.R]), np.array([self.mass])), None, shell
+        c = self.mass / (2.0 * self.R * rho)
 
         def m(s):
             s = np.asarray(s, dtype=float)
             return np.where((s >= lo) & (s <= hi), c * s, 0.0)
 
-        return m
-
-    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
-        if self._rho(x) == 0.0:
-            return np.array([self.R]), np.array([self.mass])
-        return super().radial_atoms(x)
+        return (np.zeros(0), np.zeros(0)), m, shell
 
     def ball_mass(self, x, r):
         rho = self._rho(x)
@@ -391,8 +405,10 @@ class SphereSurface(MeasureRep):
         return 0.0 if b <= lo else self.mass / (4.0 * self.R * rho) * (b**2 - lo**2)
 
     def support_points(self, n: int, rng) -> list:
-        return [self.center + self.R * u / np.linalg.norm(u)
-                for u in (rng.normal(size=3) for _ in range(n))]
+        # one (n, 3) block, as n draws of 3; each row's norm as
+        # np.linalg.norm gives it (norm(..., axis=1) may differ by an ulp)
+        u = rng.normal(size=(n, 3))
+        return list(self.center + self.R * u / np.sqrt(np.vecdot(u, u))[:, None])
 
 
 class AhlforsAbstract(MeasureRep):
@@ -469,6 +485,11 @@ def _atom_sums(g_radial: Callable, atoms: list, radii: list, whole: bool) -> tup
     return ball, beyond
 
 
+#: the records integrate_jobs reads for a pass it did not run: one outside
+#: the support, inward and outward (the all-zero pass), and one of no pass
+_NOT_RUN = np.array([ZERO_INWARD, ZERO_OUTWARD, (0.0, 0.0, False, NO_PASS, 0, 0.0, True)], PASS)
+
+
 def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     """out[job]: a (center, radius) PASS record array of each job (g_radial,
     radii, led), one column per radius (radii None: one for the whole space),
@@ -480,33 +501,39 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     (a ball of r <= lo, the outward pass where R_SPLIT >= hi) reads only
     zeros of the density: it is not run, and gets the record of an all-zero
     pass (ZERO_INWARD, ZERO_OUTWARD).  A led job integrates the centers after
-    the first only where the first center's ball does not diverge (elsewhere
-    "ran" is False: a sup is decided there; where the first center's outward
-    pass diverges, the first center wins the sup all the same).
+    the first only where the first center's ball does not diverge first
+    (elsewhere "ran" is False: a sup is decided there; where the first
+    center's outward pass diverges, the first center wins the sup all the
+    same).  The centers read mu through radial_view, one call each.
 
     Passes start before they are known to be needed: an outward pass with
-    its ball, a led job's later centers with the first center's outward
-    pass, and a growing window reads to the depth cap at once (dyadic_passes'
-    ahead).  Where mu.costly_density, no pass starts before it is needed
-    (an outward pass after its ball, later centers only where every pass of
-    the first center ended undiverged) and a growing window reads
-    GROWING_CHUNK levels a round: f is called only for panels a needed pass
-    reads, up to a growing window's last chunk."""
-    if any(rk <= 0 for _, radii, _ in jobs for rk in radii or ()):
+    its ball, a led job's later centers once the first center's ball is
+    settling (its first window was geometric), with its outward pass, and a
+    growing window reads to the depth cap at once (dyadic_passes' ahead).
+    Where mu.costly_density, no pass starts before it is needed (an outward
+    pass after its ball, later centers only where every pass of the first
+    center ended undiverged) and a growing window reads GROWING_CHUNK levels
+    a round: f is called only for panels a needed pass reads, up to a
+    growing window's last chunk."""
+    radii = [[R_SPLIT] if rs is None else rs for _, rs, _ in jobs]
+    flat = np.array([rk for rs in radii for rk in rs], float)
+    if (flat <= 0).any():
         raise DomainError("ball radius must be positive")
-    dens = [mu.radial_mass_density(x) for x in centers]
-    lo, hi = np.array([mu.radial_support(x) for x in centers], float).reshape(-1, 2).T
-    n_c, radii = len(centers), [[R_SPLIT] if rs is None else rs for _, rs, _ in jobs]
+    views = [mu.radial_view(x) for x in centers]
+    at, dens, support = zip(*views) if views else ((), (), ())
+    lo, hi = np.array(support, float).reshape(-1, 2).T
     # one entry per (job, center, radius), job by job, center by center
-    sizes, lengths = [n_c * len(rs) for rs in radii], [len(rs) for rs in radii]
-    start = np.cumsum([0] + sizes)
-    job, whole, led = (np.repeat(col, sizes) for col in zip(
-        *((j, rs is None, bool(ld)) for j, (_, rs, ld) in enumerate(jobs))))
-    center = np.concatenate([np.repeat(np.arange(n_c), len(rs)) for rs in radii])
-    r = np.concatenate([np.tile(rs, n_c) for rs in radii])
-    first = np.arange(len(job)) - center * np.repeat(lengths, sizes)  # first center's
+    n_c, lengths = len(centers), np.array([len(rs) for rs in radii])
+    sizes = n_c * lengths
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    job = np.repeat(np.arange(len(jobs)), sizes)
+    whole = np.array([rs is None for _, rs, _ in jobs], bool)[job]
+    led = np.array([bool(ld) for *_, ld in jobs], bool)[job]
+    center, col = np.divmod(np.arange(len(job)) - start[job], lengths[job])
+    first = start[job] + col  # the first center's entry
+    r = flat[(np.cumsum(lengths) - lengths)[job] + col]
     atoms, tail = np.zeros(len(job)), np.zeros(len(job))
-    held = [(c, at) for c, at in enumerate(map(mu.radial_atoms, centers)) if np.any(at[1] != 0.0)]
+    held = [(c, a) for c, a in enumerate(at) if a[1].any()]
     if held:  # the centers with atoms, and their atoms
         rows, held = map(list, zip(*held))
         for j, (g, rs, _) in enumerate(jobs):
@@ -534,24 +561,22 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
         np.repeat([False, True], [run_head.sum(), run_out.sum()]),
         np.concatenate([after[run_head], after_out[run_out]]), ahead)
 
-    # each entry's ball and outward pass; -3, -2, -1 (not run, no pass) read
-    # the records appended
-    res = np.append(res, np.array([ZERO_INWARD, ZERO_OUTWARD,
-                                   (0.0, 0.0, False, NO_PASS, 0, 0.0, True)], PASS))
+    # each entry's ball and outward pass, field by field (a structured gather
+    # costs several times more); -3, -2, -1 (not run, no pass) read _NOT_RUN
     head, out = np.where(has_head & ~run_head, -3, head), np.where(has_out & ~run_out, -2, out)
-    ball, beyond = res[head], res[out]
-    head_div = ball["diverged"] | infinite
-    out_div = whole & ~head_div & beyond["diverged"]
-    shown = res[np.where(out_div, out, head)]
+    res = {name: np.concatenate([res[name], _NOT_RUN[name]]) for name in PASS.names}
+    head_div = res["diverged"][head] | infinite
+    out_div = whole & ~head_div & res["diverged"][out]
+    shown = np.where(out_div, out, head)
     rec = np.zeros(len(job), PASS)
     rec["diverged"] = diverged = head_div | out_div
-    value = ball["value"] + atoms
-    rec["value"] = np.where(diverged, INF, np.where(whole, value + tail + beyond["value"], value))
-    error = ball["error"] + np.where(whole & ~head_div, beyond["error"], 0.0)
+    value = res["value"][head] + atoms
+    rec["value"] = np.where(diverged, INF, np.where(whole, value + tail + res["value"][out], value))
+    error = res["error"][head] + np.where(whole & ~head_div, res["error"][out], 0.0)
     rec["error"] = np.where(out_div, 0.0, error)
     for name in ("reason", "levels", "log_slope"):
-        rec[name] = shown[name]
-    rec["ran"] = ~skip & ball["ran"]
+        rec[name] = res[name][shown]
+    rec["ran"] = ~skip & res["ran"][head]
     return [rec[start[j]:start[j + 1]].reshape(n_c, n) for j, n in enumerate(lengths)]
 
 

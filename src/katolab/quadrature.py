@@ -221,7 +221,7 @@ _WAIT, _RUN, _DONE = range(3)  # pass status in dyadic_passes
 
 #: dyadic_passes' result per pass: FunctionalEstimate's quadrature fields
 #: (reason as an index into REASONS, NO_PASS for none), and whether it ran
-#: (its `after` pass converged)
+#: (its `after` pass converged, or settled first)
 PASS = np.dtype([("value", float), ("error", float), ("diverged", bool),
                  ("reason", int), ("levels", int), ("log_slope", float), ("ran", bool)])
 _NAMES = REASONS + ("",)
@@ -277,8 +277,10 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after,
     """Run many dyadic passes together, in rounds; one PASS record each.
     Pass i integrates gs[kernel[i]](s) * ms[center[i]](s) over (0, r[i]] by
     integrate_to_zero's rule or, where outward[i], over [r[i], inf) by
-    integrate_outward's; where after[i] >= 0 it starts once pass after[i]
-    has ended undiverged, and never if that one diverged or never ran.
+    integrate_outward's; where after[i] >= 0 it waits for pass after[i]: it
+    starts once that one has ended undiverged or, where ahead, is settling
+    (its first window was geometric), and never if that one diverged before
+    (or never ran).
 
     A round asks each running pass for its next levels (the MIN_LEVELS, the
     SETTLE_LEVELS after a geometric window; while it grows, every level up to
@@ -298,9 +300,10 @@ def dyadic_passes(gs: list, ms: list, kernel, center, r, outward, after,
     status[~outward & (r <= 0)] = _DONE  # an empty interval: 0, after no level
     got, stop, settling = np.zeros(n, int), np.full(n, MIN_LEVELS), np.zeros(n, bool)
     while True:
-        wait = np.flatnonzero(status == _WAIT)  # start where `after` converged
+        wait = np.flatnonzero(status == _WAIT)  # start where `after` converged (or settles)
         prior = after[wait]
-        status[wait[(status[prior] == _DONE) & ~out["diverged"][prior]]] = _RUN
+        ready = (status[prior] == _DONE) & ~out["diverged"][prior]
+        status[wait[(ready | settling[prior]) if ahead else ready]] = _RUN
         if not len(run := np.flatnonzero(status == _RUN)):
             out["ran"] = status == _DONE
             return out

@@ -324,7 +324,14 @@ def test_an_empty_radius_grid_on_atoms_is_an_error_not_a_traceback(tmp_path: Pat
      "measure.support_radius = -1\n", "bad measure block: support_radius must be >= 0"),
     ("kernel.family = stable_estimate\nkernel.alpha = 1\nkernel.m = -1\n",
      "bad kernel block: m must be >= 0"),
-], ids=["lebesgue-center", "sphere-center", "origin", "support-radius", "stable-m"])
+    # kappa = d_w / (d_J - 1) ended in a ZeroDivisionError traceback
+    ("kernel.family = stretched_exponential\nkernel.d_f = 2\nkernel.d_w = 3\nkernel.d_J = 1\n",
+     "bad kernel block: d_J must differ from 1"),
+    # accepted, then every classify failed with "t must lie in ]0, t0[", naming no key
+    ("kernel.family = custom\nkernel.nu = 3\nkernel.beta = 2\nkernel.profile = exp:2.0\n"
+     "kernel.t0 = -1\n", "bad kernel block: t0 must be > 0"),
+], ids=["lebesgue-center", "sphere-center", "origin", "support-radius", "stable-m", "d-j-one",
+        "t0-negative"])
 def test_a_malformed_config_value_is_an_error_not_a_verdict(tmp_path: Path, lines, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kernel.dim = 3\n" + lines + "sweep.p = 1\nsweep.centers_support = 0\n"

@@ -265,6 +265,42 @@ def test_center_strategy_deterministic_in_seed():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _loop_build(strategy: CenterStrategy, mu) -> list:
+    """CenterStrategy.build point by point: each support point drawn alone
+    and scaled by np.linalg.norm, each point rounded alone for the dedupe."""
+    rng = np.random.default_rng(strategy.seed)
+    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in strategy.explicit]
+    if isinstance(mu, SphereSurface):
+        pts += [mu.center + mu.R * u / np.linalg.norm(u)
+                for u in (rng.normal(size=3) for _ in range(strategy.n_support))]
+    elif strategy.n_support > 0:
+        support = [mu.origin.copy()]
+        for rad in np.geomspace(1e-2, 1.0, max(strategy.n_support - 1, 1)):
+            u = rng.normal(size=mu.dim)
+            support.append(mu.origin + rad * u / np.linalg.norm(u))
+        pts += support[:strategy.n_support]
+    pts += list(rng.uniform(-strategy.window, strategy.window, size=(strategy.n_random, mu.dim)))
+    first: dict = {}
+    for p in pts:
+        first.setdefault(tuple(np.round(p, 12)), p)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("mu", [
+    SphereSurface(np.array([0.5, -1.0, 2.0]), 1.5, 1.0),
+    RadialDensity(power_profile(-1.0), dim=4, origin=[0.1, 0.2, 0.3, 0.4]),
+], ids=["sphere", "radial-d4"])
+@pytest.mark.parametrize("n_support", [0, 1, 2, 64])
+def test_center_strategy_equals_its_point_by_point_form(mu, n_support):
+    # support points drawn as one block and scaled by sqrt(vecdot(u, u)),
+    # all points rounded by one np.round: the same centers, bit for bit
+    for seed in range(20):
+        strategy = CenterStrategy(explicit=[np.zeros(mu.dim), np.full(mu.dim, -0.0)],
+                                  n_support=n_support, n_random=5, seed=seed)
+        got, want = strategy.build(mu), _loop_build(strategy, mu)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
 def test_center_strategy_does_not_import_scipy_stats():
     # the random window points come from numpy's generator: scipy.stats
     # costs about half a second of import on every classify run
@@ -441,8 +477,13 @@ def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
         family = getattr(model, kind)
         monkeypatch.setattr(model, kind, lambda v, kind=kind, family=family: traced(
             (kind, tuple(np.unique(v).tolist())), family(v)))
-    dens = mu.radial_mass_density
-    monkeypatch.setattr(mu, "radial_mass_density", lambda x: traced(("m", tuple(x)), dens(x)))
+    view = mu.radial_view
+
+    def traced_view(x):
+        atoms, m, support = view(x)
+        return atoms, traced(("m", tuple(x)), m), support
+
+    monkeypatch.setattr(mu, "radial_view", traced_view)
     # (localized, global) parameters per power, none shared
     times = {1.0: ((0.5, 0.125), (0.3, 0.03)), 2.0: ((0.25, 0.0625), (0.2, 0.02))}
     orders = {1.0: ((1.0, 16.0), (3.0, 30.0)), 2.0: ((4.0, 64.0), (5.0, 50.0))}
@@ -454,7 +495,7 @@ def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
         jobs += [semigroup_job(model, p, t, None) for t in times[p][1]]
         jobs += [resolvent_job(model, p, a, r_grid) for a in orders[p][0]]
         jobs += [resolvent_job(model, p, a, None) for a in orders[p][1]]
-    got, masses = sups(mu, centers, jobs, r_grid[3:])
+    got, masses = sups(mu, centers, jobs, r_grid[3:], True)
     engine = [[call for call, ndim in calls if ndim == 2] for calls in rounds]  # rows of panels
     # G^2.5 against the density ~ s diverges: its window grows to the depth
     # cap, the first MIN_LEVELS levels in one round and the rest in a later
@@ -474,4 +515,4 @@ def test_a_round_calls_each_kernel_family_power_and_owner_once(monkeypatch):
     assert any(("green", ()) in calls for calls in engine)
     # and the values are those of each job run alone
     for job, est in zip(jobs, got):
-        assert repr(est) == repr(sups(mu, centers, [job], None)[0][0])
+        assert repr(est) == repr(sups(mu, centers, [job], None, True)[0][0])

@@ -338,6 +338,20 @@ def test_an_infinite_mass_is_rejected():
         StableEstimateModel(dim=3, alpha=1.0, m=math.inf)
 
 
+@pytest.mark.parametrize("t0", [-1.0, 0.0, math.nan])
+def test_a_kernel_time_scale_that_is_not_positive_is_rejected(t0):
+    # classify then failed with "t must lie in ]0, t0[", which names no key
+    space = SpaceModel(ambient_dim=3, nu=3.0, beta=2.0)
+    with pytest.raises(DomainError, match="t0 must be > 0"):
+        ScalingKernelModel(space, lambda u: np.exp(-np.asarray(u, float) ** 2), t0=t0)
+
+
+def test_a_stretched_exponential_of_jump_dimension_one_is_rejected():
+    # kappa = d_w / (d_J - 1) divided by zero
+    with pytest.raises(DomainError, match="d_J must differ from 1"):
+        StretchedExponentialModel(d_f=2.0, d_w=3.0, d_J=1.0, c1=1.0, c2=1.0, c3=1.0, c4=1.0)
+
+
 def test_stable_jump_constant_d1_cauchy():
     # alpha = 1, d = 1: the Cauchy jump density is r^-2 / pi
     assert stable_jump_constant(1, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)

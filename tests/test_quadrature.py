@@ -426,6 +426,21 @@ def test_engine_starts_a_pass_after_its_prior_pass_converged():
     assert quadrature._results(got)[1] == integrate_to_zero(gs[0], 0.5)
 
 
+@pytest.mark.parametrize("ahead,want", [(True, [[0], [0, 1], [1]]), (False, [[0], [0], [1], [1]])])
+def test_a_waiting_pass_starts_once_its_prior_pass_settles(ahead, want, monkeypatch):
+    # pass 1 waits for pass 0, whose first window is geometric: where panels
+    # are read ahead it starts in round 2, beside pass 0's settle levels,
+    # else once pass 0 has ended; either way its record is the one it reads alone
+    g = lambda s: np.asarray(s, dtype=float) ** -0.5
+    ms = [lambda s: np.ones_like(np.asarray(s, float))]
+    rounds, fetch = [], quadrature._Panels.fetch  # the passes each round runs
+    monkeypatch.setattr(quadrature._Panels, "fetch",
+                        lambda *args: (rounds.append(args[1].tolist()), fetch(*args))[1])
+    got = dyadic_passes([g], ms, [0, 0], [0, 0], [1.0, 0.5], [False] * 2, [-1, 0], ahead)
+    assert rounds == want and got["ran"].all()
+    assert quadrature._results(got)[1] == integrate_to_zero(g, 0.5)
+
+
 @pytest.mark.parametrize("h", [
     lambda s: np.exp(-np.asarray(s, dtype=float) ** 2),
     lambda s: np.asarray(s, dtype=float) ** -1.5,
@@ -530,14 +545,15 @@ def _nan_outside(s):
 
 
 def _traced_density(mu, monkeypatch) -> list:
-    """The distances each radial mass density of mu is called at, per call."""
-    seen, dens = [], mu.radial_mass_density
+    """The distances each radial mass density of mu (as the engine reads it,
+    from radial_view) is called at, per call."""
+    seen, view = [], mu.radial_view
 
     def traced(x):
-        m = dens(x)
-        return None if m is None else lambda s: (seen.append(np.asarray(s)), m(s))[1]
+        atoms, m, support = view(x)
+        return atoms, None if m is None else lambda s: (seen.append(np.asarray(s)), m(s))[1], support
 
-    monkeypatch.setattr(mu, "radial_mass_density", traced)
+    monkeypatch.setattr(mu, "radial_view", traced)
     return seen
 
 
@@ -577,10 +593,17 @@ def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch
     seen = _traced_density(mu, monkeypatch)
     got = integrate_jobs(mu, [x], jobs)
     rows, seen[:] = sum(map(len, seen)), []
-    monkeypatch.setattr(mu, "radial_support", lambda x: (0.0, INF))
+    traced = mu.radial_view
+    monkeypatch.setattr(mu, "radial_view", lambda x: (*traced(x)[:2], (0.0, INF)))
     want = integrate_jobs(mu, [x], jobs)
     assert repr([rec.tolist() for rec in got]) == repr([rec.tolist() for rec in want])
     assert rows < sum(map(len, seen))
+
+
+def test_jobs_over_no_center_read_empty_tables():
+    jobs = [(np.ones_like, [0.5, 0.25], True), (np.ones_like, None, False)]
+    got = integrate_jobs(SphereSurface(np.zeros(3), 1.0, 1.0), [], jobs)
+    assert [table.shape for table in got] == [(0, 2), (0, 1)]
 
 
 def test_atom_sums_call_each_kernel_once_per_job():

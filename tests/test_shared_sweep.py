@@ -105,20 +105,20 @@ def test_sphere_d3_reads_each_density_row_once(monkeypatch):
     # one classify call runs every criterion in one engine call: each row
     # (center, panel nodes) of the radial mass density is evaluated once
     run = RunConfig.from_file("configs/sphere-d3.cfg")
-    build = SphereSurface.radial_mass_density
+    build = SphereSurface.radial_view
     rows = []
 
     def counted(self, x):
-        m = build(self, x)
+        atoms, m, support = build(self, x)
         center = tuple(np.asarray(x, dtype=float).tolist())
 
         def rows_read(s):
             rows.extend((center, row.tobytes()) for row in np.atleast_2d(s))
             return m(s)
 
-        return None if m is None else rows_read
+        return atoms, None if m is None else rows_read, support
 
-    monkeypatch.setattr(SphereSurface, "radial_mass_density", counted)
+    monkeypatch.setattr(SphereSurface, "radial_view", counted)
     for p in run.p_list:
         rows.clear()
         classify_measure(run.measure, run.model, p, run.classify)

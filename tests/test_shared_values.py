@@ -83,22 +83,22 @@ def test_kernel_is_called_once_per_distinct_panel(monkeypatch, criterion):
 def test_classify_serves_each_radial_density_once_per_panel(monkeypatch):
     mu = _sphere()
     builds, evals = [], []
-    build = mu.radial_mass_density
+    build = mu.radial_view
 
     def counted(x):
         key = np.asarray(x, dtype=float).tobytes()
         builds.append(key)
-        m = build(x)
+        atoms, m, support = build(x)
 
         def density(s):
             evals.append((key, np.asarray(s, dtype=float).tobytes()))
             return m(s)
 
-        return density
+        return atoms, density, support
 
     cfg = ClassifyConfig(centers=SPHERE_CENTERS)
     want = classify_measure(mu, MODEL, P, cfg)
-    monkeypatch.setattr(mu, "radial_mass_density", counted)
+    monkeypatch.setattr(mu, "radial_view", counted)
     got = classify_measure(mu, MODEL, P, cfg)
     views: dict = {}  # the first center at each distance from the sphere's center
     for x in SPHERE_CENTERS:

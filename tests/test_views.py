@@ -80,7 +80,7 @@ def _fields(est):
 
 def _center_by_center(mu, centers, job):
     """The sup of job over centers, each center integrated alone."""
-    return _listed(sup_over_centers(centers, lambda x: sups(mu, [x], [job], None)[0][0])[0])
+    return _listed(sup_over_centers(centers, lambda x: sups(mu, [x], [job], None, True)[0][0])[0])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5])
@@ -89,7 +89,7 @@ def test_each_sup_is_the_center_by_center_sup(case, p):
     mu, centers, n_views = CASES[case]
     assert len({mu.view_key(x) for x in centers}) == n_views < len(centers)
     jobs = _jobs(mu, p)
-    got, masses = sups(mu, centers, jobs, MASS_RADII)
+    got, masses = sups(mu, centers, jobs, MASS_RADII, True)
     for job, ests in zip(jobs, got):
         assert [_fields(e) for e in _listed(ests)] == [
             _fields(e) for e in _center_by_center(mu, centers, job)]
@@ -112,8 +112,8 @@ def test_a_sphere_classify_builds_each_radial_density_once_per_view(monkeypatch)
     # sweep-warm's 16 centers lie at 10 distinct distances from the center
     mu, centers = _sphere(), SWEEP_CENTERS.build(_sphere())
     builds = []
-    build = mu.radial_mass_density
-    monkeypatch.setattr(mu, "radial_mass_density",
+    build = mu.radial_view
+    monkeypatch.setattr(mu, "radial_view",
                         lambda x: builds.append(np.asarray(x).tobytes()) or build(x))
     report = classify_measure(mu, MODEL, 1.5, ClassifyConfig(centers=SWEEP_CENTERS))
     views: dict = {}
