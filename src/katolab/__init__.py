@@ -9,8 +9,7 @@ from types import ModuleType as _ModuleType
 
 from .classification import (ClassificationReport, ClassifyConfig, LimitFit,
                              classify_limit, classify_measure, estimate_eta,
-                             fit_order_delta, lq_sufficient, lq_unif_norm,
-                             threshold_p_star)
+                             fit_order_delta, threshold_p_star)
 from .config import RunConfig, parse_config_text, parse_profile
 from .errors import (ConfigError, DomainError, InsufficientDataError,
                      KatolabError, ValidationError)

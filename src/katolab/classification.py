@@ -24,14 +24,8 @@ from .functionals import (
     _resolve_centers,
 )
 from .kernels import ScalingKernelModel
-from .measures import (
-    Density,
-    FunctionalEstimate,
-    MeasureRep,
-    RadialDensity,
-    integrate_jobs,
-)
-from .profiles import GreenKernelSpec, RadialProfile
+from .measures import MeasureRep, integrate_jobs
+from .profiles import GreenKernelSpec
 from .quadrature import INF
 
 SLOPE_CUTOFF = 0.05
@@ -216,8 +210,7 @@ def classify_measure(mu: MeasureRep, model: ScalingKernelModel, p: float,
     sweeps: dict[str, list] = {}
 
     def record(key, sweep):
-        sweeps[key] = [(float(sc), float(est), est.error + est.stat_error)
-                       for sc, est in sweep]
+        sweeps[key] = [(float(sc), float(est), est.error) for sc, est in sweep]
         fits[key] = classify_limit(sweeps[key])
 
     r_grid, r_eta = _radii(cfg, spec)
@@ -326,34 +319,3 @@ def fit_order_delta(mu: MeasureRep, model: ScalingKernelModel, p: float,
     fit = classify_limit([(t, float(est) ** (1.0 / p), est.error)
                           for t, est in zip(t_grid, found)])
     return fit.slope, fit.slope_ci
-
-
-# ---------------------------------------------------------------------------
-# sufficient conditions
-
-
-def _as_power_measure(f, q: float, dim: int) -> MeasureRep:
-    """|f|^q dm as a measure representation."""
-    if isinstance(f, RadialProfile):
-        return RadialDensity(RadialProfile(lambda s: np.abs(np.asarray(f(s))) ** q), dim=dim)
-    return Density(lambda y: abs(float(f(y))) ** q, dim=dim)
-
-
-def lq_unif_norm(f, q: float, dim: int,
-                 centers: CenterStrategy | list | None = None
-                 ) -> FunctionalEstimate:
-    """sup_x int_{B_1(x)} |f|^q dm, the uniform-local L^q norm (to power q)."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    mu_q = _as_power_measure(f, q, dim)
-    return sups(mu_q, _resolve_centers(mu_q, centers), [(np.ones_like, 1.0)], None, True)[0][0]
-
-
-def lq_sufficient(q: float, p: float, nu: float, beta: float) -> bool:
-    """Predicate: finiteness of the uniform-local L^q norm implies Kato-class
-    membership at exponent p."""
-    if nu < beta:
-        return q >= 1.0
-    gap = nu - p * (nu - beta)
-    return gap > 0.0 and q > nu / gap
-

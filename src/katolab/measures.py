@@ -2,11 +2,12 @@
 possibly singular radial functions against them over balls and globally.
 
 All integrands used by the classification pipeline are radial about the
-integration center, so each representation states its mass about x as
-atoms at exact distances from x plus a radial mass density
-m_x(s) = d/ds mu_diffuse(B_s(x)); ball and global integrals are then an exact
-atom sum plus one-dimensional quadratures with an inner dyadic cutoff sweep
-and a geometric-decay divergence test.
+integration center, so each representation states its mass about x in one
+method, radial_view(x): atoms at exact distances from x, a radial mass
+density m_x(s) = d/ds mu_diffuse(B_s(x)) and the support of that density;
+ball and global integrals are then an exact atom sum plus one-dimensional
+quadratures with an inner dyadic cutoff sweep and a geometric-decay
+divergence test.
 """
 from __future__ import annotations
 
@@ -25,10 +26,11 @@ from .space import sphere_surface_area, unit_ball_volume
 ANGULAR_TOL = 1e-10  # two angular orders in a row agree: the finer serves
 MAX_ANGULAR_POINTS = 512  # the most f calls one radius takes, all orders tried
 R_SPLIT = 1.0  # integrate_global: the ball B(x, R_SPLIT), then outward
-#: radial_support's margin for a support tested node by node, relative to
-#: (rho + radius)^2 / radius: far above the rounding of those tests
+#: a radial_view's support margin for a support tested node by node,
+#: relative to (rho + radius)^2 / radius: far above the rounding of those tests
 SUPPORT_MARGIN = 1e-9
 ROW_BLOCK = 8  # RadialDensity's rows of nodes per angular batch
+_NO_ATOMS = (np.zeros(0), np.zeros(0))  # a radial_view's atoms where mu has none
 #: the 64-node rule, leggauss(64): RadialDensity's u-rule in dimension 3
 _GL64_NODES, _GL64_WEIGHTS = symmetric_rule(
     [0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
@@ -79,9 +81,9 @@ def sphere_rule(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band(rho: float, radius: float) -> tuple[float, float]:
-    """radial_support about a point at distance rho from the center of a
-    ball of that radius, for a support tested node by node: (rho - radius,
-    rho + radius) widened by SUPPORT_MARGIN."""
+    """The radial_view support about a point at distance rho from the
+    center of a ball of that radius, for a support tested node by node:
+    (rho - radius, rho + radius) widened by SUPPORT_MARGIN."""
     if not 0.0 < radius < INF:
         return 0.0, INF
     tol = SUPPORT_MARGIN * (rho + radius) ** 2 / radius
@@ -106,10 +108,9 @@ def _orders(dim: int) -> tuple[int, ...]:
 class MeasureRep:
     """Base class; subclasses are the five computable representations.
 
-    A measure states its mass about a point x as atoms at exact distances
-    from x (radial_atoms) plus a diffuse part (radial_mass_density); ball
-    masses and all ball and global integrals derive from these two, read
-    together with radial_support through radial_view.
+    A measure states its mass about a point x in one method, radial_view:
+    atoms at exact distances from x plus a diffuse part, with the support of
+    that part; ball masses and all ball and global integrals derive from it.
     """
 
     dim: int
@@ -119,31 +120,23 @@ class MeasureRep:
     supports_kernel_criteria = True
     costly_density = False  # a density row calls f per node: read no panel ahead
 
-    def radial_mass_density(self, x) -> Callable | None:
-        """Vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or None
-        if mu has no diffuse mass about x.  Inexact values come as the pair
-        (values, relative error)."""
-        return None
+    def radial_view(self, x) -> tuple:
+        """((distances, weights), density, (lo, hi)) about x: what the engine
+        (integrate_jobs) reads of mu about a center, in one call.
 
-    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(distances, weights) of the mass sitting at exact distances from x."""
-        return np.zeros(0), np.zeros(0)
-
-    def radial_support(self, x) -> tuple[float, float]:
-        """(lo, hi): the radial mass density about x is exactly 0.0 at every
-        distance s < lo and s > hi, as evaluated; (0, inf) if not known."""
-        return 0.0, INF
+        (distances, weights): the mass sitting at exact distances from x.
+        density: vectorized s -> d/ds of the diffuse part of mu(B_s(x)), or
+        None if mu has no diffuse mass about x; inexact values come as the
+        pair (values, relative error).
+        (lo, hi): the density is exactly 0.0 at every distance s < lo and
+        s > hi, as evaluated; (0, inf) if not known."""
+        raise NotImplementedError
 
     def view_key(self, x):
-        """A hashable key of mu as seen from x: two points of equal keys see
-        the same radial atoms, radial mass density and radial support, bit
-        for bit; None where mu states none (each point its own view)."""
+        """A hashable key of mu as seen from x: two points of equal keys have
+        equal radial_views, bit for bit; None where mu states none (each
+        point its own view)."""
         return None
-
-    def radial_view(self, x) -> tuple:
-        """(radial_atoms, radial_mass_density, radial_support) about x: what
-        the engine (integrate_jobs) reads of mu about a center, in one call."""
-        return self.radial_atoms(x), self.radial_mass_density(x), self.radial_support(x)
 
     def ball_mass(self, x, r):
         """mu of the closed ball of radius r about x: the ball integral of
@@ -163,10 +156,11 @@ class Density(MeasureRep):
     """mu = f(y) dy on R^dim; f a pointwise density, optionally compactly
     supported in a ball of radius support_radius about the origin.
 
-    The radial mass density about x averages f over spheres by sphere_rules
-    of _orders(dim), lowest first, until two in a row agree to ANGULAR_TOL;
-    the finer serves, paired with the last pair's relative gap on that batch
-    of radii (1 if only one order fits)."""
+    The radial mass density about x (radial_mass_density, which radial_view
+    calls) averages f over spheres by sphere_rules of _orders(dim), lowest
+    first, until two in a row agree to ANGULAR_TOL; the finer serves, paired
+    with the last pair's relative gap on that batch of radii (1 if only one
+    order fits)."""
 
     costly_density = True
 
@@ -208,8 +202,9 @@ class Density(MeasureRep):
 
         return m
 
-    def radial_support(self, x) -> tuple[float, float]:
-        return _band(float(np.linalg.norm(np.asarray(x, float))), self.support_radius)
+    def radial_view(self, x) -> tuple:
+        rho = float(np.linalg.norm(np.asarray(x, float)))
+        return _NO_ATOMS, self.radial_mass_density(x), _band(rho, self.support_radius)
 
     def support_points(self, n: int, rng) -> list:
         scale = self.support_radius if math.isfinite(self.support_radius) else 1.0
@@ -255,15 +250,6 @@ class _SeenByRho(MeasureRep):
     def radial_view(self, x) -> tuple:
         return self._view(self._rho(x))
 
-    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self.radial_view(x)[0]
-
-    def radial_mass_density(self, x) -> Callable | None:
-        return self.radial_view(x)[1]
-
-    def radial_support(self, x) -> tuple[float, float]:
-        return self.radial_view(x)[2]
-
 
 class RadialDensity(_SeenByRho):
     """mu = f(|y - o|) dy with a radial profile f about origin o.
@@ -282,6 +268,8 @@ class RadialDensity(_SeenByRho):
         self.origin = np.zeros(dim) if origin is None else np.asarray(origin, float)
         if self.origin.shape != (dim,):
             raise ValidationError(f"origin needs {dim} coordinates")
+        if not np.isfinite(self.origin).all():
+            raise ValidationError("origin coordinates must be finite")
         if not support_radius >= 0:
             raise ValidationError("support_radius must be >= 0")
         self.support_radius = support_radius
@@ -291,7 +279,7 @@ class RadialDensity(_SeenByRho):
         # seen from o, f's argument is s itself: no support margin
         support = (0.0, self.support_radius) if rho == 0.0 else _band(rho, self.support_radius)
         density = ParamPower(self.off_origin if rho > 0.0 else self.at_origin, rho, 1.0)
-        return (np.zeros(0), np.zeros(0)), density, support
+        return _NO_ATOMS, density, support
 
     def at_origin(self, rho) -> Callable:
         """s -> the radial mass density about o (rho is 0): f(s) itself."""
@@ -338,19 +326,20 @@ class PointMasses(MeasureRep):
     def __init__(self, atoms: Sequence[tuple], dim: int | None = None):
         pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in atoms]
         ws = [float(w) for _, w in atoms]
-        if any(w < 0 for w in ws):
-            raise ValidationError("atom weights must be nonnegative")
+        if not all(0 <= w < INF for w in ws):  # NaN fails both tests
+            raise ValidationError("atom weights must be finite and nonnegative")
         self.points = np.stack(pts) if pts else np.zeros((0, dim or 1))
+        if not np.isfinite(self.points).all():
+            raise ValidationError("atom coordinates must be finite")
         self.weights = np.asarray(ws)
         self.eta = 0.0 if any(w > 0 for w in ws) else None  # the zero measure has none
         self.dim = dim if dim is not None else (self.points.shape[1] or 1)
         if pts and self.points.shape[1] != self.dim:
             raise ValidationError("atom coordinates do not match dim")
 
-    def radial_atoms(self, x) -> tuple[np.ndarray, np.ndarray]:
-        ds = np.linalg.norm(self.points - np.atleast_1d(np.asarray(x, float)),
-                            axis=1)
-        return ds, self.weights
+    def radial_view(self, x) -> tuple:
+        ds = np.linalg.norm(self.points - np.atleast_1d(np.asarray(x, float)), axis=1)
+        return (ds, self.weights), None, (0.0, INF)
 
     def support_points(self, n: int, rng) -> list:
         return [p for p in self.points[:n]]
@@ -369,6 +358,8 @@ class SphereSurface(_SeenByRho):
         if self.center.shape != (3,):
             raise DomainError("surface measure is implemented in R^3 only: "
                               "the center needs 3 coordinates")
+        if not np.isfinite(self.center).all():
+            raise ValidationError("center coordinates must be finite")
         if not (0 < radius < INF and 0 <= total_mass < INF):
             raise ValidationError("need finite radius > 0 and total_mass >= 0")
         self.R = float(radius)
@@ -393,7 +384,7 @@ class SphereSurface(_SeenByRho):
             s = np.asarray(s, dtype=float)
             return np.where((s >= lo) & (s <= hi), c * s, 0.0)
 
-        return (np.zeros(0), np.zeros(0)), m, shell
+        return _NO_ATOMS, m, shell
 
     def ball_mass(self, x, r):
         rho = self._rho(x)
@@ -435,17 +426,14 @@ class AhlforsAbstract(MeasureRep):
     def ball_mass(self, x, r):
         return self.c_mid * min(float(r), self.r0) ** self.eta
 
-    def radial_mass_density(self, x) -> Callable:
+    def radial_view(self, x) -> tuple:
         eta, c, r0 = self.eta, self.c_mid, self.r0
 
         def m(s):
             s = np.asarray(s, dtype=float)
             return np.where(s <= r0, eta * c * s ** (eta - 1.0), 0.0)
 
-        return m
-
-    def radial_support(self, x) -> tuple[float, float]:
-        return 0.0, self.r0
+        return _NO_ATOMS, m, (0.0, r0)
 
     def view_key(self, x):
         return ()  # the same from every x
@@ -497,14 +485,15 @@ def integrate_jobs(mu: MeasureRep, centers: list, jobs: list) -> list:
     atom sum plus the inner dyadic sweep; the whole space, B(x, R_SPLIT) and,
     unless it diverged, the atoms beyond plus the outward pass, which counts
     only where the ball converged; a diverged record reads value inf and
-    reason NO_PASS where no pass decided.  A pass outside mu's radial_support
-    (a ball of r <= lo, the outward pass where R_SPLIT >= hi) reads only
-    zeros of the density: it is not run, and gets the record of an all-zero
-    pass (ZERO_INWARD, ZERO_OUTWARD).  A led job integrates the centers after
-    the first only where the first center's ball does not diverge first
-    (elsewhere "ran" is False: a sup is decided there; where the first
-    center's outward pass diverges, the first center wins the sup all the
-    same).  The centers read mu through radial_view, one call each.
+    reason NO_PASS where no pass decided.  A pass outside the support (lo,
+    hi) of mu's radial_view (a ball of r <= lo, the outward pass where
+    R_SPLIT >= hi) reads only zeros of the density: it is not run, and gets
+    the record of an all-zero pass (ZERO_INWARD, ZERO_OUTWARD).  A led job
+    integrates the centers after the first only where the first center's
+    ball does not diverge first (elsewhere "ran" is False: a sup is decided
+    there; where the first center's outward pass diverges, the first center
+    wins the sup all the same).  The centers read mu through radial_view,
+    one call each, and nothing else of it but costly_density.
 
     Passes start before they are known to be needed: an outward pass with
     its ball, a led job's later centers once the first center's ball is

@@ -13,8 +13,6 @@ from katolab.classification import (
     classify_measure,
     estimate_eta,
     fit_order_delta,
-    lq_sufficient,
-    lq_unif_norm,
     threshold_p_star,
 )
 from katolab.config import RunConfig
@@ -321,20 +319,3 @@ def test_fit_order_delta_needs_a_t_below_t0():
                         _fast_config(dim=2))
 
 
-# --------------------------------------------------------------------------
-# sufficient-condition norms
-
-
-def test_lq_unif_norm_indicator_oracle():
-    # f = 1 on R^3: sup_x int_{B_1(x)} 1 dm = |B_1| = 4 pi / 3
-    f = power_profile(0.0)
-    est = lq_unif_norm(f, 2.0, dim=3, centers=[np.zeros(3)])
-    assert est.value == pytest.approx(4 * math.pi / 3, rel=1e-9)
-
-
-def test_sufficiency_predicates():
-    # nu = 3, beta = 2: gap = 3 - p; L^q works iff q > 3 / (3 - p)
-    assert lq_sufficient(4.0, 2.0, 3.0, 2.0)
-    assert not lq_sufficient(3.0, 2.0, 3.0, 2.0)
-    assert not lq_sufficient(2.0, 3.0, 3.0, 2.0)  # gap closed at p = 3
-    assert lq_sufficient(1.0, 5.0, 1.0, 2.0)  # nu < beta: any q >= 1

@@ -2,6 +2,7 @@
 cold paths load only the scipy modules they need."""
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -149,6 +150,47 @@ def test_every_function_perfbench_traces_exists():
     for module, name in names + [("functionals", "sup_over_centers")]:
         assert callable(getattr(importlib.import_module(f"katolab.{module}"), name, None)), \
             f"katolab.{module}.{name}"
+
+
+def test_every_method_perfbench_traces_is_defined():
+    # Tracer.install wraps each (module, method) of perfbench's METHODS on
+    # every class of that module that defines it: a renamed method is
+    # silently no longer traced, and its spans read 0
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "spans.py").read_text())
+    listed = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["METHODS"])
+    names = [tuple(ast.literal_eval(elt))[:2] for elt in listed.elts]
+    assert ("measures", "radial_mass_density") in names
+    # no class has defined it since the one exact resolvent path; ROADMAP
+    # item 20 drops it from METHODS
+    names.remove(("kernels", "_build_resolvent_interp"))
+    for module, meth in names:
+        mod = importlib.import_module(f"katolab.{module}")
+        assert any(inspect.isclass(cls) and cls.__module__ == mod.__name__
+                   and meth in cls.__dict__ for cls in vars(mod).values()), \
+            f"katolab.{module}: no class defines {meth}"
+
+
+def test_a_density_builds_its_radial_mass_density_once_per_view(monkeypatch):
+    # perfbench's density-offcenter counts f's points through the densities
+    # Density.radial_mass_density returns: radial_view must build each
+    # view's density there, and the engine read that density
+    from katolab.functionals import kato_functional
+    from katolab.measures import Density
+    from katolab.profiles import GreenKernelSpec
+
+    built, points, build = [], [], Density.radial_mass_density
+
+    def counted(self, x):
+        built.append(x)
+        m = build(self, x)
+        return lambda s: (points.append(np.size(s)), m(s))[1]
+
+    monkeypatch.setattr(Density, "radial_mass_density", counted)
+    mu = Density(lambda y: float(np.exp(-(y @ y))), dim=3)
+    centers = [np.zeros(3), np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])]
+    kato_functional(mu, GreenKernelSpec(3.0, 2.0), 1.5, 0.5, centers=centers)
+    assert len(built) == len(centers) and sum(points) > 0
 
 
 def test_unknown_katolab_attribute_is_an_attribute_error():

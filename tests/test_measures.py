@@ -111,6 +111,21 @@ def test_a_measure_rejects_a_size_that_is_not_finite(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: PointMasses([(np.zeros(3), v)]),
+    lambda v: PointMasses([(np.zeros(3), 1.0), (np.array([v, 0.0, 0.0]), 1.0)]),
+    lambda v: RadialDensity(power_profile(-1.0), dim=3, origin=[v, 0.0, 0.0]),
+    lambda v: SphereSurface([v, 0.0, 0.0], radius=1.0, total_mass=1.0),
+], ids=["atom-weight", "atom-coordinate", "radial-origin", "sphere-center"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_measure_rejects_a_location_or_weight_that_is_not_finite(make, value):
+    # each was accepted and read a value: a NaN weight a certified
+    # divergence (NaN fails `w < 0`), a NaN origin a depth-cap divergence,
+    # a NaN sphere center or atom coordinate a zero
+    with pytest.raises(ValidationError, match="finite"):
+        make(value)
+
+
 def test_an_ahlfors_radius_that_is_nan_is_rejected():
     # r0 = inf is a measure with c r^eta at every radius; NaN is none
     with pytest.raises(ValidationError):
@@ -275,14 +290,14 @@ def test_sphere_from_center_integrals_are_mass_times_kernel(R):
 
 def test_radial_atoms_state_the_mass_about_a_point():
     sphere = SphereSurface(center=np.zeros(3), radius=2.0, total_mass=3.0)
-    ds, ws = sphere.radial_atoms(np.zeros(3))
+    (ds, ws), _, _ = sphere.radial_view(np.zeros(3))
     assert list(ds) == [2.0] and list(ws) == [3.0]
-    assert len(sphere.radial_atoms(np.array([0.5, 0.0, 0.0]))[0]) == 0
+    assert len(sphere.radial_view(np.array([0.5, 0.0, 0.0]))[0][0]) == 0
     atoms = PointMasses([(np.array([0.3]), 1.0), (np.array([-2.0]), 2.0)])
-    ds, ws = atoms.radial_atoms(np.zeros(1))
+    (ds, ws), density, _ = atoms.radial_view(np.zeros(1))
     assert list(ds) == pytest.approx([0.3, 2.0]) and list(ws) == [1.0, 2.0]
-    assert atoms.radial_mass_density(np.zeros(1)) is None
-    assert len(lebesgue(2).radial_atoms(np.zeros(2))[0]) == 0
+    assert density is None
+    assert len(lebesgue(2).radial_view(np.zeros(2))[0][0]) == 0
 
 
 def test_point_mass_global_integral_sums_every_atom():
@@ -328,7 +343,7 @@ def test_radial_density_off_center_mean_is_exact(d):
     mean = special.i0(a) if d == 2 else 2.0 * special.i1(a) / a
     area = 2.0 * math.pi if d == 2 else 2.0 * math.pi**2
     exact = area * s ** (d - 1) * np.exp(-0.64 - s**2) * mean
-    assert np.allclose(mu.radial_mass_density(x)(s), exact, rtol=1e-13, atol=0)
+    assert np.allclose(mu.radial_view(x)[1](s), exact, rtol=1e-13, atol=0)
 
 
 def test_radial_density_off_center_mean_is_exact_in_three_dimensions():
@@ -338,7 +353,7 @@ def test_radial_density_off_center_mean_is_exact_in_three_dimensions():
     mu = RadialDensity(RadialProfile(lambda s: np.exp(-np.asarray(s, dtype=float) ** 2)), dim=3)
     rho, s = 0.8, np.array([0.1, 0.5, 1.0, 2.0, 4.0])
     exact = math.pi * s / rho * (np.exp(-(rho - s) ** 2) - np.exp(-(rho + s) ** 2))
-    got = mu.radial_mass_density(np.array([0.0, rho, 0.0]))(s)
+    got = mu.radial_view(np.array([0.0, rho, 0.0]))[1](s)
     assert np.allclose(got, exact, rtol=1e-13, atol=0)
 
 
@@ -524,7 +539,7 @@ def test_radial_mass_densities_map_panel_arrays_row_by_row():
         (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5, dim=1), np.zeros(1)),
     ]
     for mu, x in cases:
-        m = mu.radial_mass_density(x)
+        m = mu.radial_view(x)[1]
         out, rows = m(s), [m(row) for row in s]
         if isinstance(out, tuple):  # (values, relative error), one error per row
             assert out[0].shape == s.shape and out[1].shape == (len(s),)
@@ -533,4 +548,4 @@ def test_radial_mass_densities_map_panel_arrays_row_by_row():
         else:
             assert out.shape == s.shape
             assert np.array_equal(out, np.stack(rows))
-    assert PointMasses([(x3, 1.0)]).radial_mass_density(x3) is None
+    assert PointMasses([(x3, 1.0)]).radial_view(x3)[1] is None

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from katolab.classification import ClassifyConfig, classify_measure
 from katolab.functionals import CenterStrategy, GreenKernelSpec, kato_functional
 from katolab.kernels import GaussianKernelModel, StableEstimateModel
-from katolab.measures import (R_SPLIT, Density, PointMasses, RadialDensity, SphereSurface,
-                              integrate_global, integrate_jobs, integrate_over_ball, lebesgue)
+from katolab.measures import (R_SPLIT, AhlforsAbstract, Density, PointMasses, RadialDensity,
+                              SphereSurface, integrate_global, integrate_jobs,
+                              integrate_over_ball, lebesgue)
 from katolab.profiles import power_profile
 from katolab import quadrature
 from katolab.quadrature import (
@@ -372,7 +373,7 @@ def test_engine_batch_equals_sequential_passes(grid, monkeypatch):
     mu = Density(lambda y: math.exp(-float(y @ y) - 0.5 * y[0]), dim=2)
     ms = [lambda s: np.ones_like(np.asarray(s, float)),
           mu.radial_mass_density(np.array([0.2, -0.1])),
-          RadialDensity(power_profile(-1.0), dim=2).radial_mass_density(np.array([0.3, 0.0]))]
+          RadialDensity(power_profile(-1.0), dim=2).radial_view(np.array([0.3, 0.0]))[1]]
     gs = ENGINE_KERNELS
     spec = [(k, c, r, False) for k in range(len(gs)) for c in range(len(ms))
             for r in grid]
@@ -562,7 +563,7 @@ def test_a_sphere_seen_from_afar_reads_no_density_inside_its_gap(monkeypatch):
     # the balls of radius <= 2 are not run and read the all-zero record
     sphere = SphereSurface(np.zeros(3), 1.0, 2.0)
     x = np.array([0.0, 3.0, 0.0])
-    assert sphere.radial_support(x) == (2.0, 4.0)
+    assert sphere.radial_view(x)[2] == (2.0, 4.0)
     seen = _traced_density(sphere, monkeypatch)
     g = lambda s: np.asarray(s, dtype=float) ** -1.5
     got = integrate_jobs(sphere, [x], [(g, [2.0, 1.0, 0.5], False)])[0][0]
@@ -579,15 +580,27 @@ def test_a_sphere_seen_from_afar_reads_no_density_inside_its_gap(monkeypatch):
      [1.9, 0.0, 0.0]),
     (RadialDensity(_nan_outside, dim=2, support_radius=1.0), [0.0, 2.5]),
     (Density(lambda y: 1.0 + y[0], dim=2, support_radius=0.5), [0.0, 1.75]),
+    (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5, dim=1), [0.0]),
+    (lebesgue(3), [0.3, -0.2, 0.5]),
+    (PointMasses([([0.3, 0.0], 1.0), ([0.0, 2.5], 2.0)]), [0.0, 0.0]),
 ], ids=["sphere-far", "sphere-inside-split", "radial-origin", "radial-far", "radial-nan-outside",
-        "density-far"])
+        "density-far", "ahlfors", "lebesgue", "point-masses"])
 def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch):
+    # the view the engine skips passes on: atoms as two arrays of one
+    # length, 0 <= lo <= hi, and a density (where stated) of exactly 0.0 at
+    # every s < lo and s > hi
+    x, grid = np.asarray(x, float), [2.0, 1.5, 1.0, 0.75, 0.5, 0.125]
+    (ds, ws), m, (lo, hi) = mu.radial_view(x)
+    assert ds.shape == ws.shape == (len(ds),) and 0.0 <= lo <= hi
+    outside = np.concatenate([lo * np.array([1e-3, 0.5, 0.999]),
+                              hi * np.array([1.001, 1.5, 4.0])])
+    outside = outside[(outside > 0.0) & (outside < INF)]
+    if m is not None and len(outside):
+        values = m(outside)
+        assert np.all((values[0] if isinstance(values, tuple) else values) == 0.0)
     # every ball of a grid and the whole space, with the passes outside the
     # support skipped and with every pass run: the same records, bit for bit,
-    # from fewer density rows
-    x, grid = np.asarray(x, float), [2.0, 1.5, 1.0, 0.75, 0.5, 0.125]
-    lo, hi = mu.radial_support(x)
-    assert lo >= grid[-1] or hi <= R_SPLIT
+    # from fewer density rows where a pass lies outside
     g = lambda s: np.exp(-np.asarray(s, float)) / np.asarray(s, float)
     jobs = [(g, grid, False), (g, None, False)]
     seen = _traced_density(mu, monkeypatch)
@@ -597,7 +610,10 @@ def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch
     monkeypatch.setattr(mu, "radial_view", lambda x: (*traced(x)[:2], (0.0, INF)))
     want = integrate_jobs(mu, [x], jobs)
     assert repr([rec.tolist() for rec in got]) == repr([rec.tolist() for rec in want])
-    assert rows < sum(map(len, seen))
+    if lo >= grid[-1] or hi <= R_SPLIT:
+        assert rows < sum(map(len, seen))
+    else:
+        assert rows == sum(map(len, seen))
 
 
 def test_jobs_over_no_center_read_empty_tables():
@@ -672,7 +688,7 @@ def test_a_density_classify_evaluates_no_speculative_panel(model, p, calls):
 def test_a_support_of_radius_zero_integrates_to_zero(mu):
     g = lambda s: np.exp(-np.asarray(s, float))
     x = np.array([0.0, 0.3])
-    assert mu.radial_support(x) == (0.0, INF)
+    assert mu.radial_view(x)[2] == (0.0, INF)
     got = [integrate_global(mu, x, g), *integrate_over_ball(mu, x, [1.0, 0.25], g)]
     assert [(est.value, est.diverged) for est in got] == [(0.0, False)] * 3
 

@@ -72,9 +72,9 @@ def test_stored_rows_are_the_density_on_each_row_alone():
 
 def test_centers_at_one_rho_read_one_density():
     mu = radial()
-    at = [mu.radial_mass_density(np.array(x)) for x in ([0.25, 0.0, 0.0], [0.0, 0.0, -0.25])]
+    at = [mu.radial_view(np.array(x))[1] for x in ([0.25, 0.0, 0.0], [0.0, 0.0, -0.25])]
     assert at[0] == at[1] and at[0].family == mu.off_origin and at[0].param == 0.25
-    assert mu.radial_mass_density(np.zeros(3)).family == mu.at_origin
+    assert mu.radial_view(np.zeros(3))[1].family == mu.at_origin
 
 
 def test_a_second_p_evaluates_no_row_the_measure_holds():
