@@ -155,7 +155,7 @@ def test_cli_classify_round_trip(tmp_path: Path):
 
 
 def test_cli_classify_csv_header(tmp_path: Path):
-    # the fifth column is the full error bar, error + stat_error
+    # the fifth column is the estimate's error bar
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MINIMAL)
     out = tmp_path / "out"

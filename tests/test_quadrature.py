@@ -572,26 +572,28 @@ def test_a_sphere_seen_from_afar_reads_no_density_inside_its_gap(monkeypatch):
     assert [est.levels for est in integrate_over_ball(sphere, x, [2.0, 1.0], g)] == [MIN_LEVELS] * 2
 
 
-@pytest.mark.parametrize("mu,x", [
-    (SphereSurface(np.zeros(3), 1.0, 2.0), [0.0, 3.0, 0.0]),
-    (SphereSurface(np.zeros(3), 0.25, 1.0), [0.5, 0.0, 0.0]),
-    (RadialDensity(power_profile(-1.0), dim=3, support_radius=1.0), [0.0, 0.0, 0.0]),
+@pytest.mark.parametrize("mu,x,skips", [
+    (SphereSurface(np.zeros(3), 1.0, 2.0), [0.0, 3.0, 0.0], True),
+    (SphereSurface(np.zeros(3), 0.25, 1.0), [0.5, 0.0, 0.0], True),
+    (RadialDensity(power_profile(-1.0), dim=3, support_radius=1.0), [0.0, 0.0, 0.0], True),
     (RadialDensity(power_profile(-1.0), dim=3, origin=[0.1, 0, 0], support_radius=0.3),
-     [1.9, 0.0, 0.0]),
-    (RadialDensity(_nan_outside, dim=2, support_radius=1.0), [0.0, 2.5]),
-    (Density(lambda y: 1.0 + y[0], dim=2, support_radius=0.5), [0.0, 1.75]),
-    (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5, dim=1), [0.0]),
-    (lebesgue(3), [0.3, -0.2, 0.5]),
-    (PointMasses([([0.3, 0.0], 1.0), ([0.0, 2.5], 2.0)]), [0.0, 0.0]),
+     [1.9, 0.0, 0.0], True),
+    (RadialDensity(_nan_outside, dim=2, support_radius=1.0), [0.0, 2.5], True),
+    (Density(lambda y: 1.0 + y[0], dim=2, support_radius=0.5), [0.0, 1.75], True),
+    (AhlforsAbstract(eta=1.5, c_lower=1.0, c_upper=2.0, r0=0.5, dim=1), [0.0], True),
+    (lebesgue(3), [0.3, -0.2, 0.5], False),
+    (PointMasses([([0.3, 0.0], 1.0), ([0.0, 2.5], 2.0)]), [0.0, 0.0], False),
 ], ids=["sphere-far", "sphere-inside-split", "radial-origin", "radial-far", "radial-nan-outside",
         "density-far", "ahlfors", "lebesgue", "point-masses"])
-def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch):
+def test_passes_outside_the_radial_support_keep_their_records(mu, x, skips, monkeypatch):
     # the view the engine skips passes on: atoms as two arrays of one
     # length, 0 <= lo <= hi, and a density (where stated) of exactly 0.0 at
-    # every s < lo and s > hi
+    # every s < lo and s > hi; where skips, some pass of the grid lies
+    # outside the support
     x, grid = np.asarray(x, float), [2.0, 1.5, 1.0, 0.75, 0.5, 0.125]
     (ds, ws), m, (lo, hi) = mu.radial_view(x)
     assert ds.shape == ws.shape == (len(ds),) and 0.0 <= lo <= hi
+    assert (lo >= grid[-1] or hi <= R_SPLIT) == skips
     outside = np.concatenate([lo * np.array([1e-3, 0.5, 0.999]),
                               hi * np.array([1.001, 1.5, 4.0])])
     outside = outside[(outside > 0.0) & (outside < INF)]
@@ -600,7 +602,7 @@ def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch
         assert np.all((values[0] if isinstance(values, tuple) else values) == 0.0)
     # every ball of a grid and the whole space, with the passes outside the
     # support skipped and with every pass run: the same records, bit for bit,
-    # from fewer density rows where a pass lies outside
+    # from fewer density rows where a pass lies outside, as many elsewhere
     g = lambda s: np.exp(-np.asarray(s, float)) / np.asarray(s, float)
     jobs = [(g, grid, False), (g, None, False)]
     seen = _traced_density(mu, monkeypatch)
@@ -610,7 +612,7 @@ def test_passes_outside_the_radial_support_keep_their_records(mu, x, monkeypatch
     monkeypatch.setattr(mu, "radial_view", lambda x: (*traced(x)[:2], (0.0, INF)))
     want = integrate_jobs(mu, [x], jobs)
     assert repr([rec.tolist() for rec in got]) == repr([rec.tolist() for rec in want])
-    if lo >= grid[-1] or hi <= R_SPLIT:
+    if skips:
         assert rows < sum(map(len, seen))
     else:
         assert rows == sum(map(len, seen))
